@@ -19,8 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .complexity import ComplexityQuery, info_complexity
-from .criteria import CriterionParams, ceil_stable
+from .complexity import ComplexityQuery, first_index, info_complexity
+from .criteria import SUM_SPECS, CriterionParams, ceil_stable
 from .eigenmodel import EigenModel, ErrorCriterion, log_ratio, ratio, support
 from .summation import SumEvaluation
 
@@ -173,9 +173,8 @@ def diagnostics(
     out: dict = {}
     if spec.theorem == "T1":
         tau2 = p.tau2
-        tau3 = p.tau3 or 0.0
-        c_tilde = p.c_tilde or 1.0
-        start = max(1, ceil_stable(c_tilde * float(d) ** tau3))
+        pt_exp = SUM_SPECS["pt-exp"]  # the sum whose constant T1 carries
+        start = pt_exp.start(pt_exp.resolve(p), d, crit)
         # Slow set: indices from the start whose term exceeds 1/e, i.e.
         # ln(ratio) * j**-tau2 > -1.  Monotone in j, so scan with early exit.
         count = 0
@@ -206,19 +205,6 @@ def diagnostics(
 
 
 def _count_above_cri(model: EigenModel, d: int, criterion: ErrorCriterion, cap: int) -> int:
-    """|{j : lambda(d, j) > CRI_d}| via binary search on the monotone tail."""
-    if ratio(model, d, 1, criterion) <= 1.0:
-        return 0
-    lo, hi = 1, 1
-    while ratio(model, d, hi, criterion) > 1.0:
-        lo = hi
-        if hi >= cap:
-            return cap
-        hi = min(hi * 2, cap)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if ratio(model, d, mid, criterion) > 1.0:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    """|{j : lambda(d, j) > CRI_d}| by monotone search, capped at ``cap``."""
+    first = first_index(lambda j: ratio(model, d, j, criterion) <= 1.0, cap)
+    return cap if first is None else first - 1

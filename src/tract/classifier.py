@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import exprdsl
-from .complexity import ComplexityQuery, info_complexity
+from .complexity import ComplexityQuery, first_index, info_complexity
 from .criteria import (
     CriterionParams,
     SupEvaluation,
@@ -46,6 +46,7 @@ from .eigenmodel import (
     support,
 )
 from .errors import DegenerateGridError, NoPassingPointError
+from .parallel import ordered_map
 from .summation import Divergence, SumStatus
 
 __all__ = [
@@ -235,15 +236,13 @@ def _probe_params(notion: Notion, value: float, aux: float = 0.0) -> CriterionPa
 
 
 def _certified_probe(
-    model: EigenModel, notion: Notion, params: CriterionParams
+    model: EigenModel, sum_kind: str, params: CriterionParams, criterion: ErrorCriterion
 ) -> str:
     """'pass' / 'fail' / 'unknown' from the tail-plan algebra at d=1."""
-    plan = convergence_plan(model, notion.sum_kind, 1, params, notion.criterion)
+    plan = convergence_plan(model, sum_kind, 1, params, criterion)
     if plan is None:
         return "unknown"
-    if isinstance(plan, Divergence):
-        return "fail"
-    return "pass"
+    return "fail" if isinstance(plan, Divergence) else "pass"
 
 
 def _pass_direction(notion: Notion) -> str:
@@ -290,11 +289,14 @@ def _decide_summable(model: EigenModel, notion: Notion, limits: Limits) -> Tract
 def _decide_summable_certified(
     model: EigenModel, notion: Notion, limits: Limits
 ) -> TractabilityVerdict | None:
+    def probe(params: CriterionParams) -> str:
+        return _certified_probe(model, notion.sum_kind, params, notion.criterion)
+
     passing: tuple[float, CriterionParams] | None = None
     failing: float | None = None
     for tau in _TAU_GRID:
         params = _probe_params(notion, tau)
-        outcome = _certified_probe(model, notion, params)
+        outcome = probe(params)
         if outcome == "pass" and passing is None:
             passing = (tau, params)
         elif outcome == "fail":
@@ -308,13 +310,13 @@ def _decide_summable_certified(
         if failing is not None:
             mid = 0.5 * (tau_pass + failing)
             mid_params = _probe_params(notion, mid)
-            if _certified_probe(model, notion, mid_params) == "pass":
+            if probe(mid_params) == "pass":
                 tau_pass, params = mid, mid_params
         elif tau_pass != 1.0:
             # Everything passes: prefer a moderate witness whose value is
             # comfortably representable.
             one = _probe_params(notion, 1.0)
-            if _certified_probe(model, notion, one) == "pass":
+            if probe(one) == "pass":
                 tau_pass, params = 1.0, one
         witness_eval = evaluate_sum(
             model, notion.sum_kind, 1, params, notion.criterion,
@@ -334,10 +336,7 @@ def _decide_summable_certified(
     # exponential criteria).
     form = _exact_env_form(model, notion.criterion)
     if isinstance(form, PowerLawTail) and notion.case == "EXP":
-        all_fail = all(
-            _certified_probe(model, notion, _probe_params(notion, tau)) == "fail"
-            for tau in _TAU_GRID
-        )
+        all_fail = all(probe(_probe_params(notion, tau)) == "fail" for tau in _TAU_GRID)
         if all_fail:
             return TractabilityVerdict(
                 notion, "Fails", None,
@@ -423,7 +422,7 @@ def _decide_wt(model: EigenModel, notion: Notion, limits: Limits) -> Tractabilit
         quantifier = _wt_quantifier(form, sum_kind, s, rank, limits)
         if isinstance(quantifier, float):  # a failing c
             params = CriterionParams(c=quantifier, s=s, t=t)
-            if _certified_probe_wt(model, sum_kind, params, notion.criterion) == "fail":
+            if _certified_probe(model, sum_kind, params, notion.criterion) == "fail":
                 return TractabilityVerdict(
                     notion, "Fails", params,
                     {
@@ -518,15 +517,6 @@ def _wt_quantifier(form, sum_kind: str, s: float, rank: int | None, limits: Limi
     return 1.0
 
 
-def _certified_probe_wt(
-    model: EigenModel, sum_kind: str, params: CriterionParams, criterion: ErrorCriterion
-) -> str:
-    plan = convergence_plan(model, sum_kind, 1, params, criterion)
-    if plan is None:
-        return "unknown"
-    return "fail" if isinstance(plan, Divergence) else "pass"
-
-
 def _multiplicity_growth(
     model: EigenModel, params: CriterionParams, criterion: ErrorCriterion, d_max: int
 ) -> str | None:
@@ -555,21 +545,8 @@ def _multiplicity_growth(
 def _count_ratios_at_least_one(model: EigenModel, d: int, criterion: ErrorCriterion) -> int:
     rank = support(model, d)
     cap = rank if rank is not None else 1 << 22
-    if ratio(model, d, 1, criterion) < 1.0:
-        return 0
-    lo, hi = 1, 1
-    while ratio(model, d, hi, criterion) >= 1.0:
-        lo = hi
-        if hi >= cap:
-            return cap
-        hi = min(hi * 2, cap)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if ratio(model, d, mid, criterion) >= 1.0:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    first = first_index(lambda j: ratio(model, d, j, criterion) < 1.0, cap)
+    return cap if first is None else first - 1
 
 
 # ---------------------------------------------------------------------------
@@ -727,7 +704,8 @@ def exponent_bracket(
 
 def _bisect_bracket(model: EigenModel, notion: Notion, aux: float) -> ExponentBracket | None:
     def passes(tau: float) -> bool:
-        return _certified_probe(model, notion, _probe_params(notion, tau, aux)) == "pass"
+        params = _probe_params(notion, tau, aux)
+        return _certified_probe(model, notion.sum_kind, params, notion.criterion) == "pass"
 
     direction = _pass_direction(notion)
     grid = _TAU_GRID if direction == "large" else tuple(reversed(_TAU_GRID))
@@ -890,13 +868,7 @@ def classify_all(
     reduction so the report is byte-identical for any worker count.
     """
     notions = notions if notions is not None else standard_notions(criterion)
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            verdicts = list(pool.map(lambda nt: decide(model, nt, limits), notions))
-    else:
-        verdicts = [decide(model, nt, limits) for nt in notions]
+    verdicts = ordered_map(lambda nt: decide(model, nt, limits), notions, workers)
     issues = check_implications(verdicts)
     return {
         "verdicts": [v.as_dict() for v in verdicts],

@@ -21,7 +21,6 @@ import math
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from . import __version__
@@ -35,6 +34,7 @@ from .classifier import (
 from .complexity import ComplexityQuery, count_oracle, info_complexity
 from .criteria import (
     SUM_KINDS,
+    SUM_SPECS,
     CriterionParams,
     evaluate_sum,
     sup_over_d,
@@ -42,6 +42,7 @@ from .criteria import (
 )
 from .eigenmodel import EigenModel, ErrorCriterion, model_from_config, validate
 from .errors import ConfigError, TractError, ValidationFailedError
+from .parallel import ordered_map
 from .summation import SumEvaluation, SumStatus
 
 __all__ = ["main", "load_config", "RunConfig"]
@@ -208,13 +209,6 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
     return buf.getvalue()
 
 
-def _ordered_map(fn, items, workers: int):
-    if workers <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 # ---------------------------------------------------------------------------
 # Grid parsing
 # ---------------------------------------------------------------------------
@@ -300,7 +294,7 @@ def _cmd_complexity(cfg: RunConfig, args) -> int:
         res = info_complexity(cfg.model, ComplexityQuery(d, eps, cfg.criterion), cfg.limits.j_max)
         return [d, repr(eps), cfg.criterion.value, res.n, res.capped]
 
-    rows = _ordered_map(solve, points, args.threads)
+    rows = ordered_map(solve, points, args.threads)
     text = _csv_text(["d", "eps", "criterion", "n", "capped"], rows)
     _emit(cfg, "complexity", {"eps_grid": eps_grid, "d_grid": d_grid},
           text, args.out or cfg.output_path)
@@ -326,22 +320,10 @@ def _params_from_args(cfg: RunConfig, args) -> CriterionParams:
     return CriterionParams(k=k, **values)
 
 
-_REQUIRED_FLAGS = {
-    "spt-alg": ("tau",),
-    "spt-exp": ("tau",),
-    "pt-alg": ("tau2",),
-    "pt-exp": ("tau2",),
-    "qpt-alg": ("tau2",),
-    "qpt-exp": ("tau",),
-    "wt-alg": ("c", "s", "t"),
-    "wt-exp": ("c", "s", "t"),
-}
-
-
-def _require_flags(sum_kind: str, params: CriterionParams) -> None:
-    for name in _REQUIRED_FLAGS.get(sum_kind, ()):
+def _require_flags(label: str, sum_kind: str, params: CriterionParams) -> None:
+    for name in SUM_SPECS[sum_kind].required:
         if getattr(params, name) is None:
-            raise ConfigError(f"{sum_kind} needs --{name.replace('_', '-')}")
+            raise ConfigError(f"{label} needs --{name.replace('_', '-')}")
 
 
 def _cmd_criterion(cfg: RunConfig, args) -> int:
@@ -366,7 +348,7 @@ def _cmd_criterion(cfg: RunConfig, args) -> int:
         return 0
     if sum_kind not in SUM_KINDS:
         raise ConfigError(f"unknown sum {sum_kind!r}")
-    _require_flags(sum_kind, params)
+    _require_flags(sum_kind, sum_kind, params)
     if args.sup:
         sweep = sup_over_d(
             cfg.model, sum_kind, params, cfg.criterion, args.d_max or cfg.limits.d_max,
@@ -426,28 +408,22 @@ def _cmd_exponent(cfg: RunConfig, args) -> int:
     return 0
 
 
+# The criterion sum whose supremum over d is each bound family's constant.
+_THEOREM_SUMS = {"T1": "pt-exp", "T2": "qpt-exp", "T3": "wt-exp"}
+
+
 def _cmd_verify_bounds(cfg: RunConfig, args) -> int:
     theorem_name = _setting(cfg, args, "theorem", str)
     if theorem_name is None:
         raise ConfigError("verify-bounds needs --theorem")
     theorem = theorem_name.upper()
-    if theorem not in ("T1", "T2", "T3"):
+    if theorem not in _THEOREM_SUMS:
         raise ConfigError(f"unknown theorem {theorem_name!r}")
     params = _params_from_args(cfg, args)
-    if theorem == "T1":
-        sum_kind, const_params = "pt-exp", params
-        if params.tau2 is None:
-            raise ConfigError("T1 needs --tau2")
-    elif theorem == "T2":
-        sum_kind, const_params = "qpt-exp", params
-        if params.tau is None:
-            raise ConfigError("T2 needs --tau")
-    else:
-        sum_kind, const_params = "wt-exp", params
-        if params.c is None or params.s is None or params.t is None:
-            raise ConfigError("T3 needs --c, --s, --t")
+    sum_kind = _THEOREM_SUMS[theorem]
+    _require_flags(theorem, sum_kind, params)
     sweep = sup_over_d(
-        cfg.model, sum_kind, const_params, cfg.criterion, min(cfg.limits.d_max, 32),
+        cfg.model, sum_kind, params, cfg.criterion, min(cfg.limits.d_max, 32),
         tol=cfg.limits.tol,
     )
     if sweep.status is not SumStatus.CERTIFIED:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -24,6 +25,7 @@ __all__ = [
     "info_complexity",
     "count_oracle",
     "nth_minimal_error",
+    "first_index",
 ]
 
 J_MAX_DEFAULT = 1 << 26
@@ -61,40 +63,40 @@ def info_complexity(
 ) -> ComplexityResult:
     """Least n with lambda(d, n+1) <= eps^2 * CRI_d (ties count as satisfied).
 
-    Runs an exponential search for the first index at or below the threshold
-    followed by a binary search.  Raises :class:`UnboundedError` when no such
-    index exists up to ``j_max``.
+    The first index at or below the threshold comes from :func:`first_index`.
+    Raises :class:`UnboundedError` when no such index exists up to ``j_max``.
     """
     d = query.d
     thr = _threshold(model, query)
     rank = support(model, d)
 
-    def lam(j: int) -> float:
-        return eigenvalue(model, d, j)
+    if rank is not None and eigenvalue(model, d, rank) > thr:
+        return ComplexityResult(n=rank, capped=True, method="search")
+    first = first_index(lambda j: eigenvalue(model, d, j) <= thr, j_max if rank is None else rank)
+    if first is None:
+        raise UnboundedError(d, query.eps, j_max)
+    return ComplexityResult(n=first - 1, capped=False, method="search")
 
-    if rank is not None:
-        if lam(rank) > thr:
-            return ComplexityResult(n=rank, capped=True, method="search")
-        hi_limit = rank
-    else:
-        hi_limit = j_max
 
-    if lam(1) <= thr:
-        return ComplexityResult(n=0, capped=False, method="search")
+def first_index(pred: Callable[[int], bool], cap: int) -> int | None:
+    """Smallest j in [1, cap] with pred(j), for pred false up to some index
+    and true from there on; None when pred(cap) is false.
 
-    lo, hi = 1, 1
-    while lam(hi) > thr:
-        lo = hi
-        if hi >= hi_limit:
-            raise UnboundedError(d, query.eps, j_max)
-        hi = min(hi * 2, hi_limit)
+    Probes 1, 2, 4, ... (clamped at cap) until pred holds, then bisects the
+    last doubling step.
+    """
+    lo, hi = 0, 1
+    while not pred(hi):
+        if hi >= cap:
+            return None
+        lo, hi = hi, min(hi * 2, cap)
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if lam(mid) <= thr:
+        if pred(mid):
             hi = mid
         else:
             lo = mid
-    return ComplexityResult(n=hi - 1, capped=False, method="search")
+    return hi
 
 
 def count_oracle(

@@ -15,6 +15,13 @@ wt-exp     exp(-c d**t) * sum_j exp(-c [1 + ln(2 max(1, 1/rho(j)))]**s)
 uwt        inf over d <= floor((ln n)**k) of the rho(d, n) decay statistics
 =========  ==================================================================
 
+``SUM_SPECS`` is the single description of each of the eight sums: its
+required parameters and their domain, its start index, term parameters,
+tail planner, vectorised term function and prefactor, and (qpt-alg only)
+the outer power.  ``evaluate_sum``, ``sup_over_d``, ``convergence_plan`` and
+the CLI all read that table; the ``sum_*`` functions are one-call wrappers
+over ``evaluate_sum``.
+
 Where the model carries a tail envelope the summation is truncated with a
 certified remainder; exact (two-sided) envelopes additionally support
 divergence certificates: a term-limit test (terms bounded away from zero
@@ -25,7 +32,7 @@ Everything else degrades to an honest heuristic evaluation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -61,6 +68,8 @@ __all__ = [
     "CriterionParams",
     "SupEvaluation",
     "SUM_KINDS",
+    "SUM_SPECS",
+    "SumSpec",
     "sum_spt_alg",
     "sum_spt_exp",
     "sum_pt_alg",
@@ -383,65 +392,45 @@ def _plan_wt_exp(env: TailEnvelope | None, c: float, s: float, start: int) -> Pl
 
 
 # ---------------------------------------------------------------------------
-# Term functions
+# The sum table
 # ---------------------------------------------------------------------------
 
 
-# Terms are computed from L(j) = ln(lambda/CRI): closed forms stay exact in
-# log space where the linear values would saturate at the underflow clamp.
+# Unset start and prefactor exponents mean 0 and an unset start constant
+# means 1.  Zero is a value, not "unset": it still meets the domain check.
+_DEFAULTS = {"tau1": 0.0, "tau3": 0.0, "c_tilde": 1.0}
 
 
-def _power_terms(model: EigenModel, d: int, criterion: ErrorCriterion, p: float):
-    def block(j0: int, j1: int) -> np.ndarray:
-        L = log_ratios(model, d, np.arange(j0, j1, dtype=np.int64), criterion)
-        with np.errstate(under="ignore"):
-            return np.exp(p * L)
+@dataclass(frozen=True)
+class SumSpec:
+    """Everything that tells one criterion sum from another.
 
-    return block
+    The sum at dimension d is prefactor * sum_{j >= start} terms(L, j, *x),
+    where L(j) = ln(lambda(d, j)/CRI_d) and x = param(params, d) are the term
+    parameters the planner also receives.  ``outer_power`` marks qpt-alg,
+    whose inner sum is raised to 1/tau2 before the prefactor applies.
+    """
 
+    required: tuple[str, ...]
+    domain: Callable[[CriterionParams], bool]
+    domain_error: str
+    start: Callable[[CriterionParams, int, ErrorCriterion], int]
+    param: Callable[[CriterionParams, int], tuple[float, ...]]
+    planner: Callable[..., Plan]
+    terms: Callable[..., np.ndarray]
+    prefactor: Callable[[CriterionParams, int], float]
+    outer_power: bool = False
 
-def _coupled_terms(model: EigenModel, d: int, criterion: ErrorCriterion, tau: float):
-    def block(j0: int, j1: int) -> np.ndarray:
-        j = np.arange(j0, j1, dtype=np.int64)
-        L = log_ratios(model, d, j, criterion)
-        with np.errstate(under="ignore"):
-            return np.exp(j.astype(float) ** -tau * L)
-
-    return block
-
-
-def _qpt_exp_terms(model: EigenModel, d: int, criterion: ErrorCriterion, T: float):
-    def block(j0: int, j1: int) -> np.ndarray:
-        L = log_ratios(model, d, np.arange(j0, j1, dtype=np.int64), criterion)
-        with np.errstate(under="ignore", over="ignore"):
-            base = 1.0 + 0.5 * np.maximum(0.0, -L)
-            return base**-T
-
-    return block
-
-
-def _wt_alg_terms(model: EigenModel, d: int, criterion: ErrorCriterion, c: float, s: float):
-    def block(j0: int, j1: int) -> np.ndarray:
-        L = log_ratios(model, d, np.arange(j0, j1, dtype=np.int64), criterion)
-        with np.errstate(under="ignore", over="ignore"):
-            return np.exp(-c * np.exp(-0.5 * s * L))
-
-    return block
-
-
-def _wt_exp_terms(model: EigenModel, d: int, criterion: ErrorCriterion, c: float, s: float):
-    def block(j0: int, j1: int) -> np.ndarray:
-        L = log_ratios(model, d, np.arange(j0, j1, dtype=np.int64), criterion)
-        with np.errstate(under="ignore", over="ignore"):
-            base = 1.0 + math.log(2.0) + np.maximum(0.0, -L)
-            return np.exp(-c * base**s)
-
-    return block
-
-
-# ---------------------------------------------------------------------------
-# The sums
-# ---------------------------------------------------------------------------
+    def resolve(self, params: CriterionParams) -> CriterionParams:
+        """The params with defaults filled in; ValueError when one is missing
+        or out of domain."""
+        missing = [name for name in self.required if getattr(params, name) is None]
+        if missing:
+            raise ValueError(f"missing parameter {missing[0]}")
+        p = replace(params, **{k: v for k, v in _DEFAULTS.items() if getattr(params, k) is None})
+        if not self.domain(p):
+            raise ValueError(self.domain_error)
+        return p
 
 
 def _start_index(criterion: ErrorCriterion, c_tilde: float, d: int, tau3: float) -> int:
@@ -450,166 +439,165 @@ def _start_index(criterion: ErrorCriterion, c_tilde: float, d: int, tau3: float)
     return max(1, ceil_stable(c_tilde * float(d) ** tau3))
 
 
-def sum_spt_alg(
+def _spt_start(p: CriterionParams, d: int, criterion: ErrorCriterion) -> int:
+    # The SPT sums take c_tilde as the start index itself, truncated.
+    return 1 if criterion is ErrorCriterion.NOR else max(1, int(p.c_tilde))
+
+
+# Terms are computed from L(j) = ln(lambda/CRI): closed forms stay exact in
+# log space where the linear values would saturate at the underflow clamp.
+
+
+def _rho_pow(L: np.ndarray, j: np.ndarray, p: float) -> np.ndarray:
+    """rho**p."""
+    return np.exp(p * L)
+
+
+def _rho_pow_coupled(L: np.ndarray, j: np.ndarray, tau: float) -> np.ndarray:
+    """rho**(j**-tau)."""
+    return np.exp(j.astype(float) ** -tau * L)
+
+
+# The alg and exp sums of SPT, PT and WT share everything but the planner
+# and the terms.
+_SPT = dict(
+    required=("tau",),
+    domain=lambda p: p.tau > 0,
+    domain_error="tau must be positive",
+    start=_spt_start,
+    param=lambda p, d: (p.tau,),
+    prefactor=lambda p, d: 1.0,
+)
+_PT = dict(
+    required=("tau2",),
+    domain=lambda p: p.tau1 >= 0 and p.tau3 >= 0 and p.tau2 > 0 and p.c_tilde > 0,
+    domain_error="need tau1, tau3 >= 0 and tau2, c_tilde > 0",
+    start=lambda p, d, criterion: _start_index(criterion, p.c_tilde, d, p.tau3),
+    param=lambda p, d: (p.tau2,),
+    prefactor=lambda p, d: float(d) ** -p.tau1,
+)
+_WT = dict(
+    required=("c", "s", "t"),
+    domain=lambda p: p.c > 0 and p.s > 0 and p.t > 0,
+    domain_error="c, s, t must be positive",
+    start=lambda p, d, criterion: 1,
+    param=lambda p, d: (p.c, p.s),
+    prefactor=lambda p, d: math.exp(-p.c * float(d) ** p.t),
+)
+
+SUM_SPECS: dict[str, SumSpec] = {
+    "spt-alg": SumSpec(**_SPT, planner=_plan_power, terms=_rho_pow),
+    "spt-exp": SumSpec(**_SPT, planner=_plan_coupled, terms=_rho_pow_coupled),
+    "pt-alg": SumSpec(**_PT, planner=_plan_power, terms=_rho_pow),
+    "pt-exp": SumSpec(**_PT, planner=_plan_coupled, terms=_rho_pow_coupled),
+    "qpt-alg": SumSpec(
+        required=("tau2",),
+        domain=lambda p: p.tau1 >= 0 and p.tau2 > 0 and p.c_tilde > 0,
+        domain_error="need tau1 >= 0 and tau2, c_tilde > 0",
+        start=lambda p, d, criterion: _start_index(criterion, p.c_tilde, d, p.tau1),
+        param=lambda p, d: (p.tau2 * (1.0 + math.log(d)),),
+        planner=_plan_power,
+        terms=_rho_pow,
+        prefactor=lambda p, d: float(d) ** -2.0,
+        outer_power=True,
+    ),
+    "qpt-exp": SumSpec(
+        required=("tau",),
+        domain=lambda p: p.tau > 0,
+        domain_error="tau must be positive",
+        start=lambda p, d, criterion: 1,
+        param=lambda p, d: (p.tau * (1.0 + math.log(d)),),
+        planner=_plan_qpt_exp,
+        terms=lambda L, j, T: (1.0 + 0.5 * np.maximum(0.0, -L)) ** -T,
+        prefactor=lambda p, d: float(d) ** -p.tau,
+    ),
+    "wt-alg": SumSpec(
+        **_WT,
+        planner=_plan_wt_alg,
+        terms=lambda L, j, c, s: np.exp(-c * np.exp(-0.5 * s * L)),
+    ),
+    "wt-exp": SumSpec(
+        **_WT,
+        planner=_plan_wt_exp,
+        terms=lambda L, j, c, s: np.exp(-c * (1.0 + math.log(2.0) + np.maximum(0.0, -L)) ** s),
+    ),
+}
+
+SUM_KINDS = tuple(SUM_SPECS)
+
+
+# ---------------------------------------------------------------------------
+# The sums
+# ---------------------------------------------------------------------------
+
+
+def _spec(kind: str) -> SumSpec:
+    if kind not in SUM_SPECS:
+        raise ValueError(f"unknown criterion sum {kind!r}")
+    return SUM_SPECS[kind]
+
+
+def _plan(
+    spec: SumSpec, p: CriterionParams, model: EigenModel, d: int, criterion: ErrorCriterion
+) -> tuple[int, tuple[float, ...], Plan]:
+    """Start index, term parameters and tail plan of a resolved sum."""
+    start = spec.start(p, d, criterion)
+    x = spec.param(p, d)
+    return start, x, spec.planner(ratio_envelope(model, d, criterion, start), *x, start)
+
+
+def evaluate_sum(
     model: EigenModel,
+    kind: str,
     d: int,
-    tau: float,
-    c_tilde_index: int = 1,
-    criterion: ErrorCriterion = ErrorCriterion.ABS,
+    params: CriterionParams,
+    criterion: ErrorCriterion,
     *,
     tol: float = _DEFAULT_TOL,
     max_terms: int = _DEFAULT_MAX_TERMS,
     min_terms: int = 0,
 ) -> SumEvaluation:
-    """sum of rho**tau from the given start index (start forced to 1 for NOR)."""
-    if not tau > 0:
-        raise ValueError("tau must be positive")
-    start = 1 if criterion is ErrorCriterion.NOR else max(1, int(c_tilde_index))
-    env = ratio_envelope(model, d, criterion, start)
-    plan = _plan_power(env, tau, start)
-    return certified_sum(
-        _power_terms(model, d, criterion, tau),
+    """Evaluate one named criterion sum (a key of SUM_SPECS) at a single d."""
+    spec = _spec(kind)
+    p = spec.resolve(params)
+    start, x, plan = _plan(spec, p, model, d, criterion)
+
+    def block(j0: int, j1: int) -> np.ndarray:
+        j = np.arange(j0, j1, dtype=np.int64)
+        L = log_ratios(model, d, j, criterion)
+        with np.errstate(under="ignore", over="ignore"):
+            return spec.terms(L, j, *x)
+
+    pref = spec.prefactor(p, d)
+    ev = certified_sum(
+        block,
         start,
         plan,
         tol=tol,
         max_terms=max_terms,
         min_terms=min_terms,
         hard_end=support(model, d),
+        prefactor=1.0 if spec.outer_power else pref,
     )
+    return _outer_power(ev, pref, 1.0 / p.tau2) if spec.outer_power else ev
 
 
-def sum_spt_exp(
-    model: EigenModel,
-    d: int,
-    tau: float,
-    c_tilde_index: int = 1,
-    criterion: ErrorCriterion = ErrorCriterion.ABS,
-    *,
-    tol: float = _DEFAULT_TOL,
-    max_terms: int = _DEFAULT_MAX_TERMS,
-    min_terms: int = 0,
-) -> SumEvaluation:
-    """sum of rho**(j**-tau); terms couple the value with its index."""
-    if not tau > 0:
-        raise ValueError("tau must be positive")
-    start = 1 if criterion is ErrorCriterion.NOR else max(1, int(c_tilde_index))
-    env = ratio_envelope(model, d, criterion, start)
-    plan = _plan_coupled(env, tau, start)
-    return certified_sum(
-        _coupled_terms(model, d, criterion, tau),
-        start,
-        plan,
-        tol=tol,
-        max_terms=max_terms,
-        min_terms=min_terms,
-        hard_end=support(model, d),
-    )
-
-
-def sum_pt_alg(
-    model: EigenModel,
-    d: int,
-    tau1: float,
-    tau2: float,
-    tau3: float,
-    c_tilde: float,
-    criterion: ErrorCriterion = ErrorCriterion.ABS,
-    *,
-    tol: float = _DEFAULT_TOL,
-    max_terms: int = _DEFAULT_MAX_TERMS,
-    min_terms: int = 0,
-) -> SumEvaluation:
-    """d**-tau1 times the rho**tau2 tail from ceil(C d**tau3) (NOR: from 1)."""
-    if tau1 < 0 or tau3 < 0 or not tau2 > 0 or not c_tilde > 0:
-        raise ValueError("need tau1, tau3 >= 0 and tau2, c_tilde > 0")
-    start = _start_index(criterion, c_tilde, d, tau3)
-    env = ratio_envelope(model, d, criterion, start)
-    plan = _plan_power(env, tau2, start)
-    return certified_sum(
-        _power_terms(model, d, criterion, tau2),
-        start,
-        plan,
-        tol=tol,
-        max_terms=max_terms,
-        min_terms=min_terms,
-        hard_end=support(model, d),
-        prefactor=float(d) ** -tau1,
-    )
-
-
-def sum_pt_exp(
-    model: EigenModel,
-    d: int,
-    tau1: float,
-    tau2: float,
-    tau3: float,
-    c_tilde: float,
-    criterion: ErrorCriterion = ErrorCriterion.ABS,
-    *,
-    tol: float = _DEFAULT_TOL,
-    max_terms: int = _DEFAULT_MAX_TERMS,
-    min_terms: int = 0,
-) -> SumEvaluation:
-    if tau1 < 0 or tau3 < 0 or not tau2 > 0 or not c_tilde > 0:
-        raise ValueError("need tau1, tau3 >= 0 and tau2, c_tilde > 0")
-    start = _start_index(criterion, c_tilde, d, tau3)
-    env = ratio_envelope(model, d, criterion, start)
-    plan = _plan_coupled(env, tau2, start)
-    return certified_sum(
-        _coupled_terms(model, d, criterion, tau2),
-        start,
-        plan,
-        tol=tol,
-        max_terms=max_terms,
-        min_terms=min_terms,
-        hard_end=support(model, d),
-        prefactor=float(d) ** -tau1,
-    )
-
-
-def sum_qpt_alg(
-    model: EigenModel,
-    d: int,
-    tau1: float,
-    tau2: float,
-    c_tilde: float,
-    criterion: ErrorCriterion = ErrorCriterion.ABS,
-    *,
-    tol: float = _DEFAULT_TOL,
-    max_terms: int = _DEFAULT_MAX_TERMS,
-    min_terms: int = 0,
-) -> SumEvaluation:
-    """d**-2 (sum rho**(tau2 (1+ln d)))**(1/tau2); ABS starts at ceil(C d**tau1)."""
-    if tau1 < 0 or not tau2 > 0 or not c_tilde > 0:
-        raise ValueError("need tau1 >= 0 and tau2, c_tilde > 0")
-    start = _start_index(criterion, c_tilde, d, tau1)
-    exponent = tau2 * (1.0 + math.log(d))
-    env = ratio_envelope(model, d, criterion, start)
-    plan = _plan_power(env, exponent, start)
-    inner = certified_sum(
-        _power_terms(model, d, criterion, exponent),
-        start,
-        plan,
-        tol=tol,
-        max_terms=max_terms,
-        min_terms=min_terms,
-        hard_end=support(model, d),
-    )
-    pref = float(d) ** -2.0
+def _outer_power(inner: SumEvaluation, pref: float, power: float) -> SumEvaluation:
+    """pref * inner**power, with the remainder bracket carried through the power."""
     if inner.divergent:
         return SumEvaluation(math.inf, inner.terms_used, None, SumStatus.DIVERGENT, inner.note)
     try:
         if inner.remainder_bound is None:
-            value = pref * inner.value ** (1.0 / tau2)
+            value = pref * inner.value**power
             if not math.isfinite(value):
                 raise OverflowError
             return SumEvaluation(value, inner.terms_used, None, inner.status, inner.note)
-        hi = pref * (inner.value + inner.remainder_bound) ** (1.0 / tau2)
-        lo = pref * max(inner.value - inner.remainder_bound, 0.0) ** (1.0 / tau2)
+        hi = pref * (inner.value + inner.remainder_bound) ** power
+        lo = pref * max(inner.value - inner.remainder_bound, 0.0) ** power
         if not math.isfinite(hi):
             raise OverflowError
     except OverflowError:
-        # The sum is finite but its 1/tau2 power exceeds the double range.
+        # The sum is finite but its outer power exceeds the double range.
         return SumEvaluation(
             math.inf,
             inner.terms_used,
@@ -626,90 +614,76 @@ def sum_qpt_alg(
     )
 
 
+# One-call forms of evaluate_sum; the keyword arguments (tol, max_terms,
+# min_terms) pass through.
+
+
+def sum_spt_alg(
+    model: EigenModel, d: int, tau: float, c_tilde_index: int = 1,
+    criterion: ErrorCriterion = ErrorCriterion.ABS, **kw,
+) -> SumEvaluation:
+    """sum of rho**tau from the given start index (start forced to 1 for NOR)."""
+    params = CriterionParams(tau=tau, c_tilde=c_tilde_index)
+    return evaluate_sum(model, "spt-alg", d, params, criterion, **kw)
+
+
+def sum_spt_exp(
+    model: EigenModel, d: int, tau: float, c_tilde_index: int = 1,
+    criterion: ErrorCriterion = ErrorCriterion.ABS, **kw,
+) -> SumEvaluation:
+    """sum of rho**(j**-tau); terms couple the value with its index."""
+    params = CriterionParams(tau=tau, c_tilde=c_tilde_index)
+    return evaluate_sum(model, "spt-exp", d, params, criterion, **kw)
+
+
+def sum_pt_alg(
+    model: EigenModel, d: int, tau1: float, tau2: float, tau3: float, c_tilde: float,
+    criterion: ErrorCriterion = ErrorCriterion.ABS, **kw,
+) -> SumEvaluation:
+    """d**-tau1 times the rho**tau2 tail from ceil(C d**tau3) (NOR: from 1)."""
+    params = CriterionParams(tau1=tau1, tau2=tau2, tau3=tau3, c_tilde=c_tilde)
+    return evaluate_sum(model, "pt-alg", d, params, criterion, **kw)
+
+
+def sum_pt_exp(
+    model: EigenModel, d: int, tau1: float, tau2: float, tau3: float, c_tilde: float,
+    criterion: ErrorCriterion = ErrorCriterion.ABS, **kw,
+) -> SumEvaluation:
+    """pt-alg's start and prefactor with rho**(j**-tau2) terms."""
+    params = CriterionParams(tau1=tau1, tau2=tau2, tau3=tau3, c_tilde=c_tilde)
+    return evaluate_sum(model, "pt-exp", d, params, criterion, **kw)
+
+
+def sum_qpt_alg(
+    model: EigenModel, d: int, tau1: float, tau2: float, c_tilde: float,
+    criterion: ErrorCriterion = ErrorCriterion.ABS, **kw,
+) -> SumEvaluation:
+    """d**-2 (sum rho**(tau2 (1+ln d)))**(1/tau2); ABS starts at ceil(C d**tau1)."""
+    params = CriterionParams(tau1=tau1, tau2=tau2, c_tilde=c_tilde)
+    return evaluate_sum(model, "qpt-alg", d, params, criterion, **kw)
+
+
 def sum_qpt_exp(
-    model: EigenModel,
-    d: int,
-    tau: float,
-    criterion: ErrorCriterion = ErrorCriterion.ABS,
-    *,
-    tol: float = _DEFAULT_TOL,
-    max_terms: int = _DEFAULT_MAX_TERMS,
-    min_terms: int = 0,
+    model: EigenModel, d: int, tau: float, criterion: ErrorCriterion = ErrorCriterion.ABS, **kw
 ) -> SumEvaluation:
     """d**-tau sum_j [1 + 0.5 ln max(1, CRI/lambda)]**(-tau (1+ln d))."""
-    if not tau > 0:
-        raise ValueError("tau must be positive")
-    T = tau * (1.0 + math.log(d))
-    env = ratio_envelope(model, d, criterion, 1)
-    plan = _plan_qpt_exp(env, T, 1)
-    return certified_sum(
-        _qpt_exp_terms(model, d, criterion, T),
-        1,
-        plan,
-        tol=tol,
-        max_terms=max_terms,
-        min_terms=min_terms,
-        hard_end=support(model, d),
-        prefactor=float(d) ** -tau,
-    )
+    return evaluate_sum(model, "qpt-exp", d, CriterionParams(tau=tau), criterion, **kw)
 
 
 def sum_wt_alg(
-    model: EigenModel,
-    d: int,
-    c: float,
-    s: float,
-    t: float,
-    criterion: ErrorCriterion = ErrorCriterion.ABS,
-    *,
-    tol: float = _DEFAULT_TOL,
-    max_terms: int = _DEFAULT_MAX_TERMS,
-    min_terms: int = 0,
+    model: EigenModel, d: int, c: float, s: float, t: float,
+    criterion: ErrorCriterion = ErrorCriterion.ABS, **kw,
 ) -> SumEvaluation:
     """exp(-c d**t) sum_j exp(-c (CRI/lambda)**(s/2))."""
-    if not (c > 0 and s > 0 and t > 0):
-        raise ValueError("c, s, t must be positive")
-    env = ratio_envelope(model, d, criterion, 1)
-    plan = _plan_wt_alg(env, c, s, 1)
-    return certified_sum(
-        _wt_alg_terms(model, d, criterion, c, s),
-        1,
-        plan,
-        tol=tol,
-        max_terms=max_terms,
-        min_terms=min_terms,
-        hard_end=support(model, d),
-        prefactor=math.exp(-c * float(d) ** t),
-    )
+    return evaluate_sum(model, "wt-alg", d, CriterionParams(c=c, s=s, t=t), criterion, **kw)
 
 
 def sum_wt_exp(
-    model: EigenModel,
-    d: int,
-    c: float,
-    s: float,
-    t: float,
-    criterion: ErrorCriterion = ErrorCriterion.ABS,
-    *,
-    tol: float = _DEFAULT_TOL,
-    max_terms: int = _DEFAULT_MAX_TERMS,
-    min_terms: int = 0,
+    model: EigenModel, d: int, c: float, s: float, t: float,
+    criterion: ErrorCriterion = ErrorCriterion.ABS, **kw,
 ) -> SumEvaluation:
     """exp(-c d**t) sum_j exp(-c [1 + ln(2 max(1, CRI/lambda))]**s)."""
-    if not (c > 0 and s > 0 and t > 0):
-        raise ValueError("c, s, t must be positive")
-    env = ratio_envelope(model, d, criterion, 1)
-    plan = _plan_wt_exp(env, c, s, 1)
-    return certified_sum(
-        _wt_exp_terms(model, d, criterion, c, s),
-        1,
-        plan,
-        tol=tol,
-        max_terms=max_terms,
-        min_terms=min_terms,
-        hard_end=support(model, d),
-        prefactor=math.exp(-c * float(d) ** t),
-    )
+    return evaluate_sum(model, "wt-exp", d, CriterionParams(c=c, s=s, t=t), criterion, **kw)
 
 
 # ---------------------------------------------------------------------------
@@ -755,55 +729,6 @@ def uwt_statistic(
 # ---------------------------------------------------------------------------
 # Supremum over d
 # ---------------------------------------------------------------------------
-
-
-def _kind_call(kind: str):
-    table = {
-        "spt-alg": lambda model, d, p, criterion, **kw: sum_spt_alg(
-            model, d, p.tau, int(p.c_tilde or 1), criterion, **kw
-        ),
-        "spt-exp": lambda model, d, p, criterion, **kw: sum_spt_exp(
-            model, d, p.tau, int(p.c_tilde or 1), criterion, **kw
-        ),
-        "pt-alg": lambda model, d, p, criterion, **kw: sum_pt_alg(
-            model, d, p.tau1 or 0.0, p.tau2, p.tau3 or 0.0, p.c_tilde or 1.0, criterion, **kw
-        ),
-        "pt-exp": lambda model, d, p, criterion, **kw: sum_pt_exp(
-            model, d, p.tau1 or 0.0, p.tau2, p.tau3 or 0.0, p.c_tilde or 1.0, criterion, **kw
-        ),
-        "qpt-alg": lambda model, d, p, criterion, **kw: sum_qpt_alg(
-            model, d, p.tau1 or 0.0, p.tau2, p.c_tilde or 1.0, criterion, **kw
-        ),
-        "qpt-exp": lambda model, d, p, criterion, **kw: sum_qpt_exp(
-            model, d, p.tau, criterion, **kw
-        ),
-        "wt-alg": lambda model, d, p, criterion, **kw: sum_wt_alg(
-            model, d, p.c, p.s, p.t, criterion, **kw
-        ),
-        "wt-exp": lambda model, d, p, criterion, **kw: sum_wt_exp(
-            model, d, p.c, p.s, p.t, criterion, **kw
-        ),
-    }
-    if kind not in table:
-        raise ValueError(f"unknown criterion sum {kind!r}")
-    return table[kind]
-
-
-def evaluate_sum(
-    model: EigenModel,
-    kind: str,
-    d: int,
-    params: CriterionParams,
-    criterion: ErrorCriterion,
-    *,
-    tol: float = _DEFAULT_TOL,
-    max_terms: int = _DEFAULT_MAX_TERMS,
-    min_terms: int = 0,
-) -> SumEvaluation:
-    """Evaluate one named criterion sum at a single d."""
-    return _kind_call(kind)(
-        model, d, params, criterion, tol=tol, max_terms=max_terms, min_terms=min_terms
-    )
 
 
 @dataclass(frozen=True)
@@ -862,9 +787,8 @@ def sup_over_d(
     """Evaluate the chosen sum for d = 1..d_max and summarise the sweep."""
     if d_max < 1:
         raise ValueError("d_max must be >= 1")
-    call = _kind_call(kind)
     evals = [
-        call(model, d, params, criterion, tol=tol, max_terms=max_terms)
+        evaluate_sum(model, kind, d, params, criterion, tol=tol, max_terms=max_terms)
         for d in range(1, d_max + 1)
     ]
     values = [e.value for e in evals]
@@ -898,49 +822,14 @@ def convergence_plan(
     Classifier probes use this as a cheap convergence decision: a tail bound
     means certified convergence, a Divergence certificate certified
     divergence, None means no certificate either way.  Finite-rank spectra
-    always yield a trivially convergent plan.
+    always yield a trivially convergent plan.  Raises ValueError on the
+    parameters evaluate_sum rejects.
     """
+    spec = _spec(kind)
+    p = spec.resolve(params)
     rank = support(model, d)
     if rank is not None:
         # Finite spectra converge trivially; any tail bound object works as
         # the convergence marker since nothing is summed through it.
         return GeomSeriesTail(1.0, 0.5, from_j=rank + 1, exact=False)
-    if kind in ("spt-alg", "pt-alg", "qpt-alg"):
-        if kind == "spt-alg":
-            start = 1 if criterion is ErrorCriterion.NOR else int(params.c_tilde or 1)
-            p = params.tau
-        elif kind == "pt-alg":
-            start = _start_index(criterion, params.c_tilde or 1.0, d, params.tau3 or 0.0)
-            p = params.tau2
-        else:
-            start = _start_index(criterion, params.c_tilde or 1.0, d, params.tau1 or 0.0)
-            p = params.tau2 * (1.0 + math.log(d))
-        return _plan_power(ratio_envelope(model, d, criterion, start), p, start)
-    if kind in ("spt-exp", "pt-exp"):
-        if kind == "spt-exp":
-            start = 1 if criterion is ErrorCriterion.NOR else int(params.c_tilde or 1)
-            tau = params.tau
-        else:
-            start = _start_index(criterion, params.c_tilde or 1.0, d, params.tau3 or 0.0)
-            tau = params.tau2
-        return _plan_coupled(ratio_envelope(model, d, criterion, start), tau, start)
-    if kind == "qpt-exp":
-        T = params.tau * (1.0 + math.log(d))
-        return _plan_qpt_exp(ratio_envelope(model, d, criterion, 1), T, 1)
-    if kind == "wt-alg":
-        return _plan_wt_alg(ratio_envelope(model, d, criterion, 1), params.c, params.s, 1)
-    if kind == "wt-exp":
-        return _plan_wt_exp(ratio_envelope(model, d, criterion, 1), params.c, params.s, 1)
-    raise ValueError(f"unknown criterion sum {kind!r}")
-
-
-SUM_KINDS = (
-    "spt-alg",
-    "spt-exp",
-    "pt-alg",
-    "pt-exp",
-    "qpt-alg",
-    "qpt-exp",
-    "wt-alg",
-    "wt-exp",
-)
+    return _plan(spec, p, model, d, criterion)[2]

@@ -164,6 +164,14 @@ class TestDiagnostics:
             out = diagnostics(geo, spec, d, 0.5)
             assert out["B_d_ok"]
 
+    def test_t1_slow_set_starts_where_the_pt_exp_sum_starts(self, geo):
+        # ABS starts at ceil(2 * 2) = 4; NOR sums from 1, where the ratios
+        # 1, 1/2, 1/4 give terms above 1/e at tau2 = 1/2.
+        params = CriterionParams(tau1=0.0, tau2=0.5, tau3=1.0, c_tilde=2.0)
+        for criterion, size in ((ABS, 0), (NOR, 3)):
+            spec = BoundSpec("T1", params, certified(10.0), criterion)
+            assert diagnostics(geo, spec, 2, 0.5)["B_d_size"] == size
+
     def test_t3_threshold_index(self, exp2):
         spec = t3_spec()
         out = diagnostics(exp2, spec, 1, 0.5, big_c=5)

@@ -130,6 +130,15 @@ class TestCriterionCommand:
             ["criterion", "--config", cfg, "--sum", "wt-alg", "--c", "-1", "--s", "1", "--t", "1"]
         ) == 2
 
+    @pytest.mark.parametrize("kind", ["pt-alg", "pt-exp", "qpt-alg"])
+    def test_zero_c_tilde_is_config_error(self, tmp_path, capsys, kind):
+        # zero is a value, not "unset": it must not fall back to c_tilde = 1
+        cfg = write_config(tmp_path)
+        assert main(
+            ["criterion", "--config", cfg, "--sum", kind, "--tau2", "1", "--c-tilde", "0"]
+        ) == 2
+        assert "config error" in capsys.readouterr().err
+
 
 class TestClassifyCommand:
     def test_report(self, tmp_path, capsys):

@@ -12,6 +12,9 @@ from tract import (
     info_complexity,
     nth_minimal_error,
 )
+from tract.boundcheck import _count_above_cri
+from tract.classifier import _count_ratios_at_least_one
+from tract.complexity import first_index
 from tract.errors import UnboundedError
 
 ABS = ErrorCriterion.ABS
@@ -111,3 +114,24 @@ class TestNthMinimalError:
             a = info_complexity(poly2, ComplexityQuery(3, float(eps), ABS)).n
             b = info_complexity(poly2, ComplexityQuery(3, float(eps), NOR)).n
             assert a == b
+
+
+class TestFirstIndex:
+    def test_matches_linear_scan(self):
+        for cap in range(1, 65):
+            for switch in range(1, cap + 2):  # cap + 1: never true
+                probed = []
+
+                def pred(j, switch=switch, probed=probed):
+                    probed.append(j)
+                    return j >= switch
+
+                linear = next((j for j in range(1, cap + 1) if j >= switch), None)
+                assert first_index(pred, cap) == linear, (cap, switch)
+                assert all(1 <= j <= cap for j in probed)
+
+    def test_tie_semantics_of_the_ratio_counts(self):
+        # ratios 2, 1, 1, 0.5: three are >= 1, one is > 1
+        model = EigenModel(FiniteRank((2.0, 1.0, 1.0, 0.5)))
+        assert _count_ratios_at_least_one(model, 1, ABS) == 3
+        assert _count_above_cri(model, 1, ABS, 4) == 1

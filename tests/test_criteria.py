@@ -7,9 +7,11 @@ from tract import (
     CriterionParams,
     EigenModel,
     ErrorCriterion,
+    ExpDecay,
     Expression,
     FiniteRank,
     GeometricTail,
+    PolyDecay,
     Tabulated,
     TailEnvelope,
     sum_pt_alg,
@@ -23,8 +25,8 @@ from tract import (
     sup_over_d,
     uwt_statistic,
 )
-from tract.criteria import ceil_stable, evaluate_sum
-from tract.summation import SumStatus
+from tract.criteria import SUM_KINDS, ceil_stable, convergence_plan, evaluate_sum
+from tract.summation import Divergence, SumStatus
 
 ABS = ErrorCriterion.ABS
 NOR = ErrorCriterion.NOR
@@ -246,6 +248,59 @@ class TestSupOverD:
     def test_divergent_d_poisons_status(self, poly1):
         sweep = sup_over_d(poly1, "wt-exp", CriterionParams(c=1.0, s=1.0, t=1.0), ABS, 4)
         assert sweep.status is SumStatus.DIVERGENT
+
+
+class TestConvergencePlan:
+    @pytest.mark.parametrize(
+        "kind, params",
+        [
+            ("spt-alg", CriterionParams(tau=-1.0)),
+            ("pt-alg", CriterionParams(tau2=1.0, c_tilde=0.0)),
+            ("pt-exp", CriterionParams(tau2=1.0, tau3=-1.0)),
+            ("qpt-alg", CriterionParams(tau2=1.0, c_tilde=0.0)),
+            ("qpt-exp", CriterionParams(tau=0.0)),
+        ],
+    )
+    def test_rejects_what_evaluate_sum_rejects(self, geo, kind, params):
+        with pytest.raises(ValueError):
+            evaluate_sum(geo, kind, 1, params, ABS)
+        with pytest.raises(ValueError):
+            convergence_plan(geo, kind, 1, params, ABS)
+
+    def test_plan_agrees_with_evaluation_status(self, geo, tabulated_geo, expr_poly2):
+        models = {
+            "poly-half": EigenModel(PolyDecay(1.0, 0.5)),
+            "poly-two": EigenModel(PolyDecay(1.0, 2.0)),
+            "exp-half": EigenModel(ExpDecay(1.0, 1.0, 0.5)),
+            "geometric": geo,
+            "tabulated": tabulated_geo,
+            "expression": expr_poly2,  # no envelope: every plan is None
+        }
+        wt = CriterionParams(c=1.0, s=1.0, t=1.0)
+        params = {
+            "spt-alg": CriterionParams(tau=1.0),
+            "spt-exp": CriterionParams(tau=0.5),
+            "pt-alg": CriterionParams(tau1=1.0, tau2=1.0, tau3=1.0, c_tilde=1.0),
+            "pt-exp": CriterionParams(tau1=1.0, tau2=0.5, tau3=1.0, c_tilde=2.0),
+            "qpt-alg": CriterionParams(tau1=1.0, tau2=1.0, c_tilde=1.0),
+            "qpt-exp": CriterionParams(tau=1.0),
+            "wt-alg": wt,
+            "wt-exp": wt,
+        }
+        mismatches = []
+        for kind in SUM_KINDS:
+            for name, model in models.items():
+                for criterion in (ABS, NOR):
+                    for d in (1, 3):
+                        plan = convergence_plan(model, kind, d, params[kind], criterion)
+                        ev = evaluate_sum(
+                            model, kind, d, params[kind], criterion, tol=1e-6, max_terms=1 << 14
+                        )
+                        if isinstance(plan, Divergence) != ev.divergent or (
+                            plan is None and ev.certified
+                        ):
+                            mismatches.append((kind, name, criterion.value, d, plan, ev.status))
+        assert mismatches == []
 
 
 class TestOrderInvariance:
