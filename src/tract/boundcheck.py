@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from .complexity import ComplexityQuery, first_index, info_complexity
 from .criteria import SUM_SPECS, CriterionParams, ceil_stable
 from .eigenmodel import EigenModel, ErrorCriterion, log_ratio, ratio, support
+from .errors import EvalDomainError
 from .summation import SumEvaluation
 
 __all__ = [
@@ -35,6 +36,7 @@ __all__ = [
 ]
 
 _THEOREMS = ("T1", "T2", "T3")
+_PT_EXP = SUM_SPECS["pt-exp"]  # the sum whose constant T1 carries; it resolves T1's params
 
 
 @dataclass(frozen=True)
@@ -62,13 +64,10 @@ class BoundSpec:
 
 def bound_t1(spec: BoundSpec, d: int, eps: float) -> int:
     """Piecewise-rounded bound with an algebraic d part and a log(1/eps) part."""
-    p = spec.params
+    p = _PT_EXP.resolve(spec.params)
     M = spec.constant_upper
-    tau1 = p.tau1 or 0.0
-    tau3 = p.tau3 or 0.0
-    c_tilde = p.c_tilde or 1.0
-    first = math.floor(M * math.e * float(d) ** tau1)
-    second = ceil_stable(c_tilde * float(d) ** tau3)
+    first = math.floor(M * math.e * float(d) ** p.tau1)
+    second = ceil_stable(p.c_tilde * float(d) ** p.tau3)
     third = math.ceil(max(0.0, 2.0 * math.log(1.0 / eps)) ** (1.0 / p.tau2))
     return int(first) + int(second) + int(third)
 
@@ -137,17 +136,18 @@ def verify_domination(
     d_grid,
     j_max: int = 1 << 26,
 ) -> DominationReport:
-    """Check oracle n(eps, d) <= bound(eps, d) on the whole grid."""
+    """Check oracle n(eps, d) <= bound(eps, d) on the whole grid (EvalDomainError
+    when a bound is too large for a double)."""
     bound_fn = _BOUNDS[spec.theorem]
     rows = []
     for d in d_grid:
         for eps in eps_grid:
             res = info_complexity(model, ComplexityQuery(int(d), float(eps), spec.criterion), j_max)
-            rows.append(
-                DominationRow(
-                    d=int(d), eps=float(eps), oracle_n=res.n, bound=bound_fn(spec, int(d), float(eps))
-                )
-            )
+            try:
+                bound = bound_fn(spec, int(d), float(eps))
+            except OverflowError:
+                raise EvalDomainError(f"{spec.theorem} bound exceeds the double range", d=int(d)) from None
+            rows.append(DominationRow(d=int(d), eps=float(eps), oracle_n=res.n, bound=bound))
     return DominationReport(rows=tuple(rows), theorem=spec.theorem)
 
 
@@ -172,9 +172,9 @@ def diagnostics(
 
     out: dict = {}
     if spec.theorem == "T1":
-        tau2 = p.tau2
-        pt_exp = SUM_SPECS["pt-exp"]  # the sum whose constant T1 carries
-        start = pt_exp.start(pt_exp.resolve(p), d, crit)
+        p1 = _PT_EXP.resolve(p)
+        tau2 = p1.tau2
+        start = _PT_EXP.start(p1, d, crit)
         # Slow set: indices from the start whose term exceeds 1/e, i.e.
         # ln(ratio) * j**-tau2 > -1.  Monotone in j, so scan with early exit.
         count = 0
@@ -186,7 +186,7 @@ def diagnostics(
             else:
                 break
         out["B_d_size"] = count
-        bound = math.floor(spec.constant_upper * math.e * float(d) ** (p.tau1 or 0.0))
+        bound = math.floor(spec.constant_upper * math.e * float(d) ** p1.tau1)
         out["B_d_bound"] = int(bound)
         out["B_d_ok"] = count <= bound
     if spec.theorem in ("T1", "T2"):

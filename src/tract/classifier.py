@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import exprdsl
 from .complexity import ComplexityQuery, first_index, info_complexity
 from .criteria import (
     CriterionParams,
@@ -36,7 +35,6 @@ from .criteria import (
 from .eigenmodel import (
     EigenModel,
     ErrorCriterion,
-    Expression,
     GeometricTail,
     PowerLawTail,
     StretchedExpTail,
@@ -170,13 +168,6 @@ class GrowthFit:
 # ---------------------------------------------------------------------------
 
 
-def _family_d_independent(model: EigenModel) -> bool:
-    fam = model.family
-    if isinstance(fam, Expression):
-        return "d" not in exprdsl.variables_used(fam.tree)
-    return True
-
-
 def _scale_nonincreasing(model: EigenModel) -> bool:
     if model.d_scale is None:
         return True
@@ -192,7 +183,7 @@ def _effectively_d_independent(model: EigenModel, criterion: ErrorCriterion) -> 
     absolute criterion a probed nonincreasing scale keeps every criterion
     term monotone in d.
     """
-    if not _family_d_independent(model):
+    if not model.family.d_free:
         return False
     if criterion is ErrorCriterion.NOR:
         return True
@@ -566,12 +557,7 @@ def _uwt_grid(n_max: int) -> list[int]:
 
 def _uwt_closed_form(form, case: str, n: float) -> float:
     """The decay statistic computed from an exact envelope form."""
-    if isinstance(form, PowerLawTail):
-        num = form.beta * math.log(n) - math.log(form.scale)
-    elif isinstance(form, GeometricTail):
-        num = -math.log(form.ratio) * n - math.log(form.scale)
-    else:
-        num = form.rate * n**form.power - math.log(form.scale)
+    num = -form.log_value(n)
     if case == "EXP":
         num = math.log(max(1.0, num))
     return num / math.log(math.log(n))

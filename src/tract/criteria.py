@@ -201,10 +201,7 @@ def _plan_coupled(env: TailEnvelope | None, tau: float, start: int) -> Plan:
     log_a = math.log(form.scale)
 
     if isinstance(form, (GeometricTail, StretchedExpTail)):
-        if isinstance(form, GeometricTail):
-            rate, power = -math.log(form.ratio), 1.0
-        else:
-            rate, power = form.rate, form.power
+        rate, power = form.stretched
         if tau < power:
             coeff = max(1.0, form.scale)
             return StretchedIntegralTail(coeff, rate, power - tau, from_j=j0, exact=False)
@@ -246,10 +243,7 @@ def _plan_qpt_exp(env: TailEnvelope | None, T: float, start: int) -> Plan:
     log_a = math.log(form.scale)
 
     if isinstance(form, (GeometricTail, StretchedExpTail)):
-        if isinstance(form, GeometricTail):
-            kappa, power = -math.log(form.ratio), 1.0
-        else:
-            kappa, power = form.rate, form.power
+        kappa, power = form.stretched
         # Past j2 the envelope is <= 1, so the max() clamp is inactive.
         j2 = 1 if log_a <= 0 else int(math.ceil((log_a / kappa) ** (1.0 / power))) + 1
         j0 = max(start, env.valid_from, j2)
@@ -373,10 +367,7 @@ def _plan_wt_exp(env: TailEnvelope | None, c: float, s: float, start: int) -> Pl
                 return Divergence("harmonic", _index_at_least(found, j2), 1.0)
         return None
 
-    if isinstance(form, GeometricTail):
-        kappa, power = -math.log(form.ratio), 1.0
-    else:
-        kappa, power = form.rate, form.power
+    kappa, power = form.stretched
     j2 = 1 if log_a <= 0 else int(math.ceil((log_a / kappa) ** (1.0 / power))) + 1
     j0 = max(start, env.valid_from, j2)
     if power == 1.0 and s == 1.0:
@@ -583,35 +574,27 @@ def evaluate_sum(
 
 
 def _outer_power(inner: SumEvaluation, pref: float, power: float) -> SumEvaluation:
-    """pref * inner**power, with the remainder bracket carried through the power."""
+    """pref * inner**power, with the remainder bracket carried through the power;
+    the other fields (converged among them) carry over from the inner sum."""
     if inner.divergent:
-        return SumEvaluation(math.inf, inner.terms_used, None, SumStatus.DIVERGENT, inner.note)
+        return inner
     try:
         if inner.remainder_bound is None:
             value = pref * inner.value**power
             if not math.isfinite(value):
                 raise OverflowError
-            return SumEvaluation(value, inner.terms_used, None, inner.status, inner.note)
+            return replace(inner, value=value)
         hi = pref * (inner.value + inner.remainder_bound) ** power
         lo = pref * max(inner.value - inner.remainder_bound, 0.0) ** power
         if not math.isfinite(hi):
             raise OverflowError
     except OverflowError:
         # The sum is finite but its outer power exceeds the double range.
-        return SumEvaluation(
-            math.inf,
-            inner.terms_used,
-            None,
-            SumStatus.HEURISTIC,
-            "finite inner sum, outer power exceeds the double range",
+        return replace(
+            inner, value=math.inf, remainder_bound=None, status=SumStatus.HEURISTIC,
+            note="finite inner sum, outer power exceeds the double range",
         )
-    return SumEvaluation(
-        0.5 * (hi + lo),
-        inner.terms_used,
-        0.5 * (hi - lo) * (1 + 1e-9),
-        inner.status,
-        inner.note,
-    )
+    return replace(inner, value=0.5 * (hi + lo), remainder_bound=0.5 * (hi - lo) * (1 + 1e-9))
 
 
 # One-call forms of evaluate_sum; the keyword arguments (tol, max_terms,

@@ -14,6 +14,13 @@ FiniteRank  an explicit finite list; indices past the rank signal BeyondRank
 Tabulated   an explicit prefix continued by its mandatory tail envelope
 Expression  a formula in d and j (see :mod:`tract.exprdsl`)
 
+Every family provides ``value(d, j)``, ``values(d, j)`` and
+``log_values(d, j)`` (unscaled, unclamped where the family can be), its
+``envelope`` (an analytic bound, or None), its ``rank`` (None when infinite)
+and ``d_free`` (whether it ignores d).  The three closed forms are their
+exact tail form: every one of those answers comes from the form.  Callers
+read these attributes; no code outside this module dispatches on the family.
+
 An optional per-dimension scale factor c_d (a closed-form expression in d)
 multiplies every family.  Under the normalized error criterion the scale
 cancels algebraically, which this module exploits so normalized ratios are
@@ -88,24 +95,51 @@ class ErrorCriterion(enum.Enum):
 # ---------------------------------------------------------------------------
 
 
+class _Family:
+    """What a family provides when it has nothing more specific to say."""
+
+    rank: int | None = None  # finite support, if any
+    envelope: "TailEnvelope | None" = None  # analytic bound on the unscaled values
+    d_free: bool = True  # lambda(d, j) does not depend on d
+
+    def log_values(self, d: int, j: np.ndarray) -> np.ndarray:
+        """ln lambda without the d-scale."""
+        return np.log(self.values(d, j))
+
+
 @dataclass(frozen=True)
-class PolyDecay:
+class _ClosedForm(_Family):
+    """A family that is its own exact envelope; its values and logarithms are
+    the form's, so deep-tail logarithms stay exact where the values underflow."""
+
+    envelope: "TailEnvelope" = field(init=False, compare=False, repr=False)
+
+    def _set_envelope(self, form: "TailForm") -> None:
+        object.__setattr__(self, "envelope", TailEnvelope(form, 1, exact=True))
+
+    def value(self, d: int, j: int) -> float:
+        return self.envelope.form.value(j)
+
+    def values(self, d: int, j: np.ndarray) -> np.ndarray:
+        return self.envelope.form.value_array(j)
+
+    def log_values(self, d: int, j: np.ndarray) -> np.ndarray:
+        return self.envelope.form.log_value(j)
+
+
+@dataclass(frozen=True)
+class PolyDecay(_ClosedForm):
     a: float = 1.0
     alpha: float = 1.0
 
     def __post_init__(self):
         if not (self.a > 0 and self.alpha > 0):
             raise ValueError("PolyDecay requires a > 0 and alpha > 0")
-
-    def value(self, d: int, j: int) -> float:
-        return self.a * float(j) ** -self.alpha
-
-    def values(self, d: int, j: np.ndarray) -> np.ndarray:
-        return self.a * np.asarray(j, dtype=float) ** -self.alpha
+        self._set_envelope(PowerLawTail(self.a, self.alpha))
 
 
 @dataclass(frozen=True)
-class ExpDecay:
+class ExpDecay(_ClosedForm):
     a: float = 1.0
     b: float = 1.0
     gamma: float = 1.0
@@ -113,47 +147,31 @@ class ExpDecay:
     def __post_init__(self):
         if not (self.a > 0 and self.b > 0 and self.gamma > 0):
             raise ValueError("ExpDecay requires a, b, gamma > 0")
-
-    def value(self, d: int, j: int) -> float:
-        try:
-            return self.a * math.exp(-self.b * float(j) ** self.gamma)
-        except OverflowError:
-            return 0.0
-
-    def values(self, d: int, j: np.ndarray) -> np.ndarray:
-        with np.errstate(under="ignore"):
-            return self.a * np.exp(-self.b * np.asarray(j, dtype=float) ** self.gamma)
+        self._set_envelope(StretchedExpTail(self.a, self.b, self.gamma))
 
 
 @dataclass(frozen=True)
-class Geometric:
+class Geometric(_ClosedForm):
     a: float = 1.0
     r: float = 0.5
 
     def __post_init__(self):
         if not (self.a > 0 and 0 < self.r < 1):
             raise ValueError("Geometric requires a > 0 and r in (0, 1)")
-
-    def value(self, d: int, j: int) -> float:
-        try:
-            return self.a * self.r ** float(j)
-        except OverflowError:
-            return 0.0
-
-    def values(self, d: int, j: np.ndarray) -> np.ndarray:
-        with np.errstate(under="ignore"):
-            return self.a * self.r ** np.asarray(j, dtype=float)
+        self._set_envelope(GeometricTail(self.a, self.r))
 
 
 @dataclass(frozen=True)
-class FiniteRank:
+class FiniteRank(_Family):
     entries: tuple[float, ...]
+    _table: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.entries:
             raise ValueError("FiniteRank requires at least one eigenvalue")
         if any(not (v > 0) or not math.isfinite(v) for v in self.entries):
             raise ValueError("FiniteRank eigenvalues must be positive and finite")
+        object.__setattr__(self, "_table", np.asarray(self.entries, dtype=float))
 
     @property
     def rank(self) -> int:
@@ -168,42 +186,57 @@ class FiniteRank:
         j = np.asarray(j)
         if np.any(j > self.rank):
             raise BeyondRankError(d, int(j.max()), self.rank)
-        return np.asarray(self.entries, dtype=float)[j - 1]
+        return self._table[j - 1]
 
 
 @dataclass(frozen=True)
-class Tabulated:
+class Tabulated(_Family):
     prefix: tuple[float, ...]
     continuation: "TailEnvelope"
+    _table: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.prefix:
             raise ValueError("Tabulated requires a non-empty prefix")
         if any(not (v > 0) or not math.isfinite(v) for v in self.prefix):
             raise ValueError("Tabulated eigenvalues must be positive and finite")
+        object.__setattr__(self, "_table", np.asarray(self.prefix, dtype=float))
+
+    @property
+    def envelope(self) -> "TailEnvelope":
+        return self.continuation
 
     def value(self, d: int, j: int) -> float:
         if j <= len(self.prefix):
             return self.prefix[j - 1]
         return self.continuation.bound(j)
 
-    def values(self, d: int, j: np.ndarray) -> np.ndarray:
+    def _split(self, j: np.ndarray, head, tail) -> np.ndarray:
+        """head(prefix entries) inside the prefix, tail(j) past it."""
         j = np.asarray(j)
         out = np.empty(j.shape, dtype=float)
         inside = j <= len(self.prefix)
-        table = np.asarray(self.prefix, dtype=float)
-        out[inside] = table[j[inside] - 1]
-        out[~inside] = self.continuation.bound_array(j[~inside])
+        out[inside] = head(self._table[j[inside] - 1])
+        out[~inside] = tail(j[~inside])
         return out
+
+    def values(self, d: int, j: np.ndarray) -> np.ndarray:
+        return self._split(j, np.asarray, self.continuation.bound_array)
+
+    def log_values(self, d: int, j: np.ndarray) -> np.ndarray:
+        # Past the prefix the logarithm comes from the form, unclamped.
+        return self._split(j, np.log, self.continuation.form.log_value)
 
 
 @dataclass(frozen=True)
-class Expression:
+class Expression(_Family):
     formula: str
     tree: exprdsl.Expr = field(init=False, compare=False)
+    d_free: bool = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "tree", exprdsl.parse(self.formula))
+        object.__setattr__(self, "d_free", "d" not in exprdsl.variables_used(self.tree))
 
     def value(self, d: int, j: int) -> float:
         v = exprdsl.evaluate(self.tree, d, j)
@@ -243,6 +276,9 @@ class PowerLawTail:
     def value_array(self, j: np.ndarray) -> np.ndarray:
         return self.scale * np.asarray(j, dtype=float) ** -self.beta
 
+    def log_value(self, j):
+        return math.log(self.scale) - self.beta * np.log(np.asarray(j, dtype=float))
+
     def scaled(self, factor: float) -> "PowerLawTail":
         return PowerLawTail(self.scale * factor, self.beta)
 
@@ -265,6 +301,14 @@ class GeometricTail:
     def value_array(self, j: np.ndarray) -> np.ndarray:
         with np.errstate(under="ignore"):
             return self.scale * self.ratio ** np.asarray(j, dtype=float)
+
+    def log_value(self, j):
+        return math.log(self.scale) + np.asarray(j, dtype=float) * math.log(self.ratio)
+
+    @property
+    def stretched(self) -> tuple[float, float]:
+        """(rate, power) of the same decay written as scale * exp(-rate j**power)."""
+        return -math.log(self.ratio), 1.0
 
     def scaled(self, factor: float) -> "GeometricTail":
         return GeometricTail(self.scale * factor, self.ratio)
@@ -289,6 +333,14 @@ class StretchedExpTail:
     def value_array(self, j: np.ndarray) -> np.ndarray:
         with np.errstate(under="ignore"):
             return self.scale * np.exp(-self.rate * np.asarray(j, dtype=float) ** self.power)
+
+    def log_value(self, j):
+        with np.errstate(over="ignore"):
+            return math.log(self.scale) - self.rate * np.asarray(j, dtype=float) ** self.power
+
+    @property
+    def stretched(self) -> tuple[float, float]:
+        return self.rate, self.power
 
     def scaled(self, factor: float) -> "StretchedExpTail":
         return StretchedExpTail(self.scale * factor, self.rate, self.power)
@@ -348,11 +400,7 @@ class EigenModel:
     @property
     def d_independent(self) -> bool:
         """True when lambda(d, j) does not depend on d at all."""
-        if self.d_scale is not None:
-            return False
-        if isinstance(self.family, Expression):
-            return "d" not in exprdsl.variables_used(self.family.tree)
-        return True
+        return self.d_scale is None and self.family.d_free
 
     def scale_at(self, d: int) -> float:
         if self.d_scale is None:
@@ -370,9 +418,7 @@ def _clamp(v: float) -> float:
 
 def support(model: EigenModel, d: int) -> int | None:
     """Finite rank of the spectrum for dimension d, or None if infinite."""
-    if isinstance(model.family, FiniteRank):
-        return model.family.rank
-    return None
+    return model.family.rank
 
 
 def eigenvalue(model: EigenModel, d: int, j: int) -> float:
@@ -416,46 +462,11 @@ def ratios(model: EigenModel, d: int, j: np.ndarray, criterion: ErrorCriterion) 
     return vals / lead
 
 
-def _log_form(form: TailForm, j: np.ndarray) -> np.ndarray:
-    j = np.asarray(j, dtype=float)
-    if isinstance(form, PowerLawTail):
-        return math.log(form.scale) - form.beta * np.log(j)
-    if isinstance(form, GeometricTail):
-        return math.log(form.scale) + j * math.log(form.ratio)
-    return math.log(form.scale) - form.rate * j**form.power
-
-
-def _log_values(family: Family, d: int, j: np.ndarray) -> np.ndarray:
-    """ln lambda without the d-scale, exact in log space for closed forms.
-
-    Criterion-sum terms are functions of ln(lambda/CRI); going through the
-    linear values would saturate at the underflow clamp and silently distort
-    deep-tail terms, so closed forms compute their logarithm directly.
-    """
-    j = np.asarray(j)
-    if isinstance(family, PolyDecay):
-        return math.log(family.a) - family.alpha * np.log(j.astype(float))
-    if isinstance(family, ExpDecay):
-        with np.errstate(over="ignore"):
-            return math.log(family.a) - family.b * j.astype(float) ** family.gamma
-    if isinstance(family, Geometric):
-        return math.log(family.a) + j.astype(float) * math.log(family.r)
-    if isinstance(family, FiniteRank):
-        return np.log(family.values(d, j))
-    if isinstance(family, Tabulated):
-        out = np.empty(j.shape, dtype=float)
-        inside = j <= len(family.prefix)
-        out[inside] = np.log(np.asarray(family.prefix, dtype=float)[j[inside] - 1])
-        out[~inside] = _log_form(family.continuation.form, j[~inside])
-        return out
-    return np.log(family.values(d, j))  # Expression: clamped at MIN_POSITIVE
-
-
 def log_ratios(model: EigenModel, d: int, j: np.ndarray, criterion: ErrorCriterion) -> np.ndarray:
     """ln(lambda(d, j)/CRI_d) without underflow saturation (closed forms)."""
-    logs = _log_values(model.family, d, np.asarray(j))
+    logs = model.family.log_values(d, np.asarray(j))
     if criterion is ErrorCriterion.NOR:
-        lead = _log_values(model.family, d, np.asarray([1]))[0]
+        lead = model.family.log_values(d, np.asarray([1]))[0]
         return logs - lead
     if model.d_scale is not None:
         return logs + math.log(model.scale_at(d))
@@ -475,21 +486,9 @@ def tail_bound(model: EigenModel, d: int, start: int = 1) -> TailEnvelope | None
     envelope if present, else None, which downgrades downstream certification
     to heuristic.
     """
-    fam = model.family
     scale = model.scale_at(d)
-    if isinstance(fam, PolyDecay):
-        env = TailEnvelope(PowerLawTail(fam.a, fam.alpha), 1, exact=True)
-    elif isinstance(fam, ExpDecay):
-        env = TailEnvelope(StretchedExpTail(fam.a, fam.b, fam.gamma), 1, exact=True)
-    elif isinstance(fam, Geometric):
-        env = TailEnvelope(GeometricTail(fam.a, fam.r), 1, exact=True)
-    elif isinstance(fam, Tabulated):
-        env = fam.continuation
-    elif isinstance(fam, FiniteRank):
-        return None
-    elif model.declared_tail is not None:  # Expression with declared envelope
-        env = model.declared_tail
-    else:
+    env = model.family.envelope or model.declared_tail
+    if env is None:
         return None
     if scale != 1.0:
         env = env.scaled(scale)
@@ -511,18 +510,13 @@ def ratio_envelope(
         if criterion is ErrorCriterion.NOR:
             return env.scaled(1.0 / _clamp(fam.value(d, 1)))
         return env.scaled(model.scale_at(d))
-    env = tail_bound(model, d, start)
+    if criterion is ErrorCriterion.ABS:
+        return tail_bound(model, d, start)
+    # The d-scale cancels against CRI_d, so it is left out of both.
+    env = fam.envelope or model.declared_tail
     if env is None:
         return None
-    if criterion is ErrorCriterion.NOR:
-        # tail_bound already carries the d-scale; CRI does too, so rebuild
-        # from the unscaled model to keep the cancellation exact.
-        unscaled = EigenModel(fam, None, model.declared_tail)
-        base = tail_bound(unscaled, d, start)
-        if base is None:
-            return None
-        return base.scaled(1.0 / _clamp(fam.value(d, 1)))
-    return env
+    return env.shifted(start).scaled(1.0 / _clamp(fam.value(d, 1)))
 
 
 # ---------------------------------------------------------------------------

@@ -56,6 +56,14 @@ class TestBoundFormulas:
         spec = t1_spec(M=1.0, tau1=1.0, c_tilde=2.0, tau3=1.0, tau2=0.5)
         assert bound_t1(spec, 3, math.exp(-1.0)) == 18  # 8 + 6 + 4
 
+    def test_t1_zero_c_tilde_rejected(self):
+        with pytest.raises(ValueError):
+            bound_t1(t1_spec(c_tilde=0.0, tau3=1.0), 4, 0.1)
+
+    def test_t1_unset_params_take_defaults(self):
+        unset = BoundSpec("T1", CriterionParams(tau2=1.0), certified(1.0), ABS)
+        assert bound_t1(unset, 4, 0.1) == bound_t1(t1_spec(M=unset.constant_upper), 4, 0.1)
+
     def test_t2_bracket_vanishes_for_large_eps(self):
         assert bound_t2(t2_spec(), 1, math.e) == 2  # ceil(1 + 1 + 0)
 

@@ -207,6 +207,21 @@ class TestVerifyBoundsCommand:
         assert len(lines) == 1 + 20
         assert (tmp_path / "bounds.csv.manifest.json").exists()
 
+    def test_bound_overflow_is_an_error_line(self, tmp_path, capsys):
+        exp = {"kind": "ExpDecay", "params": {"a": 1.0, "b": 2.0, "gamma": 1.0}}
+        cfg = write_config(tmp_path, model=exp)
+        code = main(
+            [
+                "verify-bounds", "--config", cfg, "--theorem", "t3",
+                "--c", "1", "--s", "2", "--t", "1",
+                "--eps-grid", "1e-7:1e-1:3", "--d-grid", "1:2",
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: T3 bound exceeds the double range")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
 
 class TestAnalysisSection:
     def test_config_supplies_flag_defaults(self, tmp_path, capsys):

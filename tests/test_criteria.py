@@ -133,6 +133,16 @@ class TestQpt:
         assert ev.certified
         assert ev.value == pytest.approx(ref, rel=1e-10)
 
+    def test_alg_budget_stop_is_not_converged(self):
+        # At d = 1 with tau2 = 1 the outer power is the identity, so qpt-alg
+        # must report exactly what pt-alg reports, budget stop included.
+        model = EigenModel(Expression("j^(0-1.2)"))
+        params = CriterionParams(tau2=1.0)
+        pt = evaluate_sum(model, "pt-alg", 1, params, ABS, max_terms=4096)
+        qpt = evaluate_sum(model, "qpt-alg", 1, params, ABS, max_terms=4096)
+        assert not pt.converged
+        assert qpt.as_dict() == pt.as_dict()
+
     def test_exp_zeta3_minus_one(self, exp2):
         ev = sum_qpt_exp(exp2, 1, 3.0, ABS)
         ref = brute(lambda j: (1.0 + j) ** -3.0, 1, 2_000_000)

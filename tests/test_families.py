@@ -1,0 +1,183 @@
+"""The family contract: every eigenvalue family answers for itself.
+
+Each family provides ``value``, ``values``, ``log_values``, ``envelope``,
+``rank`` and ``d_free``; nothing outside :mod:`tract.eigenmodel` dispatches
+on the family class.  The envelopes the model functions build from those
+answers are pinned against ``data/family_envelopes.json``; regenerate it
+with ``PYTHONPATH=src python tests/test_families.py`` only when an envelope
+is meant to change.
+"""
+
+import ast
+import dataclasses
+import json
+import pathlib
+
+import numpy as np
+import pytest
+
+import tract
+from tract import (
+    EigenModel,
+    ErrorCriterion,
+    ExpDecay,
+    Expression,
+    FiniteRank,
+    Geometric,
+    GeometricTail,
+    PolyDecay,
+    PowerLawTail,
+    StretchedExpTail,
+    Tabulated,
+    TailEnvelope,
+    exprdsl,
+)
+from tract.eigenmodel import log_ratios, ratio_envelope, ratios, support, tail_bound
+
+GOLDEN = pathlib.Path(__file__).parent / "data" / "family_envelopes.json"
+
+_POWER_TAIL = TailEnvelope(PowerLawTail(1.0, 2.0), valid_from=2)
+
+# name -> (family, declared tail, rank, d_free)
+FAMILIES = {
+    "poly": (PolyDecay(2.0, 1.5), None, None, True),
+    "exp": (ExpDecay(1.5, 0.5, 0.7), None, None, True),
+    "geo": (Geometric(0.8, 0.5), None, None, True),
+    "rank": (FiniteRank((2.0, 1.0, 0.5)), None, 3, True),
+    "tab-power": (
+        Tabulated((1.0, 0.3, 0.2), TailEnvelope(PowerLawTail(1.0, 1.5), valid_from=4)),
+        None, None, True,
+    ),
+    "tab-geo": (
+        Tabulated((1.0, 0.5), TailEnvelope(GeometricTail(1.0, 0.5), valid_from=3)),
+        None, None, True,
+    ),
+    "tab-stretched": (
+        Tabulated((1.0, 0.5), TailEnvelope(StretchedExpTail(2.0, 0.5, 0.8), valid_from=3)),
+        None, None, True,
+    ),
+    "expr": (Expression("j^(0-2)"), None, None, True),
+    "expr-tail": (Expression("j^(0-2)"), _POWER_TAIL, None, True),
+    "expr-d": (Expression("j^(0-2)/d"), None, None, False),
+    "expr-d-tail": (Expression("j^(0-2)/d"), _POWER_TAIL, None, False),
+}
+
+CASES = [(name, scaled) for name in FAMILIES for scaled in (False, True)]
+IDS = [f"{name}{'+scale' if scaled else ''}" for name, scaled in CASES]
+
+
+def _model(name: str, scaled: bool) -> EigenModel:
+    family, tail, _, _ = FAMILIES[name]
+    d_scale = exprdsl.parse("1.5/d") if scaled else None
+    return EigenModel(family, d_scale=d_scale, declared_tail=tail)
+
+
+def _indices(model: EigenModel) -> np.ndarray:
+    rank = support(model, 1)
+    if rank is not None:
+        return np.arange(1, rank + 1, dtype=np.int64)
+    grid = np.round(np.geomspace(3000, 1e5, 40)).astype(np.int64)
+    return np.unique(np.concatenate([np.arange(1, 3000, dtype=np.int64), grid]))
+
+
+def _encode(env: TailEnvelope | None):
+    if env is None:
+        return None
+    return [type(env.form).__name__, *dataclasses.astuple(env.form), env.valid_from, env.exact]
+
+
+def _envelopes(name: str, scaled: bool) -> dict:
+    """The tail_bound and ratio_envelope results the contract pins for one case."""
+    case_id = IDS[CASES.index((name, scaled))]
+    model = _model(name, scaled)
+    table = {}
+    for d in (1, 4):
+        for start in (1, 10):
+            table[f"{case_id}/tail_bound/d{d}/start{start}"] = _encode(tail_bound(model, d, start))
+            for crit in ErrorCriterion:
+                env = ratio_envelope(model, d, crit, start)
+                table[f"{case_id}/ratio_envelope/{crit.value}/d{d}/start{start}"] = _encode(env)
+    return table
+
+
+@pytest.mark.parametrize("name,scaled", CASES, ids=IDS)
+class TestFamilyContract:
+    def test_log_values_match_values(self, name, scaled):
+        model = _model(name, scaled)
+        j = _indices(model)
+        for d in (1, 4):
+            pairs = [(model.family.log_values(d, j), model.family.values(d, j))]
+            pairs += [(log_ratios(model, d, j, c), ratios(model, d, j, c)) for c in ErrorCriterion]
+            for logs, values in pairs:
+                keep = values > 1e-290
+                assert keep.any()
+                np.testing.assert_allclose(np.exp(logs[keep]), values[keep], rtol=1e-13, atol=0)
+
+    def test_envelopes_match_recorded(self, name, scaled):
+        recorded = json.loads(GOLDEN.read_text())
+        for key, env in _envelopes(name, scaled).items():
+            assert env == recorded[key], key
+
+    def test_rank_and_d_independence(self, name, scaled):
+        model = _model(name, scaled)
+        _, _, rank, d_free = FAMILIES[name]
+        assert model.family.rank == rank
+        assert support(model, 4) == rank
+        assert model.family.d_free is d_free
+        assert model.d_independent is (d_free and not scaled)
+
+
+@pytest.mark.parametrize(
+    "family", [ExpDecay(1.0, 2.0, 1.0), Geometric(1.0, 0.5), PolyDecay(1.0, 300.0)], ids=repr
+)
+def test_closed_form_logs_survive_underflow(family):
+    j = np.arange(10_000, 1_000_001, 997, dtype=np.int64)
+    with np.errstate(under="ignore"):
+        assert np.all(family.values(1, j) == 0.0)  # the linear values are gone
+    logs = family.log_values(1, j)
+    assert np.all(np.isfinite(logs))
+    assert np.all(np.diff(logs) < 0)
+
+
+def test_closed_forms_are_their_tail_form():
+    for family, form in [
+        (PolyDecay(2.0, 1.5), PowerLawTail(2.0, 1.5)),
+        (ExpDecay(1.5, 0.5, 0.7), StretchedExpTail(1.5, 0.5, 0.7)),
+        (Geometric(0.8, 0.5), GeometricTail(0.8, 0.5)),
+    ]:
+        assert family.envelope == TailEnvelope(form, 1, exact=True)
+        assert family.value(1, 7) == form.value(7)
+        assert family == dataclasses.replace(family)
+        assert hash(family) == hash(dataclasses.replace(family))
+        assert "envelope" not in repr(family)
+
+
+_FAMILY_CLASSES = {"PolyDecay", "ExpDecay", "Geometric", "FiniteRank", "Tabulated", "Expression"}
+
+
+def _isinstance_targets(tree: ast.AST):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+            classes = node.args[1]
+            for cls in classes.elts if isinstance(classes, ast.Tuple) else [classes]:
+                yield node.lineno, getattr(cls, "id", getattr(cls, "attr", None))
+
+
+def test_no_family_dispatch_outside_eigenmodel():
+    package = pathlib.Path(tract.__file__).parent
+    offenders = [
+        f"{path.name}:{line} isinstance(..., {name})"
+        for path in sorted(package.glob("*.py"))
+        if path.name != "eigenmodel.py"
+        for line, name in _isinstance_targets(ast.parse(path.read_text()))
+        if name in _FAMILY_CLASSES
+    ]
+    assert offenders == []
+
+
+if __name__ == "__main__":
+    GOLDEN.parent.mkdir(exist_ok=True)
+    table = {k: v for case in CASES for k, v in _envelopes(*case).items()}
+    rows = [f"{json.dumps(k)}: {json.dumps(v)}" for k, v in sorted(table.items())]
+    GOLDEN.write_text("{\n" + ",\n".join(rows) + "\n}\n")
+    print(f"wrote {GOLDEN}")
