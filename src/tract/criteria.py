@@ -125,25 +125,16 @@ def ceil_stable(x: float) -> int:
 # far beyond the float range (they are never summed, only recorded).
 
 
-def _log_doubling_search(f: Callable[[float], float], u_start: float, target: float) -> float | None:
-    """Smallest probed u >= u_start with f(u) <= target, doubling upward.
+def _log_first(pred: Callable[[float], bool], u_start: float) -> float | None:
+    """Smallest probed u >= u_start where pred holds, doubling upward.
 
-    Caller guarantees f is nonincreasing on [u_start, inf), so the found
-    point certifies f(u) <= target everywhere beyond it.
+    Callers guarantee that pred, once true, stays true (a nonincreasing
+    function below a target, a nondecreasing one above zero), so the found
+    point certifies pred everywhere beyond it.
     """
     u = max(1.0, u_start)
     for _ in range(200):
-        if f(u) <= target:
-            return u
-        u *= 2.0
-    return None
-
-
-def _log_increasing_from(f: Callable[[float], float], u_start: float) -> float | None:
-    """Smallest probed u >= u_start with f(u) >= 0 (f nondecreasing there)."""
-    u = max(1.0, u_start)
-    for _ in range(200):
-        if f(u) >= 0.0:
+        if pred(u):
             return u
         u *= 2.0
     return None
@@ -214,7 +205,7 @@ def _plan_coupled(env: TailEnvelope | None, tau: float, start: int) -> Plan:
             def hub(u: float) -> float:
                 return rate * math.exp((power - tau) * u) + max(0.0, -log_a) * math.exp(-tau * u)
 
-            found = _log_doubling_search(hub, math.log(j0), limit + math.log(2.0))
+            found = _log_first(lambda u: hub(u) <= limit + math.log(2.0), math.log(j0))
             if found is not None:
                 return Divergence("term-limit", _index_at_least(found, j0), 0.5 * math.exp(-limit))
         return None
@@ -229,7 +220,7 @@ def _plan_coupled(env: TailEnvelope | None, tau: float, start: int) -> Plan:
 
         # hub is decreasing once u > 1/tau (the ln a correction only adds a
         # decreasing nonnegative part).
-        found = _log_doubling_search(hub, max(math.log(j0), 1.0 / tau), math.log(2.0))
+        found = _log_first(lambda u: hub(u) <= math.log(2.0), max(math.log(j0), 1.0 / tau))
         if found is not None:
             return Divergence("term-limit", _index_at_least(found, j0), 0.5)
     return None
@@ -278,13 +269,11 @@ def _plan_qpt_exp(env: TailEnvelope | None, T: float, start: int) -> Plan:
     if env.exact:
         beta = form.beta
         j2 = max(start, env.valid_from, int(math.ceil(form.scale ** (1.0 / beta))) + 1)
-
-        def phi(u: float) -> float:
-            return u - T * math.log(1.0 + 0.5 * (beta * u - log_a))
-
-        # phi is increasing once the base exceeds T beta / 2.
+        # u - T ln(base) is increasing once the base exceeds T beta / 2.
         u3 = (2.0 * max(0.5 * T * beta - 1.0, 0.0) + log_a) / beta
-        found = _log_increasing_from(phi, max(u3, math.log(j2)))
+        found = _log_first(
+            lambda u: u >= T * math.log(1.0 + 0.5 * (beta * u - log_a)), max(u3, math.log(j2))
+        )
         if found is not None:
             return Divergence("harmonic", _index_at_least(found, j2), 1.0)
     return None
@@ -360,9 +349,7 @@ def _plan_wt_exp(env: TailEnvelope | None, c: float, s: float, start: int) -> Pl
         # s < 1: divergent whenever the envelope is exact.
         if env.exact:
             u3 = ((c * s * beta) ** (1.0 / (1.0 - s)) - konst) / beta
-            found = _log_increasing_from(
-                lambda u: u - c * (konst + beta * u) ** s, max(u3, math.log(j2))
-            )
+            found = _log_first(lambda u: u >= c * (konst + beta * u) ** s, max(u3, math.log(j2)))
             if found is not None:
                 return Divergence("harmonic", _index_at_least(found, j2), 1.0)
         return None
@@ -531,10 +518,15 @@ def _spec(kind: str) -> SumSpec:
 def _plan(
     spec: SumSpec, p: CriterionParams, model: EigenModel, d: int, criterion: ErrorCriterion
 ) -> tuple[int, tuple[float, ...], Plan]:
-    """Start index, term parameters and tail plan of a resolved sum."""
+    """Start index, term parameters and tail plan of a resolved sum; a planner
+    that overflows the double range gives no certificate (plan None)."""
     start = spec.start(p, d, criterion)
     x = spec.param(p, d)
-    return start, x, spec.planner(ratio_envelope(model, d, criterion, start), *x, start)
+    env = ratio_envelope(model, d, criterion, start)
+    try:
+        return start, x, spec.planner(env, *x, start)
+    except OverflowError:
+        return start, x, None
 
 
 def evaluate_sum(

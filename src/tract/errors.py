@@ -26,8 +26,9 @@ class EvalDomainError(TractError):
     """A formula evaluation left the real double-precision domain."""
 
     def __init__(self, message: str, d: int | None = None, j: int | None = None):
-        if d is not None or j is not None:
-            message = f"{message} (d={d}, j={j})"
+        coords = ", ".join(f"{k}={v}" for k, v in (("d", d), ("j", j)) if v is not None)
+        if coords:
+            message = f"{message} ({coords})"
         super().__init__(message)
         self.d = d
         self.j = j

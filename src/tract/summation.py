@@ -9,6 +9,12 @@ Tail bounds come in a handful of integrable shapes.  Each shape provides a
 sound upper bound on the neglected tail; shapes marked exact (the bound
 coincides with the terms) also provide a lower bound, which lets the
 evaluator centre the reported value inside the bracket.
+
+Every shape is elementary.  The stretched-exponential integral is the upper
+incomplete gamma function Gamma(s, x), taken from the two-sided bracket
+x**(s-1) e**-x min(1, k) <= Gamma(s, x) <= x**(s-1) e**-x max(1, k) with
+k = x / (x - (s - 1)) for x > s - 1: it bounds t**(s-1) under the integral
+between x**(s-1) and x**(s-1) e**((s-1)(t-x)/x), since ln(t/x) <= (t-x)/x.
 """
 
 from __future__ import annotations
@@ -19,7 +25,6 @@ from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
-from scipy.special import gammaincc
 
 __all__ = [
     "SumStatus",
@@ -151,7 +156,19 @@ class AffinePowerTail:
 
 @dataclass(frozen=True)
 class StretchedIntegralTail:
-    """Terms bounded by C * exp(-B * j**gamma) for j >= from_j."""
+    """Terms bounded by C * exp(-B * j**gamma) for j >= from_j.
+
+    The integral from a is C Gamma(s, x) / (gamma B**s) with s = 1/gamma and
+    x = B a**gamma.  For x > s - 1 and k = x / (x - (s - 1)),
+
+        x**(s-1) e**-x min(1, k) <= Gamma(s, x) <= x**(s-1) e**-x max(1, k):
+
+    under the integral over t >= x, t**(s-1) lies between x**(s-1) and
+    x**(s-1) e**((s-1)(t-x)/x), because 0 <= ln(t/x) <= (t-x)/x, and the
+    second one integrates to the k factor.  Times C / (gamma B**s), the
+    common factor x**(s-1) e**-x is C a**(1-gamma) e**-x / (gamma B), which
+    is evaluated in log space.
+    """
 
     coeff: float
     B: float
@@ -163,46 +180,28 @@ class StretchedIntegralTail:
         if self.B <= 0 or self.gamma <= 0:
             raise ValueError("stretched tail needs B, gamma > 0")
 
-    def _integral(self, a: float) -> float:
-        # int_a^inf C exp(-B x^g) dx = C Gamma(1/g) Q(1/g, B a^g) / (g B^(1/g))
+    def _integral(self, a: float, side: Callable[[float, float], float]) -> float:
+        """The max (upper) or min (lower) side of the bracket on the integral
+        from a; +inf (no bound: keep summing) where x <= s - 1 or the bound
+        exceeds the double range."""
         s = 1.0 / self.gamma
         x = self.B * a**self.gamma
+        if x <= s - 1.0:
+            return math.inf
+        log_k = math.log(x / (x - (s - 1.0)))
+        log_val = (1.0 - self.gamma) * math.log(a) - x - math.log(self.gamma * self.B) + side(0.0, log_k)
         try:
-            q = float(gammaincc(s, x))
-        except Exception:
-            q = 0.0
-        if q > 0.0:
-            try:
-                return self.coeff * math.exp(math.lgamma(s) + math.log(q)) / (
-                    self.gamma * self.B**s
-                )
-            except (OverflowError, ValueError):
-                pass
-        # Deep tail: Q underflowed.  Use Gamma(s, x) <= 2 x^(s-1) e^-x,
-        # valid for x >= 2 max(1, s - 1).
-        if x >= 2.0 * max(1.0, s - 1.0):
-            log_val = (
-                math.log(self.coeff)
-                + (s - 1.0) * math.log(x)
-                - x
-                + math.log(2.0)
-                - math.log(self.gamma)
-                - s * math.log(self.B)
-            )
-            if log_val < math.log(5e-324):
-                return 0.0
-            return math.exp(log_val)
-        # No usable bound at this index yet; report +inf so the evaluator
-        # keeps summing.
-        return math.inf
+            return self.coeff * math.exp(log_val)
+        except OverflowError:
+            return math.inf
 
     def upper_tail(self, J: int) -> float:
-        return self._integral(J) * _SLACK
+        return self._integral(J, max) * _SLACK
 
     def lower_tail(self, J: int) -> float:
         if not self.exact:
             return 0.0
-        val = self._integral(J + 1)
+        val = self._integral(J + 1, min)
         return 0.0 if not math.isfinite(val) else val / _SLACK
 
 

@@ -166,6 +166,22 @@ class TestClassifyCommand:
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1] == outputs[2]
 
+    @pytest.mark.parametrize("criterion", ["ABS", "NOR"])
+    @pytest.mark.parametrize(
+        "model",
+        [
+            {"kind": "PolyDecay", "params": {"a": 1e308, "alpha": 1e-9}},
+            {"kind": "ExpDecay", "params": {"a": 1.0, "b": 1.0, "gamma": 1e-6}},
+        ],
+        ids=["poly-huge-scale", "exp-tiny-gamma"],
+    )
+    def test_planner_overflow_is_no_certificate(self, tmp_path, capsys, model, criterion):
+        cfg = write_config(tmp_path, model=model, criterion=criterion)
+        assert main(["classify", "--config", cfg]) == 0
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        assert json.loads(captured.out)["inconsistencies"] == []
+
 
 class TestExponentCommand:
     def test_bracket(self, tmp_path, capsys):
@@ -219,8 +235,7 @@ class TestVerifyBoundsCommand:
         )
         assert code == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: T3 bound exceeds the double range")
-        assert err.count("\n") == 1 and "Traceback" not in err
+        assert err == "error: T3 bound exceeds the double range (d=1)\n"
 
 
 class TestAnalysisSection:

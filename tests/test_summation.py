@@ -1,9 +1,15 @@
 import math
+import os
+import subprocess
+import sys
 
+import mpmath
 import numpy as np
 import pytest
 
+import tract
 from tract.summation import (
+    _SLACK,
     AffinePowerTail,
     Divergence,
     GeomSeriesTail,
@@ -44,6 +50,38 @@ class TestTailBounds:
         for J in (10, 100):
             true = sum(2.0 * math.exp(-0.5 * j**0.5) for j in range(J + 1, 100_000))
             assert tail.lower_tail(J) <= true <= tail.upper_tail(J)
+
+    @pytest.mark.parametrize("s", [0.05, 0.3, 0.5, 0.9, 1.0, 1.5, 2.0, 3.7, 10.0, 25.0, 50.0, 100.0])
+    def test_stretched_bracket_holds_against_mpmath(self, s):
+        """lower_tail(a - 1) <= integral from a <= upper_tail(a), _SLACK undone,
+        from x just above s - 1 to the deep tail, wherever the integral is a
+        normal double."""
+        gamma = 1.0 / s
+        base = max(s - 1.0, 0.0)
+        xs = [base + dx for dx in (1e-9, 1e-6, 1e-2, 0.5, 1.0, 10.0, 100.0)] + [300.0, 650.0]
+        checked = 0
+        with mpmath.workdps(40):
+            for a in (2, 1000):
+                for x in xs:
+                    B = x / a**gamma
+                    tail = StretchedIntegralTail(1.0, B, gamma, exact=True)
+                    x_mp = mpmath.mpf(B) * mpmath.mpf(a) ** (mpmath.mpf(1) / s)
+                    exact = mpmath.gammainc(s, x_mp) / (mpmath.mpf(gamma) * mpmath.mpf(B) ** s)
+                    if not mpmath.mpf("1e-300") < exact < mpmath.mpf("1e300"):
+                        continue
+                    checked += 1
+                    upper = tail.upper_tail(a) / _SLACK
+                    lower = tail.lower_tail(a - 1) * _SLACK
+                    assert upper >= exact * (1 - 1e-13), (a, x)
+                    assert lower <= exact * (1 + 1e-13), (a, x)
+        assert checked >= 10
+
+    def test_stretched_bracket_is_inf_where_it_gives_no_bound(self):
+        tail = StretchedIntegralTail(1.0, 1.0, 0.1, exact=True)  # s = 10: x = a**0.1 <= 9
+        assert math.isinf(tail.upper_tail(1000))
+        assert tail.lower_tail(1000) == 0.0
+        # An integral past the double range (about 1e310) is no bound either.
+        assert math.isinf(StretchedIntegralTail(1.0, 1e-310, 1.0).upper_tail(1))
 
     def test_geometric_series_closed_form(self):
         tail = GeomSeriesTail(3.0, 0.25, exact=True)
@@ -106,3 +144,17 @@ class TestEngine:
         plan = GeomSeriesTail(1.0, 0.5, exact=True)
         ev = certified_sum(_block(lambda j: 0.5**j), 1, plan, prefactor=0.25)
         assert ev.value == pytest.approx(0.25, rel=1e-12)
+
+
+def test_import_pulls_in_numpy_only():
+    """A fresh interpreter importing tract loads no third-party module but
+    NumPy: the package runs on the standard library and NumPy."""
+    code = (
+        "import sys; before = set(sys.modules); import tract; "
+        "print(' '.join(sorted({m.split('.')[0] for m in set(sys.modules) - before}"
+        " - set(sys.stdlib_module_names))))"
+    )
+    src = os.path.dirname(os.path.dirname(tract.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["numpy", "tract"]
