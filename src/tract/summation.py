@@ -15,6 +15,8 @@ incomplete gamma function Gamma(s, x), taken from the two-sided bracket
 x**(s-1) e**-x min(1, k) <= Gamma(s, x) <= x**(s-1) e**-x max(1, k) with
 k = x / (x - (s - 1)) for x > s - 1: it bounds t**(s-1) under the integral
 between x**(s-1) and x**(s-1) e**((s-1)(t-x)/x), since ln(t/x) <= (t-x)/x.
+The upper side is also capped by Gamma(s, x) <= Gamma(s), the only bound
+where x <= s - 1.
 """
 
 from __future__ import annotations
@@ -165,9 +167,10 @@ class StretchedIntegralTail:
 
     under the integral over t >= x, t**(s-1) lies between x**(s-1) and
     x**(s-1) e**((s-1)(t-x)/x), because 0 <= ln(t/x) <= (t-x)/x, and the
-    second one integrates to the k factor.  Times C / (gamma B**s), the
-    common factor x**(s-1) e**-x is C a**(1-gamma) e**-x / (gamma B), which
-    is evaluated in log space.
+    second one integrates to the k factor.  For x <= s - 1, k is +inf: the
+    lower side holds as t**(s-1) >= x**(s-1), and the upper side is the cap
+    Gamma(s, x) <= Gamma(s).  Times C / (gamma B**s), x**(s-1) e**-x is
+    C a**(1-gamma) e**-x / (gamma B); all of it, C too, is in log space.
     """
 
     coeff: float
@@ -180,28 +183,32 @@ class StretchedIntegralTail:
         if self.B <= 0 or self.gamma <= 0:
             raise ValueError("stretched tail needs B, gamma > 0")
 
-    def _integral(self, a: float, side: Callable[[float, float], float]) -> float:
-        """The max (upper) or min (lower) side of the bracket on the integral
-        from a; +inf (no bound: keep summing) where x <= s - 1 or the bound
-        exceeds the double range."""
+    def _integral(self, a: float, upper: bool) -> float:
+        """The upper or lower side of the bracket on the integral from a, in
+        log space; +inf where the upper side exceeds the double range."""
+        if self.coeff == 0.0:
+            return 0.0
         s = 1.0 / self.gamma
         x = self.B * a**self.gamma
-        if x <= s - 1.0:
-            return math.inf
-        log_k = math.log(x / (x - (s - 1.0)))
-        log_val = (1.0 - self.gamma) * math.log(a) - x - math.log(self.gamma * self.B) + side(0.0, log_k)
+        log_c = math.log(self.coeff) - math.log(self.gamma)
+        log_front = log_c + (1.0 - self.gamma) * math.log(a) - x - math.log(self.B)
+        log_k = math.log(x / (x - (s - 1.0))) if x > s - 1.0 else math.inf
+        if upper:
+            log_val = min(log_front + max(0.0, log_k), log_c + math.lgamma(s) - s * math.log(self.B))
+        else:
+            log_val = log_front + min(0.0, log_k)
         try:
-            return self.coeff * math.exp(log_val)
+            return math.exp(log_val)
         except OverflowError:
             return math.inf
 
     def upper_tail(self, J: int) -> float:
-        return self._integral(J, max) * _SLACK
+        return self._integral(J, upper=True) * _SLACK
 
     def lower_tail(self, J: int) -> float:
         if not self.exact:
             return 0.0
-        val = self._integral(J + 1, min)
+        val = self._integral(J + 1, upper=False)
         return 0.0 if not math.isfinite(val) else val / _SLACK
 
 

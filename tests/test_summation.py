@@ -51,37 +51,67 @@ class TestTailBounds:
             true = sum(2.0 * math.exp(-0.5 * j**0.5) for j in range(J + 1, 100_000))
             assert tail.lower_tail(J) <= true <= tail.upper_tail(J)
 
+    @staticmethod
+    def _stretched_integral(coeff, B, gamma, a):
+        """C Gamma(s, B a**gamma) / (gamma B**s) at 40 digits."""
+        s = 1 / mpmath.mpf(gamma)
+        x = mpmath.mpf(B) * mpmath.mpf(a) ** mpmath.mpf(gamma)
+        return mpmath.mpf(coeff) * mpmath.gammainc(s, x) / (mpmath.mpf(gamma) * mpmath.mpf(B) ** s)
+
     @pytest.mark.parametrize("s", [0.05, 0.3, 0.5, 0.9, 1.0, 1.5, 2.0, 3.7, 10.0, 25.0, 50.0, 100.0])
     def test_stretched_bracket_holds_against_mpmath(self, s):
         """lower_tail(a - 1) <= integral from a <= upper_tail(a), _SLACK undone,
-        from x just above s - 1 to the deep tail, wherever the integral is a
-        normal double."""
+        from x near 0 through x = s - 1 to the deep tail, wherever the integral
+        is a normal double."""
         gamma = 1.0 / s
         base = max(s - 1.0, 0.0)
-        xs = [base + dx for dx in (1e-9, 1e-6, 1e-2, 0.5, 1.0, 10.0, 100.0)] + [300.0, 650.0]
+        below = [base * f for f in (1e-3, 0.5, 1 - 1e-9, 1.0)] if s > 1 else []
+        xs = below + [base + dx for dx in (1e-9, 1e-6, 1e-2, 0.5, 1.0, 10.0, 100.0)] + [300.0, 650.0]
         checked = 0
         with mpmath.workdps(40):
             for a in (2, 1000):
                 for x in xs:
                     B = x / a**gamma
                     tail = StretchedIntegralTail(1.0, B, gamma, exact=True)
-                    x_mp = mpmath.mpf(B) * mpmath.mpf(a) ** (mpmath.mpf(1) / s)
-                    exact = mpmath.gammainc(s, x_mp) / (mpmath.mpf(gamma) * mpmath.mpf(B) ** s)
+                    exact = self._stretched_integral(1.0, B, gamma, a)
                     if not mpmath.mpf("1e-300") < exact < mpmath.mpf("1e300"):
                         continue
                     checked += 1
                     upper = tail.upper_tail(a) / _SLACK
                     lower = tail.lower_tail(a - 1) * _SLACK
+                    assert math.isfinite(upper), (a, x)
                     assert upper >= exact * (1 - 1e-13), (a, x)
                     assert lower <= exact * (1 + 1e-13), (a, x)
         assert checked >= 10
 
-    def test_stretched_bracket_is_inf_where_it_gives_no_bound(self):
-        tail = StretchedIntegralTail(1.0, 1.0, 0.1, exact=True)  # s = 10: x = a**0.1 <= 9
-        assert math.isinf(tail.upper_tail(1000))
-        assert tail.lower_tail(1000) == 0.0
-        # An integral past the double range (about 1e310) is no bound either.
+    def test_stretched_bound_below_s_minus_1_is_gamma_s(self):
+        """Where x <= s - 1 the upper side is C Gamma(s) / (gamma B**s): finite,
+        above the integral, and the same bound at every such a."""
+        tail = StretchedIntegralTail(1.0, 1.0, 0.1, exact=True)  # s = 10: x = a**0.1 <= 9 up to a = 9**10
+        with mpmath.workdps(40):
+            for a in (1, 1000, 10**9):
+                assert tail.upper_tail(a) == pytest.approx(math.gamma(10.0) / 0.1 * _SLACK, rel=1e-13)
+                exact = self._stretched_integral(1.0, 1.0, 0.1, a)
+                assert tail.lower_tail(a - 1) <= exact <= tail.upper_tail(a)
+        # An integral past the double range (about 1e310) is no bound.
         assert math.isinf(StretchedIntegralTail(1.0, 1e-310, 1.0).upper_tail(1))
+
+    @pytest.mark.parametrize(
+        "coeff, B, a",
+        [(1e300, 740.0, 1), (1e300, 740.0 / 1000**0.5, 1000), (1e-300, 1e-310, 1)],
+        ids=["huge-coeff", "huge-coeff-a1000", "tiny-coeff"],
+    )
+    def test_stretched_coeff_stays_in_log_space(self, coeff, B, a):
+        """A coefficient near the double range enters the log-space sum: the
+        bound neither flushes to 0 nor overflows where the integral (about
+        4e-22 at x = 740 with C = 1e300, about 1e10 with C = 1e-300 and
+        B = 1e-310) is a normal double."""
+        gamma = 1.0 if a == 1 else 0.5
+        tail = StretchedIntegralTail(coeff, B, gamma, exact=True)
+        with mpmath.workdps(40):
+            exact = self._stretched_integral(coeff, B, gamma, a)
+        assert tail.lower_tail(a - 1) <= exact <= tail.upper_tail(a) <= exact * (1 + 1e-3)
+        assert StretchedIntegralTail(0.0, B, gamma).upper_tail(a) == 0.0
 
     def test_geometric_series_closed_form(self):
         tail = GeomSeriesTail(3.0, 0.25, exact=True)
