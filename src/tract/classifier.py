@@ -44,7 +44,6 @@ from .eigenmodel import (
     support,
 )
 from .errors import DegenerateGridError, NoPassingPointError
-from .parallel import ordered_map
 from .summation import Divergence, SumStatus
 
 __all__ = [
@@ -846,15 +845,15 @@ def classify_all(
     criterion: ErrorCriterion,
     limits: Limits = Limits(),
     notions: list[Notion] | None = None,
-    workers: int = 1,
 ) -> dict:
     """Verdicts for the standard notion set plus the consistency report.
 
-    ``workers`` parallelises independent notions; the merge is an ordered
-    reduction so the report is byte-identical for any worker count.
+    Notions are decided one after another, in order.  Each verdict is an
+    independent sum over the spectrum, but the work is GIL-bound NumPy, so
+    a thread pool only adds overhead.
     """
     notions = notions if notions is not None else standard_notions(criterion)
-    verdicts = ordered_map(lambda nt: decide(model, nt, limits), notions, workers)
+    verdicts = [decide(model, nt, limits) for nt in notions]
     issues = check_implications(verdicts)
     return {
         "verdicts": [v.as_dict() for v in verdicts],

@@ -5,7 +5,8 @@ verify-bounds.  A JSON config file describes the model, the error
 criterion, the evaluation limits, and the output target; analysis
 parameters arrive as flags.  Results go to stdout or, with --out, to a
 file written atomically next to a manifest that records the config hash,
-limits, and tool version.
+limits, tool version and command parameters; JSON results embed the same
+manifest.
 
 Exit codes: 0 success, 1 validation or evaluation failure, 2 config error.
 """
@@ -42,7 +43,6 @@ from .criteria import (
 )
 from .eigenmodel import EigenModel, ErrorCriterion, model_from_config, validate
 from .errors import ConfigError, TractError, ValidationFailedError
-from .parallel import ordered_map
 from .summation import SumEvaluation, SumStatus
 
 __all__ = ["main", "load_config", "RunConfig"]
@@ -193,12 +193,19 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _emit(cfg: RunConfig, command: str, params: dict, text: str, path: str | None) -> None:
+def _emit(cfg: RunConfig, command: str, params: dict, body: dict | str, path: str | None) -> None:
+    """Write ``body`` to stdout, or to ``path`` next to ``path.manifest.json``.
+
+    A dict body is JSON and embeds the manifest; a str body (CSV) is written
+    as given.  Both manifests come from the same ``params``.
+    """
+    manifest = _manifest(cfg, command, params)
+    text = _dump_json({**body, "manifest": manifest}) if isinstance(body, dict) else body
     if path is None:
         sys.stdout.write(text)
         return
     _atomic_write(path, text)
-    _atomic_write(path + ".manifest.json", _dump_json(_manifest(cfg, command, params)))
+    _atomic_write(path + ".manifest.json", _dump_json(manifest))
 
 
 def _csv_text(header: list[str], rows: list[list]) -> str:
@@ -254,10 +261,9 @@ def _cmd_validate(cfg: RunConfig, args) -> int:
             {"kind": v.kind, "d": v.d, "j": v.j, "detail": v.detail}
             for v in report.violations
         ],
-        "manifest": _manifest(cfg, "validate", {"d_max": args.d_max, "j_probe": args.j_probe}),
     }
-    _emit(cfg, "validate", {"d_max": args.d_max, "j_probe": args.j_probe},
-          _dump_json(payload), args.out or cfg.output_path)
+    params = {"d_max": args.d_max, "j_probe": args.j_probe}
+    _emit(cfg, "validate", params, payload, args.out or cfg.output_path)
     return 0 if report.ok else 1
 
 
@@ -266,20 +272,14 @@ def _cmd_complexity(cfg: RunConfig, args) -> int:
     d = _setting(cfg, args, "d", int)
     if eps is not None and d is not None:
         query = ComplexityQuery(d, eps, cfg.criterion)
-        res = (
-            count_oracle(cfg.model, query, min(cfg.limits.j_max, args.oracle_j_max))
-            if args.oracle
-            else info_complexity(cfg.model, query, cfg.limits.j_max)
-        )
-        payload = {
-            "d": d,
-            "eps": eps,
-            "criterion": cfg.criterion.value,
-            **res.as_dict(),
-            "manifest": _manifest(cfg, "complexity", {"d": d, "eps": eps}),
-        }
-        _emit(cfg, "complexity", {"d": d, "eps": eps},
-              _dump_json(payload), args.out or cfg.output_path)
+        params = {"d": d, "eps": eps}
+        if args.oracle:
+            params["oracle_j_max"] = args.oracle_j_max
+            res = count_oracle(cfg.model, query, min(cfg.limits.j_max, args.oracle_j_max))
+        else:
+            res = info_complexity(cfg.model, query, cfg.limits.j_max)
+        payload = {"d": d, "eps": eps, "criterion": cfg.criterion.value, **res.as_dict()}
+        _emit(cfg, "complexity", params, payload, args.out or cfg.output_path)
         return 0
     eps_grid = _setting(cfg, args, "eps_grid", str)
     d_grid = _setting(cfg, args, "d_grid", str)
@@ -294,7 +294,7 @@ def _cmd_complexity(cfg: RunConfig, args) -> int:
         res = info_complexity(cfg.model, ComplexityQuery(d, eps, cfg.criterion), cfg.limits.j_max)
         return [d, repr(eps), cfg.criterion.value, res.n, res.capped]
 
-    rows = ordered_map(solve, points, args.threads)
+    rows = [solve(p) for p in points]
     text = _csv_text(["d", "eps", "criterion", "n", "capped"], rows)
     _emit(cfg, "complexity", {"eps_grid": eps_grid, "d_grid": d_grid},
           text, args.out or cfg.output_path)
@@ -331,56 +331,42 @@ def _cmd_criterion(cfg: RunConfig, args) -> int:
     sum_kind = _setting(cfg, args, "sum", str)
     if sum_kind is None:
         raise ConfigError("criterion needs --sum (or analysis.sum in the config)")
+    run_params = {"sum": sum_kind, **params.as_dict()}
+    path = args.out or cfg.output_path
     if sum_kind in ("uwt-alg", "uwt-exp"):
         n = _setting(cfg, args, "n", int)
         if n is None:
             raise ConfigError("uwt statistics need --n")
+        run_params["n"] = n
         case = "ALG" if sum_kind == "uwt-alg" else "EXP"
         value = uwt_statistic(cfg.model, n, params.k or 1, case, cfg.criterion)
-        payload = {
-            "statistic": value,
-            "n": n,
-            "k": params.k or 1,
-            "case": case,
-            "manifest": _manifest(cfg, "criterion", {"sum": sum_kind, "n": n}),
-        }
-        _emit(cfg, "criterion", {"sum": sum_kind}, _dump_json(payload), args.out or cfg.output_path)
+        payload = {"statistic": value, "n": n, "k": params.k or 1, "case": case}
+        _emit(cfg, "criterion", run_params, payload, path)
         return 0
     if sum_kind not in SUM_KINDS:
         raise ConfigError(f"unknown sum {sum_kind!r}")
     _require_flags(sum_kind, sum_kind, params)
     if args.sup:
-        sweep = sup_over_d(
-            cfg.model, sum_kind, params, cfg.criterion, args.d_max or cfg.limits.d_max,
-            tol=cfg.limits.tol,
-        )
+        d_max = args.d_max or cfg.limits.d_max
+        run_params.update(sup=True, d_max=d_max)
+        sweep = sup_over_d(cfg.model, sum_kind, params, cfg.criterion, d_max, tol=cfg.limits.tol)
         rows = [[d + 1, repr(v)] for d, v in enumerate(sweep.values)]
-        text = _csv_text(["d", "value"], rows)
-        _emit(cfg, "criterion", {"sum": sum_kind, "sup": True}, text, args.out or cfg.output_path)
+        _emit(cfg, "criterion", run_params, _csv_text(["d", "value"], rows), path)
         sys.stderr.write(
             f"sup_observed={sweep.sup_observed!r} trend={sweep.trend} status={sweep.status.value}\n"
         )
         return 0
     d = _setting(cfg, args, "d", int) or 1
+    run_params["d"] = d
     ev = evaluate_sum(cfg.model, sum_kind, d, params, cfg.criterion, tol=cfg.limits.tol)
-    payload = {
-        **ev.as_dict(),
-        "d": d,
-        "sum": sum_kind,
-        "manifest": _manifest(cfg, "criterion", {"sum": sum_kind, "d": d}),
-    }
-    _emit(cfg, "criterion", {"sum": sum_kind}, _dump_json(payload), args.out or cfg.output_path)
+    _emit(cfg, "criterion", run_params, {**ev.as_dict(), "d": d, "sum": sum_kind}, path)
     return 0
 
 
 def _cmd_classify(cfg: RunConfig, args) -> int:
-    report = classify_all(cfg.model, cfg.criterion, cfg.limits, workers=args.threads)
-    payload = {
-        **report,
-        "criterion": cfg.criterion.value,
-        "manifest": _manifest(cfg, "classify", {}),
-    }
-    _emit(cfg, "classify", {}, _dump_json(payload), args.out or cfg.output_path)
+    report = classify_all(cfg.model, cfg.criterion, cfg.limits)
+    payload = {**report, "criterion": cfg.criterion.value}
+    _emit(cfg, "classify", {}, payload, args.out or cfg.output_path)
     return 0
 
 
@@ -399,12 +385,8 @@ def _cmd_exponent(cfg: RunConfig, args) -> int:
     kind, case = _NOTION_FLAGS[notion_name]
     notion = Notion(kind, case, cfg.criterion)
     bracket = exponent_bracket(cfg.model, notion, cfg.limits)
-    payload = {
-        "notion": notion.name,
-        **bracket.as_dict(),
-        "manifest": _manifest(cfg, "exponent", {"notion": notion_name}),
-    }
-    _emit(cfg, "exponent", {"notion": notion_name}, _dump_json(payload), args.out or cfg.output_path)
+    payload = {"notion": notion.name, **bracket.as_dict()}
+    _emit(cfg, "exponent", {"notion": notion_name}, payload, args.out or cfg.output_path)
     return 0
 
 
@@ -451,15 +433,12 @@ def _cmd_verify_bounds(cfg: RunConfig, args) -> int:
     report = verify_domination(cfg.model, spec, eps_values, d_values, cfg.limits.j_max)
     rows = [[r.d, repr(r.eps), r.oracle_n, r.bound, r.ok] for r in report.rows]
     text = _csv_text(["d", "eps", "oracle_n", "bound", "ok"], rows)
-    run_params = {"theorem": theorem, "eps_grid": eps_grid, "d_grid": d_grid}
-    if args.out or cfg.output_path:
-        _emit(cfg, "verify-bounds", run_params, text, args.out or cfg.output_path)
-    summary = {
-        **report.summary(),
-        "constant": constant.value,
-        "manifest": _manifest(cfg, "verify-bounds", run_params),
-    }
-    sys.stdout.write(_dump_json(summary))
+    run_params = {"theorem": theorem, "eps_grid": eps_grid, "d_grid": d_grid, **params.as_dict()}
+    path = args.out or cfg.output_path
+    if path:
+        _emit(cfg, "verify-bounds", run_params, text, path)
+    # The summary always goes to stdout, with the same manifest as the file.
+    _emit(cfg, "verify-bounds", run_params, {**report.summary(), "constant": constant.value}, None)
     return 0 if report.ok else 1
 
 
@@ -480,7 +459,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="JSON run configuration")
         p.add_argument("--out", default=None, help="output file (atomic write + manifest)")
         p.add_argument("--threads", type=int, default=1,
-                       help="worker threads; never affects output bytes")
+                       help="accepted and ignored: evaluation is sequential, so N "
+                            "changes neither the output bytes nor the speed")
 
     p = sub.add_parser("validate", help="check positivity/monotonicity/envelopes")
     common(p)

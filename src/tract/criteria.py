@@ -56,7 +56,6 @@ from .summation import (
     GeomSeriesTail,
     Plan,
     PolyLogTail,
-    PowerIntegralTail,
     RatioTail,
     StretchedIntegralTail,
     SumEvaluation,
@@ -164,7 +163,7 @@ def _plan_power(env: TailEnvelope | None, p: float, start: int) -> Plan:
         if coeff is None:
             return None
         if form.beta * p > 1.0:
-            return PowerIntegralTail(coeff, form.beta * p, from_j=j0, exact=env.exact)
+            return AffinePowerTail(coeff, 0.0, 1.0, form.beta * p, from_j=j0, exact=env.exact)
         if env.exact:
             return Divergence("harmonic", j0, coeff)
         return None
@@ -255,7 +254,7 @@ def _plan_qpt_exp(env: TailEnvelope | None, T: float, start: int) -> Plan:
             coeff = _pow_or_none(0.25 * kappa, -T)
             if coeff is None:
                 return None
-            return PowerIntegralTail(coeff, power * T, from_j=j3, exact=False)
+            return AffinePowerTail(coeff, 0.0, 1.0, power * T, from_j=j3, exact=False)
         if env.exact:
             # base <= kappa j**power once 1 + 0.5 max(0, -ln a) <= 0.5 kappa j**power.
             need = (2.0 + max(0.0, -log_a)) / kappa
@@ -333,7 +332,7 @@ def _plan_wt_exp(env: TailEnvelope | None, c: float, s: float, start: int) -> Pl
         if s == 1.0:
             coeff = math.exp(-c * konst)
             if c * beta > 1.0:
-                return PowerIntegralTail(coeff, c * beta, from_j=j2, exact=env.exact)
+                return AffinePowerTail(coeff, 0.0, 1.0, c * beta, from_j=j2, exact=env.exact)
             if env.exact:
                 return Divergence("harmonic", j2, coeff)
             return None

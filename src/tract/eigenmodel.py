@@ -10,7 +10,8 @@ Families
 PolyDecay   lambda(d, j) = a * j**-alpha
 ExpDecay    lambda(d, j) = a * exp(-b * j**gamma)
 Geometric   lambda(d, j) = a * r**j
-FiniteRank  an explicit finite list; indices past the rank signal BeyondRank
+FiniteRank  an explicit finite multiset, stored non-increasing; indices past
+            the rank signal BeyondRank
 Tabulated   an explicit prefix continued by its mandatory tail envelope
 Expression  a formula in d and j (see :mod:`tract.exprdsl`)
 
@@ -171,6 +172,9 @@ class FiniteRank(_Family):
             raise ValueError("FiniteRank requires at least one eigenvalue")
         if any(not (v > 0) or not math.isfinite(v) for v in self.entries):
             raise ValueError("FiniteRank eigenvalues must be positive and finite")
+        # A multiset: answers must not depend on input order, and the
+        # initial error lambda(d, 1) must be the largest entry.
+        object.__setattr__(self, "entries", tuple(sorted(self.entries, reverse=True)))
         object.__setattr__(self, "_table", np.asarray(self.entries, dtype=float))
 
     @property

@@ -31,7 +31,6 @@ import numpy as np
 __all__ = [
     "SumStatus",
     "SumEvaluation",
-    "PowerIntegralTail",
     "AffinePowerTail",
     "StretchedIntegralTail",
     "GeomSeriesTail",
@@ -102,33 +101,11 @@ class SumEvaluation:
 
 
 @dataclass(frozen=True)
-class PowerIntegralTail:
-    """Terms bounded by C * j**-p with p > 1 for j >= from_j."""
-
-    coeff: float
-    p: float
-    from_j: int = 1
-    exact: bool = False
-
-    def __post_init__(self):
-        if self.p <= 1:
-            raise ValueError("power tail needs p > 1")
-
-    def _integral(self, a: float) -> float:
-        return self.coeff * a ** (1.0 - self.p) / (self.p - 1.0)
-
-    def upper_tail(self, J: int) -> float:
-        return self._integral(J) * _SLACK
-
-    def lower_tail(self, J: int) -> float:
-        if not self.exact:
-            return 0.0
-        return self._integral(J + 1) / _SLACK
-
-
-@dataclass(frozen=True)
 class AffinePowerTail:
-    """Terms bounded by C * (alpha + beta*j)**-T, T > 1, beta > 0."""
+    """Terms bounded by C * (alpha + beta*j)**-T, T > 1, beta > 0.
+
+    A plain power law C * j**-p is alpha = 0, beta = 1, T = p.
+    """
 
     coeff: float
     alpha: float
@@ -297,7 +274,6 @@ class RatioTail:
 
 
 TailBound = Union[
-    PowerIntegralTail,
     AffinePowerTail,
     StretchedIntegralTail,
     GeomSeriesTail,

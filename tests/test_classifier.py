@@ -203,15 +203,6 @@ class TestClassifyAll:
                 b = decide(model, n_nor, LIM)
                 assert a.status == b.status, n_abs.name
 
-    def test_worker_count_does_not_change_result(self, poly2):
-        import json
-
-        reports = [
-            json.dumps(classify_all(poly2, ABS, LIM, workers=w), sort_keys=True)
-            for w in (1, 4, 16)
-        ]
-        assert reports[0] == reports[1] == reports[2]
-
     def test_randomised_models_stay_consistent(self):
         import numpy as np
 

@@ -54,6 +54,65 @@ class TestComplexityCommand:
         assert manifest["config_sha256"]
 
 
+class TestManifest:
+    def test_file_manifest_equals_embedded_one(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        out_path = tmp_path / "spt.json"
+        assert main(
+            ["criterion", "--config", cfg, "--sum", "spt-alg", "--tau", "1", "--d", "3",
+             "--out", str(out_path)]
+        ) == 0
+        embedded = json.loads(out_path.read_text())["manifest"]
+        on_file = json.loads((tmp_path / "spt.json.manifest.json").read_text())
+        assert on_file == embedded
+        assert on_file["parameters"] == {"sum": "spt-alg", "tau": 1.0, "d": 3}
+
+    def test_verify_bounds_records_the_sum_parameters(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        out_path = tmp_path / "bounds.csv"
+        assert main(
+            ["verify-bounds", "--config", cfg, "--theorem", "t1",
+             "--tau1", "0", "--tau2", "0.5", "--tau3", "0", "--c-tilde", "1",
+             "--eps-grid", "1e-4:1e-1:5", "--d-grid", "1:4", "--out", str(out_path)]
+        ) == 0
+        on_stdout = json.loads(capsys.readouterr().out)["manifest"]
+        on_file = json.loads((tmp_path / "bounds.csv.manifest.json").read_text())
+        assert on_file == on_stdout
+        assert on_file["parameters"] == {
+            "theorem": "T1", "eps_grid": "1e-4:1e-1:5", "d_grid": "1:4",
+            "tau1": 0.0, "tau2": 0.5, "tau3": 0.0, "c_tilde": 1.0,
+        }
+
+
+class TestFiniteSpectrumOrder:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["complexity", "--eps", "0.8", "--d", "1"],
+            ["complexity", "--eps", "0.8", "--d", "1", "--oracle"],
+            ["complexity", "--eps-grid", "0.05:0.95:7", "--d-grid", "1:2"],
+            ["criterion", "--sum", "spt-alg", "--tau", "1"],
+            ["criterion", "--sum", "wt-exp", "--c", "1", "--s", "1", "--t", "1", "--sup", "--d-max", "3"],
+            ["classify"],
+        ],
+        ids=["point", "oracle", "grid", "criterion", "sup", "classify"],
+    )
+    def test_permuted_spectrum_gives_the_same_output(self, tmp_path, capsys, argv):
+        outputs = []
+        for name, values in (("sorted", [2.0, 1.0, 0.5]), ("permuted", [1.0, 2.0, 0.5])):
+            model = {"kind": "FiniteRank", "params": {"values": values}}
+            cfg = write_config(tmp_path, name=f"{name}.json", model=model, criterion="NOR")
+            assert main([argv[0], "--config", cfg, *argv[1:]]) == 0
+            out = capsys.readouterr().out
+            if out.startswith("{"):
+                out = json.loads(out)
+                out.pop("manifest")  # the config hash differs
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
+        if argv[1:2] == ["--eps"]:
+            assert outputs[0]["n"] == 1
+
+
 class TestValidateCommand:
     def test_valid_model(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

@@ -64,6 +64,15 @@ class TestCountOracle:
         res = count_oracle(model, ComplexityQuery(1, 0.01, ABS))
         assert res.n == 2 and res.capped
 
+    def test_finite_rank_is_a_multiset(self):
+        # Initial error sqrt(2), so the NOR threshold at eps = 0.8 is 1.28:
+        # only the entry 2 lies above it, whatever the input order.
+        query = ComplexityQuery(1, 0.8, NOR)
+        for entries in ((1.0, 2.0, 0.5), (0.5, 1.0, 2.0), (2.0, 1.0, 0.5)):
+            model = EigenModel(FiniteRank(entries))
+            assert info_complexity(model, query).n == 1, entries
+            assert count_oracle(model, query).n == 1, entries
+
 
 class TestOracleEquivalence:
     def test_exact_agreement_on_grids(self, geo, poly2, exp1):

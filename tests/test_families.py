@@ -175,6 +175,28 @@ def test_no_family_dispatch_outside_eigenmodel():
     assert offenders == []
 
 
+def _imported_modules(tree: ast.AST):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.name
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            yield node.lineno, node.module
+
+
+def test_no_worker_pool_in_tract():
+    # Evaluation is sequential: the work is GIL-bound NumPy, so a pool only
+    # costs time and opens a second code path.
+    package = pathlib.Path(tract.__file__).parent
+    offenders = [
+        f"{path.name}:{line} imports {name}"
+        for path in sorted(package.glob("*.py"))
+        for line, name in _imported_modules(ast.parse(path.read_text()))
+        if name.split(".")[0] in ("concurrent", "threading", "multiprocessing")
+    ]
+    assert offenders == []
+
+
 if __name__ == "__main__":
     GOLDEN.parent.mkdir(exist_ok=True)
     table = {k: v for case in CASES for k, v in _envelopes(*case).items()}

@@ -14,7 +14,6 @@ from tract.summation import (
     Divergence,
     GeomSeriesTail,
     PolyLogTail,
-    PowerIntegralTail,
     RatioTail,
     StretchedIntegralTail,
     SumStatus,
@@ -34,7 +33,7 @@ class TestTailBounds:
         import mpmath
 
         p = 1.7
-        tail = PowerIntegralTail(1.0, p, from_j=1, exact=True)
+        tail = AffinePowerTail(1.0, 0.0, 1.0, p, from_j=1, exact=True)
         for J in (10, 100, 1000):
             true = float(mpmath.zeta(p) - mpmath.fsum(mpmath.mpf(j) ** -p for j in range(1, J + 1)))
             assert tail.lower_tail(J) <= true <= tail.upper_tail(J)
@@ -136,13 +135,13 @@ class TestTailBounds:
 
 class TestEngine:
     def test_certified_value_within_remainder(self):
-        plan = PowerIntegralTail(1.0, 2.0, from_j=1, exact=True)
+        plan = AffinePowerTail(1.0, 0.0, 1.0, 2.0, from_j=1, exact=True)
         ev = certified_sum(_block(lambda j: j**-2.0), 1, plan, tol=1e-10)
         assert ev.status is SumStatus.CERTIFIED
         assert abs(ev.value - math.pi**2 / 6) <= ev.remainder_bound
 
     def test_min_terms_extension_stays_within_remainder(self):
-        plan = PowerIntegralTail(1.0, 1.5, from_j=1, exact=True)
+        plan = AffinePowerTail(1.0, 0.0, 1.0, 1.5, from_j=1, exact=True)
         terms = _block(lambda j: j**-1.5)
         base = certified_sum(terms, 1, plan, tol=1e-8)
         extended = certified_sum(terms, 1, plan, tol=1e-8, min_terms=10 * base.terms_used)
