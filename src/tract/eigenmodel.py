@@ -204,7 +204,17 @@ class Tabulated(_Family):
             raise ValueError("Tabulated requires a non-empty prefix")
         if any(not (v > 0) or not math.isfinite(v) for v in self.prefix):
             raise ValueError("Tabulated eigenvalues must be positive and finite")
-        object.__setattr__(self, "_table", np.asarray(self.prefix, dtype=float))
+        # A multiset, as FiniteRank: lambda(d, 1) is the largest entry, and
+        # the continuation must not rise above the smallest one.
+        prefix = tuple(sorted(self.prefix, reverse=True))
+        j = len(prefix) + 1
+        if self.continuation.bound(j) > prefix[-1]:
+            raise ValueError(
+                f"Tabulated continuation at j={j} ({self.continuation.bound(j)!r}) "
+                f"exceeds the last prefix entry {prefix[-1]!r}"
+            )
+        object.__setattr__(self, "prefix", prefix)
+        object.__setattr__(self, "_table", np.asarray(prefix, dtype=float))
 
     @property
     def envelope(self) -> "TailEnvelope":
@@ -468,10 +478,12 @@ def ratios(model: EigenModel, d: int, j: np.ndarray, criterion: ErrorCriterion) 
 
 def log_ratios(model: EigenModel, d: int, j: np.ndarray, criterion: ErrorCriterion) -> np.ndarray:
     """ln(lambda(d, j)/CRI_d) without underflow saturation (closed forms)."""
-    logs = model.family.log_values(d, np.asarray(j))
     if criterion is ErrorCriterion.NOR:
-        lead = model.family.log_values(d, np.asarray([1]))[0]
-        return logs - lead
+        # One family call; the lead lambda(d, 1) goes last, so an invalid
+        # index in j is still the one an error names.
+        logs = model.family.log_values(d, np.append(j, 1))
+        return logs[:-1] - logs[-1]
+    logs = model.family.log_values(d, np.asarray(j))
     if model.d_scale is not None:
         return logs + math.log(model.scale_at(d))
     return logs

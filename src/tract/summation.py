@@ -1,9 +1,13 @@
 """Compensated summation of positive series with certified truncation.
 
-The evaluator sums terms in increasing index order (error-free ``math.fsum``
-per fixed-size chunk, then an error-free combine of the chunk sums) and
-stops once an analytic bound on the neglected tail is small enough, the
-term budget is hit, or a heuristic stagnation rule fires.
+The evaluator sums terms in increasing index order, in fixed-size chunks:
+each chunk is summed exactly by ``math.fsum`` and added to a few running
+non-overlapping partials that hold the exact total (Shewchuk's
+grow-expansion), so each chunk costs the same however many came before.
+After every chunk it stops once an analytic bound on the neglected tail is
+small enough, the term budget is hit, or a heuristic stagnation rule fires.
+Deep sums fetch several chunks per call of the term function; the chunks
+fetched past the stop are never summed.
 
 Tail bounds come in a handful of integrable shapes.  Each shape provides a
 sound upper bound on the neglected tail; shapes marked exact (the bound
@@ -28,6 +32,8 @@ from typing import Callable, Union
 
 import numpy as np
 
+from .errors import TractError
+
 __all__ = [
     "SumStatus",
     "SumEvaluation",
@@ -44,6 +50,7 @@ __all__ = [
 ]
 
 CHUNK = 1024
+_MAX_BATCH = 16  # chunks fetched by one terms() call at most
 _SLACK = 1 + 1e-9  # inflation applied to analytic bounds against fp rounding
 
 
@@ -304,8 +311,39 @@ Plan = Union[TailBound, Divergence, None]
 # ---------------------------------------------------------------------------
 
 
-def _combine(chunk_sums: list[float]) -> float:
-    return math.fsum(chunk_sums)
+def _grow(partials: list[float], x: float) -> None:
+    """Add x to ``partials`` so that ``math.fsum(partials)`` equals
+    ``math.fsum`` of every x added so far.
+
+    This is the grow-expansion inside ``math.fsum`` (Shewchuk 1997): the
+    finite entries are non-overlapping and increase in magnitude, so they
+    hold the exact sum in a few doubles.  As in ``math.fsum``, a non-finite x
+    drops the finite entries and is kept in front of them, where
+    ``math.fsum`` combines it with the other non-finite ones; a finite x whose
+    exact sum overflows raises OverflowError.
+    """
+    k = 0
+    while k < len(partials) and not math.isfinite(partials[k]):
+        k += 1
+    if not math.isfinite(x):
+        del partials[k:]
+        partials.append(x)
+        return
+    i = k
+    for y in partials[k:]:
+        if abs(x) < abs(y):
+            x, y = y, x
+        hi = x + y
+        lo = y - (hi - x)
+        if lo:
+            partials[i] = lo
+            i += 1
+        x = hi
+    if not math.isfinite(x):
+        raise OverflowError("intermediate overflow in fsum")
+    del partials[i:]
+    if x:
+        partials.append(x)
 
 
 def certified_sum(
@@ -326,6 +364,13 @@ def certified_sum(
     result is exact.  ``prefactor`` scales the final value and remainder.
     ``min_terms`` forces at least that many terms before a certified stop,
     which the certification-soundness tests use to extend evaluations.
+
+    The stop rules run after every CHUNK terms.  Once four chunks are summed,
+    one ``terms`` call fetches a quarter as many chunks again (at most
+    _MAX_BATCH), never past ``hard_end`` or the budget; chunks fetched past
+    the stop are dropped unsummed.  A batch whose ``terms`` call raises
+    TractError is fetched again one chunk at a time, so an error is raised
+    only from a chunk that is summed.
     """
     if isinstance(plan, Divergence):
         if plan.reason == "harmonic":
@@ -335,55 +380,69 @@ def certified_sum(
         return SumEvaluation(math.inf, 0, None, SumStatus.DIVERGENT, note or msg)
 
     max_terms = max(max_terms, min_terms)
-    chunk_sums: list[float] = []
-    count = 0
+    partials: list[float] = []
+    count = chunks = 0
     j = start
+    single_until = start  # a batch that raised is fetched again chunk by chunk up to here
     tail: TailBound | None = plan
     if tail is not None and hard_end is None and tail.from_j - start + 1 > max_terms:
         tail = None  # bound validity starts beyond the budget
         note = note or "tail bound valid only beyond term budget"
+    heuristic = tail is None and hard_end is None
 
     while True:
         if hard_end is not None and j > hard_end:
-            value = prefactor * _combine(chunk_sums)
+            value = prefactor * math.fsum(partials)
             return SumEvaluation(value, count, 0.0, SumStatus.CERTIFIED, note or "finite spectrum")
-        j1 = j + CHUNK
+        batch = 1 if j < single_until else min(max(chunks // 4, 1), _MAX_BATCH)
+        j_end = j + batch * CHUNK
         if hard_end is not None:
-            j1 = min(j1, hard_end + 1)
-        if count + (j1 - j) > max_terms:
-            j1 = j + (max_terms - count)
-        block_max = math.inf
-        if j1 > j:
-            block = terms(j, j1)
-            chunk_sums.append(math.fsum(block.tolist()))
-            block_max = float(np.max(np.abs(block))) if block.size else 0.0
-            count += j1 - j
-            j = j1
-        partial = _combine(chunk_sums)
-        J = j - 1  # last index summed
-
-        if tail is not None and J >= tail.from_j and count >= min_terms:
-            up = tail.upper_tail(J)
-            lo = tail.lower_tail(J)
-            if math.isfinite(up):
-                width = up - lo
-                mid = partial + 0.5 * (up + lo)
-                scale = max(abs(mid), 1e-300)
-                if width <= tol * scale or count >= max_terms:
-                    value = prefactor * mid
-                    remainder = prefactor * max(width, 0.0) * _SLACK
-                    return SumEvaluation(value, count, remainder, SumStatus.CERTIFIED, note)
-        if tail is None and hard_end is None and count >= min_terms:
-            # Heuristic stop: one full chunk (>= 64 consecutive terms) whose
-            # every term is below tol * current value.
-            if block_max < tol * max(partial, 1e-300):
-                return SumEvaluation(prefactor * partial, count, None, SumStatus.HEURISTIC, note)
-        if count >= max_terms:
-            return SumEvaluation(
-                prefactor * partial,
-                count,
-                None,
-                SumStatus.HEURISTIC,
-                note or "term budget exhausted before any stop rule",
-                converged=False,
-            )
+            j_end = min(j_end, hard_end + 1)
+        j_end = min(j_end, j + (max_terms - count))
+        # With no budget left the span is empty and only the stop rules run.
+        spans = [(a, min(a + CHUNK, j_end)) for a in range(j, j_end, CHUNK)] or [(j, j)]
+        maxima = [math.inf] * len(spans)  # read only by the heuristic stop
+        if j_end > j:
+            try:
+                values = terms(j, j_end)
+            except TractError:
+                if batch == 1:
+                    raise
+                single_until = j_end
+                continue
+            if heuristic:
+                maxima = np.maximum.reduceat(np.abs(values), np.arange(0, j_end - j, CHUNK)).tolist()
+        base = j
+        for (j0, j1), block_max in zip(spans, maxima):
+            if j1 > j0:
+                _grow(partials, math.fsum(values[j0 - base : j1 - base].tolist()))
+                count += j1 - j0
+                chunks += 1
+                j = j1
+            partial = math.fsum(partials)
+            J = j - 1  # last index summed
+            if tail is not None and J >= tail.from_j and count >= min_terms:
+                up = tail.upper_tail(J)
+                lo = tail.lower_tail(J)
+                if math.isfinite(up):
+                    width = up - lo
+                    mid = partial + 0.5 * (up + lo)
+                    scale = max(abs(mid), 1e-300)
+                    if width <= tol * scale or count >= max_terms:
+                        value = prefactor * mid
+                        remainder = prefactor * max(width, 0.0) * _SLACK
+                        return SumEvaluation(value, count, remainder, SumStatus.CERTIFIED, note)
+            if heuristic and count >= min_terms:
+                # Heuristic stop: one full chunk (>= 64 consecutive terms) whose
+                # every term is below tol * current value.
+                if block_max < tol * max(partial, 1e-300):
+                    return SumEvaluation(prefactor * partial, count, None, SumStatus.HEURISTIC, note)
+            if count >= max_terms:
+                return SumEvaluation(
+                    prefactor * partial,
+                    count,
+                    None,
+                    SumStatus.HEURISTIC,
+                    note or "term budget exhausted before any stop rule",
+                    converged=False,
+                )

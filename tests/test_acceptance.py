@@ -324,7 +324,7 @@ def test_c6_certification_soundness():
                 ), (model.kind, kind, params, d, criterion)
                 checked += 1
     assert checked >= 200
-    assert time.monotonic() - start < 120.0
+    assert time.monotonic() - start < 45.0
 
 
 # ---------------------------------------------------------------------------

@@ -113,6 +113,32 @@ class TestFiniteSpectrumOrder:
             assert outputs[0]["n"] == 1
 
 
+    def test_permuted_tabulated_prefix_gives_the_same_classify(self, tmp_path, capsys):
+        outputs = []
+        for name, prefix in (("sorted", [2.0, 1.0, 0.5]), ("permuted", [1.0, 0.5, 2.0])):
+            model = {
+                "kind": "Tabulated",
+                "params": {"prefix": prefix},
+                "tail": {"form": "Geometric", "A": 0.5, "r": 0.5, "valid_from": 4},
+            }
+            cfg = write_config(tmp_path, name=f"{name}.json", model=model, criterion="NOR")
+            assert main(["classify", "--config", cfg]) == 0
+            out = json.loads(capsys.readouterr().out)
+            out.pop("manifest")  # the config hash differs
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
+
+    def test_tabulated_continuation_above_the_prefix_is_a_config_error(self, tmp_path, capsys):
+        model = {
+            "kind": "Tabulated",
+            "params": {"prefix": [1.0, 0.2]},
+            "tail": {"form": "Geometric", "A": 2.0, "r": 0.5, "valid_from": 3},
+        }
+        cfg = write_config(tmp_path, model=model)
+        assert main(["classify", "--config", cfg]) == 2
+        assert "j=3" in capsys.readouterr().err
+
+
 class TestValidateCommand:
     def test_valid_model(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
@@ -123,9 +149,8 @@ class TestValidateCommand:
         cfg = write_config(
             tmp_path,
             model={
-                "kind": "Tabulated",
-                "params": {"prefix": [1.0, 0.5, 0.7]},
-                "tail": {"form": "Geometric", "A": 1.0, "r": 0.5, "valid_from": 4},
+                "kind": "Expression",
+                "params": {"formula": "max(1/j, 0.7*max(0, 1-(j-3)^2))"},  # 1, 0.5, 0.7, 1/4, ...
             },
         )
         assert main(["validate", "--config", cfg]) == 1

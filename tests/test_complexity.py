@@ -8,6 +8,9 @@ from tract import (
     EigenModel,
     ErrorCriterion,
     FiniteRank,
+    GeometricTail,
+    Tabulated,
+    TailEnvelope,
     count_oracle,
     info_complexity,
     nth_minimal_error,
@@ -72,6 +75,14 @@ class TestCountOracle:
             model = EigenModel(FiniteRank(entries))
             assert info_complexity(model, query).n == 1, entries
             assert count_oracle(model, query).n == 1, entries
+
+    def test_tabulated_prefix_is_a_multiset(self):
+        query = ComplexityQuery(1, 0.8, NOR)
+        tail = TailEnvelope(GeometricTail(0.5, 0.5), valid_from=4)
+        for prefix in ((1.0, 2.0, 0.5), (0.5, 1.0, 2.0), (2.0, 1.0, 0.5)):
+            model = EigenModel(Tabulated(prefix, tail))
+            assert info_complexity(model, query).n == 1, prefix
+            assert count_oracle(model, query).n == 1, prefix
 
 
 class TestOracleEquivalence:

@@ -126,9 +126,9 @@ class TestValidate:
         assert validate(geo, d_max=10, j_probe=10_000).ok
 
     def test_non_monotone_table_fails_with_witness(self):
-        model = EigenModel(
-            Tabulated((1.0, 0.5, 0.7), TailEnvelope(GeometricTail(1.0, 0.5), valid_from=4))
-        )
+        # 1, 0.5, 0.7, 1/4, 1/5, ...: a Tabulated prefix is sorted when the
+        # model is built, so the non-monotone table is written as a formula.
+        model = EigenModel(Expression("max(1/j, 0.7*max(0, 1-(j-3)^2))"))
         report = validate(model, d_max=1, j_probe=3)
         assert not report.ok
         witnesses = {(v.d, v.j) for v in report.violations if v.kind == "increase"}
@@ -180,6 +180,40 @@ class TestRatios:
 
     def test_ratio_scalar(self, geo):
         assert ratio(geo, 2, 3, NOR) == 0.25
+
+    def test_nor_log_ratios_evaluate_the_family_once(self):
+        calls = []
+
+        class Family:  # a bare family that records every index array it is asked for
+            def log_values(self, d, j):
+                calls.append(np.asarray(j).tolist())
+                return -2.0 * np.log(np.asarray(j, dtype=float))
+
+        model = EigenModel(Family())
+        logs = log_ratios(model, 1, np.asarray([2, 3]), NOR)
+        assert calls == [[2, 3, 1]]
+        assert logs.tolist() == (-2.0 * np.log([2.0, 3.0])).tolist()
+
+    def test_nor_error_names_the_index_before_the_lead(self):
+        # Negative at j = 1 and at j = 5: the error names j = 5, the index asked for.
+        model = EigenModel(Expression("1-(j-3)^2/2"))
+        with pytest.raises(EvalDomainError) as err:
+            log_ratios(model, 1, np.asarray([5]), NOR)
+        assert err.value.j == 5
+
+
+class TestTabulatedOrder:
+    def test_prefix_is_stored_sorted(self):
+        tail = TailEnvelope(GeometricTail(0.5, 0.5), valid_from=4)
+        assert Tabulated((1.0, 2.0, 0.5), tail) == Tabulated((2.0, 1.0, 0.5), tail)
+        assert Tabulated((1.0, 2.0, 0.5), tail).prefix == (2.0, 1.0, 0.5)
+        assert cri(EigenModel(Tabulated((0.5, 1.0, 2.0), tail)), 1, NOR) == 2.0
+
+    def test_continuation_above_the_last_entry_is_rejected(self):
+        # 2 * 0.5**3 = 0.25 at j = 3, above the smallest entry 0.2.
+        with pytest.raises(ValueError, match=r"j=3 \(0\.25\).*0\.2"):
+            Tabulated((0.2, 1.0), TailEnvelope(GeometricTail(2.0, 0.5), valid_from=3))
+        Tabulated((0.25, 1.0), TailEnvelope(GeometricTail(2.0, 0.5), valid_from=3))  # ties pass
 
 
 class TestConfigIngestion:

@@ -53,7 +53,7 @@ FAMILIES = {
         None, None, True,
     ),
     "tab-stretched": (
-        Tabulated((1.0, 0.5), TailEnvelope(StretchedExpTail(2.0, 0.5, 0.8), valid_from=3)),
+        Tabulated((1.0, 0.7), TailEnvelope(StretchedExpTail(2.0, 0.5, 0.8), valid_from=3)),
         None, None, True,
     ),
     "expr": (Expression("j^(0-2)"), None, None, True),

@@ -6,10 +6,14 @@ import sys
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import tract
+from tract import CriterionParams, EigenModel, ErrorCriterion, PolyDecay, evaluate_sum
+from tract.errors import EvalDomainError
 from tract.summation import (
     _SLACK,
+    CHUNK,
     AffinePowerTail,
     Divergence,
     GeomSeriesTail,
@@ -17,6 +21,7 @@ from tract.summation import (
     RatioTail,
     StretchedIntegralTail,
     SumStatus,
+    _grow,
     certified_sum,
 )
 
@@ -173,6 +178,187 @@ class TestEngine:
         plan = GeomSeriesTail(1.0, 0.5, exact=True)
         ev = certified_sum(_block(lambda j: 0.5**j), 1, plan, prefactor=0.25)
         assert ev.value == pytest.approx(0.25, rel=1e-12)
+
+
+def _outcome(add, xs):
+    """What summing xs gives: ('value', repr) or the exception's name."""
+    try:
+        return "value", repr(add(xs))
+    except (OverflowError, ValueError) as exc:
+        return type(exc).__name__, None
+
+
+def _fsum_by_grow(xs):
+    partials = []
+    for x in xs:
+        _grow(partials, x)
+    return math.fsum(partials)
+
+
+@st.composite
+def _summands(draw):
+    """Floats over the whole exponent range, zeros of both signs, some of
+    them negated back (cancellation), now and then a non-finite one."""
+    value = st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.floats(min_value=-1e-300, max_value=1e-300),
+        st.sampled_from([0.0, -0.0, 1.0, 2.0**-53, 1e308]),
+    )
+    xs = draw(st.lists(value, max_size=30))
+    xs += [-x for x in draw(st.lists(st.sampled_from(xs), max_size=len(xs)))] if xs else []
+    xs += draw(st.lists(st.floats(), max_size=1))
+    return draw(st.permutations(xs))
+
+
+class TestGrow:
+    @given(_summands())
+    def test_grow_then_fsum_is_fsum(self, xs):
+        assert _outcome(_fsum_by_grow, xs) == _outcome(math.fsum, xs)
+
+    @pytest.mark.parametrize(
+        "xs",
+        [
+            [1.0, math.inf, 2.0],
+            [1e308, math.inf, 1e308],  # fsum drops its partials at a non-finite summand
+            [-math.inf, 1.0, -math.inf],
+            [math.inf, 1.0, -math.inf],  # ValueError on both sides
+            [1.0, math.nan, math.inf],
+            [1e308, 1e308],  # intermediate overflow: OverflowError on both sides
+            [1e308, 1e308, -1e308],
+            [1.7976931348623157e308, 1e292],
+            [1e100, 1.0, -1e100, 1e-100],
+        ],
+    )
+    def test_non_finite_and_overflow_match_fsum(self, xs):
+        assert _outcome(_fsum_by_grow, xs) == _outcome(math.fsum, xs)
+
+    def test_overflow_raises(self):
+        with pytest.raises(OverflowError):
+            _fsum_by_grow([1e308, 1e308])
+        with pytest.raises(OverflowError):
+            math.fsum([1e308, 1e308])
+
+
+def _recording(fn, calls):
+    """A block terms function for fn that records every range it is asked for."""
+    inner = _block(fn)
+
+    def terms(j0, j1):
+        calls.append((j0, j1))
+        return inner(j0, j1)
+
+    return terms
+
+
+def _vector(fn):
+    def terms(j0, j1):
+        return fn(np.arange(j0, j1, dtype=float))
+
+    return terms
+
+
+def _one_chunk_only(terms):
+    """terms, refusing every call for more than one chunk: the engine then
+    sums exactly as it does without look-ahead."""
+
+    def once(j0, j1):
+        if j1 - j0 > CHUNK:
+            raise EvalDomainError("batch refused", d=1, j=j0)
+        return terms(j0, j1)
+
+    return once
+
+
+_SLOW_EXP = _vector(lambda j: np.exp(-j / 5000.0))  # heuristic stop near j = 1.2e5
+_POWER = (_vector(lambda j: j**-1.5), AffinePowerTail(1.0, 0.0, 1.0, 1.5, from_j=1, exact=True))
+
+
+class TestBatchedFetch:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"max_terms": 50_000 + 17},
+            {"hard_end": 30_000 + 5},
+            {"hard_end": 300_000, "max_terms": 70_001},
+            {"start": 7, "max_terms": 1_000_000},
+        ],
+        ids=["budget", "hard-end", "both", "heuristic"],
+    )
+    def test_no_range_passes_the_end_or_the_budget(self, kwargs):
+        calls = []
+        kwargs = dict(kwargs)
+        start = kwargs.pop("start", 1)
+        terms = _recording(lambda j: math.exp(-j / 5000.0), calls)
+        ev = certified_sum(terms, start, None, **kwargs)
+        last = start + kwargs["max_terms"] - 1 if "max_terms" in kwargs else math.inf
+        assert all(j1 - 1 <= kwargs.get("hard_end", math.inf) and j1 - 1 <= last for _, j1 in calls)
+        assert [j0 for j0, _ in calls] == [start] + [j1 for _, j1 in calls[:-1]]  # contiguous
+        assert CHUNK < max(j1 - j0 for j0, j1 in calls) <= 16 * CHUNK
+        assert calls[-1][1] - 1 - (start + ev.terms_used - 1) <= ev.terms_used // 4
+
+    @pytest.mark.parametrize(
+        "terms, plan, kwargs",
+        [
+            (_SLOW_EXP, None, {}),
+            (*_POWER, {"tol": 1e-7}),
+            (*_POWER, {"tol": 1e-7, "min_terms": 123_457}),
+            (_SLOW_EXP, None, {"max_terms": 40_000}),
+            (_SLOW_EXP, None, {"hard_end": 60_000}),
+        ],
+        ids=["heuristic", "certified", "min-terms", "budget", "finite"],
+    )
+    def test_batches_sum_as_single_chunks(self, terms, plan, kwargs):
+        assert certified_sum(terms, 1, plan, **kwargs) == certified_sum(_one_chunk_only(terms), 1, plan, **kwargs)
+
+    def test_error_past_the_stop_is_not_raised(self):
+        reference = certified_sum(_SLOW_EXP, 1, None)
+        raised = []
+
+        def terms(j0, j1):
+            if j1 - 1 > reference.terms_used:
+                raised.append((j0, j1))
+                raise EvalDomainError("past the stop", d=1, j=max(j0, reference.terms_used + 1))
+            return _SLOW_EXP(j0, j1)
+
+        assert certified_sum(terms, 1, None) == reference
+        assert raised  # the look-ahead did reach past the stop
+
+    def test_error_inside_the_sum_names_the_same_index(self):
+        bad = 40_000 + 3  # fetched inside a batch, well before the stop
+
+        def terms(j0, j1):
+            hits = [j for j in range(j0, j1) if j == bad or j > 50_000]
+            if hits:
+                raise EvalDomainError("bad term", d=1, j=hits[0])
+            return _SLOW_EXP(j0, j1)
+
+        with pytest.raises(EvalDomainError) as err:
+            certified_sum(terms, 1, None)
+        assert err.value.j == bad
+
+
+def test_combine_is_linear(monkeypatch):
+    """Past the chunks themselves, math.fsum only ever sees the few exact
+    partials: re-summing every chunk sum after each chunk would be quadratic."""
+    sizes = []
+    fsum = math.fsum
+    monkeypatch.setattr(math, "fsum", lambda xs: sizes.append(len(xs)) or fsum(xs))
+    terms, plan = _POWER
+    ev = certified_sum(terms, 1, plan, tol=1e-7, min_terms=200 * CHUNK)
+    chunks = ev.terms_used // CHUNK
+    assert chunks >= 200
+    assert sum(n for n in sizes if n != CHUNK) <= 4 * chunks
+
+
+def test_non_finite_terms_keep_an_infinite_value():
+    """PolyDecay(1e308, 2) squared overflows: every chunk sum is inf, and so is
+    the value, as with a plain fsum of the chunk sums."""
+    model = EigenModel(PolyDecay(1e308, 2.0))
+    ev = evaluate_sum(model, "spt-alg", 1, CriterionParams(tau=2.0), ErrorCriterion.ABS)
+    assert ev.value == math.inf
+    assert ev.terms_used == 2_000_000
+    assert ev.status is SumStatus.HEURISTIC
+    assert not ev.converged
 
 
 def test_import_pulls_in_numpy_only():
