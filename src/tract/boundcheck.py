@@ -59,7 +59,7 @@ class BoundSpec:
     @property
     def constant_upper(self) -> float:
         """Sound upper bound on the true constant (value plus remainder)."""
-        return self.constant.value + (self.constant.remainder_bound or 0.0)
+        return self.constant.upper()
 
 
 def bound_t1(spec: BoundSpec, d: int, eps: float) -> int:
@@ -157,7 +157,6 @@ def diagnostics(
     d: int,
     eps: float,
     big_c: int | None = None,
-    scan_cap: int = 1 << 22,
 ) -> dict:
     """Proof-side counters computed directly from the eigenvalues.
 
@@ -168,7 +167,7 @@ def diagnostics(
     p = spec.params
     crit = spec.criterion
     rank = support(model, d)
-    cap = rank if rank is not None else scan_cap
+    cap = rank if rank is not None else 1 << 22
 
     out: dict = {}
     if spec.theorem == "T1":
@@ -176,15 +175,14 @@ def diagnostics(
         tau2 = p1.tau2
         start = _PT_EXP.start(p1, d, crit)
         # Slow set: indices from the start whose term exceeds 1/e, i.e.
-        # ln(ratio) * j**-tau2 > -1.  Monotone in j, so scan with early exit.
-        count = 0
-        j = start
-        while j <= cap:
-            if log_ratio(model, d, j, crit) * float(j) ** -tau2 > -1.0:
-                count += 1
-                j += 1
-            else:
-                break
+        # ln(ratio) * j**-tau2 > -1.  Monotone in j, so its end is searched.
+        def fast(i: int) -> bool:  # the i-th index from the start is past the slow set
+            j = start + i - 1
+            return log_ratio(model, d, j, crit) * float(j) ** -tau2 <= -1.0
+
+        span = cap - start + 1
+        end = first_index(fast, span) if span > 0 else 1
+        count = span if end is None else end - 1
         out["B_d_size"] = count
         bound = math.floor(spec.constant_upper * math.e * float(d) ** p1.tau1)
         out["B_d_bound"] = int(bound)

@@ -19,7 +19,7 @@ narrows the induced exponent bracket.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from .complexity import ComplexityQuery, first_index, info_complexity
 from .criteria import (
     CriterionParams,
     SupEvaluation,
+    _classify_trend,
     convergence_plan,
     evaluate_sum,
     sup_over_d,
@@ -76,13 +77,7 @@ class Limits:
     c_min: float = 2.0**-10
 
     def as_dict(self) -> dict:
-        return {
-            "d_max": self.d_max,
-            "j_max": self.j_max,
-            "n_max": self.n_max,
-            "tol": self.tol,
-            "c_min": self.c_min,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -442,9 +437,10 @@ def _decide_wt(model: EigenModel, notion: Notion, limits: Limits) -> Tractabilit
     # exact eigenvalue counts and is independent of any summation budget.
     worst_note = ""
     d_sweep = min(limits.d_max, 24)
+    counts = [_count_ratios_at_least_one(model, d, notion.criterion) for d in range(1, d_sweep + 1)]
     for c in c_grid:
         params = CriterionParams(c=c, s=s, t=t)
-        cert = _multiplicity_growth(model, params, notion.criterion, d_sweep)
+        cert = _multiplicity_growth(counts, params)
         if cert is not None:
             return TractabilityVerdict(
                 notion, "Fails", params, {"certificate": cert, "witness_c": c}, limits
@@ -507,24 +503,19 @@ def _wt_quantifier(form, sum_kind: str, s: float, rank: int | None, limits: Limi
     return 1.0
 
 
-def _multiplicity_growth(
-    model: EigenModel, params: CriterionParams, criterion: ErrorCriterion, d_max: int
-) -> str | None:
+def _multiplicity_growth(counts: list[int], params: CriterionParams) -> str | None:
     """Exact lower bounds from the multiplicity of ratios >= 1.
 
     Each eigenvalue with lambda >= CRI contributes a fixed positive term, so
-    m(d) * exp(-c d**t) lower-bounds the sweep; monotone growth of this exact
-    bound across the probed range certifies the growing trend.
+    m(d) * exp(-c d**t) lower-bounds the sweep (``counts`` holds m(1), m(2),
+    ...); a growing trend of this exact bound certifies the growing trend.
     """
     c, s, t = params.c, params.s, params.t
-    lows = []
-    for d in range(1, d_max + 1):
-        m = _count_ratios_at_least_one(model, d, criterion)
-        lows.append(m * math.exp(-c * (1.0 + math.log(2.0)) ** s) * math.exp(-c * float(d) ** t))
-    half = lows[max(0, d_max // 2 - 1) :]
-    quarter = lows[max(0, d_max // 4 - 1)]
-    monotone = all(b >= a * (1 - 1e-12) for a, b in zip(half, half[1:]))
-    if monotone and lows[-1] >= 2.0 * max(quarter, 1e-300) and lows[-1] > lows[0]:
+    lows = [
+        m * math.exp(-c * (1.0 + math.log(2.0)) ** s) * math.exp(-c * float(d) ** t)
+        for d, m in enumerate(counts, start=1)
+    ]
+    if _classify_trend(lows) == "Growing":
         return (
             "multiplicity growth: the count of eigenvalues at or above CRI_d grows "
             "faster than exp(c d^t) damps it"

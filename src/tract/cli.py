@@ -22,7 +22,8 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
+import typing
+from dataclasses import asdict, dataclass
 
 from . import __version__
 from .boundcheck import BoundSpec, verify_domination
@@ -41,7 +42,7 @@ from .criteria import (
     sup_over_d,
     uwt_statistic,
 )
-from .eigenmodel import EigenModel, ErrorCriterion, model_from_config, validate
+from .eigenmodel import EigenModel, ErrorCriterion, _cast, model_from_config, validate
 from .errors import ConfigError, TractError, ValidationFailedError
 from .summation import SumEvaluation, SumStatus
 
@@ -52,10 +53,16 @@ __all__ = ["main", "load_config", "RunConfig"]
 # Config
 # ---------------------------------------------------------------------------
 
-_LIMIT_KEYS = ("d_max", "j_max", "n_max", "tol", "c_min")
-_PARAM_KEYS = ("tau", "tau1", "tau2", "tau3", "c_tilde", "c", "s", "t", "k")
+
+def _field_casts(cls) -> dict[str, type]:
+    """Field name -> cast of a config dataclass, by annotation ("float | None" casts with float)."""
+    return {name: (typing.get_args(hint) or (hint,))[0] for name, hint in typing.get_type_hints(cls).items()}
+
+
+_LIMIT_CASTS = _field_casts(Limits)
+_PARAM_CASTS = _field_casts(CriterionParams)
 # analysis supplies defaults for the subcommand flags; flags win on conflict
-_ANALYSIS_KEYS = _PARAM_KEYS + ("sum", "n", "d", "eps", "notion", "theorem", "eps_grid", "d_grid")
+_ANALYSIS_KEYS = (*_PARAM_CASTS, "sum", "n", "d", "eps", "notion", "theorem", "eps_grid", "d_grid")
 
 
 @dataclass(frozen=True)
@@ -69,7 +76,7 @@ class RunConfig:
     digest: str  # sha256 of the canonical config text
 
 
-def _strict_keys(obj: dict, allowed: tuple[str, ...], where: str) -> None:
+def _strict_keys(obj: dict, allowed, where: str) -> None:
     unknown = sorted(set(obj) - set(allowed))
     if unknown:
         raise ConfigError(f"unknown key {unknown[0]!r} in {where}")
@@ -93,15 +100,11 @@ def parse_config(raw: dict, source: str = "<config>") -> RunConfig:
     limits_cfg = raw.get("limits", {})
     if not isinstance(limits_cfg, dict):
         raise ConfigError(f"{source}: limits must be an object")
-    _strict_keys(limits_cfg, _LIMIT_KEYS, f"{source}: limits")
-    defaults = Limits()
-    limits = Limits(
-        d_max=int(limits_cfg.get("d_max", defaults.d_max)),
-        j_max=int(limits_cfg.get("j_max", defaults.j_max)),
-        n_max=int(limits_cfg.get("n_max", defaults.n_max)),
-        tol=float(limits_cfg.get("tol", defaults.tol)),
-        c_min=float(limits_cfg.get("c_min", defaults.c_min)),
-    )
+    _strict_keys(limits_cfg, _LIMIT_CASTS, f"{source}: limits")
+    try:
+        limits = Limits(**{name: _cast(_LIMIT_CASTS[name], v, f"limits.{name}") for name, v in limits_cfg.items()})
+    except ValueError as exc:
+        raise ConfigError(f"{source}: {exc}") from exc
     if min(limits.d_max, limits.j_max, limits.n_max) < 1:
         raise ConfigError(f"{source}: limits must be positive")
     if not (0.0 < limits.tol < 1.0):
@@ -257,10 +260,7 @@ def _cmd_validate(cfg: RunConfig, args) -> int:
         "ok": report.ok,
         "d_max": report.d_max,
         "j_probe": report.j_probe,
-        "violations": [
-            {"kind": v.kind, "d": v.d, "j": v.j, "detail": v.detail}
-            for v in report.violations
-        ],
+        "violations": [asdict(v) for v in report.violations],
     }
     params = {"d_max": args.d_max, "j_probe": args.j_probe}
     _emit(cfg, "validate", params, payload, args.out or cfg.output_path)
@@ -308,16 +308,11 @@ def _setting(cfg: RunConfig, args, name: str, cast=None):
         value = cfg.analysis.get(name)
     if value is None or cast is None:
         return value
-    try:
-        return cast(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"analysis.{name}: {exc}") from exc
+    return _cast(cast, value, f"analysis.{name}")
 
 
 def _params_from_args(cfg: RunConfig, args) -> CriterionParams:
-    values = {name: _setting(cfg, args, name, float) for name in _PARAM_KEYS if name != "k"}
-    k = _setting(cfg, args, "k", int)
-    return CriterionParams(k=k, **values)
+    return CriterionParams(**{name: _setting(cfg, args, name, cast) for name, cast in _PARAM_CASTS.items()})
 
 
 def _require_flags(label: str, sum_kind: str, params: CriterionParams) -> None:
@@ -419,11 +414,11 @@ def _cmd_verify_bounds(cfg: RunConfig, args) -> int:
             "for d-dependent models treat the bound as evidence, not proof\n"
         )
     constant = SumEvaluation(
-        value=sweep.sup_observed,
+        value=sweep.upper,
         terms_used=0,
-        remainder_bound=cfg.limits.tol * abs(sweep.sup_observed),
+        remainder_bound=0.0,
         status=SumStatus.CERTIFIED,
-        note=f"sup over d<=d_max of {sum_kind}",
+        note=f"certified upper bound on the sup over d<=d_max of {sum_kind}",
     )
     spec = BoundSpec(theorem=theorem, params=params, constant=constant, criterion=cfg.criterion)
     eps_grid = _setting(cfg, args, "eps_grid", str) or "1e-6:1e-1:25"
@@ -438,7 +433,7 @@ def _cmd_verify_bounds(cfg: RunConfig, args) -> int:
     if path:
         _emit(cfg, "verify-bounds", run_params, text, path)
     # The summary always goes to stdout, with the same manifest as the file.
-    _emit(cfg, "verify-bounds", run_params, {**report.summary(), "constant": constant.value}, None)
+    _emit(cfg, "verify-bounds", run_params, {**report.summary(), "constant": sweep.sup_observed}, None)
     return 0 if report.ok else 1
 
 
@@ -454,6 +449,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"tract {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+
+    def param_flags(p):
+        for name, cast in _PARAM_CASTS.items():
+            p.add_argument(f"--{name.replace('_', '-')}", type=cast, default=None)
 
     def common(p):
         p.add_argument("--config", required=True, help="JSON run configuration")
@@ -485,9 +484,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int)
     p.add_argument("--sup", action="store_true", help="sweep d = 1..d_max (CSV)")
     p.add_argument("--d-max", type=int)
-    for flag in ("tau", "tau1", "tau2", "tau3", "c-tilde", "c", "s", "t"):
-        p.add_argument(f"--{flag}", type=float, default=None)
-    p.add_argument("--k", type=int, default=None)
+    param_flags(p)
     p.add_argument("--n", type=int, default=None)
     p.set_defaults(func=_cmd_criterion)
 
@@ -505,9 +502,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theorem", choices=["t1", "t2", "t3", "T1", "T2", "T3"])
     p.add_argument("--eps-grid")
     p.add_argument("--d-grid")
-    for flag in ("tau", "tau1", "tau2", "tau3", "c-tilde", "c", "s", "t"):
-        p.add_argument(f"--{flag}", type=float, default=None)
-    p.add_argument("--k", type=int, default=None)
+    param_flags(p)
     p.set_defaults(func=_cmd_verify_bounds)
 
     return parser

@@ -32,11 +32,12 @@ Everything else degrades to an honest heuristic evaluation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable
 
 import numpy as np
 
+from .complexity import first_index
 from .eigenmodel import (
     EigenModel,
     ErrorCriterion,
@@ -125,18 +126,15 @@ def ceil_stable(x: float) -> int:
 
 
 def _log_first(pred: Callable[[float], bool], u_start: float) -> float | None:
-    """Smallest probed u >= u_start where pred holds, doubling upward.
+    """Smallest u = max(1, u_start) * 2**k, k < 200, where pred holds.
 
     Callers guarantee that pred, once true, stays true (a nonincreasing
     function below a target, a nondecreasing one above zero), so the found
     point certifies pred everywhere beyond it.
     """
-    u = max(1.0, u_start)
-    for _ in range(200):
-        if pred(u):
-            return u
-        u *= 2.0
-    return None
+    u0 = max(1.0, u_start)
+    k = first_index(lambda k: pred(u0 * 2.0 ** (k - 1)), 200)
+    return None if k is None else u0 * 2.0 ** (k - 1)
 
 
 def _index_at_least(u: float, floor: int = 1) -> int:
@@ -158,27 +156,23 @@ def _plan_power(env: TailEnvelope | None, p: float, start: int) -> Plan:
         return None
     j0 = max(start, env.valid_from)
     form = env.form
+    coeff = _pow_or_none(form.scale, p)
+    if coeff is None:
+        return None
     if isinstance(form, PowerLawTail):
-        coeff = _pow_or_none(form.scale, p)
-        if coeff is None:
-            return None
         if form.beta * p > 1.0:
             return AffinePowerTail(coeff, 0.0, 1.0, form.beta * p, from_j=j0, exact=env.exact)
         if env.exact:
             return Divergence("harmonic", j0, coeff)
         return None
     if isinstance(form, GeometricTail):
-        coeff = _pow_or_none(form.scale, p)
         q = _pow_or_none(form.ratio, p)
-        if coeff is None or q is None or q >= 1:
+        if q is None or q >= 1:
             return None
         exact = env.exact
         if q <= 0.0:  # underflowed ratio: widen to a still-sound bound
             q, exact = 1e-308, False
         return GeomSeriesTail(coeff, q, from_j=j0, exact=exact)
-    coeff = _pow_or_none(form.scale, p)
-    if coeff is None:
-        return None
     return StretchedIntegralTail(coeff, p * form.rate, form.power, from_j=j0, exact=env.exact)
 
 
@@ -566,8 +560,9 @@ def evaluate_sum(
 
 def _outer_power(inner: SumEvaluation, pref: float, power: float) -> SumEvaluation:
     """pref * inner**power, with the remainder bracket carried through the power;
-    the other fields (converged among them) carry over from the inner sum."""
-    if inner.divergent:
+    the other fields (converged among them) carry over from the inner sum.  An
+    infinite inner sum (divergent, or past the double range) comes back as is."""
+    if math.isinf(inner.value):
         return inner
     try:
         if inner.remainder_bound is None:
@@ -717,17 +712,13 @@ class SupEvaluation:
     d_max: int
     all_converged: bool = True
     notes: tuple[str, ...] = field(default_factory=tuple)
+    upper: float = math.inf  # the largest SumEvaluation.upper() of the sweep
 
     def as_dict(self) -> dict:
-        return {
-            "values": list(self.values),
-            "sup_observed": self.sup_observed,
-            "trend": self.trend,
-            "status": self.status.value,
-            "kind": self.kind,
-            "d_max": self.d_max,
-            "all_converged": self.all_converged,
-        }
+        """Every field but ``notes`` and ``upper``."""
+        out = {**asdict(self), "values": list(self.values), "status": self.status.value}
+        del out["notes"], out["upper"]
+        return out
 
 
 def _classify_trend(values: list[float]) -> str:
@@ -781,6 +772,7 @@ def sup_over_d(
         d_max=d_max,
         all_converged=all(e.converged for e in evals),
         notes=tuple(e.note for e in evals if e.note),
+        upper=max(e.upper() for e in evals),
     )
 
 

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Union
 
 import numpy as np
@@ -86,7 +86,7 @@ class ErrorCriterion(enum.Enum):
     @classmethod
     def parse(cls, text: str) -> "ErrorCriterion":
         try:
-            return cls[text.upper()]
+            return cls[str(text).upper()]
         except KeyError:
             raise ValueError(f"criterion must be ABS or NOR, got {text!r}") from None
 
@@ -566,8 +566,9 @@ class ValidationReport:
         )
 
 
-def probe_indices(j_probe: int, dense: int = 512) -> np.ndarray:
-    """Dense prefix plus a logarithmic grid up to j_probe."""
+def probe_indices(j_probe: int) -> np.ndarray:
+    """Dense prefix of 512 indices plus a logarithmic grid up to j_probe."""
+    dense = 512
     head = np.arange(1, min(dense, j_probe) + 1, dtype=np.int64)
     if j_probe <= dense:
         return head
@@ -666,42 +667,52 @@ def ensure_valid(model: EigenModel, d_max: int = 8, j_probe: int = 10_000) -> Va
 # Config ingestion
 # ---------------------------------------------------------------------------
 
-_TAIL_FIELDS = {
-    "PowerLaw": ("A", "beta"),
-    "Geometric": ("A", "r"),
-    "StretchedExp": ("A", "b", "gamma"),
+def _cast(cast, value, where: str):
+    """cast(value); a value of the wrong JSON type is a ValueError naming where."""
+    try:
+        return cast(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{where}: {exc}") from None
+
+
+def _floats(values, where: str) -> tuple[float, ...]:
+    return tuple(_cast(float, v, where) for v in _cast(iter, values, where))
+
+
+# Config name of each tail form -> its class and the config keys of its fields.
+_TAIL_FORMS = {
+    "PowerLaw": (PowerLawTail, ("A", "beta")),
+    "Geometric": (GeometricTail, ("A", "r")),
+    "StretchedExp": (StretchedExpTail, ("A", "b", "gamma")),
 }
 
 
 def _tail_from_config(spec: dict) -> TailEnvelope:
-    unknown = set(spec) - {"form", "valid_from"} - set(_TAIL_FIELDS.get(spec.get("form", ""), ()))
+    if not isinstance(spec, dict):
+        raise ValueError("tail envelope must be an object")
     if "form" not in spec:
         raise ValueError("tail envelope needs a 'form' field")
     form_name = spec["form"]
-    if form_name not in _TAIL_FIELDS:
+    if not isinstance(form_name, str) or form_name not in _TAIL_FORMS:
         raise ValueError(f"unknown tail form {form_name!r}")
+    form_cls, keys = _TAIL_FORMS[form_name]
+    unknown = set(spec) - {"form", "valid_from", *keys}
     if unknown:
         raise ValueError(f"unknown tail key {sorted(unknown)[0]!r}")
-    missing = [k for k in _TAIL_FIELDS[form_name] if k not in spec]
+    missing = [k for k in keys if k not in spec]
     if missing:
         raise ValueError(f"tail form {form_name} missing field {missing[0]!r}")
-    valid_from = int(spec.get("valid_from", 1))
-    if form_name == "PowerLaw":
-        beta = float(spec["beta"])
-        if beta <= 1:
-            raise ValueError("declared PowerLaw tails require beta > 1")
-        form: TailForm = PowerLawTail(float(spec["A"]), beta)
-    elif form_name == "Geometric":
-        form = GeometricTail(float(spec["A"]), float(spec["r"]))
-    else:
-        form = StretchedExpTail(float(spec["A"]), float(spec["b"]), float(spec["gamma"]))
-    return TailEnvelope(form, valid_from, exact=False)
+    valid_from = _cast(int, spec.get("valid_from", 1), "tail valid_from")
+    values = [_cast(float, spec[k], f"tail field {k!r}") for k in keys]
+    if form_cls is PowerLawTail and values[1] <= 1:
+        raise ValueError("declared PowerLaw tails require beta > 1")
+    return TailEnvelope(form_cls(*values), valid_from, exact=False)
 
 
+# The closed forms take their parameters by field name, with the class defaults.
+_CLOSED_FORMS = {"PolyDecay": PolyDecay, "ExpDecay": ExpDecay, "Geometric": Geometric}
 _PARAM_FIELDS = {
-    "PolyDecay": ("a", "alpha"),
-    "ExpDecay": ("a", "b", "gamma"),
-    "Geometric": ("a", "r"),
+    **{kind: tuple(f.name for f in fields(cls) if f.init) for kind, cls in _CLOSED_FORMS.items()},
     "FiniteRank": ("values",),
     "Tabulated": ("prefix",),
     "Expression": ("formula",),
@@ -709,14 +720,14 @@ _PARAM_FIELDS = {
 
 
 def model_from_config(spec: dict) -> EigenModel:
-    """Build a model from the CLI's JSON description (strict keys)."""
+    """Build a model from the CLI's JSON description (strict keys and types)."""
     if not isinstance(spec, dict):
         raise ValueError("model description must be an object")
     unknown = set(spec) - {"kind", "params", "tail", "d_scale"}
     if unknown:
         raise ValueError(f"unknown model key {sorted(unknown)[0]!r}")
     kind = spec.get("kind")
-    if kind not in _PARAM_FIELDS:
+    if not isinstance(kind, str) or kind not in _PARAM_FIELDS:
         raise ValueError(f"unknown model kind {kind!r}")
     params = spec.get("params", {})
     if not isinstance(params, dict):
@@ -726,23 +737,21 @@ def model_from_config(spec: dict) -> EigenModel:
         raise ValueError(f"unknown {kind} parameter {sorted(unknown)[0]!r}")
     tail = _tail_from_config(spec["tail"]) if spec.get("tail") is not None else None
 
-    if kind == "PolyDecay":
-        family: Family = PolyDecay(float(params.get("a", 1.0)), float(params.get("alpha", 1.0)))
-    elif kind == "ExpDecay":
-        family = ExpDecay(
-            float(params.get("a", 1.0)), float(params.get("b", 1.0)), float(params.get("gamma", 1.0))
+    if kind in _CLOSED_FORMS:
+        family: Family = _CLOSED_FORMS[kind](
+            **{k: _cast(float, v, f"{kind} parameter {k!r}") for k, v in params.items()}
         )
-    elif kind == "Geometric":
-        family = Geometric(float(params.get("a", 1.0)), float(params.get("r", 0.5)))
     elif kind == "FiniteRank":
-        family = FiniteRank(tuple(float(v) for v in params.get("values", ())))
+        family = FiniteRank(_floats(params.get("values", ()), "FiniteRank values"))
     elif kind == "Tabulated":
         if tail is None:
             raise ValueError("Tabulated models require a tail envelope")
-        family = Tabulated(tuple(float(v) for v in params.get("prefix", ())), tail)
+        family = Tabulated(_floats(params.get("prefix", ()), "Tabulated prefix"), tail)
         tail = None
     else:
         family = Expression(str(params.get("formula", "")))
 
-    d_scale = exprdsl.parse(spec["d_scale"]) if spec.get("d_scale") else None
-    return EigenModel(family=family, d_scale=d_scale, declared_tail=tail)
+    d_scale = spec.get("d_scale")
+    if d_scale and not isinstance(d_scale, str):
+        raise ValueError(f"d_scale must be a formula, got {d_scale!r}")
+    return EigenModel(family=family, d_scale=exprdsl.parse(d_scale) if d_scale else None, declared_tail=tail)

@@ -12,14 +12,17 @@ NUMBER is a decimal literal with optional fraction and optional e-exponent.
 '^' is right-associative.  The only identifiers are the variables d, j and
 the calls exp, ln, sqrt (one argument) and pow, max, min (two arguments).
 
-Evaluation is plain double precision.  Anything that would produce a NaN
-(log of a non-positive number, square root of a negative, zero to a
-negative power, ...) raises :class:`EvalDomainError` instead.
+Evaluation is plain double precision, at one point (:func:`evaluate`) or
+over an array of j (:func:`compile_array`); both walk the tree under one
+domain rule.  A division by zero, or anything that would produce a NaN (log
+of a non-positive number, square root of a negative, zero to a negative
+power, ...), raises :class:`EvalDomainError` naming d and j instead.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Union
 
@@ -321,55 +324,60 @@ def _pow(base: float, exponent: float) -> float:
         raise EvalDomainError(f"pow({base!r}, {exponent!r}): {exc}") from None
 
 
-def evaluate(node: Expr, d: int, j: int | float) -> float:
-    """Evaluate at integer coordinates; deterministic, pure, never NaN."""
-    result = _eval(node, float(d), float(j))
-    if math.isnan(result):
-        raise EvalDomainError("expression evaluated to NaN", d=int(d), j=int(j))
-    return result
+def _exp(x: float) -> float:
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
 
 
-def _eval(node: Expr, d: float, j: float) -> float:
+# What '/', '^' and the calls mean, at one point and over an array of j.
+# '+', '-', '*' and negation are the Python operators in both.
+_POINT = {
+    "/": operator.truediv, "^": _pow,
+    "exp": _exp, "ln": math.log, "sqrt": math.sqrt, "pow": _pow, "max": max, "min": min,
+}
+_ARRAY = {
+    "/": np.divide, "^": np.power,
+    "exp": np.exp, "ln": np.log, "sqrt": np.sqrt, "pow": np.power, "max": np.maximum, "min": np.minimum,
+}
+
+
+def _walk(node: Expr, d: float, j, ops: dict):
     if isinstance(node, Num):
         return node.value
     if isinstance(node, Var):
         return d if node.name == "d" else j
     if isinstance(node, Neg):
-        return -_eval(node.operand, d, j)
+        return -_walk(node.operand, d, j, ops)
     if isinstance(node, BinOp):
-        left = _eval(node.left, d, j)
-        right = _eval(node.right, d, j)
+        left = _walk(node.left, d, j, ops)
+        right = _walk(node.right, d, j, ops)
         if node.op == "+":
             return left + right
         if node.op == "-":
             return left - right
         if node.op == "*":
             return left * right
-        if node.op == "/":
-            if right == 0.0:
-                raise EvalDomainError("division by zero")
-            return left / right
-        return _pow(left, right)
-    # Call
-    args = [_eval(a, d, j) for a in node.args]
-    func = node.func
+        return ops[node.op](left, right)
+    args = [_walk(a, d, j, ops) for a in node.args]
     try:
-        if func == "exp":
-            try:
-                return math.exp(args[0])
-            except OverflowError:
-                return math.inf
-        if func == "ln":
-            return math.log(args[0])
-        if func == "sqrt":
-            return math.sqrt(args[0])
-        if func == "pow":
-            return _pow(args[0], args[1])
-        if func == "max":
-            return max(args[0], args[1])
-        return min(args[0], args[1])
+        return ops[node.func](*args)
     except ValueError as exc:
-        raise EvalDomainError(f"{func}({', '.join(repr(a) for a in args)}): {exc}") from None
+        raise EvalDomainError(f"{node.func}({', '.join(repr(a) for a in args)}): {exc}") from None
+
+
+def evaluate(node: Expr, d: int, j: int | float) -> float:
+    """Evaluate at integer coordinates; deterministic, pure, never NaN."""
+    try:
+        result = _walk(node, float(d), float(j), _POINT)
+    except ZeroDivisionError:
+        raise EvalDomainError("division by zero", d=int(d), j=int(j)) from None
+    except EvalDomainError as exc:
+        raise EvalDomainError(str(exc), d=int(d), j=int(j)) from None
+    if math.isnan(result):
+        raise EvalDomainError("expression evaluated to NaN", d=int(d), j=int(j))
+    return result
 
 
 def variables_used(node: Expr) -> set[str]:
@@ -390,52 +398,22 @@ def variables_used(node: Expr) -> set[str]:
 def compile_array(node: Expr) -> Callable[[float, np.ndarray], np.ndarray]:
     """Compile a tree into a vectorised evaluator over arrays of j.
 
-    The scalar :func:`evaluate` is the semantic reference; this path exists
-    for bulk work (probe grids, series terms).  Domain violations surface as
-    :class:`EvalDomainError` via a final finiteness check.
+    The walk is :func:`evaluate`'s over array operations.  A division by
+    zero or an invalid operation sends the array through :func:`evaluate`,
+    whose error names d and the first failing j.  Values that leave the
+    finite double range raise :class:`EvalDomainError` too.
     """
 
     def run(d: float, j: np.ndarray) -> np.ndarray:
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            values = np.asarray(_eval_array(node, float(d), j), dtype=float)
+        try:
+            with np.errstate(divide="raise", invalid="raise", over="ignore"):
+                values = np.asarray(_walk(node, float(d), j, _ARRAY), dtype=float)
             values = np.broadcast_to(values, j.shape).copy()
+        except FloatingPointError:
+            values = np.array([evaluate(node, d, jj) for jj in j.reshape(-1)]).reshape(j.shape)
         if not np.all(np.isfinite(values)):
             bad = int(np.asarray(j).reshape(-1)[np.flatnonzero(~np.isfinite(values.reshape(-1)))[0]])
             raise EvalDomainError("expression left the finite double range", d=int(d), j=bad)
         return values
 
     return run
-
-
-def _eval_array(node: Expr, d: float, j: np.ndarray):
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Var):
-        return d if node.name == "d" else j
-    if isinstance(node, Neg):
-        return -np.asarray(_eval_array(node.operand, d, j))
-    if isinstance(node, BinOp):
-        left = _eval_array(node.left, d, j)
-        right = _eval_array(node.right, d, j)
-        if node.op == "+":
-            return np.add(left, right)
-        if node.op == "-":
-            return np.subtract(left, right)
-        if node.op == "*":
-            return np.multiply(left, right)
-        if node.op == "/":
-            return np.divide(left, right)
-        return np.power(left, right)
-    args = [_eval_array(a, d, j) for a in node.args]
-    func = node.func
-    if func == "exp":
-        return np.exp(args[0])
-    if func == "ln":
-        return np.log(args[0])
-    if func == "sqrt":
-        return np.sqrt(args[0])
-    if func == "pow":
-        return np.power(args[0], args[1])
-    if func == "max":
-        return np.maximum(args[0], args[1])
-    return np.minimum(args[0], args[1])

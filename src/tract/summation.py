@@ -5,7 +5,8 @@ each chunk is summed exactly by ``math.fsum`` and added to a few running
 non-overlapping partials that hold the exact total (Shewchuk's
 grow-expansion), so each chunk costs the same however many came before.
 After every chunk it stops once an analytic bound on the neglected tail is
-small enough, the term budget is hit, or a heuristic stagnation rule fires.
+small enough, the term budget is hit, a heuristic stagnation rule fires, or
+the partial sum exceeds the double range.
 Deep sums fetch several chunks per call of the term function; the chunks
 fetched past the stop are never summed.
 
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Union
 
 import numpy as np
@@ -64,8 +65,10 @@ class SumStatus(enum.Enum):
 class SumEvaluation:
     """Value of one criterion sum plus its truncation evidence.
 
-    ``converged`` is False only when the term budget ran out before any stop
-    rule fired; such values are partial sums with no quality claim.
+    ``converged`` is False when the term budget ran out before any stop rule
+    fired; such values are partial sums with no quality claim.  It is also
+    False when the partial sum exceeds the double range: the terms are
+    non-negative, so the sum stops there with value inf.
     """
 
     value: float
@@ -92,14 +95,7 @@ class SumEvaluation:
         return self.value + self.remainder_bound
 
     def as_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "terms_used": self.terms_used,
-            "remainder_bound": self.remainder_bound,
-            "status": self.status.value,
-            "note": self.note,
-            "converged": self.converged,
-        }
+        return {**asdict(self), "status": self.status.value}
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +352,6 @@ def certified_sum(
     min_terms: int = 0,
     hard_end: int | None = None,
     prefactor: float = 1.0,
-    note: str = "",
 ) -> SumEvaluation:
     """Sum ``terms(j0, j1)`` (an array for j in [j0, j1)) from ``start``.
 
@@ -377,7 +372,7 @@ def certified_sum(
             msg = f"divergent (harmonic: terms >= {plan.floor:.3g}/j from j={plan.j0})"
         else:
             msg = f"divergent (term-limit: terms >= {plan.floor:.3g} from j={plan.j0})"
-        return SumEvaluation(math.inf, 0, None, SumStatus.DIVERGENT, note or msg)
+        return SumEvaluation(math.inf, 0, None, SumStatus.DIVERGENT, msg)
 
     max_terms = max(max_terms, min_terms)
     partials: list[float] = []
@@ -385,15 +380,16 @@ def certified_sum(
     j = start
     single_until = start  # a batch that raised is fetched again chunk by chunk up to here
     tail: TailBound | None = plan
+    note = ""
     if tail is not None and hard_end is None and tail.from_j - start + 1 > max_terms:
         tail = None  # bound validity starts beyond the budget
-        note = note or "tail bound valid only beyond term budget"
+        note = "tail bound valid only beyond term budget"
     heuristic = tail is None and hard_end is None
 
     while True:
         if hard_end is not None and j > hard_end:
             value = prefactor * math.fsum(partials)
-            return SumEvaluation(value, count, 0.0, SumStatus.CERTIFIED, note or "finite spectrum")
+            return SumEvaluation(value, count, 0.0, SumStatus.CERTIFIED, "finite spectrum")
         batch = 1 if j < single_until else min(max(chunks // 4, 1), _MAX_BATCH)
         j_end = j + batch * CHUNK
         if hard_end is not None:
@@ -415,11 +411,20 @@ def certified_sum(
         base = j
         for (j0, j1), block_max in zip(spans, maxima):
             if j1 > j0:
-                _grow(partials, math.fsum(values[j0 - base : j1 - base].tolist()))
+                try:
+                    _grow(partials, math.fsum(values[j0 - base : j1 - base].tolist()))
+                except OverflowError:  # a finite sum past the double range
+                    partials = [math.inf]
                 count += j1 - j0
                 chunks += 1
                 j = j1
             partial = math.fsum(partials)
+            if partial == math.inf:
+                # The terms are non-negative: no later chunk brings the sum back.
+                return SumEvaluation(
+                    math.inf, count, None, SumStatus.HEURISTIC,
+                    "partial sum exceeds the double range", converged=False,
+                )
             J = j - 1  # last index summed
             if tail is not None and J >= tail.from_j and count >= min_terms:
                 up = tail.upper_tail(J)

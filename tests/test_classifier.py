@@ -17,6 +17,7 @@ from tract import (
 )
 from tract.classifier import TractabilityVerdict, standard_notions
 from tract.errors import DegenerateGridError
+from tract.exprdsl import parse
 
 ABS = ErrorCriterion.ABS
 NOR = ErrorCriterion.NOR
@@ -47,6 +48,18 @@ class TestDecideSummable:
         for notion in standard_notions(ABS):
             assert decide(model, notion, LIM).status == "Holds", notion.name
 
+    @pytest.mark.parametrize(
+        "d_scale, status", [("d^(0-1)", "Holds"), ("d", "Inconclusive")]
+    )
+    def test_abs_certificate_needs_a_nonincreasing_scale(self, d_scale, status):
+        """Under ABS a d-free family keeps its d = 1 certificate only when the
+        probed scale does not grow with d."""
+        model = EigenModel(PolyDecay(1.0, 2.0), d_scale=parse(d_scale))
+        verdict = decide(model, Notion("SPT", "ALG", ABS), LIM)
+        assert verdict.status == status
+        if status == "Holds":
+            assert verdict.evidence["certificate"].startswith("sup over d attained at d=1")
+
     def test_expression_gets_finite_evidence_only(self):
         model = EigenModel(Expression("1/(j*j)"))
         verdict = decide(model, Notion("SPT", "ALG", ABS), LIM)
@@ -71,6 +84,14 @@ class TestDecideWt:
     def test_poly_alg_wt_holds(self, poly1):
         verdict = decide(poly1, Notion("WT", "ALG", ABS, s=1.0, t=1.0), LIM)
         assert verdict.status == "Holds"
+
+    def test_divergent_inner_sum_fails_on_the_evidence_path(self):
+        """The growing scale rules out the d = 1 certificate; the evidence path
+        still finds the s < 1 power-law inner sum divergent at c = 1."""
+        model = EigenModel(PolyDecay(1.0, 2.0), d_scale=parse("d"))
+        verdict = decide(model, Notion("WT", "EXP", ABS, s=0.5, t=1.0), LIM)
+        assert verdict.status == "Fails"
+        assert verdict.evidence == {"certificate": "divergent inner sum", "witness_c": 1.0}
 
     def test_multiplicity_growth_fails(self):
         model = EigenModel(Expression("min(1, 2^(pow(2,d)-j))"))

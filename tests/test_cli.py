@@ -1,8 +1,12 @@
+import csv
 import json
 
 import pytest
 
+from tract import CriterionParams, EigenModel, ErrorCriterion, ExpDecay, evaluate_sum
+from tract.boundcheck import BoundSpec, bound_t2
 from tract.cli import main
+from tract.summation import SumEvaluation, SumStatus
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -177,6 +181,30 @@ class TestConfigStrictness:
     def test_missing_file(self, tmp_path, capsys):
         assert main(["validate", "--config", str(tmp_path / "absent.json")]) == 2
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"limits": {"tol": None}},
+            {"limits": {"d_max": [1]}},
+            {"model": {"kind": "PolyDecay", "params": {"a": None}}},
+            {"model": {"kind": "FiniteRank", "params": {"values": [1.0, None]}}},
+            {"model": {"kind": "FiniteRank", "params": {"values": 3}}},
+            {"model": {"kind": "Expression", "params": {"formula": "1/(j*j)"},
+                       "tail": {"form": "PowerLaw", "A": None, "beta": 2.0}}},
+            {"model": {"kind": "Expression", "params": {"formula": "1/(j*j)"}, "tail": "x"}},
+            {"criterion": None},
+            {"model": {"kind": "Geometric", "params": {"a": 1.0, "r": 0.5}, "d_scale": 5}},
+        ],
+        ids=["tol-null", "d_max-list", "param-null", "value-null", "values-number",
+             "tail-field-null", "tail-string", "criterion-null", "d_scale-number"],
+    )
+    def test_wrong_json_type_is_a_config_error(self, tmp_path, capsys, overrides):
+        cfg = write_config(tmp_path, **overrides)
+        assert main(["validate", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert "Traceback" not in err
+
 
 class TestCriterionCommand:
     def test_sum_json(self, tmp_path, capsys):
@@ -306,6 +334,31 @@ class TestVerifyBoundsCommand:
         assert lines[0] == "d,eps,oracle_n,bound,ok"
         assert len(lines) == 1 + 20
         assert (tmp_path / "bounds.csv.manifest.json").exists()
+
+    def test_t2_constant_covers_every_certified_upper_bound(self, tmp_path, capsys):
+        """ExpDecay(1, 1.1, 0.5), T2 at tau = 3: d = 1 stops at the term budget
+        with a remainder of 0.068, so the constant must reach the largest
+        value + remainder over d (3.1288), not sup * (1 + tol) = 3.0608."""
+        exp = {"kind": "ExpDecay", "params": {"a": 1.0, "b": 1.1, "gamma": 0.5}}
+        cfg = write_config(tmp_path, model=exp)
+        out_path = tmp_path / "t2.csv"
+        code = main(
+            [
+                "verify-bounds", "--config", cfg, "--theorem", "t2", "--tau", "3",
+                "--eps-grid", "1e-6:1e-1:5", "--d-grid", "1:2", "--out", str(out_path),
+            ]
+        )
+        assert code == 0
+        model = EigenModel(ExpDecay(1.0, 1.1, 0.5))
+        params = CriterionParams(tau=3.0)
+        evals = [evaluate_sum(model, "qpt-exp", d, params, ErrorCriterion.ABS) for d in range(1, 17)]
+        upper = max(e.upper() for e in evals)
+        spec = BoundSpec("T2", params, SumEvaluation(upper, 0, 0.0, SumStatus.CERTIFIED), ErrorCriterion.ABS)
+        rows = list(csv.DictReader(out_path.read_text().splitlines()))
+        assert len(rows) == 10
+        for row in rows:
+            assert int(row["bound"]) >= bound_t2(spec, int(row["d"]), float(row["eps"]))
+        assert json.loads(capsys.readouterr().out)["constant"] == max(e.value for e in evals)
 
     def test_bound_overflow_is_an_error_line(self, tmp_path, capsys):
         exp = {"kind": "ExpDecay", "params": {"a": 1.0, "b": 2.0, "gamma": 1.0}}

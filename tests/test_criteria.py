@@ -191,6 +191,11 @@ class TestWtExp:
         assert ev.divergent
         assert "harmonic" in ev.note
 
+    def test_s_below_one_diverges_on_power_law(self, poly2):
+        ev = sum_wt_exp(poly2, 1, 1.0, 0.5, 1.0, ABS)
+        assert ev.divergent
+        assert ev.note == "divergent (harmonic: terms >= 1/j from j=64)"
+
     def test_s_above_one_certified(self, poly2):
         ev = sum_wt_exp(poly2, 1, 1.0, 2.0, 1.0, ABS)
         ref = math.exp(-1.0) * brute(

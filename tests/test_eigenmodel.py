@@ -19,6 +19,7 @@ from tract import (
     tail_bound,
     validate,
 )
+from tract.criteria import CriterionParams, evaluate_sum
 from tract.eigenmodel import MIN_POSITIVE, log_ratios, ratio, ratios
 from tract.errors import BeyondRankError, EvalDomainError
 from tract import exprdsl
@@ -56,6 +57,24 @@ class TestEigenvalue:
         model = EigenModel(Expression("1 - j"))
         with pytest.raises(EvalDomainError):
             eigenvalue(model, 1, 5)
+
+    @pytest.mark.parametrize(
+        "evaluate",
+        [
+            lambda m: eigenvalue(m, 1, 1),
+            lambda m: eigenvalues(m, 1, np.arange(1, 5)),
+            lambda m: log_ratios(m, 1, np.arange(1, 5), ABS),
+            lambda m: evaluate_sum(m, "spt-alg", 1, CriterionParams(tau=1.0), ABS),
+        ],
+        ids=["eigenvalue", "eigenvalues", "log_ratios", "evaluate_sum"],
+    )
+    def test_one_domain_rule_on_every_path(self, evaluate):
+        """1/(j-1) divides by zero at j = 1; exp(-inf) = 0 must not hide it."""
+        model = EigenModel(Expression("exp(0-1/(j-1))"))
+        with pytest.raises(EvalDomainError) as err:
+            evaluate(model)
+        assert (err.value.d, err.value.j) == (1, 1)
+        assert "division by zero" in str(err.value)
 
     def test_vectorised_agrees_with_scalar(self, geo, poly2, exp1):
         js = np.arange(1, 64)

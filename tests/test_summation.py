@@ -179,6 +179,13 @@ class TestEngine:
         ev = certified_sum(_block(lambda j: 0.5**j), 1, plan, prefactor=0.25)
         assert ev.value == pytest.approx(0.25, rel=1e-12)
 
+    def test_tail_valid_only_beyond_the_budget_is_heuristic(self):
+        plan = AffinePowerTail(1.0, 0.0, 1.0, 2.0, from_j=10_000, exact=True)
+        ev = certified_sum(_block(lambda j: j**-2.0), 1, plan, max_terms=2048)
+        assert ev.status is SumStatus.HEURISTIC
+        assert ev.note == "tail bound valid only beyond term budget"
+        assert ev.remainder_bound is None
+
 
 def _outcome(add, xs):
     """What summing xs gives: ('value', repr) or the exception's name."""
@@ -351,14 +358,27 @@ def test_combine_is_linear(monkeypatch):
 
 
 def test_non_finite_terms_keep_an_infinite_value():
-    """PolyDecay(1e308, 2) squared overflows: every chunk sum is inf, and so is
-    the value, as with a plain fsum of the chunk sums."""
+    """PolyDecay(1e308, 2) squared overflows: the first chunk sum is inf, and
+    the terms being non-negative, the sum stops there with value inf."""
     model = EigenModel(PolyDecay(1e308, 2.0))
     ev = evaluate_sum(model, "spt-alg", 1, CriterionParams(tau=2.0), ErrorCriterion.ABS)
     assert ev.value == math.inf
-    assert ev.terms_used == 2_000_000
+    assert ev.terms_used == CHUNK
     assert ev.status is SumStatus.HEURISTIC
+    assert ev.note == "partial sum exceeds the double range"
     assert not ev.converged
+
+
+def test_finite_terms_past_the_double_range_stop_at_inf():
+    """Finite terms whose exact sum overflows (1.69e308 + 1.06e307 + ...) end
+    the same way, not in the OverflowError of fsum; the outer power of
+    qpt-alg keeps the note."""
+    model = EigenModel(PolyDecay(1.3e154, 2.0))
+    for kind, params in (("spt-alg", CriterionParams(tau=2.0)), ("qpt-alg", CriterionParams(tau2=2.0))):
+        ev = evaluate_sum(model, kind, 1, params, ErrorCriterion.ABS)
+        assert (ev.value, ev.terms_used, ev.remainder_bound) == (math.inf, CHUNK, None), kind
+        assert ev.note == "partial sum exceeds the double range", kind
+        assert not ev.converged
 
 
 def test_import_pulls_in_numpy_only():
