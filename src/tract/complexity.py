@@ -4,7 +4,8 @@ n(eps, d) is the number of eigenvalues strictly above eps^2 * CRI_d, which
 for a non-increasing sequence equals the least n with
 lambda(d, n+1) <= eps^2 * CRI_d.  Two independent routes are provided: a
 monotonicity-exploiting search and an ordering-free counting scan; their
-exact agreement is a tested invariant.
+exact agreement is a tested invariant.  The search probes with scalar
+values and settles the crossing on array values, as the scan reads them.
 """
 
 from __future__ import annotations
@@ -63,19 +64,44 @@ def info_complexity(
 ) -> ComplexityResult:
     """Least n with lambda(d, n+1) <= eps^2 * CRI_d (ties count as satisfied).
 
-    The first index at or below the threshold comes from :func:`first_index`.
+    The first index at or below the threshold comes from :func:`first_index`,
+    settled by :func:`_settle`.
     Raises :class:`UnboundedError` when no such index exists up to ``j_max``.
     """
     d = query.d
     thr = _threshold(model, query)
     rank = support(model, d)
-
-    if rank is not None and eigenvalue(model, d, rank) > thr:
-        return ComplexityResult(n=rank, capped=True, method="search")
-    first = first_index(lambda j: eigenvalue(model, d, j) <= thr, j_max if rank is None else rank)
+    cap = j_max if rank is None else rank
+    first = first_index(lambda j: eigenvalue(model, d, j) <= thr, cap)
+    if first is not None:
+        first = _settle(model, d, thr, first, cap)
     if first is None:
+        if rank is not None:
+            return ComplexityResult(n=rank, capped=True, method="search")
         raise UnboundedError(d, query.eps, j_max)
     return ComplexityResult(n=first - 1, capped=False, method="search")
+
+
+def _settle(model: EigenModel, d: int, thr: float, first: int, cap: int) -> int | None:
+    """The first index in [1, cap] whose array value is at or below thr,
+    starting from the one the scalar probes found; None when there is none.
+
+    The scalar rule (libm) and the array rule (numpy's vector kernels) can
+    round the same eigenvalue an ulp apart, so a threshold in that gap
+    splits them.  Settling on the array rule, the one :func:`count_oracle`
+    scans with, makes n the count of array values above thr.  Both rules are
+    non-increasing in j, so the loop ends after a step or two.
+    """
+    while True:
+        pair = eigenvalues(model, d, np.array([max(first - 1, 1), first])) <= thr
+        if first > 1 and pair[0]:
+            first -= 1
+        elif not pair[1]:
+            if first == cap:
+                return None
+            first += 1
+        else:
+            return first
 
 
 def first_index(pred: Callable[[int], bool], cap: int) -> int | None:

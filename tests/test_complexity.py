@@ -8,6 +8,7 @@ from tract import (
     EigenModel,
     ErrorCriterion,
     FiniteRank,
+    Geometric,
     GeometricTail,
     Tabulated,
     TailEnvelope,
@@ -98,6 +99,14 @@ class TestOracleEquivalence:
                             info_complexity(model, q).n
                             == count_oracle(model, q, j_max).n
                         )
+
+    def test_agreement_at_geometric_ties(self):
+        # eps = r under NOR puts the threshold r^3 = lambda_3 exactly on an
+        # eigenvalue, where libm and numpy's vector pow can round apart.
+        for r in np.linspace(0.1, 0.95, 200):
+            model = EigenModel(Geometric(1.0, float(r)))
+            q = ComplexityQuery(1, float(r), NOR)
+            assert info_complexity(model, q).n == count_oracle(model, q).n, r
 
     def test_eps_monotonicity(self, poly2):
         values = [
