@@ -57,7 +57,6 @@ from .eigenmodel import (
     eigenvalue,
     eigenvalues,
     model_from_config,
-    tail_bound,
     validate,
 )
 from .summation import SumEvaluation, SumStatus
@@ -114,7 +113,6 @@ __all__ = [
     "eigenvalue",
     "eigenvalues",
     "model_from_config",
-    "tail_bound",
     "validate",
     "SumEvaluation",
     "SumStatus",

@@ -76,6 +76,15 @@ class Limits:
     tol: float = 1e-10
     c_min: float = 2.0**-10
 
+    def __post_init__(self):
+        if min(self.d_max, self.j_max, self.n_max) < 1:
+            raise ValueError("limits must be positive")
+        if not (0.0 < self.tol < 1.0):
+            raise ValueError("tol must lie in (0, 1)")
+        # The WT c grid runs from 1 down to c_min.
+        if not (0.0 < self.c_min <= 1.0):
+            raise ValueError("c_min must lie in (0, 1]")
+
     def as_dict(self) -> dict:
         return asdict(self)
 
@@ -200,9 +209,7 @@ def _sup_attained_at_d1(model: EigenModel, sum_kind: str, criterion: ErrorCriter
 
 def _exact_env_form(model: EigenModel, criterion: ErrorCriterion):
     env = ratio_envelope(model, 1, criterion, 1)
-    if env is not None and env.exact:
-        return env.form
-    return None
+    return env.form if env is not None and env.exact else None
 
 
 # ---------------------------------------------------------------------------
@@ -279,9 +286,11 @@ def _decide_summable_certified(
 
     passing: tuple[float, CriterionParams] | None = None
     failing: float | None = None
+    outcomes: list[str] = []
     for tau in _TAU_GRID:
         params = _probe_params(notion, tau)
         outcome = probe(params)
+        outcomes.append(outcome)
         if outcome == "pass" and passing is None:
             passing = (tau, params)
         elif outcome == "fail":
@@ -315,23 +324,21 @@ def _decide_summable_certified(
             },
             limits,
         )
-    # No passing parameter anywhere on the grid: certified failure when the
-    # whole grid carries divergence certificates and the family-level
-    # analysis says no parameter can help (power-law spectra under the
-    # exponential criteria).
+    # No passing parameter anywhere on the grid (so the loop probed all of
+    # it): certified failure when the whole grid carries divergence
+    # certificates and the family-level analysis says no parameter can help
+    # (power-law spectra under the exponential criteria).
     form = _exact_env_form(model, notion.criterion)
-    if isinstance(form, PowerLawTail) and notion.case == "EXP":
-        all_fail = all(probe(_probe_params(notion, tau)) == "fail" for tau in _TAU_GRID)
-        if all_fail:
-            return TractabilityVerdict(
-                notion, "Fails", None,
-                {
-                    "certificate": "power-law spectrum: terms stay bounded away from zero "
-                    "(or decay only polylogarithmically) for every parameter",
-                    "grid": list(_TAU_GRID),
-                },
-                limits,
-            )
+    if isinstance(form, PowerLawTail) and notion.case == "EXP" and all(o == "fail" for o in outcomes):
+        return TractabilityVerdict(
+            notion, "Fails", None,
+            {
+                "certificate": "power-law spectrum: terms stay bounded away from zero "
+                "(or decay only polylogarithmically) for every parameter",
+                "grid": list(_TAU_GRID),
+            },
+            limits,
+        )
     if failing is not None:
         # Certificates exist but all say divergence; without the family-level
         # argument the quantifier over parameters stays open.

@@ -26,7 +26,7 @@ import typing
 from dataclasses import asdict, dataclass
 
 from . import __version__
-from .boundcheck import BoundSpec, verify_domination
+from .boundcheck import _THEOREM_SUMS, BoundSpec, verify_domination
 from .classifier import (
     Limits,
     Notion,
@@ -105,12 +105,6 @@ def parse_config(raw: dict, source: str = "<config>") -> RunConfig:
         limits = Limits(**{name: _cast(_LIMIT_CASTS[name], v, f"limits.{name}") for name, v in limits_cfg.items()})
     except ValueError as exc:
         raise ConfigError(f"{source}: {exc}") from exc
-    if min(limits.d_max, limits.j_max, limits.n_max) < 1:
-        raise ConfigError(f"{source}: limits must be positive")
-    if not (0.0 < limits.tol < 1.0):
-        raise ConfigError(f"{source}: tol must lie in (0, 1)")
-    if not limits.c_min > 0:
-        raise ConfigError(f"{source}: c_min must be positive")
 
     output = raw.get("output", {})
     if not isinstance(output, dict):
@@ -385,10 +379,6 @@ def _cmd_exponent(cfg: RunConfig, args) -> int:
     return 0
 
 
-# The criterion sum whose supremum over d is each bound family's constant.
-_THEOREM_SUMS = {"T1": "pt-exp", "T2": "qpt-exp", "T3": "wt-exp"}
-
-
 def _cmd_verify_bounds(cfg: RunConfig, args) -> int:
     theorem_name = _setting(cfg, args, "theorem", str)
     if theorem_name is None:
@@ -518,10 +508,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         return args.func(cfg, args)
-    except ConfigError as exc:
-        sys.stderr.write(f"config error: {exc}\n")
-        return 2
-    except ValueError as exc:  # bad analysis parameters surface like config errors
+    except (ConfigError, ValueError) as exc:  # bad analysis parameters surface like config errors
         sys.stderr.write(f"config error: {exc}\n")
         return 2
     except ValidationFailedError as exc:

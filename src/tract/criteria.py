@@ -45,6 +45,7 @@ from .eigenmodel import (
     PowerLawTail,
     StretchedExpTail,
     TailEnvelope,
+    TailForm,
     log_ratio,
     log_ratios,
     ratio_envelope,
@@ -121,24 +122,25 @@ def ceil_stable(x: float) -> int:
 # ---------------------------------------------------------------------------
 
 
-# The divergence searches run over u = ln j: certified onset indices can sit
-# far beyond the float range (they are never summed, only recorded).
+# Each planner reads the envelope ratio_envelope returns: it already starts
+# at the sum's start index.  The divergence searches run over u = ln j:
+# certified onset indices can sit far beyond the float range (they are never
+# summed, only recorded).
 
 
-def _log_first(pred: Callable[[float], bool], u_start: float) -> float | None:
-    """Smallest u = max(1, u_start) * 2**k, k < 200, where pred holds.
+def _log_first(pred: Callable[[float], bool], u_start: float, floor: int) -> int | None:
+    """The first u = max(1, u_start) * 2**k, k < 200, where pred holds, as an
+    index: the smallest power of two at or above e**u, and at least floor.
 
     Callers guarantee that pred, once true, stays true (a nonincreasing
     function below a target, a nondecreasing one above zero), so the found
-    point certifies pred everywhere beyond it.
+    index certifies pred everywhere beyond it.
     """
     u0 = max(1.0, u_start)
     k = first_index(lambda k: pred(u0 * 2.0 ** (k - 1)), 200)
-    return None if k is None else u0 * 2.0 ** (k - 1)
-
-
-def _index_at_least(u: float, floor: int = 1) -> int:
-    """Smallest power of two at or above e**u, as an exact integer."""
+    if k is None:
+        return None
+    u = u0 * 2.0 ** (k - 1)
     return max(floor, 1 << max(0, int(math.ceil(u / math.log(2.0)))))
 
 
@@ -150,11 +152,18 @@ def _pow_or_none(base: float, exponent: float) -> float | None:
     return v if math.isfinite(v) else None
 
 
-def _plan_power(env: TailEnvelope | None, p: float, start: int) -> Plan:
+def _unit_index(form: TailForm) -> int:
+    """An index past which the envelope form is at most 1."""
+    if isinstance(form, PowerLawTail):
+        return int(math.ceil(form.scale ** (1.0 / form.beta))) + 1
+    log_a = math.log(form.scale)
+    kappa, power = form.stretched
+    return 1 if log_a <= 0 else int(math.ceil((log_a / kappa) ** (1.0 / power))) + 1
+
+
+def _plan_power(env: TailEnvelope, p: float) -> Plan:
     """Plan for terms rho(j)**p."""
-    if env is None:
-        return None
-    j0 = max(start, env.valid_from)
+    j0 = env.valid_from
     form = env.form
     coeff = _pow_or_none(form.scale, p)
     if coeff is None:
@@ -166,8 +175,8 @@ def _plan_power(env: TailEnvelope | None, p: float, start: int) -> Plan:
             return Divergence("harmonic", j0, coeff)
         return None
     if isinstance(form, GeometricTail):
-        q = _pow_or_none(form.ratio, p)
-        if q is None or q >= 1:
+        q = form.ratio**p
+        if q >= 1:
             return None
         exact = env.exact
         if q <= 0.0:  # underflowed ratio: widen to a still-sound bound
@@ -176,11 +185,9 @@ def _plan_power(env: TailEnvelope | None, p: float, start: int) -> Plan:
     return StretchedIntegralTail(coeff, p * form.rate, form.power, from_j=j0, exact=env.exact)
 
 
-def _plan_coupled(env: TailEnvelope | None, tau: float, start: int) -> Plan:
+def _plan_coupled(env: TailEnvelope, tau: float) -> Plan:
     """Plan for terms rho(j)**(j**-tau)."""
-    if env is None:
-        return None
-    j0 = max(start, env.valid_from)
+    j0 = env.valid_from
     form = env.form
     log_a = math.log(form.scale)
 
@@ -198,9 +205,9 @@ def _plan_coupled(env: TailEnvelope | None, tau: float, start: int) -> Plan:
             def hub(u: float) -> float:
                 return rate * math.exp((power - tau) * u) + max(0.0, -log_a) * math.exp(-tau * u)
 
-            found = _log_first(lambda u: hub(u) <= limit + math.log(2.0), math.log(j0))
+            found = _log_first(lambda u: hub(u) <= limit + math.log(2.0), math.log(j0), j0)
             if found is not None:
-                return Divergence("term-limit", _index_at_least(found, j0), 0.5 * math.exp(-limit))
+                return Divergence("term-limit", found, 0.5 * math.exp(-limit))
         return None
 
     # Power-law envelope: upper bounds cannot certify convergence here; the
@@ -213,24 +220,21 @@ def _plan_coupled(env: TailEnvelope | None, tau: float, start: int) -> Plan:
 
         # hub is decreasing once u > 1/tau (the ln a correction only adds a
         # decreasing nonnegative part).
-        found = _log_first(lambda u: hub(u) <= math.log(2.0), max(math.log(j0), 1.0 / tau))
+        found = _log_first(lambda u: hub(u) <= math.log(2.0), max(math.log(j0), 1.0 / tau), j0)
         if found is not None:
-            return Divergence("term-limit", _index_at_least(found, j0), 0.5)
+            return Divergence("term-limit", found, 0.5)
     return None
 
 
-def _plan_qpt_exp(env: TailEnvelope | None, T: float, start: int) -> Plan:
+def _plan_qpt_exp(env: TailEnvelope, T: float) -> Plan:
     """Plan for terms [1 + 0.5 ln max(1, 1/rho)]**-T."""
-    if env is None:
-        return None
     form = env.form
     log_a = math.log(form.scale)
+    # Past j0 the envelope is <= 1, so the max() clamp is inactive.
+    j0 = max(env.valid_from, _unit_index(form))
 
     if isinstance(form, (GeometricTail, StretchedExpTail)):
         kappa, power = form.stretched
-        # Past j2 the envelope is <= 1, so the max() clamp is inactive.
-        j2 = 1 if log_a <= 0 else int(math.ceil((log_a / kappa) ** (1.0 / power))) + 1
-        j0 = max(start, env.valid_from, j2)
         if power == 1.0:
             alpha, beta = 1.0 - 0.5 * log_a, 0.5 * kappa
             if T > 1.0:
@@ -261,22 +265,19 @@ def _plan_qpt_exp(env: TailEnvelope | None, T: float, start: int) -> Plan:
     # Power-law envelope: polylog terms, divergent for every T.
     if env.exact:
         beta = form.beta
-        j2 = max(start, env.valid_from, int(math.ceil(form.scale ** (1.0 / beta))) + 1)
         # u - T ln(base) is increasing once the base exceeds T beta / 2.
         u3 = (2.0 * max(0.5 * T * beta - 1.0, 0.0) + log_a) / beta
         found = _log_first(
-            lambda u: u >= T * math.log(1.0 + 0.5 * (beta * u - log_a)), max(u3, math.log(j2))
+            lambda u: u >= T * math.log(1.0 + 0.5 * (beta * u - log_a)), max(u3, math.log(j0)), j0
         )
         if found is not None:
-            return Divergence("harmonic", _index_at_least(found, j2), 1.0)
+            return Divergence("harmonic", found, 1.0)
     return None
 
 
-def _plan_wt_alg(env: TailEnvelope | None, c: float, s: float, start: int) -> Plan:
+def _plan_wt_alg(env: TailEnvelope, c: float, s: float) -> Plan:
     """Plan for terms exp(-c (1/rho)**(s/2)); always convergent under an envelope."""
-    if env is None:
-        return None
-    j0 = max(start, env.valid_from)
+    j0 = env.valid_from
     form = env.form
     half_s = 0.5 * s
     scale_pow = _pow_or_none(form.scale, -half_s)
@@ -286,49 +287,43 @@ def _plan_wt_alg(env: TailEnvelope | None, c: float, s: float, start: int) -> Pl
         return StretchedIntegralTail(
             1.0, c * scale_pow, form.beta * half_s, from_j=j0, exact=env.exact
         )
+    # Geometric and stretched envelopes give doubly exponential terms
+    # exp(-c scale_pow grow(x)); their ratios decrease where grow is convex:
+    # everywhere for big_q**x, from j1 on for exp(B2 x**gamma).
     if isinstance(form, GeometricTail):
         big_q = form.ratio**-half_s
+        grow, j1 = (lambda x: big_q**x), j0
+    else:
+        b2 = half_s * form.rate
+        grow, j1 = (lambda x: math.exp(b2 * x**form.power)), j0
+        if form.power < 1.0:
+            j1 = max(j0, int(math.ceil(((1.0 - form.power) / (b2 * form.power)) ** (1.0 / form.power))) + 1)
 
-        def g(x: float) -> float:
-            try:
-                return math.exp(-c * scale_pow * big_q**x)
-            except OverflowError:
-                return 0.0
-
-        return RatioTail(g, from_j=j0, exact=False)
-    # Stretched envelope: doubly exponential terms; ratios decrease once
-    # exp(B2 x**gamma) is convex.
-    b2 = half_s * form.rate
-    j1 = j0
-    if form.power < 1.0:
-        j1 = max(j0, int(math.ceil(((1.0 - form.power) / (b2 * form.power)) ** (1.0 / form.power))) + 1)
-
-    def g2(x: float) -> float:
+    def g(x: float) -> float:
         try:
-            return math.exp(-c * scale_pow * math.exp(b2 * x**form.power))
+            return math.exp(-c * scale_pow * grow(x))
         except OverflowError:
             return 0.0
 
-    return RatioTail(g2, from_j=j1, exact=False)
+    return RatioTail(g, from_j=j1)
 
 
-def _plan_wt_exp(env: TailEnvelope | None, c: float, s: float, start: int) -> Plan:
+def _plan_wt_exp(env: TailEnvelope, c: float, s: float) -> Plan:
     """Plan for terms exp(-c [1 + ln(2 max(1, 1/rho))]**s)."""
-    if env is None:
-        return None
     form = env.form
     log_a = math.log(form.scale)
     konst = 1.0 + math.log(2.0) - log_a
+    # Past j0 the envelope is <= 1, so the max() clamp is inactive.
+    j0 = max(env.valid_from, _unit_index(form))
 
     if isinstance(form, PowerLawTail):
         beta = form.beta
-        j2 = max(start, env.valid_from, int(math.ceil(form.scale ** (1.0 / beta))) + 1)
         if s == 1.0:
             coeff = math.exp(-c * konst)
             if c * beta > 1.0:
-                return AffinePowerTail(coeff, 0.0, 1.0, c * beta, from_j=j2, exact=env.exact)
+                return AffinePowerTail(coeff, 0.0, 1.0, c * beta, from_j=j0, exact=env.exact)
             if env.exact:
-                return Divergence("harmonic", j2, coeff)
+                return Divergence("harmonic", j0, coeff)
             return None
         if s > 1.0:
             # Valid once the exponent c (K + beta u)**s grows with slope >= 2
@@ -337,19 +332,17 @@ def _plan_wt_exp(env: TailEnvelope | None, c: float, s: float, start: int) -> Pl
             u_min = max(u_min, 0.0)
             if u_min > 600.0:
                 return None  # bound valid only beyond any summable index
-            j_star = max(j2, int(math.ceil(math.exp(u_min))) + 1)
-            return PolyLogTail(c, konst, beta, s, from_j=j_star, exact=env.exact)
+            j_star = max(j0, int(math.ceil(math.exp(u_min))) + 1)
+            return PolyLogTail(c, konst, beta, s, from_j=j_star)
         # s < 1: divergent whenever the envelope is exact.
         if env.exact:
             u3 = ((c * s * beta) ** (1.0 / (1.0 - s)) - konst) / beta
-            found = _log_first(lambda u: u >= c * (konst + beta * u) ** s, max(u3, math.log(j2)))
+            found = _log_first(lambda u: u >= c * (konst + beta * u) ** s, max(u3, math.log(j0)), j0)
             if found is not None:
-                return Divergence("harmonic", _index_at_least(found, j2), 1.0)
+                return Divergence("harmonic", found, 1.0)
         return None
 
     kappa, power = form.stretched
-    j2 = 1 if log_a <= 0 else int(math.ceil((log_a / kappa) ** (1.0 / power))) + 1
-    j0 = max(start, env.valid_from, j2)
     if power == 1.0 and s == 1.0:
         coeff = math.exp(-c * konst)
         q = math.exp(-c * kappa)
@@ -511,13 +504,16 @@ def _spec(kind: str) -> SumSpec:
 def _plan(
     spec: SumSpec, p: CriterionParams, model: EigenModel, d: int, criterion: ErrorCriterion
 ) -> tuple[int, tuple[float, ...], Plan]:
-    """Start index, term parameters and tail plan of a resolved sum; a planner
-    that overflows the double range gives no certificate (plan None)."""
+    """Start index, term parameters and tail plan of a resolved sum; no
+    envelope, or a planner that overflows the double range, gives no
+    certificate (plan None)."""
     start = spec.start(p, d, criterion)
     x = spec.param(p, d)
     env = ratio_envelope(model, d, criterion, start)
+    if env is None:
+        return start, x, None
     try:
-        return start, x, spec.planner(env, *x, start)
+        return start, x, spec.planner(env, *x)
     except OverflowError:
         return start, x, None
 

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import Union
 
 import numpy as np
@@ -65,7 +65,6 @@ __all__ = [
     "log_ratios",
     "cri",
     "support",
-    "tail_bound",
     "ratio_envelope",
     "validate",
     "ensure_valid",
@@ -198,6 +197,8 @@ class Tabulated(_Family):
     prefix: tuple[float, ...]
     continuation: "TailEnvelope"
     _table: np.ndarray = field(init=False, compare=False, repr=False)
+    # The continuation from where it gives the values: exact, past the prefix.
+    envelope: "TailEnvelope" = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.prefix:
@@ -215,10 +216,7 @@ class Tabulated(_Family):
             )
         object.__setattr__(self, "prefix", prefix)
         object.__setattr__(self, "_table", np.asarray(prefix, dtype=float))
-
-    @property
-    def envelope(self) -> "TailEnvelope":
-        return self.continuation
+        object.__setattr__(self, "envelope", replace(self.continuation, exact=True).shifted(j))
 
     def value(self, d: int, j: int) -> float:
         if j <= len(self.prefix):
@@ -307,10 +305,7 @@ class GeometricTail:
             raise ValueError("Geometric tail requires scale > 0 and ratio in (0, 1)")
 
     def value(self, j: float) -> float:
-        try:
-            return self.scale * self.ratio ** float(j)
-        except OverflowError:
-            return 0.0
+        return self.scale * self.ratio ** float(j)
 
     def value_array(self, j: np.ndarray) -> np.ndarray:
         with np.errstate(under="ignore"):
@@ -384,6 +379,8 @@ class TailEnvelope:
         return np.maximum(self.form.value_array(j), MIN_POSITIVE)
 
     def scaled(self, factor: float) -> "TailEnvelope":
+        if factor == 1.0:
+            return self
         return TailEnvelope(self.form.scaled(factor), self.valid_from, self.exact)
 
     def shifted(self, valid_from: int) -> "TailEnvelope":
@@ -494,45 +491,23 @@ def log_ratio(model: EigenModel, d: int, j: int, criterion: ErrorCriterion) -> f
     return float(log_ratios(model, d, np.asarray([j], dtype=np.int64), criterion)[0])
 
 
-def tail_bound(model: EigenModel, d: int, start: int = 1) -> TailEnvelope | None:
-    """The tightest known envelope on lambda(d, j) valid for j >= start.
-
-    Closed-form families are their own (exact) envelope.  Tabulated models
-    return their declared continuation.  Expression models return a declared
-    envelope if present, else None, which downgrades downstream certification
-    to heuristic.
-    """
-    scale = model.scale_at(d)
-    env = model.family.envelope or model.declared_tail
-    if env is None:
-        return None
-    if scale != 1.0:
-        env = env.scaled(scale)
-    return env.shifted(start)
-
-
 def ratio_envelope(
     model: EigenModel, d: int, criterion: ErrorCriterion, start: int = 1
 ) -> TailEnvelope | None:
-    """Envelope on the normalized sequence lambda(d, j)/CRI_d for j >= start.
+    """Envelope on the normalized sequence lambda(d, j)/CRI_d for j >= start,
+    or None when the model has none (downstream certification is then
+    heuristic).
 
-    For Tabulated models the returned envelope starts past the prefix, where
-    it is exact by construction.
+    It is the family's own envelope (closed forms are exact; a Tabulated
+    model is exact past its prefix), else the declared tail.  Under NOR the
+    d-scale cancels against CRI_d, so it is left out of both.
     """
-    fam = model.family
-    if isinstance(fam, Tabulated):
-        env = fam.continuation.shifted(max(start, len(fam.prefix) + 1))
-        env = TailEnvelope(env.form, env.valid_from, exact=True)
-        if criterion is ErrorCriterion.NOR:
-            return env.scaled(1.0 / _clamp(fam.value(d, 1)))
-        return env.scaled(model.scale_at(d))
-    if criterion is ErrorCriterion.ABS:
-        return tail_bound(model, d, start)
-    # The d-scale cancels against CRI_d, so it is left out of both.
-    env = fam.envelope or model.declared_tail
+    env = model.family.envelope or model.declared_tail
     if env is None:
         return None
-    return env.shifted(start).scaled(1.0 / _clamp(fam.value(d, 1)))
+    if criterion is ErrorCriterion.NOR:
+        return env.shifted(start).scaled(1.0 / _clamp(model.family.value(d, 1)))
+    return env.shifted(start).scaled(model.scale_at(d))
 
 
 # ---------------------------------------------------------------------------
@@ -542,7 +517,7 @@ def ratio_envelope(
 
 @dataclass(frozen=True)
 class Violation:
-    kind: str  # nonpositive | nonfinite | increase | envelope | eval-domain
+    kind: str  # nonfinite | increase | envelope | eval-domain
     d: int
     j: int
     detail: str
@@ -589,6 +564,17 @@ def validate(model: EigenModel, d_max: int = 8, j_probe: int = 10_000) -> Valida
         raise ValueError("d_max and j_probe must be >= 1")
     violations: list[Violation] = []
     idx = probe_indices(j_probe)
+    # A declared envelope must dominate the values it does not give itself:
+    # an Expression's from its onset, a Tabulated prefix from the onset of
+    # its continuation.  Its grid runs to ten times the onset.
+    fam = model.family
+    env = fam.continuation if isinstance(fam, Tabulated) else model.declared_tail
+    grid = np.empty(0, dtype=np.int64)
+    if env is not None:
+        grid = probe_indices(10 * env.valid_from)
+        grid = grid[grid >= env.valid_from]
+        if isinstance(fam, Tabulated):
+            grid = grid[grid <= len(fam.prefix)]
     for d in range(1, d_max + 1):
         cap = support(model, d)
         indices = idx[idx <= cap] if cap is not None else idx
@@ -604,10 +590,7 @@ def validate(model: EigenModel, d_max: int = 8, j_probe: int = 10_000) -> Valida
             continue
         for pos in np.flatnonzero(~np.isfinite(vals)):
             violations.append(Violation("nonfinite", d, int(indices[pos]), f"value {vals[pos]!r}"))
-        for pos in np.flatnonzero(vals <= 0):
-            violations.append(Violation("nonpositive", d, int(indices[pos]), f"value {vals[pos]!r}"))
-        bad = np.flatnonzero(nxt > vals)
-        for pos in bad:
+        for pos in np.flatnonzero(nxt > vals):
             jj = int(indices[pos])
             violations.append(
                 Violation(
@@ -617,43 +600,25 @@ def validate(model: EigenModel, d_max: int = 8, j_probe: int = 10_000) -> Valida
                     f"lambda(d,{jj + 1})={nxt[pos]!r} > lambda(d,{jj})={vals[pos]!r}",
                 )
             )
-        env = _declared_envelope(model)
-        if env is not None:
-            j0 = env.valid_from
-            hi = max(10 * j0, min(j_probe, 10 * j0))
-            grid = probe_indices(hi)
-            grid = grid[grid >= j0]
-            if cap is not None:
-                grid = grid[grid <= cap]
-            if isinstance(model.family, Tabulated):
-                grid = grid[grid <= len(model.family.prefix)]
-            if grid.size:
-                values = eigenvalues(model, d, grid)
-                bounds = env.scaled(model.scale_at(d)).bound_array(grid)
-                for pos in np.flatnonzero(values > bounds * (1 + 1e-12)):
-                    violations.append(
-                        Violation(
-                            "envelope",
-                            d,
-                            int(grid[pos]),
-                            f"lambda={values[pos]!r} exceeds envelope {bounds[pos]!r}",
-                        )
+        if grid.size:
+            values = eigenvalues(model, d, grid)
+            bounds = env.scaled(model.scale_at(d)).bound_array(grid)
+            for pos in np.flatnonzero(values > bounds * (1 + 1e-12)):
+                violations.append(
+                    Violation(
+                        "envelope",
+                        d,
+                        int(grid[pos]),
+                        f"lambda={values[pos]!r} exceeds envelope {bounds[pos]!r}",
                     )
-    report = ValidationReport(
+                )
+    return ValidationReport(
         ok=not violations,
         violations=tuple(violations),
         d_max=d_max,
         j_probe=j_probe,
         probed_indices=int(idx.size),
     )
-    return report
-
-
-def _declared_envelope(model: EigenModel) -> TailEnvelope | None:
-    fam = model.family
-    if isinstance(fam, Tabulated):
-        return fam.continuation
-    return model.declared_tail
 
 
 def ensure_valid(model: EigenModel, d_max: int = 8, j_probe: int = 10_000) -> ValidationReport:

@@ -332,10 +332,14 @@ def _exp(x: float) -> float:
 
 
 # What '/', '^' and the calls mean, at one point and over an array of j.
-# '+', '-', '*' and negation are the Python operators in both.
+# '+', '-', '*' and negation are the Python operators in both.  Unlike the
+# builtins, the point max and min keep a NaN in either argument, as the
+# array ones do.
 _POINT = {
     "/": operator.truediv, "^": _pow,
-    "exp": _exp, "ln": math.log, "sqrt": math.sqrt, "pow": _pow, "max": max, "min": min,
+    "exp": _exp, "ln": math.log, "sqrt": math.sqrt, "pow": _pow,
+    "max": lambda a, b: a if a >= b or a != a else b,
+    "min": lambda a, b: a if a <= b or a != a else b,
 }
 _ARRAY = {
     "/": np.divide, "^": np.power,

@@ -234,7 +234,6 @@ class PolyLogTail:
     beta: float
     s: float
     from_j: int = 1
-    exact: bool = False
 
     def _g(self, x: float) -> float:
         base = self.K + self.beta * math.log(x)
@@ -260,7 +259,6 @@ class RatioTail:
 
     g: Callable[[float], float]
     from_j: int = 1
-    exact: bool = False
 
     def upper_tail(self, J: int) -> float:
         g1 = self.g(J + 1)

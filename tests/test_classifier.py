@@ -147,6 +147,13 @@ class TestExponentBracket:
         qpt = exponent_bracket(poly2, Notion("QPT", "ALG", ABS), LIM)
         assert qpt.lo <= spt.hi and qpt.hi >= spt.lo
 
+    def test_bisection_moves_the_failing_end(self):
+        # tau = 1/4 fails and 1/2 passes: the bisection lifts the failing
+        # end towards the exponent 2/3 of PolyDecay(1, 3).
+        br = exponent_bracket(EigenModel(PolyDecay(1.0, 3.0)), Notion("SPT", "ALG", ABS), LIM)
+        assert (br.lo, br.hi) == (0.6640625, 0.671875)
+        assert br.lo <= 2.0 / 3.0 <= br.hi and br.hi - br.lo <= 0.01
+
     def test_exp_qpt(self, exp1):
         br = exponent_bracket(exp1, Notion("QPT", "EXP", ABS), LIM)
         assert br.lo <= 1.0 <= br.hi + 1e-12
@@ -211,6 +218,10 @@ class TestImplications:
 
 
 class TestClassifyAll:
+    def test_c_min_above_one_is_rejected(self, geo):
+        with pytest.raises(ValueError, match=r"c_min must lie in \(0, 1\]"):
+            classify_all(geo, ABS, Limits(c_min=2))
+
     def test_report_shape_and_consistency(self, geo):
         report = classify_all(geo, ABS, LIM)
         assert len(report["verdicts"]) == 12

@@ -178,6 +178,22 @@ class TestConfigStrictness:
         cfg = write_config(tmp_path, limits={"tol": 2.0})
         assert main(["validate", "--config", cfg]) == 2
 
+    @pytest.mark.parametrize(
+        "limits,message",
+        [
+            ({"d_max": 0}, "limits must be positive"),
+            ({"tol": 1}, "tol must lie in (0, 1)"),
+            ({"c_min": 0}, "c_min must lie in (0, 1]"),
+            ({"c_min": 2}, "c_min must lie in (0, 1]"),
+        ],
+        ids=["d_max-0", "tol-1", "c_min-0", "c_min-2"],
+    )
+    def test_limit_out_of_range_is_a_config_error(self, tmp_path, capsys, limits, message):
+        cfg = write_config(tmp_path, limits=limits)
+        assert main(["classify", "--config", cfg]) == 2
+        # One config error line, no traceback.
+        assert capsys.readouterr().err == f"config error: {cfg}: {message}\n"
+
     def test_missing_file(self, tmp_path, capsys):
         assert main(["validate", "--config", str(tmp_path / "absent.json")]) == 2
 
@@ -360,19 +376,24 @@ class TestVerifyBoundsCommand:
             assert int(row["bound"]) >= bound_t2(spec, int(row["d"]), float(row["eps"]))
         assert json.loads(capsys.readouterr().out)["constant"] == max(e.value for e in evals)
 
-    def test_bound_overflow_is_an_error_line(self, tmp_path, capsys):
+    def test_bound_past_the_double_range_dominates(self, tmp_path, capsys):
+        """T3 at s = 2 and eps = 1e-7 exceeds the double range: the bound is
+        inf, above every count, so its rows are ok and print inf."""
         exp = {"kind": "ExpDecay", "params": {"a": 1.0, "b": 2.0, "gamma": 1.0}}
         cfg = write_config(tmp_path, model=exp)
+        out_path = tmp_path / "t3.csv"
         code = main(
             [
                 "verify-bounds", "--config", cfg, "--theorem", "t3",
                 "--c", "1", "--s", "2", "--t", "1",
-                "--eps-grid", "1e-7:1e-1:3", "--d-grid", "1:2",
+                "--eps-grid", "1e-7:1e-1:3", "--d-grid", "1:2", "--out", str(out_path),
             ]
         )
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err == "error: T3 bound exceeds the double range (d=1)\n"
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["ok"] is True
+        rows = list(csv.DictReader(out_path.read_text().splitlines()))
+        assert [r["bound"] for r in rows if float(r["eps"]) < 1e-6] == ["inf", "inf"]
+        assert all(r["ok"] == "True" for r in rows)
 
 
 class TestAnalysisSection:

@@ -7,6 +7,7 @@ from tract import (
     ComplexityQuery,
     EigenModel,
     ErrorCriterion,
+    ExpDecay,
     FiniteRank,
     Geometric,
     GeometricTail,
@@ -107,6 +108,15 @@ class TestOracleEquivalence:
             model = EigenModel(Geometric(1.0, float(r)))
             q = ComplexityQuery(1, float(r), NOR)
             assert info_complexity(model, q).n == count_oracle(model, q).n, r
+
+    @pytest.mark.parametrize("eps,n", [(0.36842568459380204, 15), (0.1528051057040072, 37)])
+    def test_settling_steps_past_the_scalar_crossing(self, eps, n):
+        # The scalar probes alone stop one index early here (n - 1); the
+        # array values move the crossing one step forward on both routes.
+        model = EigenModel(ExpDecay(1.0, 0.3, 0.7))
+        q = ComplexityQuery(1, eps, ABS)
+        assert info_complexity(model, q).n == n
+        assert count_oracle(model, q).n == n
 
     def test_eps_monotonicity(self, poly2):
         values = [

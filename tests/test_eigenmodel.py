@@ -16,11 +16,10 @@ from tract import (
     cri,
     eigenvalue,
     eigenvalues,
-    tail_bound,
     validate,
 )
 from tract.criteria import CriterionParams, evaluate_sum
-from tract.eigenmodel import MIN_POSITIVE, log_ratios, ratio, ratios
+from tract.eigenmodel import MIN_POSITIVE, log_ratios, ratio, ratio_envelope, ratios
 from tract.errors import BeyondRankError, EvalDomainError
 from tract import exprdsl
 
@@ -97,27 +96,27 @@ class TestCri:
 
 class TestTailBound:
     def test_geometric_is_its_own_envelope(self, geo):
-        env = tail_bound(geo, 1, 10)
+        env = ratio_envelope(geo, 1, ABS, 10)
         assert isinstance(env.form, GeometricTail)
         assert env.form.ratio == 0.5
         assert env.valid_from == 10
         assert env.exact
 
     def test_declared_envelope_keeps_its_onset(self):
+        # A Tabulated continuation gives the values, exactly, past the prefix.
         tail = TailEnvelope(PowerLawTail(2.0, 3.0), valid_from=50)
         model = EigenModel(Tabulated(tuple(1.0 / (j + 1) for j in range(60)), tail))
-        env = tail_bound(model, 4, 10)
+        env = ratio_envelope(model, 4, ABS, 10)
         assert isinstance(env.form, PowerLawTail)
         assert env.form.scale == 2.0 and env.form.beta == 3.0
-        assert env.valid_from == 50
+        assert env.valid_from == 61
+        assert env.exact
 
     def test_expression_without_tail_has_none(self):
         model = EigenModel(Expression("1/j"))
-        assert tail_bound(model, 1, 100) is None
+        assert ratio_envelope(model, 1, ABS, 100) is None
 
     def test_expression_with_declared_tail_under_nor(self):
-        from tract.eigenmodel import ratio_envelope
-
         tail = TailEnvelope(PowerLawTail(2.0, 3.0), valid_from=1)
         model = EigenModel(Expression("2/(j*j*j)"), declared_tail=tail)
         env = ratio_envelope(model, 1, NOR, 1)
@@ -127,7 +126,7 @@ class TestTailBound:
 
     def test_d_scale_rescales_envelope(self):
         model = EigenModel(Geometric(1.0, 0.5), d_scale=exprdsl.parse("1/d"))
-        env = tail_bound(model, 4, 1)
+        env = ratio_envelope(model, 4, ABS, 1)
         assert env.form.scale == pytest.approx(0.25)
 
     def test_d_scale_underflow_clamps(self):

@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from tract import EigenModel, Expression, eigenvalue, eigenvalues
 from tract.errors import ArityError, EvalDomainError, ExprSyntaxError, UnknownIdentifierError
 from tract.exprdsl import BinOp, Num, compile_array, evaluate, parse, to_source
 
@@ -49,6 +50,17 @@ def test_sqrt_negative_and_zero_to_negative():
 def test_division_by_zero_tagged():
     with pytest.raises(EvalDomainError):
         evaluate(parse("1/(d-1)"), 1, 1)
+
+
+@pytest.mark.parametrize(
+    "source", ["max(1, 0*exp(1000))", "max(0*exp(1000), 1)", "min(1, 0*exp(1000))", "min(0*exp(1000), 1)"]
+)
+def test_max_min_keep_a_nan_in_either_argument(source):
+    model = EigenModel(Expression(source))
+    with pytest.raises(EvalDomainError, match="NaN"):
+        eigenvalue(model, 1, 1)
+    with pytest.raises(EvalDomainError, match="NaN"):
+        eigenvalues(model, 1, np.array([1, 2]))
 
 
 def test_arity_errors():

@@ -10,8 +10,10 @@ is meant to change.
 
 import ast
 import dataclasses
+import importlib
 import json
 import pathlib
+import pkgutil
 
 import numpy as np
 import pytest
@@ -32,7 +34,7 @@ from tract import (
     TailEnvelope,
     exprdsl,
 )
-from tract.eigenmodel import log_ratios, ratio_envelope, ratios, support, tail_bound
+from tract.eigenmodel import log_ratios, ratio_envelope, ratios, support
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "family_envelopes.json"
 
@@ -87,13 +89,12 @@ def _encode(env: TailEnvelope | None):
 
 
 def _envelopes(name: str, scaled: bool) -> dict:
-    """The tail_bound and ratio_envelope results the contract pins for one case."""
+    """The ratio_envelope results the contract pins for one case."""
     case_id = IDS[CASES.index((name, scaled))]
     model = _model(name, scaled)
     table = {}
     for d in (1, 4):
         for start in (1, 10):
-            table[f"{case_id}/tail_bound/d{d}/start{start}"] = _encode(tail_bound(model, d, start))
             for crit in ErrorCriterion:
                 env = ratio_envelope(model, d, crit, start)
                 table[f"{case_id}/ratio_envelope/{crit.value}/d{d}/start{start}"] = _encode(env)
@@ -195,6 +196,21 @@ def test_no_worker_pool_in_tract():
         if name.split(".")[0] in ("concurrent", "threading", "multiprocessing")
     ]
     assert offenders == []
+
+
+def test_every_export_resolves():
+    modules = [tract] + [
+        importlib.import_module(f"tract.{info.name}")
+        for info in pkgutil.iter_modules(tract.__path__)
+        if not info.name.startswith("_")
+    ]
+    dangling = [
+        f"{module.__name__}.{name}"
+        for module in modules
+        for name in getattr(module, "__all__", ())
+        if not hasattr(module, name)
+    ]
+    assert len(modules) > 1 and dangling == []
 
 
 if __name__ == "__main__":
