@@ -19,9 +19,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .complexity import ComplexityQuery, first_index, info_complexity
 from .criteria import SUM_SPECS, CriterionParams, ceil_stable
-from .eigenmodel import EigenModel, ErrorCriterion, log_ratio, ratio, support
+from .eigenmodel import EigenModel, ErrorCriterion, log_ratios, ratios, support
 from .summation import SumEvaluation
 
 __all__ = [
@@ -179,9 +181,9 @@ def diagnostics(
         start = _PT_EXP.start(p1, d, crit)
         # Slow set: indices from the start whose term exceeds 1/e, i.e.
         # ln(ratio) * j**-tau2 > -1.  Monotone in j, so its end is searched.
-        def fast(i: int) -> bool:  # the i-th index from the start is past the slow set
+        def fast(i: np.ndarray) -> np.ndarray:  # the i-th index from the start is past the slow set
             j = start + i - 1
-            return log_ratio(model, d, j, crit) * float(j) ** -tau2 <= -1.0
+            return log_ratios(model, d, j, crit) * j.astype(float) ** -tau2 <= -1.0
 
         span = cap - start + 1
         end = first_index(fast, span) if span > 0 else 1
@@ -207,5 +209,5 @@ def diagnostics(
 
 def _count_above_cri(model: EigenModel, d: int, criterion: ErrorCriterion, cap: int) -> int:
     """|{j : lambda(d, j) > CRI_d}| by monotone search, capped at ``cap``."""
-    first = first_index(lambda j: ratio(model, d, j, criterion) <= 1.0, cap)
+    first = first_index(lambda j: ratios(model, d, j, criterion) <= 1.0, cap)
     return cap if first is None else first - 1

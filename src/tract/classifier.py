@@ -40,7 +40,7 @@ from .eigenmodel import (
     PowerLawTail,
     StretchedExpTail,
     eigenvalue,
-    ratio,
+    ratios,
     ratio_envelope,
     support,
 )
@@ -79,6 +79,8 @@ class Limits:
     def __post_init__(self):
         if min(self.d_max, self.j_max, self.n_max) < 1:
             raise ValueError("limits must be positive")
+        if self.j_max > 1 << 62:
+            raise ValueError("j_max must be at most 2**62 (the search indexes with int64)")
         if not (0.0 < self.tol < 1.0):
             raise ValueError("tol must lie in (0, 1)")
         # The WT c grid runs from 1 down to c_min.
@@ -533,7 +535,7 @@ def _multiplicity_growth(counts: list[int], params: CriterionParams) -> str | No
 def _count_ratios_at_least_one(model: EigenModel, d: int, criterion: ErrorCriterion) -> int:
     rank = support(model, d)
     cap = rank if rank is not None else 1 << 22
-    first = first_index(lambda j: ratio(model, d, j, criterion) < 1.0, cap)
+    first = first_index(lambda j: ratios(model, d, j, criterion) < 1.0, cap)
     return cap if first is None else first - 1
 
 
@@ -842,7 +844,6 @@ def classify_all(
     model: EigenModel,
     criterion: ErrorCriterion,
     limits: Limits = Limits(),
-    notions: list[Notion] | None = None,
 ) -> dict:
     """Verdicts for the standard notion set plus the consistency report.
 
@@ -850,8 +851,7 @@ def classify_all(
     independent sum over the spectrum, but the work is GIL-bound NumPy, so
     a thread pool only adds overhead.
     """
-    notions = notions if notions is not None else standard_notions(criterion)
-    verdicts = [decide(model, nt, limits) for nt in notions]
+    verdicts = [decide(model, nt, limits) for nt in standard_notions(criterion)]
     issues = check_implications(verdicts)
     return {
         "verdicts": [v.as_dict() for v in verdicts],

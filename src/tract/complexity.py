@@ -4,8 +4,8 @@ n(eps, d) is the number of eigenvalues strictly above eps^2 * CRI_d, which
 for a non-increasing sequence equals the least n with
 lambda(d, n+1) <= eps^2 * CRI_d.  Two independent routes are provided: a
 monotonicity-exploiting search and an ordering-free counting scan; their
-exact agreement is a tested invariant.  The search probes with scalar
-values and settles the crossing on array values, as the scan reads them.
+exact agreement is a tested invariant.  Both read the same array values,
+threshold included: under NOR, lambda(d, 1) comes from the same call.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .eigenmodel import EigenModel, ErrorCriterion, cri, eigenvalue, eigenvalues, support
+from .eigenmodel import EigenModel, ErrorCriterion, eigenvalue, eigenvalues, support
 from .errors import UnboundedError
 
 __all__ = [
@@ -55,26 +55,26 @@ class ComplexityResult:
         return {"n": self.n, "capped": self.capped, "method": self.method}
 
 
-def _threshold(model: EigenModel, query: ComplexityQuery) -> float:
-    return query.eps * query.eps * cri(model, query.d, query.criterion)
-
-
 def info_complexity(
     model: EigenModel, query: ComplexityQuery, j_max: int = J_MAX_DEFAULT
 ) -> ComplexityResult:
     """Least n with lambda(d, n+1) <= eps^2 * CRI_d (ties count as satisfied).
 
-    The first index at or below the threshold comes from :func:`first_index`,
-    settled by :func:`_settle`.
+    The first index at or below the threshold comes from :func:`first_index`.
     Raises :class:`UnboundedError` when no such index exists up to ``j_max``.
     """
-    d = query.d
-    thr = _threshold(model, query)
+    d, eps2 = query.d, query.eps * query.eps
     rank = support(model, d)
     cap = j_max if rank is None else rank
-    first = first_index(lambda j: eigenvalue(model, d, j) <= thr, cap)
-    if first is not None:
-        first = _settle(model, d, thr, first, cap)
+    if query.criterion is ErrorCriterion.ABS:
+        def below(j: np.ndarray) -> np.ndarray:
+            return eigenvalues(model, d, j) <= eps2
+    else:
+        def below(j: np.ndarray) -> np.ndarray:
+            # The lead lambda(d, 1) goes last, as in log_ratios.
+            vals = eigenvalues(model, d, np.append(j, 1))
+            return vals[:-1] <= eps2 * vals[-1]
+    first = first_index(below, cap)
     if first is None:
         if rank is not None:
             return ComplexityResult(n=rank, capped=True, method="search")
@@ -82,47 +82,39 @@ def info_complexity(
     return ComplexityResult(n=first - 1, capped=False, method="search")
 
 
-def _settle(model: EigenModel, d: int, thr: float, first: int, cap: int) -> int | None:
-    """The first index in [1, cap] whose array value is at or below thr,
-    starting from the one the scalar probes found; None when there is none.
-
-    The scalar rule (libm) and the array rule (numpy's vector kernels) can
-    round the same eigenvalue an ulp apart, so a threshold in that gap
-    splits them.  Settling on the array rule, the one :func:`count_oracle`
-    scans with, makes n the count of array values above thr.  Both rules are
-    non-increasing in j, so the loop ends after a step or two.
-    """
-    while True:
-        pair = eigenvalues(model, d, np.array([max(first - 1, 1), first])) <= thr
-        if first > 1 and pair[0]:
-            first -= 1
-        elif not pair[1]:
-            if first == cap:
-                return None
-            first += 1
-        else:
-            return first
+# The first probe of every search: each index up to 64, then each power of
+# two; a search takes the entries below its cap, and the cap.
+_HEAD = np.concatenate([np.arange(1, 65), 1 << np.arange(7, 63)]).astype(np.int64)
+_BRACKET = 4096  # most indices probed per later call
+_CAP_MAX = 1 << 62  # int64 indices
 
 
-def first_index(pred: Callable[[int], bool], cap: int) -> int | None:
+def first_index(pred: Callable[[np.ndarray], np.ndarray], cap: int) -> int | None:
     """Smallest j in [1, cap] with pred(j), for pred false up to some index
     and true from there on; None when pred(cap) is false.
 
-    Probes 1, 2, 4, ... (clamped at cap) until pred holds, then bisects the
-    last doubling step.
+    pred maps an int64 index array to a boolean array and never sees an
+    index outside [1, cap].  The first call probes 1..64, the powers of two
+    below cap, and cap; each later call probes the open bracket left by the
+    last at stride ceil(width / 4096), so a crossing at or below 64 takes one
+    call and one at or below 8192 two.
     """
-    lo, hi = 0, 1
-    while not pred(hi):
-        if hi >= cap:
-            return None
-        lo, hi = hi, min(hi * 2, cap)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if pred(mid):
-            hi = mid
+    if cap > _CAP_MAX:
+        raise ValueError(f"search cap {cap} exceeds 2**62")
+    lo, hi = 0, cap + 1  # pred is false at lo and true at hi (cap + 1: unknown)
+    j = np.minimum(_HEAD[: _HEAD.searchsorted(cap) + 1], cap)
+    while True:
+        hit = pred(j)
+        k = int(hit.argmax())
+        if hit[k]:
+            hi = int(j[k])
+            lo = int(j[k - 1]) if k else lo
         else:
-            lo = mid
-    return hi
+            lo = int(j[-1])
+        if hi - lo <= 1:
+            return hi if hi <= cap else None
+        step = -(-(hi - lo - 1) // _BRACKET)
+        j = np.arange(lo + 1, hi, step, dtype=np.int64)
 
 
 def count_oracle(
@@ -134,7 +126,6 @@ def count_oracle(
     oracle for :func:`info_complexity` on validated (non-increasing) models.
     """
     d = query.d
-    thr = _threshold(model, query)
     rank = support(model, d)
     stop = rank if rank is not None else j_max
     count = 0
@@ -142,6 +133,9 @@ def count_oracle(
     for j0 in range(1, stop + 1, chunk):
         j1 = min(j0 + chunk, stop + 1)
         vals = eigenvalues(model, d, np.arange(j0, j1, dtype=np.int64))
+        if j0 == 1:
+            cri = 1.0 if query.criterion is ErrorCriterion.ABS else float(vals[0])
+            thr = query.eps * query.eps * cri
         count += int(np.count_nonzero(vals > thr))
     if rank is not None:
         return ComplexityResult(n=count, capped=(count == rank), method="count")

@@ -32,7 +32,7 @@ Everything else degrades to an honest heuristic evaluation.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -128,16 +128,19 @@ def ceil_stable(x: float) -> int:
 # summed, only recorded).
 
 
-def _log_first(pred: Callable[[float], bool], u_start: float, floor: int) -> int | None:
+def _log_first(pred: Callable[[np.ndarray], np.ndarray], u_start: float, floor: int) -> int | None:
     """The first u = max(1, u_start) * 2**k, k < 200, where pred holds, as an
     index: the smallest power of two at or above e**u, and at least floor.
 
-    Callers guarantee that pred, once true, stays true (a nonincreasing
-    function below a target, a nondecreasing one above zero), so the found
-    index certifies pred everywhere beyond it.
+    pred maps an array of u to a boolean array; overflow, underflow and NaN
+    (which compares false) pass silently.  Callers guarantee that pred, once
+    true, stays true (a nonincreasing function below a target, a
+    nondecreasing one above zero), so the found index certifies pred
+    everywhere beyond it.
     """
     u0 = max(1.0, u_start)
-    k = first_index(lambda k: pred(u0 * 2.0 ** (k - 1)), 200)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        k = first_index(lambda k: pred(np.ldexp(0.5 * u0, k)), 200)
     if k is None:
         return None
     u = u0 * 2.0 ** (k - 1)
@@ -202,8 +205,8 @@ def _plan_coupled(env: TailEnvelope, tau: float) -> Plan:
             # 0 above.
             limit = rate if tau == power else 0.0
 
-            def hub(u: float) -> float:
-                return rate * math.exp((power - tau) * u) + max(0.0, -log_a) * math.exp(-tau * u)
+            def hub(u: np.ndarray) -> np.ndarray:
+                return rate * np.exp((power - tau) * u) + max(0.0, -log_a) * np.exp(-tau * u)
 
             found = _log_first(lambda u: hub(u) <= limit + math.log(2.0), math.log(j0), j0)
             if found is not None:
@@ -215,8 +218,8 @@ def _plan_coupled(env: TailEnvelope, tau: float) -> Plan:
     if env.exact:
         beta = form.beta
 
-        def hub(u: float) -> float:
-            return (beta * u + max(0.0, -log_a)) * math.exp(-tau * u)
+        def hub(u: np.ndarray) -> np.ndarray:
+            return (beta * u + max(0.0, -log_a)) * np.exp(-tau * u)
 
         # hub is decreasing once u > 1/tau (the ln a correction only adds a
         # decreasing nonnegative part).
@@ -268,7 +271,7 @@ def _plan_qpt_exp(env: TailEnvelope, T: float) -> Plan:
         # u - T ln(base) is increasing once the base exceeds T beta / 2.
         u3 = (2.0 * max(0.5 * T * beta - 1.0, 0.0) + log_a) / beta
         found = _log_first(
-            lambda u: u >= T * math.log(1.0 + 0.5 * (beta * u - log_a)), max(u3, math.log(j0)), j0
+            lambda u: u >= T * np.log(1.0 + 0.5 * (beta * u - log_a)), max(u3, math.log(j0)), j0
         )
         if found is not None:
             return Divergence("harmonic", found, 1.0)
@@ -707,13 +710,12 @@ class SupEvaluation:
     kind: str
     d_max: int
     all_converged: bool = True
-    notes: tuple[str, ...] = field(default_factory=tuple)
     upper: float = math.inf  # the largest SumEvaluation.upper() of the sweep
 
     def as_dict(self) -> dict:
-        """Every field but ``notes`` and ``upper``."""
+        """Every field but ``upper``."""
         out = {**asdict(self), "values": list(self.values), "status": self.status.value}
-        del out["notes"], out["upper"]
+        del out["upper"]
         return out
 
 
@@ -767,7 +769,6 @@ def sup_over_d(
         kind=kind,
         d_max=d_max,
         all_converged=all(e.converged for e in evals),
-        notes=tuple(e.note for e in evals if e.note),
         upper=max(e.upper() for e in evals),
     )
 

@@ -15,12 +15,15 @@ FiniteRank  an explicit finite multiset, stored non-increasing; indices past
 Tabulated   an explicit prefix continued by its mandatory tail envelope
 Expression  a formula in d and j (see :mod:`tract.exprdsl`)
 
-Every family provides ``value(d, j)``, ``values(d, j)`` and
-``log_values(d, j)`` (unscaled, unclamped where the family can be), its
-``envelope`` (an analytic bound, or None), its ``rank`` (None when infinite)
-and ``d_free`` (whether it ignores d).  The three closed forms are their
-exact tail form: every one of those answers comes from the form.  Callers
-read these attributes; no code outside this module dispatches on the family.
+Every family answers arrays of indices only: ``values(d, j)`` and
+``log_values(d, j)`` take an int64 index array j and return the unscaled
+values and their logarithms (unclamped where the family can be).  It also
+provides its ``envelope`` (an analytic bound, or None), its ``rank`` (None
+when infinite) and ``d_free`` (whether it ignores d).  The three closed
+forms are their exact tail form: every one of those answers comes from the
+form.  Callers read these attributes; no code outside this module
+dispatches on the family.  A single eigenvalue is a one-element array call,
+so every search, count and sum reads the same values.
 
 An optional per-dimension scale factor c_d (a closed-form expression in d)
 multiplies every family.  Under the normalized error criterion the scale
@@ -117,9 +120,6 @@ class _ClosedForm(_Family):
     def _set_envelope(self, form: "TailForm") -> None:
         object.__setattr__(self, "envelope", TailEnvelope(form, 1, exact=True))
 
-    def value(self, d: int, j: int) -> float:
-        return self.envelope.form.value(j)
-
     def values(self, d: int, j: np.ndarray) -> np.ndarray:
         return self.envelope.form.value_array(j)
 
@@ -180,11 +180,6 @@ class FiniteRank(_Family):
     def rank(self) -> int:
         return len(self.entries)
 
-    def value(self, d: int, j: int) -> float:
-        if j > self.rank:
-            raise BeyondRankError(d, j, self.rank)
-        return self.entries[j - 1]
-
     def values(self, d: int, j: np.ndarray) -> np.ndarray:
         j = np.asarray(j)
         if np.any(j > self.rank):
@@ -209,19 +204,15 @@ class Tabulated(_Family):
         # the continuation must not rise above the smallest one.
         prefix = tuple(sorted(self.prefix, reverse=True))
         j = len(prefix) + 1
-        if self.continuation.bound(j) > prefix[-1]:
+        first = float(self.continuation.bound_array(j))
+        if first > prefix[-1]:
             raise ValueError(
-                f"Tabulated continuation at j={j} ({self.continuation.bound(j)!r}) "
+                f"Tabulated continuation at j={j} ({first!r}) "
                 f"exceeds the last prefix entry {prefix[-1]!r}"
             )
         object.__setattr__(self, "prefix", prefix)
         object.__setattr__(self, "_table", np.asarray(prefix, dtype=float))
         object.__setattr__(self, "envelope", replace(self.continuation, exact=True).shifted(j))
-
-    def value(self, d: int, j: int) -> float:
-        if j <= len(self.prefix):
-            return self.prefix[j - 1]
-        return self.continuation.bound(j)
 
     def _split(self, j: np.ndarray, head, tail) -> np.ndarray:
         """head(prefix entries) inside the prefix, tail(j) past it."""
@@ -250,13 +241,6 @@ class Expression(_Family):
         object.__setattr__(self, "tree", exprdsl.parse(self.formula))
         object.__setattr__(self, "d_free", "d" not in exprdsl.variables_used(self.tree))
 
-    def value(self, d: int, j: int) -> float:
-        v = exprdsl.evaluate(self.tree, d, j)
-        if v < 0 or not math.isfinite(v):
-            raise EvalDomainError(f"formula produced invalid eigenvalue {v!r}", d=d, j=j)
-        # Exact zeros are indistinguishable from underflow here; both clamp.
-        return max(v, MIN_POSITIVE)
-
     def values(self, d: int, j: np.ndarray) -> np.ndarray:
         out = exprdsl.compile_array(self.tree)(float(d), np.asarray(j, dtype=float))
         if np.any(out < 0):
@@ -282,9 +266,6 @@ class PowerLawTail:
         if not (self.scale > 0 and self.beta > 0):
             raise ValueError("PowerLaw tail requires scale > 0 and beta > 0")
 
-    def value(self, j: float) -> float:
-        return self.scale * float(j) ** -self.beta
-
     def value_array(self, j: np.ndarray) -> np.ndarray:
         return self.scale * np.asarray(j, dtype=float) ** -self.beta
 
@@ -303,9 +284,6 @@ class GeometricTail:
     def __post_init__(self):
         if not (self.scale > 0 and 0 < self.ratio < 1):
             raise ValueError("Geometric tail requires scale > 0 and ratio in (0, 1)")
-
-    def value(self, j: float) -> float:
-        return self.scale * self.ratio ** float(j)
 
     def value_array(self, j: np.ndarray) -> np.ndarray:
         with np.errstate(under="ignore"):
@@ -332,12 +310,6 @@ class StretchedExpTail:
     def __post_init__(self):
         if not (self.scale > 0 and self.rate > 0 and self.power > 0):
             raise ValueError("StretchedExp tail requires scale, rate, power > 0")
-
-    def value(self, j: float) -> float:
-        try:
-            return self.scale * math.exp(-self.rate * float(j) ** self.power)
-        except OverflowError:
-            return 0.0
 
     def value_array(self, j: np.ndarray) -> np.ndarray:
         with np.errstate(under="ignore"):
@@ -371,9 +343,6 @@ class TailEnvelope:
     form: TailForm
     valid_from: int = 1
     exact: bool = False
-
-    def bound(self, j: float) -> float:
-        return max(self.form.value(j), MIN_POSITIVE)
 
     def bound_array(self, j: np.ndarray) -> np.ndarray:
         return np.maximum(self.form.value_array(j), MIN_POSITIVE)
@@ -423,26 +392,22 @@ class EigenModel:
         return max(c, MIN_POSITIVE)
 
 
-def _clamp(v: float) -> float:
-    return v if v >= MIN_POSITIVE else MIN_POSITIVE
-
-
 def support(model: EigenModel, d: int) -> int | None:
     """Finite rank of the spectrum for dimension d, or None if infinite."""
     return model.family.rank
 
 
-def eigenvalue(model: EigenModel, d: int, j: int) -> float:
-    """lambda(d, j), clamped below at MIN_POSITIVE."""
-    if d < 1 or j < 1:
-        raise ValueError(f"d and j must be >= 1, got d={d}, j={j}")
-    return _clamp(model.family.value(d, j) * model.scale_at(d))
-
-
 def eigenvalues(model: EigenModel, d: int, j: np.ndarray) -> np.ndarray:
-    """Vectorised lambda(d, j) over an index array."""
+    """lambda(d, j) over an index array, clamped below at MIN_POSITIVE."""
     vals = model.family.values(d, np.asarray(j)) * model.scale_at(d)
     return np.maximum(vals, MIN_POSITIVE)
+
+
+def eigenvalue(model: EigenModel, d: int, j: int) -> float:
+    """One-element view of :func:`eigenvalues`."""
+    if d < 1 or j < 1:
+        raise ValueError(f"d and j must be >= 1, got d={d}, j={j}")
+    return float(eigenvalues(model, d, np.array([j], dtype=np.int64))[0])
 
 
 def cri(model: EigenModel, d: int, criterion: ErrorCriterion) -> float:
@@ -452,25 +417,23 @@ def cri(model: EigenModel, d: int, criterion: ErrorCriterion) -> float:
     return eigenvalue(model, d, 1)
 
 
-def ratio(model: EigenModel, d: int, j: int, criterion: ErrorCriterion) -> float:
-    """lambda(d, j) / CRI_d.
+def ratios(model: EigenModel, d: int, j: np.ndarray, criterion: ErrorCriterion) -> np.ndarray:
+    """lambda(d, j) / CRI_d over an index array.
 
     Under NOR the per-dimension scale cancels algebraically, so it is left
     out of both numerator and denominator; the result is bit-identical for
-    scaled and unscaled variants of the same family.
+    scaled and unscaled variants of the same family.  The lead lambda(d, 1)
+    comes from the same family call, last, as in :func:`log_ratios`.
     """
     if criterion is ErrorCriterion.ABS:
-        return eigenvalue(model, d, j)
-    lead = _clamp(model.family.value(d, 1))
-    return _clamp(model.family.value(d, j)) / lead
-
-
-def ratios(model: EigenModel, d: int, j: np.ndarray, criterion: ErrorCriterion) -> np.ndarray:
-    if criterion is ErrorCriterion.ABS:
         return eigenvalues(model, d, j)
-    lead = _clamp(model.family.value(d, 1))
-    vals = np.maximum(model.family.values(d, np.asarray(j)), MIN_POSITIVE)
-    return vals / lead
+    vals = np.maximum(model.family.values(d, np.append(j, 1)), MIN_POSITIVE)
+    return vals[:-1] / vals[-1]
+
+
+def ratio(model: EigenModel, d: int, j: int, criterion: ErrorCriterion) -> float:
+    """One-element view of :func:`ratios`."""
+    return float(ratios(model, d, np.array([j], dtype=np.int64), criterion)[0])
 
 
 def log_ratios(model: EigenModel, d: int, j: np.ndarray, criterion: ErrorCriterion) -> np.ndarray:
@@ -506,7 +469,8 @@ def ratio_envelope(
     if env is None:
         return None
     if criterion is ErrorCriterion.NOR:
-        return env.shifted(start).scaled(1.0 / _clamp(model.family.value(d, 1)))
+        lead = max(float(model.family.values(d, np.ones(1, dtype=np.int64))[0]), MIN_POSITIVE)
+        return env.shifted(start).scaled(1.0 / lead)
     return env.shifted(start).scaled(model.scale_at(d))
 
 

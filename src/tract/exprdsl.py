@@ -84,6 +84,7 @@ Expr = Union[Num, Var, Neg, BinOp, Call]
 # ---------------------------------------------------------------------------
 
 _PUNCT = {"+", "-", "*", "/", "^", "(", ")", ","}
+_DIGITS = frozenset("0123456789")  # str.isdigit also takes '²' and other scripts' digits
 
 
 @dataclass(frozen=True)
@@ -106,23 +107,23 @@ def _tokenize(source: str) -> list[_Token]:
             tokens.append(_Token(ch, ch, i))
             i += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             start = i
-            while i < n and source[i].isdigit():
+            while i < n and source[i] in _DIGITS:
                 i += 1
             if i < n and source[i] == ".":
                 i += 1
-                if i >= n or not source[i].isdigit():
+                if i >= n or source[i] not in _DIGITS:
                     raise ExprSyntaxError(i, ("digit",), repr(source[i]) if i < n else "end of input")
-                while i < n and source[i].isdigit():
+                while i < n and source[i] in _DIGITS:
                     i += 1
             if i < n and source[i] in "eE":
                 k = i + 1
                 if k < n and source[k] in "+-":
                     k += 1
-                if k < n and source[k].isdigit():
+                if k < n and source[k] in _DIGITS:
                     i = k
-                    while i < n and source[i].isdigit():
+                    while i < n and source[i] in _DIGITS:
                         i += 1
             tokens.append(_Token("num", source[start:i], start))
             continue

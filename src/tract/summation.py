@@ -294,7 +294,6 @@ class Divergence:
     reason: str
     j0: int
     floor: float
-    note: str = ""
 
 
 Plan = Union[TailBound, Divergence, None]

@@ -208,6 +208,22 @@ class TestImplications:
         issues = check_implications([good, forged])
         assert issues and issues[0]["downstream"] == "ALG-WT(2,2)-ABS"
 
+    @pytest.mark.parametrize(
+        "upstream",
+        [Notion("SPT", "ALG", ABS), Notion("UWT", "ALG", ABS)],
+        ids=["chain", "uwt"],
+    )
+    def test_holds_above_failing_wt_is_flagged(self, upstream):
+        wt = Notion("WT", "ALG", ABS, s=1.0, t=1.0)
+        issues = check_implications(
+            [
+                TractabilityVerdict(upstream, "Holds", None, {}, LIM),
+                TractabilityVerdict(wt, "Fails", None, {}, LIM),
+            ]
+        )
+        assert [(i["upstream"], i["downstream"]) for i in issues] == [(upstream.name, wt.name)]
+        assert upstream.name in issues[0]["detail"] and wt.name in issues[0]["detail"]
+
     def test_supported_downstream_of_holds_is_fine(self, poly2):
         verdicts = [
             decide(poly2, Notion("QPT", "ALG", ABS), LIM),

@@ -111,8 +111,9 @@ class TestOracleEquivalence:
 
     @pytest.mark.parametrize("eps,n", [(0.36842568459380204, 15), (0.1528051057040072, 37)])
     def test_settling_steps_past_the_scalar_crossing(self, eps, n):
-        # The scalar probes alone stop one index early here (n - 1); the
-        # array values move the crossing one step forward on both routes.
+        # libm rounds lambda at the crossing to the other side of the
+        # threshold (a scalar search would answer n - 1); both routes read
+        # the array values.
         model = EigenModel(ExpDecay(1.0, 0.3, 0.7))
         q = ComplexityQuery(1, eps, ABS)
         assert info_complexity(model, q).n == n
@@ -155,19 +156,45 @@ class TestNthMinimalError:
             assert a == b
 
 
+def _recording(switch: int, calls: list):
+    """An index-array predicate true from switch on that records each call."""
+
+    def pred(j: np.ndarray) -> np.ndarray:
+        assert j.dtype == np.int64
+        calls.append(j)
+        return j >= switch
+
+    return pred
+
+
 class TestFirstIndex:
     def test_matches_linear_scan(self):
         for cap in range(1, 65):
             for switch in range(1, cap + 2):  # cap + 1: never true
-                probed = []
-
-                def pred(j, switch=switch, probed=probed):
-                    probed.append(j)
-                    return j >= switch
-
+                calls = []
                 linear = next((j for j in range(1, cap + 1) if j >= switch), None)
-                assert first_index(pred, cap) == linear, (cap, switch)
-                assert all(1 <= j <= cap for j in probed)
+                assert first_index(_recording(switch, calls), cap) == linear, (cap, switch)
+                assert all(j.min() >= 1 and j.max() <= cap for j in calls)
+
+    @pytest.mark.parametrize("cap", [65, 100, 128, 4097, 8192, 8193, 10**6, 1 << 26, 1 << 62])
+    def test_call_budget(self, cap):
+        # One call finds a crossing at or below 64, two one at or below
+        # 8192; no call leaves [1, cap].
+        switches = {1, 2, 63, 64, 65, 127, 128, 129, 4097, 8191, 8192, 8193}
+        switches |= {cap // 3, cap - 1, cap, cap + 1}
+        for switch in sorted(s for s in switches if 1 <= s <= cap + 1):
+            calls = []
+            expected = switch if switch <= cap else None
+            assert first_index(_recording(switch, calls), cap) == expected, (cap, switch)
+            assert all(j.min() >= 1 and j.max() <= cap for j in calls), (cap, switch)
+            if switch <= 64:
+                assert len(calls) == 1, (cap, switch)
+            elif switch <= 8192:
+                assert len(calls) <= 2, (cap, switch)
+
+    def test_cap_beyond_int64_indices(self):
+        with pytest.raises(ValueError):
+            first_index(lambda j: j >= 1, (1 << 62) + 1)
 
     def test_tie_semantics_of_the_ratio_counts(self):
         # ratios 2, 1, 1, 0.5: three are >= 1, one is > 1

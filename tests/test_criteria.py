@@ -25,7 +25,7 @@ from tract import (
     sup_over_d,
     uwt_statistic,
 )
-from tract.criteria import SUM_KINDS, ceil_stable, convergence_plan, evaluate_sum
+from tract.criteria import SUM_KINDS, _classify_trend, ceil_stable, convergence_plan, evaluate_sum
 from tract.summation import Divergence, SumStatus
 
 ABS = ErrorCriterion.ABS
@@ -263,6 +263,16 @@ class TestSupOverD:
     def test_divergent_d_poisons_status(self, poly1):
         sweep = sup_over_d(poly1, "wt-exp", CriterionParams(c=1.0, s=1.0, t=1.0), ABS, 4)
         assert sweep.status is SumStatus.DIVERGENT
+
+    @pytest.mark.parametrize(
+        "values, trend",
+        [
+            ([1, 1, 1, 1, 2, 1, 2, 1], "Mixed"),  # an oscillating tail above the head
+            ([1, 5], "Bounded"),  # two points show no trend
+        ],
+    )
+    def test_trend_of_a_sweep(self, values, trend):
+        assert _classify_trend(values) == trend
 
 
 class TestConvergencePlan:

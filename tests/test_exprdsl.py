@@ -30,6 +30,14 @@ def test_unterminated_call_offset():
     assert err.value.offset == 10
 
 
+@pytest.mark.parametrize("source, offset", [("\u00b2", 0), ("j^(0-\u0663)", 5)])
+def test_numbers_are_ascii_decimal_literals(source, offset):
+    # A superscript two and an Arabic-Indic three pass str.isdigit.
+    with pytest.raises(ExprSyntaxError) as err:
+        parse(source)
+    assert err.value.offset == offset
+
+
 def test_constant_and_arithmetic():
     assert evaluate(parse("d*0 + 1"), 9, 9) == 1.0
     assert evaluate(parse("1/j + 1/d"), 2, 4) == 0.75

@@ -1,11 +1,11 @@
 """The family contract: every eigenvalue family answers for itself.
 
-Each family provides ``value``, ``values``, ``log_values``, ``envelope``,
-``rank`` and ``d_free``; nothing outside :mod:`tract.eigenmodel` dispatches
-on the family class.  The envelopes the model functions build from those
-answers are pinned against ``data/family_envelopes.json``; regenerate it
-with ``PYTHONPATH=src python tests/test_families.py`` only when an envelope
-is meant to change.
+Each family provides ``values``, ``log_values``, ``envelope``, ``rank`` and
+``d_free``, answering arrays of indices only; nothing outside
+:mod:`tract.eigenmodel` dispatches on the family class.  The envelopes the
+model functions build from those answers are pinned against
+``data/family_envelopes.json``; regenerate it with ``PYTHONPATH=src python
+tests/test_families.py`` only when an envelope is meant to change.
 """
 
 import ast
@@ -147,7 +147,8 @@ def test_closed_forms_are_their_tail_form():
         (Geometric(0.8, 0.5), GeometricTail(0.8, 0.5)),
     ]:
         assert family.envelope == TailEnvelope(form, 1, exact=True)
-        assert family.value(1, 7) == form.value(7)
+        j = np.arange(1, 100, dtype=np.int64)
+        assert np.array_equal(family.values(1, j), form.value_array(j))
         assert family == dataclasses.replace(family)
         assert hash(family) == hash(dataclasses.replace(family))
         assert "envelope" not in repr(family)
@@ -162,6 +163,15 @@ def _isinstance_targets(tree: ast.AST):
             classes = node.args[1]
             for cls in classes.elts if isinstance(classes, ast.Tuple) else [classes]:
                 yield node.lineno, getattr(cls, "id", getattr(cls, "attr", None))
+
+
+def test_no_scalar_eigenvalue_path():
+    # One path: a single eigenvalue is a one-element array call, so every
+    # search, count and sum reads the same values.
+    classes = [getattr(tract, name) for name in sorted(_FAMILY_CLASSES)]
+    classes += [PowerLawTail, GeometricTail, StretchedExpTail, TailEnvelope]
+    assert [cls.__name__ for cls in classes if hasattr(cls, "value")] == []
+    assert not hasattr(TailEnvelope, "bound")
 
 
 def test_no_family_dispatch_outside_eigenmodel():
