@@ -34,14 +34,7 @@ from .classifier import (
     exponent_bracket,
 )
 from .complexity import ComplexityQuery, count_oracle, info_complexity
-from .criteria import (
-    SUM_KINDS,
-    SUM_SPECS,
-    CriterionParams,
-    evaluate_sum,
-    sup_over_d,
-    uwt_statistic,
-)
+from .criteria import CriterionParams, evaluate_sum, sup_over_d, uwt_statistic
 from .eigenmodel import EigenModel, ErrorCriterion, _cast, model_from_config, validate
 from .errors import ConfigError, TractError, ValidationFailedError
 from .summation import SumEvaluation, SumStatus
@@ -309,12 +302,6 @@ def _params_from_args(cfg: RunConfig, args) -> CriterionParams:
     return CriterionParams(**{name: _setting(cfg, args, name, cast) for name, cast in _PARAM_CASTS.items()})
 
 
-def _require_flags(label: str, sum_kind: str, params: CriterionParams) -> None:
-    for name in SUM_SPECS[sum_kind].required:
-        if getattr(params, name) is None:
-            raise ConfigError(f"{label} needs --{name.replace('_', '-')}")
-
-
 def _cmd_criterion(cfg: RunConfig, args) -> int:
     params = _params_from_args(cfg, args)
     sum_kind = _setting(cfg, args, "sum", str)
@@ -332,9 +319,6 @@ def _cmd_criterion(cfg: RunConfig, args) -> int:
         payload = {"statistic": value, "n": n, "k": params.k or 1, "case": case}
         _emit(cfg, "criterion", run_params, payload, path)
         return 0
-    if sum_kind not in SUM_KINDS:
-        raise ConfigError(f"unknown sum {sum_kind!r}")
-    _require_flags(sum_kind, sum_kind, params)
     if args.sup:
         d_max = args.d_max or cfg.limits.d_max
         run_params.update(sup=True, d_max=d_max)
@@ -388,7 +372,6 @@ def _cmd_verify_bounds(cfg: RunConfig, args) -> int:
         raise ConfigError(f"unknown theorem {theorem_name!r}")
     params = _params_from_args(cfg, args)
     sum_kind = _THEOREM_SUMS[theorem]
-    _require_flags(theorem, sum_kind, params)
     sweep = sup_over_d(
         cfg.model, sum_kind, params, cfg.criterion, min(cfg.limits.d_max, 32),
         tol=cfg.limits.tol,

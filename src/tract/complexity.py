@@ -1,11 +1,12 @@
 """Information complexity from eigenvalues.
 
-n(eps, d) is the number of eigenvalues strictly above eps^2 * CRI_d, which
-for a non-increasing sequence equals the least n with
-lambda(d, n+1) <= eps^2 * CRI_d.  Two independent routes are provided: a
+n(eps, d) is the number of ratios lambda(d, j)/CRI_d strictly above eps^2,
+which for a non-increasing sequence equals the least n with
+lambda(d, n+1)/CRI_d <= eps^2.  Two independent routes are provided: a
 monotonicity-exploiting search and an ordering-free counting scan; their
-exact agreement is a tested invariant.  Both read the same array values,
-threshold included: under NOR, lambda(d, 1) comes from the same call.
+exact agreement is a tested invariant.  Both compare
+``eigenmodel.ratios`` with eps^2, so CRI_d is applied in one place and a
+d-scale cancels exactly under NOR.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .eigenmodel import EigenModel, ErrorCriterion, eigenvalue, eigenvalues, support
+from .eigenmodel import EigenModel, ErrorCriterion, eigenvalue, ratios, support
 from .errors import UnboundedError
 
 __all__ = [
@@ -58,7 +59,7 @@ class ComplexityResult:
 def info_complexity(
     model: EigenModel, query: ComplexityQuery, j_max: int = J_MAX_DEFAULT
 ) -> ComplexityResult:
-    """Least n with lambda(d, n+1) <= eps^2 * CRI_d (ties count as satisfied).
+    """Least n with lambda(d, n+1)/CRI_d <= eps^2 (ties count as satisfied).
 
     The first index at or below the threshold comes from :func:`first_index`.
     Raises :class:`UnboundedError` when no such index exists up to ``j_max``.
@@ -66,15 +67,7 @@ def info_complexity(
     d, eps2 = query.d, query.eps * query.eps
     rank = support(model, d)
     cap = j_max if rank is None else rank
-    if query.criterion is ErrorCriterion.ABS:
-        def below(j: np.ndarray) -> np.ndarray:
-            return eigenvalues(model, d, j) <= eps2
-    else:
-        def below(j: np.ndarray) -> np.ndarray:
-            # The lead lambda(d, 1) goes last, as in log_ratios.
-            vals = eigenvalues(model, d, np.append(j, 1))
-            return vals[:-1] <= eps2 * vals[-1]
-    first = first_index(below, cap)
+    first = first_index(lambda j: ratios(model, d, j, query.criterion) <= eps2, cap)
     if first is None:
         if rank is not None:
             return ComplexityResult(n=rank, capped=True, method="search")
@@ -120,23 +113,19 @@ def first_index(pred: Callable[[np.ndarray], np.ndarray], cap: int) -> int | Non
 def count_oracle(
     model: EigenModel, query: ComplexityQuery, j_max: int = 100_000
 ) -> ComplexityResult:
-    """Count eigenvalues strictly above the threshold by linear scan.
+    """Count ratios strictly above eps^2 by linear scan.
 
     The count never consults the ordering, so it doubles as an independent
     oracle for :func:`info_complexity` on validated (non-increasing) models.
     """
-    d = query.d
+    d, eps2 = query.d, query.eps * query.eps
     rank = support(model, d)
     stop = rank if rank is not None else j_max
     count = 0
     chunk = 1 << 16
     for j0 in range(1, stop + 1, chunk):
-        j1 = min(j0 + chunk, stop + 1)
-        vals = eigenvalues(model, d, np.arange(j0, j1, dtype=np.int64))
-        if j0 == 1:
-            cri = 1.0 if query.criterion is ErrorCriterion.ABS else float(vals[0])
-            thr = query.eps * query.eps * cri
-        count += int(np.count_nonzero(vals > thr))
+        j = np.arange(j0, min(j0 + chunk, stop + 1), dtype=np.int64)
+        count += int(np.count_nonzero(ratios(model, d, j, query.criterion) > eps2))
     if rank is not None:
         return ComplexityResult(n=count, capped=(count == rank), method="count")
     if count == stop:

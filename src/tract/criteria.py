@@ -16,11 +16,11 @@ uwt        inf over d <= floor((ln n)**k) of the rho(d, n) decay statistics
 =========  ==================================================================
 
 ``SUM_SPECS`` is the single description of each of the eight sums: its
-required parameters and their domain, its start index, term parameters,
-tail planner, vectorised term function and prefactor, and (qpt-alg only)
-the outer power.  ``evaluate_sum``, ``sup_over_d``, ``convergence_plan`` and
-the CLI all read that table; the ``sum_*`` functions are one-call wrappers
-over ``evaluate_sum``.
+required parameters, its start index, term parameters, tail planner,
+vectorised term function and prefactor, and (qpt-alg only) the outer power.
+The parameter domain is not in it: ``CriterionParams`` checks its own
+fields.  ``evaluate_sum``, ``sup_over_d`` and ``convergence_plan`` read that
+table; the ``sum_*`` functions are one-call wrappers over ``evaluate_sum``.
 
 Where the model carries a tail envelope the summation is truncated with a
 certified remainder; exact (two-sided) envelopes additionally support
@@ -90,9 +90,13 @@ _DEFAULT_TOL = 1e-10
 _DEFAULT_MAX_TERMS = 2_000_000
 
 
+# Fields with an inclusive lower bound; every other field must be positive.
+_AT_LEAST = {"tau1": 0.0, "tau3": 0.0, "k": 1}
+
+
 @dataclass(frozen=True)
 class CriterionParams:
-    """Parameter bundle for the criterion sums; unused fields stay None."""
+    """Parameter bundle for the criterion sums; unused fields stay None, set ones are finite."""
 
     tau: float | None = None
     tau1: float | None = None
@@ -103,6 +107,13 @@ class CriterionParams:
     s: float | None = None
     t: float | None = None
     k: int | None = None
+
+    def __post_init__(self):
+        for name, v in self.__dict__.items():
+            low = _AT_LEAST.get(name)
+            if v is not None and not (math.isfinite(v) and (v > 0 if low is None else v >= low)):
+                rule = "> 0" if low is None else f">= {low:g}"
+                raise ValueError(f"{name} must be finite and {rule}, got {v!r}")
 
     def as_dict(self) -> dict:
         return {k: v for k, v in self.__dict__.items() if v is not None}
@@ -364,7 +375,7 @@ def _plan_wt_exp(env: TailEnvelope, c: float, s: float) -> Plan:
 
 
 # Unset start and prefactor exponents mean 0 and an unset start constant
-# means 1.  Zero is a value, not "unset": it still meets the domain check.
+# means 1.  Zero is a value, not "unset": CriterionParams still checks it.
 _DEFAULTS = {"tau1": 0.0, "tau3": 0.0, "c_tilde": 1.0}
 
 
@@ -379,8 +390,6 @@ class SumSpec:
     """
 
     required: tuple[str, ...]
-    domain: Callable[[CriterionParams], bool]
-    domain_error: str
     start: Callable[[CriterionParams, int, ErrorCriterion], int]
     param: Callable[[CriterionParams, int], tuple[float, ...]]
     planner: Callable[..., Plan]
@@ -389,21 +398,20 @@ class SumSpec:
     outer_power: bool = False
 
     def resolve(self, params: CriterionParams) -> CriterionParams:
-        """The params with defaults filled in; ValueError when one is missing
-        or out of domain."""
+        """The params with defaults filled in; ValueError when one is missing."""
         missing = [name for name in self.required if getattr(params, name) is None]
         if missing:
             raise ValueError(f"missing parameter {missing[0]}")
-        p = replace(params, **{k: v for k, v in _DEFAULTS.items() if getattr(params, k) is None})
-        if not self.domain(p):
-            raise ValueError(self.domain_error)
-        return p
+        return replace(params, **{k: v for k, v in _DEFAULTS.items() if getattr(params, k) is None})
 
 
-def _start_index(criterion: ErrorCriterion, c_tilde: float, d: int, tau3: float) -> int:
+def _start_index(criterion: ErrorCriterion, c_tilde: float, d: int, power: float) -> int:
     if criterion is ErrorCriterion.NOR:
         return 1
-    return max(1, ceil_stable(c_tilde * float(d) ** tau3))
+    # Logarithms first: far past the index range the product may not be a double.
+    if math.log(c_tilde) + power * math.log(d) > 63 * math.log(2.0):
+        return 1 << 63  # past the index range: _plan rejects it
+    return max(1, ceil_stable(c_tilde * float(d) ** power))
 
 
 def _spt_start(p: CriterionParams, d: int, criterion: ErrorCriterion) -> int:
@@ -429,27 +437,22 @@ def _rho_pow_coupled(L: np.ndarray, j: np.ndarray, tau: float) -> np.ndarray:
 # and the terms.
 _SPT = dict(
     required=("tau",),
-    domain=lambda p: p.tau > 0,
-    domain_error="tau must be positive",
     start=_spt_start,
     param=lambda p, d: (p.tau,),
     prefactor=lambda p, d: 1.0,
 )
 _PT = dict(
     required=("tau2",),
-    domain=lambda p: p.tau1 >= 0 and p.tau3 >= 0 and p.tau2 > 0 and p.c_tilde > 0,
-    domain_error="need tau1, tau3 >= 0 and tau2, c_tilde > 0",
     start=lambda p, d, criterion: _start_index(criterion, p.c_tilde, d, p.tau3),
     param=lambda p, d: (p.tau2,),
     prefactor=lambda p, d: float(d) ** -p.tau1,
 )
 _WT = dict(
     required=("c", "s", "t"),
-    domain=lambda p: p.c > 0 and p.s > 0 and p.t > 0,
-    domain_error="c, s, t must be positive",
     start=lambda p, d, criterion: 1,
     param=lambda p, d: (p.c, p.s),
-    prefactor=lambda p, d: math.exp(-p.c * float(d) ** p.t),
+    # d**t is never 0, so "or inf" only stands for a power past the double range.
+    prefactor=lambda p, d: math.exp(-p.c * (_pow_or_none(float(d), p.t) or math.inf)),
 )
 
 SUM_SPECS: dict[str, SumSpec] = {
@@ -459,8 +462,6 @@ SUM_SPECS: dict[str, SumSpec] = {
     "pt-exp": SumSpec(**_PT, planner=_plan_coupled, terms=_rho_pow_coupled),
     "qpt-alg": SumSpec(
         required=("tau2",),
-        domain=lambda p: p.tau1 >= 0 and p.tau2 > 0 and p.c_tilde > 0,
-        domain_error="need tau1 >= 0 and tau2, c_tilde > 0",
         start=lambda p, d, criterion: _start_index(criterion, p.c_tilde, d, p.tau1),
         param=lambda p, d: (p.tau2 * (1.0 + math.log(d)),),
         planner=_plan_power,
@@ -470,8 +471,6 @@ SUM_SPECS: dict[str, SumSpec] = {
     ),
     "qpt-exp": SumSpec(
         required=("tau",),
-        domain=lambda p: p.tau > 0,
-        domain_error="tau must be positive",
         start=lambda p, d, criterion: 1,
         param=lambda p, d: (p.tau * (1.0 + math.log(d)),),
         planner=_plan_qpt_exp,
@@ -505,12 +504,15 @@ def _spec(kind: str) -> SumSpec:
 
 
 def _plan(
-    spec: SumSpec, p: CriterionParams, model: EigenModel, d: int, criterion: ErrorCriterion
+    kind: str, p: CriterionParams, model: EigenModel, d: int, criterion: ErrorCriterion
 ) -> tuple[int, tuple[float, ...], Plan]:
     """Start index, term parameters and tail plan of a resolved sum; no
     envelope, or a planner that overflows the double range, gives no
-    certificate (plan None)."""
+    certificate (plan None).  ValueError when the start is past 2**62."""
+    spec = SUM_SPECS[kind]
     start = spec.start(p, d, criterion)
+    if start > 1 << 62:  # int64 indices, as Limits.j_max
+        raise ValueError(f"{kind} start index exceeds 2**62 at d={d}")
     x = spec.param(p, d)
     env = ratio_envelope(model, d, criterion, start)
     if env is None:
@@ -535,7 +537,7 @@ def evaluate_sum(
     """Evaluate one named criterion sum (a key of SUM_SPECS) at a single d."""
     spec = _spec(kind)
     p = spec.resolve(params)
-    start, x, plan = _plan(spec, p, model, d, criterion)
+    start, x, plan = _plan(kind, p, model, d, criterion)
 
     def block(j0: int, j1: int) -> np.ndarray:
         j = np.arange(j0, j1, dtype=np.int64)
@@ -680,6 +682,8 @@ def uwt_statistic(
         raise ValueError("case must be ALG or EXP")
     loglog = math.log(math.log(n))
     d_hi = max(1, int(math.log(n) ** k))
+    if model.family.d_free and (model.d_scale is None or criterion is ErrorCriterion.NOR):
+        d_hi = 1  # no d in the ratios: under NOR the scale cancels
     best = math.inf
     for d in range(1, d_hi + 1):
         try:
@@ -689,8 +693,6 @@ def uwt_statistic(
         if case == "EXP" and math.isfinite(num):
             num = math.log(max(1.0, num))
         best = min(best, num / loglog if math.isfinite(num) else math.inf)
-        if model.d_independent:
-            break
     return best
 
 
@@ -788,11 +790,10 @@ def convergence_plan(
     always yield a trivially convergent plan.  Raises ValueError on the
     parameters evaluate_sum rejects.
     """
-    spec = _spec(kind)
-    p = spec.resolve(params)
+    p = _spec(kind).resolve(params)
     rank = support(model, d)
     if rank is not None:
         # Finite spectra converge trivially; any tail bound object works as
         # the convergence marker since nothing is summed through it.
         return GeomSeriesTail(1.0, 0.5, from_j=rank + 1, exact=False)
-    return _plan(spec, p, model, d, criterion)[2]
+    return _plan(kind, p, model, d, criterion)[2]

@@ -98,6 +98,14 @@ class ErrorCriterion(enum.Enum):
 # ---------------------------------------------------------------------------
 
 
+def _require_finite(obj) -> None:
+    """ValueError naming the first constructor field of obj that is not a finite number."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if f.init and not math.isfinite(value):
+            raise ValueError(f"{type(obj).__name__} {f.name} must be finite, got {value!r}")
+
+
 class _Family:
     """What a family provides when it has nothing more specific to say."""
 
@@ -133,6 +141,7 @@ class PolyDecay(_ClosedForm):
     alpha: float = 1.0
 
     def __post_init__(self):
+        _require_finite(self)
         if not (self.a > 0 and self.alpha > 0):
             raise ValueError("PolyDecay requires a > 0 and alpha > 0")
         self._set_envelope(PowerLawTail(self.a, self.alpha))
@@ -145,6 +154,7 @@ class ExpDecay(_ClosedForm):
     gamma: float = 1.0
 
     def __post_init__(self):
+        _require_finite(self)
         if not (self.a > 0 and self.b > 0 and self.gamma > 0):
             raise ValueError("ExpDecay requires a, b, gamma > 0")
         self._set_envelope(StretchedExpTail(self.a, self.b, self.gamma))
@@ -156,6 +166,7 @@ class Geometric(_ClosedForm):
     r: float = 0.5
 
     def __post_init__(self):
+        _require_finite(self)
         if not (self.a > 0 and 0 < self.r < 1):
             raise ValueError("Geometric requires a > 0 and r in (0, 1)")
         self._set_envelope(GeometricTail(self.a, self.r))
@@ -263,6 +274,7 @@ class PowerLawTail:
     beta: float
 
     def __post_init__(self):
+        _require_finite(self)
         if not (self.scale > 0 and self.beta > 0):
             raise ValueError("PowerLaw tail requires scale > 0 and beta > 0")
 
@@ -282,6 +294,7 @@ class GeometricTail:
     ratio: float
 
     def __post_init__(self):
+        _require_finite(self)
         if not (self.scale > 0 and 0 < self.ratio < 1):
             raise ValueError("Geometric tail requires scale > 0 and ratio in (0, 1)")
 
@@ -308,6 +321,7 @@ class StretchedExpTail:
     power: float
 
     def __post_init__(self):
+        _require_finite(self)
         if not (self.scale > 0 and self.rate > 0 and self.power > 0):
             raise ValueError("StretchedExp tail requires scale, rate, power > 0")
 

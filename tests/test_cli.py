@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 
 import pytest
 
@@ -250,7 +251,7 @@ class TestCriterionCommand:
     def test_missing_parameter_is_config_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         assert main(["criterion", "--config", cfg, "--sum", "spt-alg"]) == 2
-        assert "--tau" in capsys.readouterr().err
+        assert capsys.readouterr().err == "config error: missing parameter tau\n"
 
     def test_bad_parameter_value_is_config_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
@@ -266,6 +267,39 @@ class TestCriterionCommand:
             ["criterion", "--config", cfg, "--sum", kind, "--tau2", "1", "--c-tilde", "0"]
         ) == 2
         assert "config error" in capsys.readouterr().err
+
+
+_POLY = {"kind": "PolyDecay", "params": {"a": 1.0, "alpha": 2.0}}
+_GEO = {"kind": "Geometric", "params": {"a": 1.0, "r": 0.5}}
+
+
+class TestInvalidInput:
+    # Each must end in a result or a config error: no NaN, no answer
+    # silently computed from an invalid parameter, no raw traceback.
+    @pytest.mark.parametrize(
+        "model, criterion, argv, code",
+        [
+            (_POLY, "ABS", "criterion --sum spt-alg --tau inf", 2),
+            (_POLY, "NOR", "criterion --sum spt-alg --tau inf", 2),
+            (_POLY, "ABS", "criterion --sum spt-alg --tau 1 --c-tilde inf", 2),
+            (_POLY, "ABS", "criterion --sum spt-alg --tau 1 --c-tilde -5", 2),
+            (_POLY, "ABS", "criterion --sum uwt-alg --n 100 --k 0", 2),
+            ({**_GEO, "params": {"a": math.inf, "r": 0.5}}, "ABS", "classify", 2),
+            ({**_POLY, "params": {"a": math.inf}}, "ABS", "classify", 2),
+            (_GEO, "ABS", "criterion --sum pt-alg --tau2 1 --tau3 100 --d 2", 2),
+            (_GEO, "ABS", "criterion --sum pt-alg --tau2 1 --tau3 2000 --d 2", 2),
+            (_GEO, "ABS", "criterion --sum spt-alg --tau 1 --c-tilde 1e300", 2),
+            (_GEO, "ABS", "criterion --sum wt-exp --c 1 --s 1 --t 2000 --d 2", 0),
+            (_GEO, "ABS", "verify-bounds --theorem t1 --tau2 1 --tau3 2000 --d-grid 1:2", 2),
+        ],
+    )
+    def test_exits_cleanly(self, tmp_path, capsys, model, criterion, argv, code):
+        cfg = write_config(tmp_path, model=model, criterion=criterion)
+        command, *flags = argv.split()
+        assert main([command, "--config", cfg, *flags]) == code
+        out, err = capsys.readouterr()
+        assert "Traceback" not in err and '"nan"' not in out
+        assert err.startswith("config error: ") if code == 2 else err == ""
 
 
 class TestClassifyCommand:

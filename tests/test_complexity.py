@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -11,12 +12,14 @@ from tract import (
     FiniteRank,
     Geometric,
     GeometricTail,
+    PolyDecay,
     Tabulated,
     TailEnvelope,
     count_oracle,
     info_complexity,
     nth_minimal_error,
 )
+from tract import exprdsl
 from tract.boundcheck import _count_above_cri
 from tract.classifier import _count_ratios_at_least_one
 from tract.complexity import first_index
@@ -118,6 +121,22 @@ class TestOracleEquivalence:
         q = ComplexityQuery(1, eps, ABS)
         assert info_complexity(model, q).n == n
         assert count_oracle(model, q).n == n
+
+    def test_d_scale_cancels_at_a_nor_tie(self):
+        # eps**2 sits on a ratio here: scaling before dividing once counted
+        # 1867 for the scaled model.
+        alpha, d, eps = 1.6204837511179113, 18, 0.0022355967400540687
+        plain = EigenModel(PolyDecay(1.0, alpha))
+        scaled = EigenModel(PolyDecay(1.0, alpha), d_scale=exprdsl.parse("1/d"))
+        q = ComplexityQuery(d, eps, NOR)
+        assert info_complexity(plain, q).n == 1868
+        assert info_complexity(scaled, q).n == 1868
+        assert count_oracle(scaled, q).n == 1868
+
+    @pytest.mark.parametrize("route", [info_complexity, count_oracle])
+    def test_routes_leave_cri_to_ratios(self, route):
+        assert "ErrorCriterion" not in inspect.getsource(route)
+        assert "ratios(" in inspect.getsource(route)
 
     def test_eps_monotonicity(self, poly2):
         values = [

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -25,7 +27,15 @@ from tract import (
     sup_over_d,
     uwt_statistic,
 )
-from tract.criteria import SUM_KINDS, _classify_trend, ceil_stable, convergence_plan, evaluate_sum
+from tract import criteria, exprdsl
+from tract.criteria import (
+    SUM_KINDS,
+    SumSpec,
+    _classify_trend,
+    ceil_stable,
+    convergence_plan,
+    evaluate_sum,
+)
 from tract.summation import Divergence, SumStatus
 
 ABS = ErrorCriterion.ABS
@@ -178,6 +188,11 @@ class TestWtAlg:
 
 
 class TestWtExp:
+    def test_prefactor_past_the_double_range_is_zero(self, geo):
+        # 2**2000 leaves the double range; exp(-c d**t) is then 0.0.
+        ev = sum_wt_exp(geo, 2, 1.0, 1.0, 2000.0, ABS)
+        assert ev.value == 0.0 and ev.certified
+
     def test_exp_decay_closed_form(self, exp2):
         ev = sum_wt_exp(exp2, 1, 1.0, 1.0, 1.0, ABS)
         ref = math.exp(-1.0) * brute(
@@ -233,6 +248,15 @@ class TestUwtStatistic:
         model = EigenModel(FiniteRank((1.0, 0.5)))
         assert math.isinf(uwt_statistic(model, 100, 1, "ALG", ABS))
 
+    def test_nor_stops_at_d1_when_the_scale_cancels(self, monkeypatch):
+        plain = uwt_statistic(EigenModel(PolyDecay(1.0, 2.0)), 10_000, 2, "ALG", NOR)
+        scaled = EigenModel(PolyDecay(1.0, 2.0), d_scale=exprdsl.parse("d^(0-1)"))
+        dims = []
+        log_ratio = criteria.log_ratio
+        monkeypatch.setattr(criteria, "log_ratio", lambda m, d, *a: dims.append(d) or log_ratio(m, d, *a))
+        assert uwt_statistic(scaled, 10_000, 2, "ALG", NOR) == plain
+        assert dims == [1]
+
     def test_requires_n_at_least_three(self, poly1):
         with pytest.raises(ValueError):
             uwt_statistic(poly1, 2, 1, "ALG", ABS)
@@ -279,18 +303,20 @@ class TestConvergencePlan:
     @pytest.mark.parametrize(
         "kind, params",
         [
-            ("spt-alg", CriterionParams(tau=-1.0)),
-            ("pt-alg", CriterionParams(tau2=1.0, c_tilde=0.0)),
-            ("pt-exp", CriterionParams(tau2=1.0, tau3=-1.0)),
-            ("qpt-alg", CriterionParams(tau2=1.0, c_tilde=0.0)),
-            ("qpt-exp", CriterionParams(tau=0.0)),
+            ("spt-alg", dict(tau=-1.0)),
+            ("pt-alg", dict(tau2=1.0, c_tilde=0.0)),
+            ("pt-exp", dict(tau2=1.0, tau3=-1.0)),
+            ("qpt-alg", dict(tau2=1.0, c_tilde=0.0)),
+            ("qpt-exp", dict(tau=0.0)),
         ],
     )
     def test_rejects_what_evaluate_sum_rejects(self, geo, kind, params):
+        # Out-of-domain params do not construct, so each is built inside the
+        # raises block.
         with pytest.raises(ValueError):
-            evaluate_sum(geo, kind, 1, params, ABS)
+            evaluate_sum(geo, kind, 1, CriterionParams(**params), ABS)
         with pytest.raises(ValueError):
-            convergence_plan(geo, kind, 1, params, ABS)
+            convergence_plan(geo, kind, 1, CriterionParams(**params), ABS)
 
     def test_plan_agrees_with_evaluation_status(self, geo, tabulated_geo, expr_poly2):
         models = {
@@ -326,6 +352,64 @@ class TestConvergencePlan:
                         ):
                             mismatches.append((kind, name, criterion.value, d, plan, ev.status))
         assert mismatches == []
+
+
+# Per field: a value just past its bound, and the smallest value it takes.
+# A new field needs an entry here, so no field can skip the domain rule.
+_TINY = math.ulp(0.0)
+_DOMAIN = {
+    "tau": (0.0, _TINY),
+    "tau1": (-_TINY, 0.0),
+    "tau2": (0.0, _TINY),
+    "tau3": (-_TINY, 0.0),
+    "c_tilde": (0.0, _TINY),
+    "c": (0.0, _TINY),
+    "s": (0.0, _TINY),
+    "t": (0.0, _TINY),
+    "k": (0, 1),
+}
+
+
+class TestParamDomain:
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(CriterionParams)])
+    def test_each_field_checks_its_own_domain(self, name):
+        past, least = _DOMAIN[name]
+        for bad in (math.nan, math.inf, -math.inf, past):
+            with pytest.raises(ValueError, match=rf"^{name} .*{re.escape(repr(bad))}$"):
+                CriterionParams(**{name: bad})
+        for good in (least, least + 2):
+            assert getattr(CriterionParams(**{name: good}), name) == good
+
+    def test_replace_checks_again(self):
+        with pytest.raises(ValueError, match="tau2"):
+            dataclasses.replace(CriterionParams(tau2=1.0), tau2=-1.0)
+
+    def test_sum_specs_carry_no_domain(self):
+        # CriterionParams owns the domain; a per-sum copy would drift from it.
+        assert {f.name for f in dataclasses.fields(SumSpec)}.isdisjoint({"domain", "domain_error"})
+
+
+class TestStartIndexRange:
+    @pytest.mark.parametrize(
+        "kind, params, d",
+        [
+            ("pt-alg", dict(tau2=1.0, tau3=100.0), 2),  # 2**100: past int64
+            ("pt-exp", dict(tau2=1.0, tau3=2000.0), 2),  # 2**2000: past the double range
+            ("qpt-alg", dict(tau2=1.0, tau1=2000.0), 2),
+            ("spt-alg", dict(tau=1.0, c_tilde=1e300), 1),
+            ("pt-alg", dict(tau2=1.0, c_tilde=math.nextafter(2.0**62, math.inf)), 1),
+        ],
+    )
+    def test_start_past_int64_is_a_value_error(self, geo, kind, params, d):
+        message = rf"^{kind} start index exceeds 2\*\*62 at d={d}$"
+        with pytest.raises(ValueError, match=message):
+            evaluate_sum(geo, kind, d, CriterionParams(**params), ABS)
+        with pytest.raises(ValueError, match=message):
+            convergence_plan(geo, kind, d, CriterionParams(**params), ABS)
+
+    def test_largest_start_is_kept(self, geo):
+        plan = convergence_plan(geo, "pt-alg", 1, CriterionParams(tau2=1.0, c_tilde=2.0**62), ABS)
+        assert plan.from_j == 2**62
 
 
 class TestOrderInvariance:

@@ -265,6 +265,28 @@ class TestConfigIngestion:
                 }
             )
 
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ('{"kind": "Geometric", "params": {"a": Infinity, "r": 0.5}}', "Geometric a must be finite"),
+            ('{"kind": "PolyDecay", "params": {"a": Infinity}}', "PolyDecay a must be finite"),
+            ('{"kind": "ExpDecay", "params": {"gamma": NaN}}', "ExpDecay gamma must be finite"),
+            (
+                '{"kind": "Expression", "params": {"formula": "2**-j"},'
+                ' "tail": {"form": "Geometric", "A": Infinity, "r": 0.5}}',
+                "GeometricTail scale must be finite",
+            ),
+        ],
+    )
+    def test_non_finite_numbers_rejected(self, spec, message):
+        # Python's JSON reader accepts Infinity and NaN.
+        import json
+
+        from tract import model_from_config
+
+        with pytest.raises(ValueError, match=message):
+            model_from_config(json.loads(spec))
+
     def test_d_scale_parsed(self):
         from tract import model_from_config
 

@@ -12,6 +12,7 @@ import ast
 import dataclasses
 import importlib
 import json
+import math
 import pathlib
 import pkgutil
 
@@ -138,6 +139,27 @@ def test_closed_form_logs_survive_underflow(family):
     logs = family.log_values(1, j)
     assert np.all(np.isfinite(logs))
     assert np.all(np.diff(logs) < 0)
+
+
+@pytest.mark.parametrize(
+    "cls, args",
+    [
+        (PolyDecay, (1.0, 2.0)),
+        (ExpDecay, (1.0, 1.0, 0.5)),
+        (Geometric, (1.0, 0.5)),
+        (PowerLawTail, (1.0, 2.0)),
+        (GeometricTail, (1.0, 0.5)),
+        (StretchedExpTail, (1.0, 1.0, 0.5)),
+    ],
+)
+def test_numbers_must_be_finite(cls, args):
+    cls(*args)
+    names = [f.name for f in dataclasses.fields(cls) if f.init]
+    assert len(names) == len(args)
+    for i, name in enumerate(names):
+        for bad in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match=rf"^{cls.__name__} {name} must be finite"):
+                cls(*args[:i], bad, *args[i + 1 :])
 
 
 def test_closed_forms_are_their_tail_form():
