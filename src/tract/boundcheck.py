@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complexity import ComplexityQuery, first_index, info_complexity
-from .criteria import SUM_SPECS, CriterionParams, ceil_stable
+from .criteria import SUM_SPECS, CriterionParams, _plan, ceil_stable
 from .eigenmodel import EigenModel, ErrorCriterion, log_ratios, ratios, support
 from .summation import SumEvaluation
 
@@ -178,14 +178,14 @@ def diagnostics(
     if spec.theorem == "T1":
         p1 = _PT_EXP.resolve(p)
         tau2 = p1.tau2
-        start = _PT_EXP.start(p1, d, crit)
+        start = _plan(_THEOREM_SUMS["T1"], p1, model, d, crit)[0]  # checked as the sum's
         # Slow set: indices from the start whose term exceeds 1/e, i.e.
         # ln(ratio) * j**-tau2 > -1.  Monotone in j, so its end is searched.
         def fast(i: np.ndarray) -> np.ndarray:  # the i-th index from the start is past the slow set
             j = start + i - 1
             return log_ratios(model, d, j, crit) * j.astype(float) ** -tau2 <= -1.0
 
-        span = cap - start + 1
+        span = cap if rank is None else rank - start + 1  # cap indices from the start
         end = first_index(fast, span) if span > 0 else 1
         count = span if end is None else end - 1
         out["B_d_size"] = count

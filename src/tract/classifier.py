@@ -176,9 +176,8 @@ class GrowthFit:
 def _scale_nonincreasing(model: EigenModel) -> bool:
     if model.d_scale is None:
         return True
-    probes = sorted(set(list(range(1, 65)) + [128, 256, 512, 1024, 2048, 4096]))
-    values = [model.scale_at(d) for d in probes]
-    return all(b <= a * (1 + 1e-12) for a, b in zip(values, values[1:]))
+    values = model.scale_at(np.r_[1:65, 2 ** np.arange(7, 13)])  # d = 1..64, 128..4096
+    return bool(np.all(values[1:] <= values[:-1] * (1 + 1e-12)))
 
 
 def _effectively_d_independent(model: EigenModel, criterion: ErrorCriterion) -> bool:

@@ -329,7 +329,8 @@ def _cmd_criterion(cfg: RunConfig, args) -> int:
             f"sup_observed={sweep.sup_observed!r} trend={sweep.trend} status={sweep.status.value}\n"
         )
         return 0
-    d = _setting(cfg, args, "d", int) or 1
+    d = _setting(cfg, args, "d", int)
+    d = 1 if d is None else d
     run_params["d"] = d
     ev = evaluate_sum(cfg.model, sum_kind, d, params, cfg.criterion, tol=cfg.limits.tol)
     _emit(cfg, "criterion", run_params, {**ev.as_dict(), "d": d, "sum": sum_kind}, path)

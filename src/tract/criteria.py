@@ -46,7 +46,6 @@ from .eigenmodel import (
     StretchedExpTail,
     TailEnvelope,
     TailForm,
-    log_ratio,
     log_ratios,
     ratio_envelope,
     support,
@@ -508,7 +507,9 @@ def _plan(
 ) -> tuple[int, tuple[float, ...], Plan]:
     """Start index, term parameters and tail plan of a resolved sum; no
     envelope, or a planner that overflows the double range, gives no
-    certificate (plan None).  ValueError when the start is past 2**62."""
+    certificate (plan None).  ValueError when d < 1 or the start is past 2**62."""
+    if d < 1:
+        raise ValueError("d must be >= 1")
     spec = SUM_SPECS[kind]
     start = spec.start(p, d, criterion)
     if start > 1 << 62:  # int64 indices, as Limits.j_max
@@ -684,16 +685,14 @@ def uwt_statistic(
     d_hi = max(1, int(math.log(n) ** k))
     if model.family.d_free and (model.d_scale is None or criterion is ErrorCriterion.NOR):
         d_hi = 1  # no d in the ratios: under NOR the scale cancels
-    best = math.inf
-    for d in range(1, d_hi + 1):
-        try:
-            num = -log_ratio(model, d, n, criterion)
-        except BeyondRankError:
-            num = math.inf  # exhausted spectrum: infinitely fast decay at this d
-        if case == "EXP" and math.isfinite(num):
-            num = math.log(max(1.0, num))
-        best = min(best, num / loglog if math.isfinite(num) else math.inf)
-    return best
+    try:
+        # Both statistics are nondecreasing in the numerator: take its minimum.
+        num = -float(np.max(log_ratios(model, np.arange(1, d_hi + 1)[:, None], np.array([n]), criterion)))
+    except BeyondRankError:
+        return math.inf  # exhausted spectrum (d-free): infinitely fast decay at every d
+    if case == "EXP" and math.isfinite(num):
+        num = math.log(max(1.0, num))
+    return num / loglog if math.isfinite(num) else math.inf
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,8 @@ Expression  a formula in d and j (see :mod:`tract.exprdsl`)
 
 Every family answers arrays of indices only: ``values(d, j)`` and
 ``log_values(d, j)`` take an int64 index array j and return the unscaled
-values and their logarithms (unclamped where the family can be).  It also
+values and their logarithms (unclamped where the family can be); d is an
+int, or an int array of shape (m, 1) broadcast against j.  It also
 provides its ``envelope`` (an analytic bound, or None), its ``rank`` (None
 when infinite) and ``d_free`` (whether it ignores d).  The three closed
 forms are their exact tail form: every one of those answers comes from the
@@ -113,7 +114,7 @@ class _Family:
     envelope: "TailEnvelope | None" = None  # analytic bound on the unscaled values
     d_free: bool = True  # lambda(d, j) does not depend on d
 
-    def log_values(self, d: int, j: np.ndarray) -> np.ndarray:
+    def log_values(self, d: int | np.ndarray, j: np.ndarray) -> np.ndarray:
         """ln lambda without the d-scale."""
         return np.log(self.values(d, j))
 
@@ -128,10 +129,10 @@ class _ClosedForm(_Family):
     def _set_envelope(self, form: "TailForm") -> None:
         object.__setattr__(self, "envelope", TailEnvelope(form, 1, exact=True))
 
-    def values(self, d: int, j: np.ndarray) -> np.ndarray:
+    def values(self, d: int | np.ndarray, j: np.ndarray) -> np.ndarray:
         return self.envelope.form.value_array(j)
 
-    def log_values(self, d: int, j: np.ndarray) -> np.ndarray:
+    def log_values(self, d: int | np.ndarray, j: np.ndarray) -> np.ndarray:
         return self.envelope.form.log_value(j)
 
 
@@ -191,10 +192,10 @@ class FiniteRank(_Family):
     def rank(self) -> int:
         return len(self.entries)
 
-    def values(self, d: int, j: np.ndarray) -> np.ndarray:
+    def values(self, d: int | np.ndarray, j: np.ndarray) -> np.ndarray:
         j = np.asarray(j)
         if np.any(j > self.rank):
-            raise BeyondRankError(d, int(j.max()), self.rank)
+            raise BeyondRankError(int(np.min(d)), int(j.max()), self.rank)
         return self._table[j - 1]
 
 
@@ -234,10 +235,10 @@ class Tabulated(_Family):
         out[~inside] = tail(j[~inside])
         return out
 
-    def values(self, d: int, j: np.ndarray) -> np.ndarray:
+    def values(self, d: int | np.ndarray, j: np.ndarray) -> np.ndarray:
         return self._split(j, np.asarray, self.continuation.bound_array)
 
-    def log_values(self, d: int, j: np.ndarray) -> np.ndarray:
+    def log_values(self, d: int | np.ndarray, j: np.ndarray) -> np.ndarray:
         # Past the prefix the logarithm comes from the form, unclamped.
         return self._split(j, np.log, self.continuation.form.log_value)
 
@@ -252,12 +253,25 @@ class Expression(_Family):
         object.__setattr__(self, "tree", exprdsl.parse(self.formula))
         object.__setattr__(self, "d_free", "d" not in exprdsl.variables_used(self.tree))
 
-    def values(self, d: int, j: np.ndarray) -> np.ndarray:
-        out = exprdsl.compile_array(self.tree)(float(d), np.asarray(j, dtype=float))
-        if np.any(out < 0):
-            bad = int(np.asarray(j)[np.flatnonzero(out < 0)[0]])
-            raise EvalDomainError("formula produced negative eigenvalue", d=d, j=bad)
-        return np.maximum(out, MIN_POSITIVE)
+    def values(self, d: int | np.ndarray, j: np.ndarray) -> np.ndarray:
+        return _clamped(self.tree, d, j, "formula produced negative eigenvalue")
+
+
+def _clamped(tree: exprdsl.Expr, d, j, negative: str) -> np.ndarray:
+    """A formula over d and j, clamped below at MIN_POSITIVE.  An error names
+    the smallest failing d, as a loop over d would; within a d the walk goes first."""
+    try:
+        out = exprdsl.compile_array(tree)(d, j)
+    except EvalDomainError as exc:
+        earlier = np.reshape(d, -1) < exc.d
+        if earlier.any():
+            _clamped(tree, d[earlier], j, negative)
+        raise
+    if (out < 0).any():
+        first = np.flatnonzero(out < 0)[0]
+        dd, jj = (np.broadcast_to(a, out.shape).reshape(-1)[first] for a in (d, j))
+        raise EvalDomainError(negative, d=int(dd), j=int(jj))
+    return np.maximum(out, MIN_POSITIVE)
 
 
 Family = Union[PolyDecay, ExpDecay, Geometric, FiniteRank, Tabulated, Expression]
@@ -396,14 +410,12 @@ class EigenModel:
         """True when lambda(d, j) does not depend on d at all."""
         return self.d_scale is None and self.family.d_free
 
-    def scale_at(self, d: int) -> float:
+    def scale_at(self, d: int | np.ndarray) -> float | np.ndarray:
+        """c_d at an int d, or over an int array of d; clamped like any eigenvalue."""
         if self.d_scale is None:
             return 1.0
-        c = exprdsl.evaluate(self.d_scale, d, 1)
-        if c < 0 or not math.isfinite(c):
-            raise EvalDomainError(f"d_scale produced invalid factor {c!r}", d=d)
-        # A positive closed form that underflows clamps like any eigenvalue.
-        return max(c, MIN_POSITIVE)
+        c = _clamped(self.d_scale, d, 1, "d_scale produced a negative factor")
+        return float(c) if c.ndim == 0 else c
 
 
 def support(model: EigenModel, d: int) -> int | None:
@@ -411,7 +423,7 @@ def support(model: EigenModel, d: int) -> int | None:
     return model.family.rank
 
 
-def eigenvalues(model: EigenModel, d: int, j: np.ndarray) -> np.ndarray:
+def eigenvalues(model: EigenModel, d: int | np.ndarray, j: np.ndarray) -> np.ndarray:
     """lambda(d, j) over an index array, clamped below at MIN_POSITIVE."""
     vals = model.family.values(d, np.asarray(j)) * model.scale_at(d)
     return np.maximum(vals, MIN_POSITIVE)
@@ -431,7 +443,7 @@ def cri(model: EigenModel, d: int, criterion: ErrorCriterion) -> float:
     return eigenvalue(model, d, 1)
 
 
-def ratios(model: EigenModel, d: int, j: np.ndarray, criterion: ErrorCriterion) -> np.ndarray:
+def ratios(model: EigenModel, d: int | np.ndarray, j: np.ndarray, criterion: ErrorCriterion) -> np.ndarray:
     """lambda(d, j) / CRI_d over an index array.
 
     Under NOR the per-dimension scale cancels algebraically, so it is left
@@ -442,7 +454,7 @@ def ratios(model: EigenModel, d: int, j: np.ndarray, criterion: ErrorCriterion) 
     if criterion is ErrorCriterion.ABS:
         return eigenvalues(model, d, j)
     vals = np.maximum(model.family.values(d, np.append(j, 1)), MIN_POSITIVE)
-    return vals[:-1] / vals[-1]
+    return vals[..., :-1] / vals[..., -1:]
 
 
 def ratio(model: EigenModel, d: int, j: int, criterion: ErrorCriterion) -> float:
@@ -450,16 +462,16 @@ def ratio(model: EigenModel, d: int, j: int, criterion: ErrorCriterion) -> float
     return float(ratios(model, d, np.array([j], dtype=np.int64), criterion)[0])
 
 
-def log_ratios(model: EigenModel, d: int, j: np.ndarray, criterion: ErrorCriterion) -> np.ndarray:
+def log_ratios(model: EigenModel, d: int | np.ndarray, j: np.ndarray, criterion: ErrorCriterion) -> np.ndarray:
     """ln(lambda(d, j)/CRI_d) without underflow saturation (closed forms)."""
     if criterion is ErrorCriterion.NOR:
         # One family call; the lead lambda(d, 1) goes last, so an invalid
         # index in j is still the one an error names.
         logs = model.family.log_values(d, np.append(j, 1))
-        return logs[:-1] - logs[-1]
+        return logs[..., :-1] - logs[..., -1:]
     logs = model.family.log_values(d, np.asarray(j))
     if model.d_scale is not None:
-        return logs + math.log(model.scale_at(d))
+        return logs + np.log(model.scale_at(d))
     return logs
 
 

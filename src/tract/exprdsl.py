@@ -12,17 +12,17 @@ NUMBER is a decimal literal with optional fraction and optional e-exponent.
 '^' is right-associative.  The only identifiers are the variables d, j and
 the calls exp, ln, sqrt (one argument) and pow, max, min (two arguments).
 
-Evaluation is plain double precision, at one point (:func:`evaluate`) or
-over an array of j (:func:`compile_array`); both walk the tree under one
-domain rule.  A division by zero, or anything that would produce a NaN (log
-of a non-positive number, square root of a negative, zero to a negative
-power, ...), raises :class:`EvalDomainError` naming d and j instead.
+Evaluation is plain double precision over NumPy arrays, in one walk:
+:func:`compile_array` evaluates a tree over d and j, each a number or an
+array, broadcast against each other; :func:`evaluate` is its one-element
+view.  A division by zero, anything that would produce a NaN (0*inf,
+inf-inf, log of a negative number, square root of a negative, ...), or a
+value past the finite double range raises :class:`EvalDomainError` naming
+the first failing d and j instead.
 """
 
 from __future__ import annotations
 
-import math
-import operator
 from dataclasses import dataclass
 from typing import Callable, Union
 
@@ -311,78 +311,29 @@ def to_source(node: Expr) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _pow(base: float, exponent: float) -> float:
-    try:
-        return math.pow(base, exponent)
-    except OverflowError:
-        # IEEE pow overflows to a signed infinity; math.pow raises instead.
-        if base > 0:
-            return math.inf
-        if base < 0 and exponent == int(exponent):
-            return -math.inf if int(exponent) % 2 else math.inf
-        raise EvalDomainError(f"pow({base!r}, {exponent!r}) overflow") from None
-    except ValueError as exc:
-        raise EvalDomainError(f"pow({base!r}, {exponent!r}): {exc}") from None
-
-
-def _exp(x: float) -> float:
-    try:
-        return math.exp(x)
-    except OverflowError:
-        return math.inf
-
-
-# What '/', '^' and the calls mean, at one point and over an array of j.
-# '+', '-', '*' and negation are the Python operators in both.  Unlike the
-# builtins, the point max and min keep a NaN in either argument, as the
-# array ones do.
-_POINT = {
-    "/": operator.truediv, "^": _pow,
-    "exp": _exp, "ln": math.log, "sqrt": math.sqrt, "pow": _pow,
-    "max": lambda a, b: a if a >= b or a != a else b,
-    "min": lambda a, b: a if a <= b or a != a else b,
-}
-_ARRAY = {
-    "/": np.divide, "^": np.power,
+# What each operator and call means, over the NumPy arrays and scalars the
+# walk carries.
+_OPS = {
+    "+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide, "^": np.power,
     "exp": np.exp, "ln": np.log, "sqrt": np.sqrt, "pow": np.power, "max": np.maximum, "min": np.minimum,
 }
 
 
-def _walk(node: Expr, d: float, j, ops: dict):
+def _walk(node: Expr, d: np.ndarray, j: np.ndarray):
     if isinstance(node, Num):
         return node.value
     if isinstance(node, Var):
         return d if node.name == "d" else j
     if isinstance(node, Neg):
-        return -_walk(node.operand, d, j, ops)
+        return -_walk(node.operand, d, j)
     if isinstance(node, BinOp):
-        left = _walk(node.left, d, j, ops)
-        right = _walk(node.right, d, j, ops)
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        if node.op == "*":
-            return left * right
-        return ops[node.op](left, right)
-    args = [_walk(a, d, j, ops) for a in node.args]
-    try:
-        return ops[node.func](*args)
-    except ValueError as exc:
-        raise EvalDomainError(f"{node.func}({', '.join(repr(a) for a in args)}): {exc}") from None
+        return _OPS[node.op](_walk(node.left, d, j), _walk(node.right, d, j))
+    return _OPS[node.func](*(_walk(a, d, j) for a in node.args))
 
 
 def evaluate(node: Expr, d: int, j: int | float) -> float:
-    """Evaluate at integer coordinates; deterministic, pure, never NaN."""
-    try:
-        result = _walk(node, float(d), float(j), _POINT)
-    except ZeroDivisionError:
-        raise EvalDomainError("division by zero", d=int(d), j=int(j)) from None
-    except EvalDomainError as exc:
-        raise EvalDomainError(str(exc), d=int(d), j=int(j)) from None
-    if math.isnan(result):
-        raise EvalDomainError("expression evaluated to NaN", d=int(d), j=int(j))
-    return result
+    """One-element view of :func:`compile_array`; never NaN."""
+    return float(compile_array(node)(d, j))
 
 
 def variables_used(node: Expr) -> set[str]:
@@ -400,25 +351,53 @@ def variables_used(node: Expr) -> set[str]:
     return set()
 
 
-def compile_array(node: Expr) -> Callable[[float, np.ndarray], np.ndarray]:
-    """Compile a tree into a vectorised evaluator over arrays of j.
+def _values(node: Expr, d: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """The walk over the broadcast of d and j, as a new array.
+    FloatingPointError on a division by zero, an invalid operation or a
+    value that is not finite."""
+    values = np.empty(np.broadcast(d, j).shape)
+    with np.errstate(divide="raise", invalid="raise", over="ignore"):
+        values[...] = _walk(node, d, j)
+    if not np.isfinite(values).all():
+        raise FloatingPointError("expression left the finite double range")
+    return values
 
-    The walk is :func:`evaluate`'s over array operations.  A division by
-    zero or an invalid operation sends the array through :func:`evaluate`,
-    whose error names d and the first failing j.  Values that leave the
-    finite double range raise :class:`EvalDomainError` too.
+
+def compile_array(node: Expr) -> Callable[..., np.ndarray]:
+    """Compile a tree into an evaluator over d and j, each a number or an array.
+
+    The result has the broadcast shape of d and j.  A division by zero, an
+    operation that would produce a NaN, or a value past the finite double
+    range raises :class:`EvalDomainError` naming the first failing (d, j)
+    row-major: the smallest failing d, then its smallest j.
     """
 
-    def run(d: float, j: np.ndarray) -> np.ndarray:
+    def run(d: float | np.ndarray, j: float | np.ndarray) -> np.ndarray:
+        d = np.asarray(d, dtype=float)
+        j = np.asarray(j, dtype=float)
         try:
-            with np.errstate(divide="raise", invalid="raise", over="ignore"):
-                values = np.asarray(_walk(node, float(d), j, _ARRAY), dtype=float)
-            values = np.broadcast_to(values, j.shape).copy()
+            return _values(node, d, j)
         except FloatingPointError:
-            values = np.array([evaluate(node, d, jj) for jj in j.reshape(-1)]).reshape(j.shape)
-        if not np.all(np.isfinite(values)):
-            bad = int(np.asarray(j).reshape(-1)[np.flatnonzero(~np.isfinite(values.reshape(-1)))[0]])
-            raise EvalDomainError("expression left the finite double range", d=int(d), j=bad)
-        return values
+            pass
+        ds, js = (a.reshape(-1) for a in np.broadcast_arrays(d, j))
+        # Every operation is elementwise, so a slice fails exactly when it
+        # holds a failing element.  Halve [lo, hi): it holds the first one,
+        # and nothing before lo fails.
+        lo, hi = 0, ds.size
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            try:
+                _values(node, ds[lo:mid], js[lo:mid])
+                lo = mid
+            except FloatingPointError:
+                hi = mid
+        try:
+            _values(node, ds[lo:hi], js[lo:hi])
+        except FloatingPointError as exc:
+            # NumPy says "divide by zero encountered in ..." or, for a NaN,
+            # "invalid value encountered in ...".
+            reason = str(exc).replace("divide by zero", "division by zero").replace("invalid value", "NaN")
+            raise EvalDomainError(reason, d=int(ds[lo]), j=int(js[lo])) from None
+        raise AssertionError("the first failing element evaluated cleanly")
 
     return run

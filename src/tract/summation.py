@@ -53,6 +53,7 @@ __all__ = [
 CHUNK = 1024
 _MAX_BATCH = 16  # chunks fetched by one terms() call at most
 _SLACK = 1 + 1e-9  # inflation applied to analytic bounds against fp rounding
+_LOG_DOUBLE_MAX = math.log(np.finfo(float).max)
 
 
 class SumStatus(enum.Enum):
@@ -169,7 +170,14 @@ class StretchedIntegralTail:
         if self.coeff == 0.0:
             return 0.0
         s = 1.0 / self.gamma
-        x = self.B * a**self.gamma
+        # Logarithms first: past the double range e**-x is 0 on both sides.
+        log_x = math.log(self.B) + self.gamma * math.log(a)
+        if log_x > _LOG_DOUBLE_MAX:
+            return 0.0
+        try:
+            x = self.B * a**self.gamma
+        except OverflowError:  # a**gamma alone leaves the range, x does not
+            x = math.exp(log_x)
         log_c = math.log(self.coeff) - math.log(self.gamma)
         log_front = log_c + (1.0 - self.gamma) * math.log(a) - x - math.log(self.B)
         log_k = math.log(x / (x - (s - 1.0))) if x > s - 1.0 else math.inf

@@ -180,6 +180,15 @@ class TestDiagnostics:
             spec = BoundSpec("T1", params, certified(10.0), criterion)
             assert diagnostics(geo, spec, 2, 0.5)["B_d_size"] == size
 
+    def test_slow_set_does_not_shrink_as_the_start_moves_past_the_cap(self):
+        # Geometric(1, 1/2) at tau2 = 1: every term from any start is above
+        # 1/e, so the count is the cap, 2**22, wherever the start lies.
+        model = EigenModel(Geometric(1.0, 0.5))
+        sizes = [
+            diagnostics(model, t1_spec(tau3=tau3), 2, 0.5)["B_d_size"] for tau3 in (0.0, 10.0, 30.0, 60.0)
+        ]
+        assert sizes == sorted(sizes) and sizes[-1] == 1 << 22
+
     def test_t3_threshold_index(self, exp2):
         spec = t3_spec()
         out = diagnostics(exp2, spec, 1, 0.5, big_c=5)

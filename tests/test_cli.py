@@ -291,6 +291,9 @@ class TestInvalidInput:
             (_GEO, "ABS", "criterion --sum spt-alg --tau 1 --c-tilde 1e300", 2),
             (_GEO, "ABS", "criterion --sum wt-exp --c 1 --s 1 --t 2000 --d 2", 0),
             (_GEO, "ABS", "verify-bounds --theorem t1 --tau2 1 --tau3 2000 --d-grid 1:2", 2),
+            (_POLY, "ABS", "criterion --sum wt-alg --c 1 --s 1e308 --t 1", 0),
+            ({**_POLY, "params": {"a": 100.0, "alpha": 2.0}}, "ABS", "criterion --sum wt-alg --c 1 --s 316 --t 1", 0),
+            ({"kind": "ExpDecay", "params": {"gamma": 0.5}}, "ABS", "criterion --sum wt-exp --c 1 --s 1e308 --t 1", 0),
         ],
     )
     def test_exits_cleanly(self, tmp_path, capsys, model, criterion, argv, code):
@@ -300,6 +303,15 @@ class TestInvalidInput:
         out, err = capsys.readouterr()
         assert "Traceback" not in err and '"nan"' not in out
         assert err.startswith("config error: ") if code == 2 else err == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        ["--sum spt-alg --tau 1 --d 0", "--sum spt-alg --tau 1 --d -3", "--sum pt-alg --tau2 1 --d -3"],
+    )
+    def test_d_below_one_is_config_error(self, tmp_path, capsys, argv):
+        cfg = write_config(tmp_path, model=_GEO)
+        assert main(["criterion", "--config", cfg, *argv.split()]) == 2
+        assert capsys.readouterr().err == "config error: d must be >= 1\n"
 
 
 class TestClassifyCommand:

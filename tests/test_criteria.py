@@ -36,6 +36,8 @@ from tract.criteria import (
     convergence_plan,
     evaluate_sum,
 )
+from tract.eigenmodel import log_ratio
+from tract.errors import BeyondRankError
 from tract.summation import Divergence, SumStatus
 
 ABS = ErrorCriterion.ABS
@@ -252,10 +254,48 @@ class TestUwtStatistic:
         plain = uwt_statistic(EigenModel(PolyDecay(1.0, 2.0)), 10_000, 2, "ALG", NOR)
         scaled = EigenModel(PolyDecay(1.0, 2.0), d_scale=exprdsl.parse("d^(0-1)"))
         dims = []
-        log_ratio = criteria.log_ratio
-        monkeypatch.setattr(criteria, "log_ratio", lambda m, d, *a: dims.append(d) or log_ratio(m, d, *a))
+        log_ratios = criteria.log_ratios
+        monkeypatch.setattr(
+            criteria, "log_ratios", lambda m, d, *a: dims.append(d.tolist()) or log_ratios(m, d, *a)
+        )
         assert uwt_statistic(scaled, 10_000, 2, "ALG", NOR) == plain
-        assert dims == [1]
+        assert dims == [[[1]]]
+
+    @pytest.mark.parametrize(
+        "family, d_scale",
+        [
+            (Expression("exp(0-1.05*j/d)"), None),
+            (Expression("(1+d)*j^(0-2)"), "d^(0-0.95)"),
+            (PolyDecay(1.0, 2.25), "d"),
+            (PolyDecay(1.0, 2.25), "d^(0-0.95)"),
+            (ExpDecay(1.0, 1.0, 0.5), "d"),
+            (FiniteRank((1.0, 0.5, 0.25)), "d^(0-0.95)"),
+        ],
+    )
+    @pytest.mark.parametrize("criterion", [ABS, NOR])
+    def test_matches_a_per_d_reference_loop(self, family, d_scale, criterion):
+        model = EigenModel(family, d_scale=exprdsl.parse(d_scale) if d_scale else None)
+
+        def reference(n, k, case):
+            # The statistic's definition, one log_ratio per dimension.
+            d_hi = max(1, int(math.log(n) ** k))
+            if family.d_free and (d_scale is None or criterion is NOR):
+                d_hi = 1
+            best = math.inf
+            for d in range(1, d_hi + 1):
+                try:
+                    num = -log_ratio(model, d, n, criterion)
+                except BeyondRankError:
+                    num = math.inf
+                if case == "EXP" and math.isfinite(num):
+                    num = math.log(max(1.0, num))
+                best = min(best, num / math.log(math.log(n)) if math.isfinite(num) else math.inf)
+            return best
+
+        for n in (3, 100, 10_000):
+            for k in (1, 2, 3):
+                for case in ("ALG", "EXP"):
+                    assert uwt_statistic(model, n, k, case, criterion) == reference(n, k, case)
 
     def test_requires_n_at_least_three(self, poly1):
         with pytest.raises(ValueError):

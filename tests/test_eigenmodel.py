@@ -75,6 +75,18 @@ class TestEigenvalue:
         assert (err.value.d, err.value.j) == (1, 1)
         assert "division by zero" in str(err.value)
 
+    def test_d_sweep_names_the_smallest_failing_d(self):
+        # Negative at d = 1 and 2, a division by zero at d = 3: a loop over d
+        # stops at d = 1, and so does the sweep.
+        model = EigenModel(Expression("1/(d-3)*j^(0-2)"))
+        with pytest.raises(EvalDomainError, match="negative") as err:
+            eigenvalues(model, np.arange(1, 5)[:, None], np.array([7]))
+        assert (err.value.d, err.value.j) == (1, 7)
+        scaled = EigenModel(PolyDecay(1.0, 2.0), d_scale=exprdsl.parse("1/(d-3)"))
+        with pytest.raises(EvalDomainError, match="negative") as err:
+            scaled.scale_at(np.arange(1, 5))
+        assert err.value.d == 1
+
     def test_vectorised_agrees_with_scalar(self, geo, poly2, exp1):
         js = np.arange(1, 64)
         for model in (geo, poly2, exp1):

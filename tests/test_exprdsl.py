@@ -3,7 +3,8 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from tract import EigenModel, Expression, eigenvalue, eigenvalues
+from tract import EigenModel, ErrorCriterion, Expression, eigenvalue, eigenvalues, exprdsl
+from tract.eigenmodel import log_ratios
 from tract.errors import ArityError, EvalDomainError, ExprSyntaxError, UnknownIdentifierError
 from tract.exprdsl import BinOp, Num, compile_array, evaluate, parse, to_source
 
@@ -159,7 +160,44 @@ def test_eval_referentially_transparent():
 
 def test_compiled_array_matches_scalar():
     tree = parse("min(1, 2^(d-j)) + 1/(j*j)")
-    js = np.arange(1, 200)
-    vec = compile_array(tree)(3.0, js.astype(float))
-    for idx, j in enumerate(js):
-        assert vec[idx] == evaluate(tree, 3, int(j))
+    ds, js = np.arange(1, 5), np.arange(1, 200)
+    grid = compile_array(tree)(ds[:, None], js)
+    assert grid.shape == (ds.size, js.size)
+    for row, d in enumerate(ds):
+        for col, j in enumerate(js):
+            assert grid[row, col] == evaluate(tree, int(d), int(j))
+
+
+@pytest.mark.parametrize(
+    "source, j, first",
+    [
+        ("1/(j-d)", 3, (3, 3)),
+        # Fails along d = 2 and along j = 2: row-major, (1, 2) comes first.
+        ("1/((j-2)*(d-2))", np.arange(1, 5), (1, 2)),
+        ("ln(j-d)", np.arange(1, 5), (1, 1)),
+    ],
+)
+def test_grid_error_names_the_first_failing_point(source, j, first):
+    with pytest.raises(EvalDomainError) as err:
+        compile_array(parse(source))(np.arange(1, 5)[:, None], j)
+    assert (err.value.d, err.value.j) == first
+
+
+@pytest.mark.parametrize(
+    "path",
+    [
+        lambda m: evaluate(m.family.tree, 1, 1),
+        lambda m: eigenvalues(m, 1, np.array([1, 2])),
+        lambda m: log_ratios(m, 1, np.array([1, 2]), ErrorCriterion.ABS),
+    ],
+    ids=["evaluate", "eigenvalues", "log_ratios"],
+)
+def test_nan_under_pow_raises(path):
+    # 0*exp(1000) is 0*inf, a NaN; pow(NaN, 0) would hide it as 1.
+    model = EigenModel(Expression("pow(0*exp(1000), 0)"))
+    with pytest.raises(EvalDomainError, match="NaN"):
+        path(model)
+
+
+def test_one_expression_walk():
+    assert not hasattr(exprdsl, "_POINT")
