@@ -32,6 +32,7 @@ Everything else degrades to an honest heuristic evaluation.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import asdict, dataclass, replace
 from typing import Callable
 
@@ -288,6 +289,21 @@ def _plan_qpt_exp(env: TailEnvelope, T: float) -> Plan:
     return None
 
 
+def _stretched_plan(c: float, base: float, power: float, gamma: float, j0: int, exact: bool) -> Plan:
+    """Plan for terms bounded by exp(-B j**gamma) with B = c * base**power.
+
+    Below the normal range B has lost its digits (or is 0), so the tail
+    takes ln B instead; where ln B leaves the range as well, no certificate.
+    """
+    B = c * math.pow(base, power)
+    if B >= sys.float_info.min:
+        return StretchedIntegralTail(1.0, B, gamma, from_j=j0, exact=exact)
+    log_B = math.log(c) + power * math.log(base)
+    if log_B == -math.inf:
+        return None
+    return StretchedIntegralTail(1.0, B, gamma, from_j=j0, exact=exact, log_B=log_B)
+
+
 def _plan_wt_alg(env: TailEnvelope, c: float, s: float) -> Plan:
     """Plan for terms exp(-c (1/rho)**(s/2)); always convergent under an envelope."""
     j0 = env.valid_from
@@ -297,9 +313,7 @@ def _plan_wt_alg(env: TailEnvelope, c: float, s: float) -> Plan:
     if scale_pow is None:
         return None
     if isinstance(form, PowerLawTail):
-        return StretchedIntegralTail(
-            1.0, c * scale_pow, form.beta * half_s, from_j=j0, exact=env.exact
-        )
+        return _stretched_plan(c, form.scale, -half_s, form.beta * half_s, j0, env.exact)
     # Geometric and stretched envelopes give doubly exponential terms
     # exp(-c scale_pow grow(x)); their ratios decrease where grow is convex:
     # everywhere for big_q**x, from j1 on for exp(B2 x**gamma).
@@ -364,8 +378,7 @@ def _plan_wt_exp(env: TailEnvelope, c: float, s: float) -> Plan:
     if konst < 0.0:
         need = (2.0 * abs(konst) / kappa) ** (1.0 / power)
         j0 = max(j0, int(math.ceil(need)) + 1)
-    B = c * (factor * kappa) ** s
-    return StretchedIntegralTail(1.0, B, power * s, from_j=j0, exact=False)
+    return _stretched_plan(c, factor * kappa, s, power * s, j0, False)
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,25 @@
 """Compensated summation of positive series with certified truncation.
 
 The evaluator sums terms in increasing index order, in fixed-size chunks:
-each chunk is summed exactly by ``math.fsum`` and added to a few running
-non-overlapping partials that hold the exact total (Shewchuk's
-grow-expansion), so each chunk costs the same however many came before.
-After every chunk it stops once an analytic bound on the neglected tail is
-small enough, the term budget is hit, a heuristic stagnation rule fires, or
-the partial sum exceeds the double range.
+each chunk sum is the correctly rounded ``math.fsum`` of the chunk, and is
+added to a few running non-overlapping partials that hold the exact total
+(Shewchuk's grow-expansion), so each chunk costs the same however many came
+before.  After every chunk it stops once an analytic bound on the neglected
+tail is small enough, the term budget is hit, a heuristic stagnation rule
+fires, or the partial sum exceeds the double range.
 Deep sums fetch several chunks per call of the term function; the chunks
 fetched past the stop are never summed.
+
+A fetch of one chunk is summed by ``math.fsum`` itself.  A fetch of several
+is summed in one vectorised pass of error-free extraction (Rump, Ogita &
+Oishi, "Accurate floating-point summation, Part I", SIAM J. Sci. Comput.
+31(1), 2008, Lemma 3.3).  Per chunk, with sigma a power of two at least
+2**11 times its largest |term|, (sigma + p) - sigma splits each term p into
+a high part, whose chunk sum is exact, and an exact remainder; a second
+level splits the remainders the same way.  When nothing is left, the two
+exact part sums round once to the double ``math.fsum`` gives.  A chunk with
+bits left over, a non-finite term or a term past 2**1000 goes to
+``math.fsum`` (see ``_chunk_sums``).
 
 Tail bounds come in a handful of integrable shapes.  Each shape provides a
 sound upper bound on the neglected tail; shapes marked exact (the bound
@@ -54,6 +65,7 @@ CHUNK = 1024
 _MAX_BATCH = 16  # chunks fetched by one terms() call at most
 _SLACK = 1 + 1e-9  # inflation applied to analytic bounds against fp rounding
 _LOG_DOUBLE_MAX = math.log(np.finfo(float).max)
+_EXTRACT_MAX = 2.0**1000  # rows with a larger term are summed by math.fsum
 
 
 class SumStatus(enum.Enum):
@@ -152,6 +164,9 @@ class StretchedIntegralTail:
     lower side holds as t**(s-1) >= x**(s-1), and the upper side is the cap
     Gamma(s, x) <= Gamma(s).  Times C / (gamma B**s), x**(s-1) e**-x is
     C a**(1-gamma) e**-x / (gamma B); all of it, C too, is in log space.
+
+    ``log_B``, when given, is ln B and stands in for ``B``, which may then
+    lie below the double range; x is then taken from log space as well.
     """
 
     coeff: float
@@ -159,9 +174,11 @@ class StretchedIntegralTail:
     gamma: float
     from_j: int = 1
     exact: bool = False
+    log_B: float | None = None
 
     def __post_init__(self):
-        if self.B <= 0 or self.gamma <= 0:
+        valid_B = self.B > 0 if self.log_B is None else self.log_B > -math.inf
+        if not valid_B or self.gamma <= 0:
             raise ValueError("stretched tail needs B, gamma > 0")
 
     def _integral(self, a: float, upper: bool) -> float:
@@ -170,19 +187,25 @@ class StretchedIntegralTail:
         if self.coeff == 0.0:
             return 0.0
         s = 1.0 / self.gamma
+        log_B = math.log(self.B) if self.log_B is None else self.log_B
         # Logarithms first: past the double range e**-x is 0 on both sides.
-        log_x = math.log(self.B) + self.gamma * math.log(a)
+        log_x = log_B + self.gamma * math.log(a)
         if log_x > _LOG_DOUBLE_MAX:
             return 0.0
         try:
-            x = self.B * a**self.gamma
+            x = math.exp(log_x) if self.log_B is not None else self.B * a**self.gamma
         except OverflowError:  # a**gamma alone leaves the range, x does not
             x = math.exp(log_x)
         log_c = math.log(self.coeff) - math.log(self.gamma)
-        log_front = log_c + (1.0 - self.gamma) * math.log(a) - x - math.log(self.B)
-        log_k = math.log(x / (x - (s - 1.0))) if x > s - 1.0 else math.inf
+        log_front = log_c + (1.0 - self.gamma) * math.log(a) - x - log_B
+        if x > s - 1.0:
+            # k -> 0 with x (s < 1); x is 0 only where it comes from a log_x
+            # below the double range.
+            log_k = math.log(x / (x - (s - 1.0))) if x > 0.0 else -math.inf
+        else:
+            log_k = math.inf
         if upper:
-            log_val = min(log_front + max(0.0, log_k), log_c + math.lgamma(s) - s * math.log(self.B))
+            log_val = min(log_front + max(0.0, log_k), log_c + math.lgamma(s) - s * log_B)
         else:
             log_val = log_front + min(0.0, log_k)
         try:
@@ -347,6 +370,60 @@ def _grow(partials: list[float], x: float) -> None:
         partials.append(x)
 
 
+def _fsum_or_inf(xs: list[float]) -> float:
+    try:
+        return math.fsum(xs)
+    except OverflowError:  # a finite sum past the double range
+        return math.inf
+
+
+def _chunk_sums(values: np.ndarray) -> tuple[list[float], list[float]]:
+    """Each CHUNK-term row of ``values`` summed, and its max |term|.
+
+    Every sum is bit for bit ``math.fsum`` of its row, or inf where that
+    raises OverflowError.  The last row is zero-padded (zeros add nothing).
+    sigma = 2**(e + 11), with e the frexp exponent of the row's max |term|,
+    puts every term below 2**-11 sigma, and 2**11 >= CHUNK + 2, so the
+    extracted parts of a row sum exactly in any order; the second level
+    takes sigma * 2**(11 - 53).
+    """
+    values = np.asarray(values, dtype=np.float64)
+    n = len(values)
+    if n <= CHUNK:
+        return [_fsum_or_inf(values.tolist())], [float(np.abs(values).max())]
+    rows = -(-n // CHUNK)
+    if n == rows * CHUNK:
+        p = values.reshape(rows, CHUNK)
+    else:
+        p = np.zeros((rows, CHUNK))
+        p.ravel()[:n] = values
+    mu = np.abs(p).max(axis=1)
+    maxima = mu.tolist()
+    extreme = [r for r, m in enumerate(maxima) if not m <= _EXTRACT_MAX]  # NaN too
+    if extreme:  # summed by math.fsum below; zeros here
+        p = p.copy()
+        p[extreme] = 0.0
+        mu[extreme] = 0.0
+    # One sigma per term (not a (rows, 1) broadcast, which NumPy runs slower).
+    sigma = np.repeat(np.ldexp(2.0**11, np.frexp(mu)[1])[:, None], CHUNK, axis=1)
+    q = p + sigma
+    q -= sigma
+    tau1 = q.sum(axis=1)
+    p = p - q
+    sigma *= 2.0 ** (11 - 53)
+    np.add(p, sigma, out=q)
+    q -= sigma
+    tau2 = q.sum(axis=1)
+    p -= q
+    sums = (tau1 + tau2).tolist()
+    if p.any():
+        for r in np.flatnonzero(p.any(axis=1)).tolist():
+            sums[r] = math.fsum([tau1[r], tau2[r], *p[r][p[r] != 0.0].tolist()])
+    for r in extreme:
+        sums[r] = _fsum_or_inf(values[r * CHUNK : (r + 1) * CHUNK].tolist())
+    return sums, maxima
+
+
 def certified_sum(
     terms: Callable[[int, int], np.ndarray],
     start: int,
@@ -402,7 +479,7 @@ def certified_sum(
         j_end = min(j_end, j + (max_terms - count))
         # With no budget left the span is empty and only the stop rules run.
         spans = [(a, min(a + CHUNK, j_end)) for a in range(j, j_end, CHUNK)] or [(j, j)]
-        maxima = [math.inf] * len(spans)  # read only by the heuristic stop
+        sums, maxima = [0.0], [math.inf]  # maxima are read only by the heuristic stop
         if j_end > j:
             try:
                 values = terms(j, j_end)
@@ -411,13 +488,11 @@ def certified_sum(
                     raise
                 single_until = j_end
                 continue
-            if heuristic:
-                maxima = np.maximum.reduceat(np.abs(values), np.arange(0, j_end - j, CHUNK)).tolist()
-        base = j
-        for (j0, j1), block_max in zip(spans, maxima):
+            sums, maxima = _chunk_sums(values)
+        for (j0, j1), chunk_sum, block_max in zip(spans, sums, maxima):
             if j1 > j0:
                 try:
-                    _grow(partials, math.fsum(values[j0 - base : j1 - base].tolist()))
+                    _grow(partials, chunk_sum)
                 except OverflowError:  # a finite sum past the double range
                     partials = [math.inf]
                 count += j1 - j0

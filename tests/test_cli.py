@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from tract import CriterionParams, EigenModel, ErrorCriterion, ExpDecay, evaluate_sum
+from tract import CriterionParams, EigenModel, ErrorCriterion, ExpDecay, PolyDecay, evaluate_sum
 from tract.boundcheck import BoundSpec, bound_t2
 from tract.cli import main
 from tract.summation import SumEvaluation, SumStatus
@@ -99,8 +99,11 @@ class TestFiniteSpectrumOrder:
             ["criterion", "--sum", "spt-alg", "--tau", "1"],
             ["criterion", "--sum", "wt-exp", "--c", "1", "--s", "1", "--t", "1", "--sup", "--d-max", "3"],
             ["classify"],
+            ["exponent", "--notion", "alg-spt"],
+            ["verify-bounds", "--theorem", "t1", "--tau2", "0.5", "--eps-grid", "1e-4:1e-1:3", "--d-grid", "1:2"],
+            ["validate"],
         ],
-        ids=["point", "oracle", "grid", "criterion", "sup", "classify"],
+        ids=["point", "oracle", "grid", "criterion", "sup", "classify", "exponent", "verify-bounds", "validate"],
     )
     def test_permuted_spectrum_gives_the_same_output(self, tmp_path, capsys, argv):
         outputs = []
@@ -258,6 +261,34 @@ class TestCriterionCommand:
         assert main(
             ["criterion", "--config", cfg, "--sum", "wt-alg", "--c", "-1", "--s", "1", "--t", "1"]
         ) == 2
+
+    @pytest.mark.parametrize("s", ["400", "1e308"])
+    def test_wt_alg_coefficient_below_the_double_range(self, tmp_path, capsys, s):
+        """B = c * 100**(-s/2) underflows to 0.  At s = 400 the stretched tail
+        carries ln B and certifies 9/e + 1/e**2 (terms j < 10 are 1, j = 10 is
+        1/e, the rest vanish); at s = 1e308 ln B leaves the range too and the
+        sum has no certificate.  Either way the valid input is answered."""
+        cfg = write_config(tmp_path, model={"kind": "PolyDecay", "params": {"a": 100.0, "alpha": 2.0}})
+        assert main(["criterion", "--config", cfg, "--sum", "wt-alg", "--c", "1", "--s", s, "--t", "1"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        out = json.loads(captured.out)
+        assert out["value"] == pytest.approx(9 / math.e + math.exp(-2.0), rel=1e-15)
+        assert out["status"] == ("Certified" if s == "400" else "Heuristic")
+        if out["status"] == "Certified":
+            extended = evaluate_sum(
+                EigenModel(PolyDecay(100.0, 2.0)), "wt-alg", 1, CriterionParams(c=1.0, s=float(s), t=1.0),
+                ErrorCriterion.ABS, min_terms=10 * out["terms_used"],
+            )
+            assert abs(extended.value - out["value"]) <= out["remainder_bound"] + 1e-12 * out["value"]
+
+    def test_wt_exp_coefficient_below_the_double_range(self, tmp_path, capsys):
+        """On Geometric(1, 1/2), B = c * ln(2)**s underflows to 0 at s = 1e308;
+        the tail carries ln B, and every term is 0."""
+        cfg = write_config(tmp_path)
+        assert main(["criterion", "--config", cfg, "--sum", "wt-exp", "--c", "1", "--s", "1e308", "--t", "1"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert (out["status"], out["value"], out["remainder_bound"]) == ("Certified", 0.0, 0.0)
 
     @pytest.mark.parametrize("kind", ["pt-alg", "pt-exp", "qpt-alg"])
     def test_zero_c_tilde_is_config_error(self, tmp_path, capsys, kind):

@@ -6,7 +6,7 @@ import sys
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import tract
 from tract import CriterionParams, EigenModel, ErrorCriterion, PolyDecay, evaluate_sum
@@ -21,6 +21,7 @@ from tract.summation import (
     RatioTail,
     StretchedIntegralTail,
     SumStatus,
+    _chunk_sums,
     _grow,
     certified_sum,
 )
@@ -54,6 +55,25 @@ class TestTailBounds:
         for J in (10, 100):
             true = sum(2.0 * math.exp(-0.5 * j**0.5) for j in range(J + 1, 100_000))
             assert tail.lower_tail(J) <= true <= tail.upper_tail(J)
+
+    def test_stretched_log_B_stands_in_for_B(self):
+        """ln B gives the bracket B gives, and one still where B is below the
+        double range (wt-alg on PolyDecay(100, 2) at s = 400: B = 100**-200)."""
+        for J in (10, 100):
+            tail = StretchedIntegralTail(2.0, 0.5, 0.5, exact=True)
+            logged = StretchedIntegralTail(2.0, 0.0, 0.5, exact=True, log_B=math.log(0.5))
+            assert logged.upper_tail(J) == pytest.approx(tail.upper_tail(J), rel=1e-13)
+            assert logged.lower_tail(J) == pytest.approx(tail.lower_tail(J), rel=1e-13)
+        tail = StretchedIntegralTail(1.0, 0.0, 400.0, exact=True, log_B=-200 * math.log(100.0))
+        true = float(mpmath.quad(lambda t: mpmath.exp(-((t / 10) ** 400)), [9, 10, 10.5, mpmath.inf]))
+        assert tail.lower_tail(8) <= true <= tail.upper_tail(9)
+        assert tail.upper_tail(11) == 0.0  # x = 1.1**400 = 3.7e16
+        # x = B a**gamma underflows to 0: k -> 0, and the bound is Gamma(s) / (gamma B**s)
+        tail = StretchedIntegralTail(1.0, 0.0, 0.5, exact=True, log_B=-1e6)
+        assert (tail.upper_tail(10), tail.lower_tail(10)) == (math.inf, 0.0)
+        for B, log_B in ((0.0, None), (0.0, -math.inf), (0.0, math.nan)):
+            with pytest.raises(ValueError):
+                StretchedIntegralTail(1.0, B, 1.0, log_B=log_B)
 
     @staticmethod
     def _stretched_integral(coeff, B, gamma, a):
@@ -246,6 +266,62 @@ class TestGrow:
             math.fsum([1e308, 1e308])
 
 
+def _fsum_or_inf(xs):
+    """math.fsum, with a finite sum past the double range read as inf."""
+    try:
+        return math.fsum(xs)
+    except OverflowError:
+        return math.inf
+
+
+_NEAR_ONE = math.nextafter(1.0, 0.0)
+# 1023 terms whose extraction rounds up to 1 and one small term of the other
+# sign: with sigma only 2**9 times the largest term the extracted parts no
+# longer sum exactly, and the chunk sum is one ulp off.
+_TIGHT_ROW = [-3 * 2.0**-44] + [_NEAR_ONE] * (CHUNK - 1)
+# 1 + 2**-53 is a tie that rounds to 1; the residual 2**-200, left over by
+# both extraction levels, rounds the sum up instead.
+_TIE_ROW = [1.0, 2.0**-53, 2.0**-200] + [0.0] * (CHUNK - 2)
+
+
+@st.composite
+def _batches(draw):
+    """1 to 16 chunks plus one term: magnitudes drawn over an exponent window
+    anywhere in the double range (subnormals included), some zeros, some
+    negated terms, rows of nearly equal terms, and a few special values
+    (2**1000 and past it, the largest double, inf, NaN)."""
+    n = draw(st.integers(1, 16 * CHUNK + 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lo = draw(st.integers(-1074, 1023))
+    hi = draw(st.integers(lo, min(lo + draw(st.sampled_from([0, 4, 60, 2100])), 1023)))
+    values = np.ldexp(rng.random(n), rng.integers(lo, hi + 1, n))
+    if draw(st.booleans()):  # nearly equal terms: the extraction's tightest case
+        values = np.where(rng.random(n) < 0.9, np.ldexp(_NEAR_ONE, hi), values)
+    values[rng.random(n) < draw(st.sampled_from([0.0, 0.1]))] = 0.0
+    values[rng.random(n) < draw(st.sampled_from([0.0, 0.01, 0.5]))] *= -1.0
+    specials = st.sampled_from(
+        [-0.0, 5e-324, 2.0**1000, math.nextafter(2.0**1000, math.inf), 1.7976931348623157e308, math.inf, math.nan]
+    )
+    for i, x in draw(st.lists(st.tuples(st.integers(0, n - 1), specials), max_size=3)):
+        values[i] = x
+    return values
+
+
+class TestChunkSums:
+    @settings(max_examples=300, deadline=None)
+    @given(_batches())
+    @example(np.array(_TIGHT_ROW * 2))
+    @example(np.array(_TIE_ROW))
+    @example(np.full(3 * CHUNK, 1e308))  # every row sum overflows
+    @example(np.full(2 * CHUNK + 1, 2.0**1000))  # at the extraction limit
+    @example(np.array([-0.0] * CHUNK + [5e-324] * CHUNK))
+    def test_each_row_is_its_fsum(self, values):
+        sums, maxima = _chunk_sums(values)
+        chunks = [values[a : a + CHUNK] for a in range(0, len(values), CHUNK)]
+        assert [x.hex() for x in sums] == [_fsum_or_inf(c.tolist()).hex() for c in chunks]
+        assert [x.hex() for x in maxima] == [float(np.abs(c).max()).hex() for c in chunks]
+
+
 def _recording(fn, calls):
     """A block terms function for fn that records every range it is asked for."""
     inner = _block(fn)
@@ -355,6 +431,18 @@ def test_combine_is_linear(monkeypatch):
     chunks = ev.terms_used // CHUNK
     assert chunks >= 200
     assert sum(n for n in sizes if n != CHUNK) <= 4 * chunks
+
+
+def test_batches_are_summed_by_extraction(monkeypatch):
+    """Only the eight one-chunk batches at the start hand math.fsum a whole
+    chunk; every later chunk is summed by the extraction in _chunk_sums."""
+    sizes = []
+    fsum = math.fsum
+    monkeypatch.setattr(math, "fsum", lambda xs: sizes.append(len(xs)) or fsum(xs))
+    terms, plan = _POWER
+    ev = certified_sum(terms, 1, plan, tol=1e-7, min_terms=200 * CHUNK)
+    assert ev.terms_used >= 200 * CHUNK
+    assert sizes.count(CHUNK) <= 8
 
 
 def test_non_finite_terms_keep_an_infinite_value():
