@@ -289,13 +289,16 @@ def _plan_qpt_exp(env: TailEnvelope, T: float) -> Plan:
     return None
 
 
-def _stretched_plan(c: float, base: float, power: float, gamma: float, j0: int, exact: bool) -> Plan:
-    """Plan for terms bounded by exp(-B j**gamma) with B = c * base**power.
+def _stretched_plan(
+    c: float, base: float, power: float, base_pow: float, gamma: float, j0: int, exact: bool
+) -> Plan:
+    """Plan for terms bounded by exp(-B j**gamma) with B = c * base_pow.
 
-    Below the normal range B has lost its digits (or is 0), so the tail
-    takes ln B instead; where ln B leaves the range as well, no certificate.
+    ``base_pow`` is base**power as the caller formed it.  Below the normal
+    range B has lost its digits (or is 0), so the tail takes ln B instead;
+    where ln B leaves the range as well, no certificate.
     """
-    B = c * math.pow(base, power)
+    B = c * base_pow
     if B >= sys.float_info.min:
         return StretchedIntegralTail(1.0, B, gamma, from_j=j0, exact=exact)
     log_B = math.log(c) + power * math.log(base)
@@ -313,7 +316,8 @@ def _plan_wt_alg(env: TailEnvelope, c: float, s: float) -> Plan:
     if scale_pow is None:
         return None
     if isinstance(form, PowerLawTail):
-        return _stretched_plan(c, form.scale, -half_s, form.beta * half_s, j0, env.exact)
+        gamma = form.beta * half_s
+        return _stretched_plan(c, form.scale, -half_s, scale_pow, gamma, j0, env.exact)
     # Geometric and stretched envelopes give doubly exponential terms
     # exp(-c scale_pow grow(x)); their ratios decrease where grow is convex:
     # everywhere for big_q**x, from j1 on for exp(B2 x**gamma).
@@ -378,7 +382,8 @@ def _plan_wt_exp(env: TailEnvelope, c: float, s: float) -> Plan:
     if konst < 0.0:
         need = (2.0 * abs(konst) / kappa) ** (1.0 / power)
         j0 = max(j0, int(math.ceil(need)) + 1)
-    return _stretched_plan(c, factor * kappa, s, power * s, j0, False)
+    base = factor * kappa
+    return _stretched_plan(c, base, s, base**s, power * s, j0, False)
 
 
 # ---------------------------------------------------------------------------

@@ -7,19 +7,18 @@ added to a few running non-overlapping partials that hold the exact total
 before.  After every chunk it stops once an analytic bound on the neglected
 tail is small enough, the term budget is hit, a heuristic stagnation rule
 fires, or the partial sum exceeds the double range.
-Deep sums fetch several chunks per call of the term function; the chunks
-fetched past the stop are never summed.
+Deep sums fetch several chunks per call of the term function; every
+fetched chunk is summed, and those past the stop are dropped.
 
-A fetch of one chunk is summed by ``math.fsum`` itself.  A fetch of several
-is summed in one vectorised pass of error-free extraction (Rump, Ogita &
-Oishi, "Accurate floating-point summation, Part I", SIAM J. Sci. Comput.
-31(1), 2008, Lemma 3.3).  Per chunk, with sigma a power of two at least
-2**11 times its largest |term|, (sigma + p) - sigma splits each term p into
-a high part, whose chunk sum is exact, and an exact remainder; a second
-level splits the remainders the same way.  When nothing is left, the two
-exact part sums round once to the double ``math.fsum`` gives.  A chunk with
-bits left over, a non-finite term or a term past 2**1000 goes to
-``math.fsum`` (see ``_chunk_sums``).
+The chunks of a fetch are summed in one vectorised pass of error-free
+extraction (Rump, Ogita & Oishi, "Accurate floating-point summation,
+Part I", SIAM J. Sci. Comput. 31(1), 2008, Lemma 3.3).  Per chunk, with
+sigma a power of two at least 2**11 times its largest |term|,
+(sigma + p) - sigma splits each term p into a high part, whose chunk sum is
+exact, and an exact remainder; a second level splits the remainders the
+same way.  When nothing is left, the two exact part sums round once to the
+double ``math.fsum`` gives.  A chunk with bits left over, a non-finite term
+or a term past 2**1000 goes to ``math.fsum`` (see ``_chunk_sums``).
 
 Tail bounds come in a handful of integrable shapes.  Each shape provides a
 sound upper bound on the neglected tail; shapes marked exact (the bound
@@ -389,8 +388,6 @@ def _chunk_sums(values: np.ndarray) -> tuple[list[float], list[float]]:
     """
     values = np.asarray(values, dtype=np.float64)
     n = len(values)
-    if n <= CHUNK:
-        return [_fsum_or_inf(values.tolist())], [float(np.abs(values).max())]
     rows = -(-n // CHUNK)
     if n == rows * CHUNK:
         p = values.reshape(rows, CHUNK)
@@ -444,8 +441,8 @@ def certified_sum(
 
     The stop rules run after every CHUNK terms.  Once four chunks are summed,
     one ``terms`` call fetches a quarter as many chunks again (at most
-    _MAX_BATCH), never past ``hard_end`` or the budget; chunks fetched past
-    the stop are dropped unsummed.  A batch whose ``terms`` call raises
+    _MAX_BATCH), never past ``hard_end`` or the budget; every fetched chunk
+    is summed, and only those up to the stop are added.  A batch whose ``terms`` call raises
     TractError is fetched again one chunk at a time, so an error is raised
     only from a chunk that is summed.
     """
