@@ -139,9 +139,14 @@ def ceil_stable(x: float) -> int:
 # summed, only recorded).
 
 
-def _log_first(pred: Callable[[np.ndarray], np.ndarray], u_start: float, floor: int) -> int | None:
-    """The first u = max(1, u_start) * 2**k, k < 200, where pred holds, as an
-    index: the smallest power of two at or above e**u, and at least floor.
+def _log_divergence(
+    reason: str, floor: float, pred: Callable[[np.ndarray], np.ndarray], u_start: float, j0: int
+) -> Divergence | None:
+    """The Divergence certificate (reason, floor) from the first
+    u = max(1, u_start) * 2**k, k < 200, where pred holds, as an onset index:
+    the smallest power of two at or above e**u, and at least j0.  None when
+    pred holds at no such u.  An onset past 2**62 is kept as its base-2
+    exponent: the int itself can run to billions of bits.
 
     pred maps an array of u to a boolean array; overflow, underflow and NaN
     (which compares false) pass silently.  Callers guarantee that pred, once
@@ -155,7 +160,10 @@ def _log_first(pred: Callable[[np.ndarray], np.ndarray], u_start: float, floor: 
     if k is None:
         return None
     u = u0 * 2.0 ** (k - 1)
-    return max(floor, 1 << max(0, int(math.ceil(u / math.log(2.0)))))
+    e = max(0, int(math.ceil(u / math.log(2.0))))
+    if e > 62:  # past the int64 index range, so past j0 too
+        return Divergence(reason, None, floor, log2_j0=e)
+    return Divergence(reason, max(j0, 1 << e), floor)
 
 
 def _pow_or_none(base: float, exponent: float) -> float | None:
@@ -219,9 +227,10 @@ def _plan_coupled(env: TailEnvelope, tau: float) -> Plan:
             def hub(u: np.ndarray) -> np.ndarray:
                 return rate * np.exp((power - tau) * u) + max(0.0, -log_a) * np.exp(-tau * u)
 
-            found = _log_first(lambda u: hub(u) <= limit + math.log(2.0), math.log(j0), j0)
-            if found is not None:
-                return Divergence("term-limit", found, 0.5 * math.exp(-limit))
+            return _log_divergence(
+                "term-limit", 0.5 * math.exp(-limit), lambda u: hub(u) <= limit + math.log(2.0),
+                math.log(j0), j0,
+            )
         return None
 
     # Power-law envelope: upper bounds cannot certify convergence here; the
@@ -234,9 +243,9 @@ def _plan_coupled(env: TailEnvelope, tau: float) -> Plan:
 
         # hub is decreasing once u > 1/tau (the ln a correction only adds a
         # decreasing nonnegative part).
-        found = _log_first(lambda u: hub(u) <= math.log(2.0), max(math.log(j0), 1.0 / tau), j0)
-        if found is not None:
-            return Divergence("term-limit", found, 0.5)
+        return _log_divergence(
+            "term-limit", 0.5, lambda u: hub(u) <= math.log(2.0), max(math.log(j0), 1.0 / tau), j0
+        )
     return None
 
 
@@ -281,11 +290,10 @@ def _plan_qpt_exp(env: TailEnvelope, T: float) -> Plan:
         beta = form.beta
         # u - T ln(base) is increasing once the base exceeds T beta / 2.
         u3 = (2.0 * max(0.5 * T * beta - 1.0, 0.0) + log_a) / beta
-        found = _log_first(
-            lambda u: u >= T * np.log(1.0 + 0.5 * (beta * u - log_a)), max(u3, math.log(j0)), j0
+        return _log_divergence(
+            "harmonic", 1.0, lambda u: u >= T * np.log(1.0 + 0.5 * (beta * u - log_a)),
+            max(u3, math.log(j0)), j0,
         )
-        if found is not None:
-            return Divergence("harmonic", found, 1.0)
     return None
 
 
@@ -319,20 +327,30 @@ def _plan_wt_alg(env: TailEnvelope, c: float, s: float) -> Plan:
         gamma = form.beta * half_s
         return _stretched_plan(c, form.scale, -half_s, scale_pow, gamma, j0, env.exact)
     # Geometric and stretched envelopes give doubly exponential terms
-    # exp(-c scale_pow grow(x)); their ratios decrease where grow is convex:
-    # everywhere for big_q**x, from j1 on for exp(B2 x**gamma).
+    # exp(-c scale_pow grow(x)), with ln grow(x) = half_s log_grow(x); their
+    # ratios decrease where grow is convex: everywhere for big_q**x, from j1
+    # on for exp(B2 x**gamma).
     if isinstance(form, GeometricTail):
         big_q = form.ratio**-half_s
-        grow, j1 = (lambda x: big_q**x), j0
+        grow, log_grow, j1 = (lambda x: big_q**x), (lambda x: -math.log(form.ratio) * x), j0
     else:
         b2 = half_s * form.rate
-        grow, j1 = (lambda x: math.exp(b2 * x**form.power)), j0
+        grow, log_grow = (lambda x: math.exp(b2 * x**form.power)), (lambda x: form.rate * x**form.power)
+        j1 = j0
         if form.power < 1.0:
             j1 = max(j0, int(math.ceil(((1.0 - form.power) / (b2 * form.power)) ** (1.0 / form.power))) + 1)
 
     def g(x: float) -> float:
+        # Where scale_pow underflowed to 0 or grow(x) leaves the double range,
+        # the exponent comes from logarithms: 0 * inf is NaN, and an overflow
+        # read as g = 0 would drop a tail that can be of order one.
         try:
-            return math.exp(-c * scale_pow * grow(x))
+            if scale_pow > 0.0:
+                return math.exp(-c * scale_pow * grow(x))
+        except OverflowError:
+            pass
+        try:
+            return math.exp(-c * math.exp(half_s * (log_grow(x) - math.log(form.scale))))
         except OverflowError:
             return 0.0
 
@@ -368,9 +386,9 @@ def _plan_wt_exp(env: TailEnvelope, c: float, s: float) -> Plan:
         # s < 1: divergent whenever the envelope is exact.
         if env.exact:
             u3 = ((c * s * beta) ** (1.0 / (1.0 - s)) - konst) / beta
-            found = _log_first(lambda u: u >= c * (konst + beta * u) ** s, max(u3, math.log(j0)), j0)
-            if found is not None:
-                return Divergence("harmonic", found, 1.0)
+            return _log_divergence(
+                "harmonic", 1.0, lambda u: u >= c * (konst + beta * u) ** s, max(u3, math.log(j0)), j0
+            )
         return None
 
     kappa, power = form.stretched
@@ -446,8 +464,10 @@ def _rho_pow(L: np.ndarray, j: np.ndarray, p: float) -> np.ndarray:
 
 
 def _rho_pow_coupled(L: np.ndarray, j: np.ndarray, tau: float) -> np.ndarray:
-    """rho**(j**-tau)."""
-    return np.exp(j.astype(float) ** -tau * L)
+    """rho**(j**-tau); 0 where rho is 0 (L = -inf), also where j**-tau underflows."""
+    w = j.astype(float) ** -tau
+    w[L == -np.inf] = 1.0  # 0 * -inf would be NaN
+    return np.exp(w * L)
 
 
 # The alg and exp sums of SPT, PT and WT share everything but the planner

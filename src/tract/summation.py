@@ -2,11 +2,14 @@
 
 The evaluator sums terms in increasing index order, in fixed-size chunks:
 each chunk sum is the correctly rounded ``math.fsum`` of the chunk, and is
-added to a few running non-overlapping partials that hold the exact total
-(Shewchuk's grow-expansion), so each chunk costs the same however many came
-before.  After every chunk it stops once an analytic bound on the neglected
-tail is small enough, the term budget is hit, a heuristic stagnation rule
-fires, or the partial sum exceeds the double range.
+added to one Python int that counts the running total in units of 2**-1074.
+Every finite double is a whole number of such units, so the int holds the
+exact total, and its true division by 2**1074, which CPython rounds
+correctly, is bit for bit the ``math.fsum`` of the chunk sums; each chunk
+costs the same however many came before.  After every chunk it stops once
+an analytic bound on the neglected tail is small enough, the term budget is
+hit, a heuristic stagnation rule fires, or the partial sum exceeds the
+double range.
 Deep sums fetch several chunks per call of the term function; every
 fetched chunk is summed, and those past the stop are dropped.
 
@@ -65,6 +68,7 @@ _MAX_BATCH = 16  # chunks fetched by one terms() call at most
 _SLACK = 1 + 1e-9  # inflation applied to analytic bounds against fp rounding
 _LOG_DOUBLE_MAX = math.log(np.finfo(float).max)
 _EXTRACT_MAX = 2.0**1000  # rows with a larger term are summed by math.fsum
+_UNITS = 1 << 1074  # units of the running total per 1.0
 
 
 class SumStatus(enum.Enum):
@@ -236,10 +240,7 @@ class GeomSeriesTail:
             raise ValueError("geometric tail needs q in (0, 1)")
 
     def _series(self, J: int) -> float:
-        try:
-            return self.coeff * self.q ** (J + 1) / (1.0 - self.q)
-        except OverflowError:
-            return math.inf
+        return self.coeff * self.q ** (J + 1) / (1.0 - self.q)
 
     def upper_tail(self, J: int) -> float:
         return self._series(J) * _SLACK
@@ -318,12 +319,15 @@ class Divergence:
     """A certificate that the series diverges.
 
     reason is 'term-limit' (terms stay above ``floor`` from j0 on) or
-    'harmonic' (terms dominate coeff/j from j0 on).
+    'harmonic' (terms dominate floor/j from j0 on).  An onset past the int64
+    index range is kept as its base-2 exponent instead: j0 is None and the
+    onset is 2**log2_j0.
     """
 
     reason: str
-    j0: int
+    j0: int | None
     floor: float
+    log2_j0: int | None = None
 
 
 Plan = Union[TailBound, Divergence, None]
@@ -332,41 +336,6 @@ Plan = Union[TailBound, Divergence, None]
 # ---------------------------------------------------------------------------
 # Engine
 # ---------------------------------------------------------------------------
-
-
-def _grow(partials: list[float], x: float) -> None:
-    """Add x to ``partials`` so that ``math.fsum(partials)`` equals
-    ``math.fsum`` of every x added so far.
-
-    This is the grow-expansion inside ``math.fsum`` (Shewchuk 1997): the
-    finite entries are non-overlapping and increase in magnitude, so they
-    hold the exact sum in a few doubles.  As in ``math.fsum``, a non-finite x
-    drops the finite entries and is kept in front of them, where
-    ``math.fsum`` combines it with the other non-finite ones; a finite x whose
-    exact sum overflows raises OverflowError.
-    """
-    k = 0
-    while k < len(partials) and not math.isfinite(partials[k]):
-        k += 1
-    if not math.isfinite(x):
-        del partials[k:]
-        partials.append(x)
-        return
-    i = k
-    for y in partials[k:]:
-        if abs(x) < abs(y):
-            x, y = y, x
-        hi = x + y
-        lo = y - (hi - x)
-        if lo:
-            partials[i] = lo
-            i += 1
-        x = hi
-    if not math.isfinite(x):
-        raise OverflowError("intermediate overflow in fsum")
-    del partials[i:]
-    if x:
-        partials.append(x)
 
 
 def _fsum_or_inf(xs: list[float]) -> float:
@@ -439,22 +408,27 @@ def certified_sum(
     ``min_terms`` forces at least that many terms before a certified stop,
     which the certification-soundness tests use to extend evaluations.
 
-    The stop rules run after every CHUNK terms.  Once four chunks are summed,
-    one ``terms`` call fetches a quarter as many chunks again (at most
-    _MAX_BATCH), never past ``hard_end`` or the budget; every fetched chunk
-    is summed, and only those up to the stop are added.  A batch whose ``terms`` call raises
+    The chunk sums are added to an int in units of 2**-1074, which holds
+    their exact total; after every CHUNK terms the stop rules read that total
+    divided by 2**1074, the correctly rounded ``math.fsum`` of the chunk sums,
+    and a total that rounds past the double range (OverflowError) ends the
+    sum at inf.  Once four chunks are summed, one ``terms`` call fetches a
+    quarter as many chunks again (at most _MAX_BATCH), never past
+    ``hard_end`` or the budget; every fetched chunk is summed, and only those
+    up to the stop are added.  A batch whose ``terms`` call raises
     TractError is fetched again one chunk at a time, so an error is raised
     only from a chunk that is summed.
     """
     if isinstance(plan, Divergence):
+        j0 = plan.j0 if plan.log2_j0 is None else f"2**{plan.log2_j0}"
         if plan.reason == "harmonic":
-            msg = f"divergent (harmonic: terms >= {plan.floor:.3g}/j from j={plan.j0})"
+            msg = f"divergent (harmonic: terms >= {plan.floor:.3g}/j from j={j0})"
         else:
-            msg = f"divergent (term-limit: terms >= {plan.floor:.3g} from j={plan.j0})"
+            msg = f"divergent (term-limit: terms >= {plan.floor:.3g} from j={j0})"
         return SumEvaluation(math.inf, 0, None, SumStatus.DIVERGENT, msg)
 
     max_terms = max(max_terms, min_terms)
-    partials: list[float] = []
+    total = 0  # the exact running sum, in units of 2**-1074
     count = chunks = 0
     j = start
     single_until = start  # a batch that raised is fetched again chunk by chunk up to here
@@ -467,7 +441,7 @@ def certified_sum(
 
     while True:
         if hard_end is not None and j > hard_end:
-            value = prefactor * math.fsum(partials)
+            value = prefactor * (total / _UNITS)
             return SumEvaluation(value, count, 0.0, SumStatus.CERTIFIED, "finite spectrum")
         batch = 1 if j < single_until else min(max(chunks // 4, 1), _MAX_BATCH)
         j_end = j + batch * CHUNK
@@ -488,15 +462,15 @@ def certified_sum(
             sums, maxima = _chunk_sums(values)
         for (j0, j1), chunk_sum, block_max in zip(spans, sums, maxima):
             if j1 > j0:
-                try:
-                    _grow(partials, chunk_sum)
-                except OverflowError:  # a finite sum past the double range
-                    partials = [math.inf]
                 count += j1 - j0
                 chunks += 1
                 j = j1
-            partial = math.fsum(partials)
-            if partial == math.inf:
+            try:
+                # An inf chunk sum has no integer ratio and raises here too.
+                n, d = chunk_sum.as_integer_ratio()
+                total += n << (1075 - d.bit_length())
+                partial = total / _UNITS
+            except OverflowError:
                 # The terms are non-negative: no later chunk brings the sum back.
                 return SumEvaluation(
                     math.inf, count, None, SumStatus.HEURISTIC,

@@ -325,6 +325,13 @@ class TestInvalidInput:
             (_POLY, "ABS", "criterion --sum wt-alg --c 1 --s 1e308 --t 1", 0),
             ({**_POLY, "params": {"a": 100.0, "alpha": 2.0}}, "ABS", "criterion --sum wt-alg --c 1 --s 316 --t 1", 0),
             ({"kind": "ExpDecay", "params": {"gamma": 0.5}}, "ABS", "criterion --sum wt-exp --c 1 --s 1e308 --t 1", 0),
+            ({"kind": "ExpDecay", "params": {"gamma": 2000}}, "ABS", "criterion --sum spt-exp --tau 1100", 0),
+            ({"kind": "ExpDecay", "params": {"gamma": 2000}}, "NOR", "criterion --sum spt-exp --tau 1100", 0),
+            ({"kind": "ExpDecay", "params": {"gamma": 2000}}, "ABS", "criterion --sum pt-exp --tau2 1100", 0),
+            (_POLY, "ABS", "criterion --sum spt-exp --tau 0.001", 0),
+            (_POLY, "NOR", "criterion --sum pt-exp --tau2 0.001", 0),
+            (_POLY, "ABS", "criterion --sum qpt-exp --tau 1100", 0),
+            ({"kind": "ExpDecay", "params": {"gamma": 0.5}}, "NOR", "criterion --sum wt-alg --c 1 --s 1e308 --t 1", 0),
         ],
     )
     def test_exits_cleanly(self, tmp_path, capsys, model, criterion, argv, code):

@@ -1,6 +1,10 @@
 import dataclasses
 import math
+import os
 import re
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -12,6 +16,7 @@ from tract import (
     ExpDecay,
     Expression,
     FiniteRank,
+    Geometric,
     GeometricTail,
     PolyDecay,
     Tabulated,
@@ -38,7 +43,7 @@ from tract.criteria import (
 )
 from tract.eigenmodel import log_ratio
 from tract.errors import BeyondRankError
-from tract.summation import Divergence, SumStatus
+from tract.summation import CHUNK, Divergence, SumStatus
 
 ABS = ErrorCriterion.ABS
 NOR = ErrorCriterion.NOR
@@ -92,6 +97,18 @@ class TestSptExp:
         ev = sum_spt_exp(poly2, 1, 0.5, 1, ABS)
         assert ev.divergent
         assert "term-limit" in ev.note
+
+    @pytest.mark.parametrize("criterion, value", [(ABS, math.exp(-1.0)), (NOR, 1.0)])
+    @pytest.mark.parametrize("kind, params", [("spt-exp", dict(tau=1100.0)), ("pt-exp", dict(tau2=1100.0))])
+    def test_term_is_zero_where_the_log_ratio_is_minus_inf(self, kind, params, criterion, value):
+        """ExpDecay(1, 1, 2000): past j = 1, ln rho = -j**2000 is -inf and
+        j**-1100 underflows to 0.  The term is rho**(j**-tau) = 0, not the NaN
+        of 0 * -inf, so only rho_1 = 1/e (1 under NOR) counts."""
+        model = EigenModel(ExpDecay(1.0, 1.0, 2000.0))
+        ev = evaluate_sum(model, kind, 1, CriterionParams(**params), criterion)
+        assert (ev.value, ev.status, ev.terms_used) == (value, SumStatus.CERTIFIED, CHUNK)
+        extended = evaluate_sum(model, kind, 1, CriterionParams(**params), criterion, min_terms=10 * CHUNK)
+        assert extended.value == value
 
 
 class TestPt:
@@ -187,6 +204,18 @@ class TestWtAlg:
             # first inner term is exp(-c) exactly; with the prefactor the
             # value is at least exp(-c d^t) * exp(-c)
             assert ev.value >= math.exp(-c) * math.exp(-c) * (1 - 1e-12)
+
+    def test_scale_power_below_the_double_range_certifies(self):
+        """ExpDecay(1, 1, 1/2) under NOR at s = 1e308: scale**(-s/2) underflows
+        to 0 and grow(x) overflows, so the ratio tail's g is formed from
+        logarithms, not as 0 * inf.  Past j = 1 the terms vanish: e**-1 times
+        the prefactor e**-1, certified after one chunk."""
+        model = EigenModel(ExpDecay(1.0, 1.0, 0.5))
+        params = CriterionParams(c=1.0, s=1e308, t=1.0)
+        ev = evaluate_sum(model, "wt-alg", 1, params, NOR)
+        assert (ev.value, ev.status, ev.terms_used) == (math.exp(-2.0), SumStatus.CERTIFIED, CHUNK)
+        extended = evaluate_sum(model, "wt-alg", 1, params, NOR, min_terms=10 * CHUNK)
+        assert abs(extended.value - ev.value) <= ev.remainder_bound + 1e-12 * ev.value
 
 
 class TestWtExp:
@@ -452,6 +481,55 @@ class TestStartIndexRange:
         assert plan.from_j == 2**62
 
 
+class TestOnsetPastInt64:
+    @pytest.mark.parametrize("criterion", [ABS, NOR])
+    @pytest.mark.parametrize(
+        "kind, params, note",
+        [
+            ("spt-exp", dict(tau=0.001), "divergent (term-limit: terms >= 0.5 from j=2**23084)"),
+            ("pt-exp", dict(tau2=0.001), "divergent (term-limit: terms >= 0.5 from j=2**23084)"),
+            ("qpt-exp", dict(tau=1100.0), "divergent (harmonic: terms >= 1/j from j=2**25369)"),
+        ],
+    )
+    def test_onset_is_kept_as_its_exponent(self, poly2, kind, params, note, criterion):
+        """The onset is past int64 (and its decimal past Python's 4300-digit
+        limit): the certificate keeps it as 2**k."""
+        ev = evaluate_sum(poly2, kind, 1, CriterionParams(**params), criterion)
+        assert ev.divergent and ev.note == note
+        plan = convergence_plan(poly2, kind, 1, CriterionParams(**params), criterion)
+        assert plan.j0 is None and note.endswith(f"2**{plan.log2_j0})")
+
+    def test_onsets_up_to_2_62_stay_ints(self):
+        def always(u):
+            return np.ones(np.shape(u), dtype=bool)
+
+        ln2 = math.log(2.0)
+        assert criteria._log_divergence("harmonic", 1.0, always, 61.9 * ln2, 1) == Divergence("harmonic", 2**62, 1.0)
+        assert criteria._log_divergence("harmonic", 1.0, always, 62.1 * ln2, 1) == Divergence(
+            "harmonic", None, 1.0, log2_j0=63
+        )
+
+    def test_tiny_tau_allocates_no_onset_int(self):
+        """spt-exp at tau = 1e-9 and 1e-12 puts the onset near 2**(1.4e9) and
+        2**(1.4e12).  A child process capped at 2 GiB of address space must
+        still certify the divergence quickly: building the onset as an int
+        would take gigabytes."""
+        code = (
+            "import resource; resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+            "from tract import CriterionParams, EigenModel, ErrorCriterion, PolyDecay, evaluate_sum\n"
+            "for tau in (1e-9, 1e-12):\n"
+            "    ev = evaluate_sum(EigenModel(PolyDecay(1.0, 2.0)), 'spt-exp', 1, CriterionParams(tau=tau),"
+            " ErrorCriterion.ABS)\n"
+            "    print(ev.status.value)\n"
+        )
+        src = os.path.dirname(os.path.dirname(criteria.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        began = time.perf_counter()
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+        assert out.stdout.split() == ["DivergenceCertified"] * 2, out.stderr[-2000:]
+        assert time.perf_counter() - began < 20.0
+
+
 class TestOrderInvariance:
     def test_permuted_prefix_changes_nothing_measurable(self):
         rng = np.random.default_rng(11)
@@ -485,6 +563,8 @@ class TestCertificationSoundness:
             (poly2, "wt-alg", CriterionParams(c=1.0, s=1.0, t=1.0), ABS),
             (exp2, "wt-exp", CriterionParams(c=1.0, s=1.0, t=1.0), ABS),
             (poly2, "wt-exp", CriterionParams(c=1.0, s=2.0, t=1.0), ABS),
+            # grow(x) = 2**x overflows at x = 1024 while scale_pow is still normal
+            (EigenModel(Geometric(4e307, 0.5)), "wt-alg", CriterionParams(c=0.01, s=2.0, t=1.0), ABS),
         ]
         for model, kind, params, criterion in cases:
             for d in (1, 2, 3):
