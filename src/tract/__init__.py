@@ -7,113 +7,46 @@ characterises the strong polynomial / polynomial / quasi-polynomial / weak /
 uniformly weak tractability notions in both the algebraic and exponential
 cases, classifies problems accordingly, brackets tractability exponents,
 and verifies explicit complexity bounds against a brute-force oracle.
+
+``import tract`` loads no submodule.  Each exported name is imported from
+its module on first access (PEP 562), so a caller pays only for the
+modules it uses.
 """
+
+import sys
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-from .boundcheck import BoundSpec, bound_t1, bound_t2, bound_t3, diagnostics, verify_domination
-from .classifier import (
-    ExponentBracket,
-    GrowthFit,
-    Limits,
-    Notion,
-    TractabilityVerdict,
-    check_implications,
-    classify_all,
-    decide,
-    exponent_bracket,
-    growth_fit,
-)
-from .complexity import ComplexityQuery, ComplexityResult, count_oracle, info_complexity, nth_minimal_error
-from .criteria import (
-    CriterionParams,
-    SupEvaluation,
-    evaluate_sum,
-    sum_pt_alg,
-    sum_pt_exp,
-    sum_qpt_alg,
-    sum_qpt_exp,
-    sum_spt_alg,
-    sum_spt_exp,
-    sum_wt_alg,
-    sum_wt_exp,
-    sup_over_d,
-    uwt_statistic,
-)
-from .eigenmodel import (
-    EigenModel,
-    ErrorCriterion,
-    ExpDecay,
-    Expression,
-    FiniteRank,
-    Geometric,
-    GeometricTail,
-    PolyDecay,
-    PowerLawTail,
-    StretchedExpTail,
-    Tabulated,
-    TailEnvelope,
-    cri,
-    eigenvalue,
-    eigenvalues,
-    model_from_config,
-    validate,
-)
-from .summation import SumEvaluation, SumStatus
+# Module -> the names it exports through the package.
+_EXPORTS = {
+    name: f"{__name__}.{module}"
+    for module, names in {
+        "boundcheck": "BoundSpec bound_t1 bound_t2 bound_t3 diagnostics verify_domination",
+        "classifier": "ExponentBracket GrowthFit Notion TractabilityVerdict check_implications "
+        "classify_all decide exponent_bracket growth_fit",
+        "complexity": "ComplexityQuery ComplexityResult count_oracle info_complexity nth_minimal_error",
+        "config": "CriterionParams Limits model_from_config",
+        "criteria": "SupEvaluation evaluate_sum sum_pt_alg sum_pt_exp sum_qpt_alg sum_qpt_exp "
+        "sum_spt_alg sum_spt_exp sum_wt_alg sum_wt_exp sup_over_d uwt_statistic",
+        "eigenmodel": "EigenModel ErrorCriterion ExpDecay Expression FiniteRank Geometric GeometricTail "
+        "PolyDecay PowerLawTail StretchedExpTail Tabulated TailEnvelope cri eigenvalue eigenvalues validate",
+        "summation": "SumEvaluation SumStatus",
+    }.items()
+    for name in names.split()
+}
 
-__all__ = [
-    "__version__",
-    "BoundSpec",
-    "bound_t1",
-    "bound_t2",
-    "bound_t3",
-    "diagnostics",
-    "verify_domination",
-    "ExponentBracket",
-    "GrowthFit",
-    "Limits",
-    "Notion",
-    "TractabilityVerdict",
-    "check_implications",
-    "classify_all",
-    "decide",
-    "exponent_bracket",
-    "growth_fit",
-    "ComplexityQuery",
-    "ComplexityResult",
-    "count_oracle",
-    "info_complexity",
-    "nth_minimal_error",
-    "CriterionParams",
-    "SupEvaluation",
-    "evaluate_sum",
-    "sum_pt_alg",
-    "sum_pt_exp",
-    "sum_qpt_alg",
-    "sum_qpt_exp",
-    "sum_spt_alg",
-    "sum_spt_exp",
-    "sum_wt_alg",
-    "sum_wt_exp",
-    "sup_over_d",
-    "uwt_statistic",
-    "EigenModel",
-    "ErrorCriterion",
-    "ExpDecay",
-    "Expression",
-    "FiniteRank",
-    "Geometric",
-    "GeometricTail",
-    "PolyDecay",
-    "PowerLawTail",
-    "StretchedExpTail",
-    "Tabulated",
-    "TailEnvelope",
-    "cri",
-    "eigenvalue",
-    "eigenvalues",
-    "model_from_config",
-    "validate",
-    "SumEvaluation",
-    "SumStatus",
-]
+__all__ = ["__version__", *_EXPORTS]
+
+
+def __getattr__(name: str):
+    # Not cached in the package: a name rebound in its module (by a test or
+    # a tracer) is seen here too.  sys.modules answers once it is imported.
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = _EXPORTS[name]
+    return getattr(sys.modules.get(module) or import_module(module), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

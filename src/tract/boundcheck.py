@@ -18,11 +18,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .complexity import ComplexityQuery, first_index, info_complexity
-from .criteria import SUM_SPECS, CriterionParams, _plan, ceil_stable
+from .config import CriterionParams
+from .criteria import SUM_SPECS, _plan, ceil_stable
 from .eigenmodel import EigenModel, ErrorCriterion, log_ratios, ratios, support
 from .summation import SumEvaluation
 
@@ -97,8 +99,7 @@ def bound_t3(spec: BoundSpec, d: int, eps: float) -> int:
 _BOUNDS = {"T1": bound_t1, "T2": bound_t2, "T3": bound_t3}
 
 
-@dataclass(frozen=True)
-class DominationRow:
+class DominationRow(NamedTuple):
     d: int
     eps: float
     oracle_n: int
@@ -109,8 +110,7 @@ class DominationRow:
         return self.oracle_n <= self.bound
 
 
-@dataclass(frozen=True)
-class DominationReport:
+class DominationReport(NamedTuple):
     rows: tuple[DominationRow, ...]
     theorem: str
 

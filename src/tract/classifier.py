@@ -19,13 +19,14 @@ narrows the induced exponent bracket.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .complexity import ComplexityQuery, first_index, info_complexity
+from .config import CriterionParams, Limits
 from .criteria import (
-    CriterionParams,
     SupEvaluation,
     _classify_trend,
     convergence_plan,
@@ -69,29 +70,6 @@ _EVIDENCE_TOL = 1e-6  # trend evidence needs stops, not certified digits
 
 
 @dataclass(frozen=True)
-class Limits:
-    d_max: int = 64
-    j_max: int = 1 << 26
-    n_max: int = 1_000_000
-    tol: float = 1e-10
-    c_min: float = 2.0**-10
-
-    def __post_init__(self):
-        if min(self.d_max, self.j_max, self.n_max) < 1:
-            raise ValueError("limits must be positive")
-        if self.j_max > 1 << 62:
-            raise ValueError("j_max must be at most 2**62 (the search indexes with int64)")
-        if not (0.0 < self.tol < 1.0):
-            raise ValueError("tol must lie in (0, 1)")
-        # The WT c grid runs from 1 down to c_min.
-        if not (0.0 < self.c_min <= 1.0):
-            raise ValueError("c_min must lie in (0, 1]")
-
-    def as_dict(self) -> dict:
-        return asdict(self)
-
-
-@dataclass(frozen=True)
 class Notion:
     kind: str  # SPT | PT | QPT | WT | UWT
     case: str  # ALG | EXP
@@ -123,8 +101,7 @@ class Notion:
         )
 
 
-@dataclass(frozen=True)
-class TractabilityVerdict:
+class TractabilityVerdict(NamedTuple):
     notion: Notion
     status: str  # Holds | Fails | SupportedUpTo | Inconclusive
     witness: CriterionParams | None
@@ -141,8 +118,7 @@ class TractabilityVerdict:
         }
 
 
-@dataclass(frozen=True)
-class ExponentBracket:
+class ExponentBracket(NamedTuple):
     lo: float
     hi: float
     lo_witness: CriterionParams | None
@@ -157,8 +133,7 @@ class ExponentBracket:
         }
 
 
-@dataclass(frozen=True)
-class GrowthFit:
+class GrowthFit(NamedTuple):
     C: float
     p: float
     q: float

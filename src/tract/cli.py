@@ -8,6 +8,10 @@ file written atomically next to a manifest that records the config hash,
 limits, tool version and command parameters; JSON results embed the same
 manifest.
 
+Each subcommand imports the analysis modules it uses when it runs:
+``validate`` and ``complexity`` load no criterion sums, and only
+``verify-bounds`` loads the bound checks.
+
 Exit codes: 0 success, 1 validation or evaluation failure, 2 config error.
 """
 
@@ -23,21 +27,11 @@ import os
 import sys
 import tempfile
 import typing
-from dataclasses import asdict, dataclass
 
 from . import __version__
-from .boundcheck import _THEOREM_SUMS, BoundSpec, verify_domination
-from .classifier import (
-    Limits,
-    Notion,
-    classify_all,
-    exponent_bracket,
-)
-from .complexity import ComplexityQuery, count_oracle, info_complexity
-from .criteria import CriterionParams, evaluate_sum, sup_over_d, uwt_statistic
-from .eigenmodel import EigenModel, ErrorCriterion, _cast, model_from_config, validate
+from .config import CriterionParams, Limits, _cast, model_from_config
+from .eigenmodel import EigenModel, ErrorCriterion, validate
 from .errors import ConfigError, TractError, ValidationFailedError
-from .summation import SumEvaluation, SumStatus
 
 __all__ = ["main", "load_config", "RunConfig"]
 
@@ -58,8 +52,7 @@ _PARAM_CASTS = _field_casts(CriterionParams)
 _ANALYSIS_KEYS = (*_PARAM_CASTS, "sum", "n", "d", "eps", "notion", "theorem", "eps_grid", "d_grid")
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(typing.NamedTuple):
     model: EigenModel
     criterion: ErrorCriterion
     limits: Limits
@@ -247,7 +240,7 @@ def _cmd_validate(cfg: RunConfig, args) -> int:
         "ok": report.ok,
         "d_max": report.d_max,
         "j_probe": report.j_probe,
-        "violations": [asdict(v) for v in report.violations],
+        "violations": [v._asdict() for v in report.violations],
     }
     params = {"d_max": args.d_max, "j_probe": args.j_probe}
     _emit(cfg, "validate", params, payload, args.out or cfg.output_path)
@@ -255,6 +248,8 @@ def _cmd_validate(cfg: RunConfig, args) -> int:
 
 
 def _cmd_complexity(cfg: RunConfig, args) -> int:
+    from .complexity import ComplexityQuery, count_oracle, info_complexity
+
     eps = _setting(cfg, args, "eps", float)
     d = _setting(cfg, args, "d", int)
     if eps is not None and d is not None:
@@ -303,6 +298,8 @@ def _params_from_args(cfg: RunConfig, args) -> CriterionParams:
 
 
 def _cmd_criterion(cfg: RunConfig, args) -> int:
+    from .criteria import evaluate_sum, sup_over_d, uwt_statistic
+
     params = _params_from_args(cfg, args)
     sum_kind = _setting(cfg, args, "sum", str)
     if sum_kind is None:
@@ -338,6 +335,8 @@ def _cmd_criterion(cfg: RunConfig, args) -> int:
 
 
 def _cmd_classify(cfg: RunConfig, args) -> int:
+    from .classifier import classify_all
+
     report = classify_all(cfg.model, cfg.criterion, cfg.limits)
     payload = {**report, "criterion": cfg.criterion.value}
     _emit(cfg, "classify", {}, payload, args.out or cfg.output_path)
@@ -353,6 +352,8 @@ _NOTION_FLAGS = {
 
 
 def _cmd_exponent(cfg: RunConfig, args) -> int:
+    from .classifier import Notion, exponent_bracket
+
     notion_name = _setting(cfg, args, "notion", str)
     if notion_name not in _NOTION_FLAGS:
         raise ConfigError(f"exponent needs --notion from {sorted(_NOTION_FLAGS)}")
@@ -365,6 +366,10 @@ def _cmd_exponent(cfg: RunConfig, args) -> int:
 
 
 def _cmd_verify_bounds(cfg: RunConfig, args) -> int:
+    from .boundcheck import _THEOREM_SUMS, BoundSpec, verify_domination
+    from .criteria import sup_over_d
+    from .summation import SumEvaluation, SumStatus
+
     theorem_name = _setting(cfg, args, "theorem", str)
     if theorem_name is None:
         raise ConfigError("verify-bounds needs --theorem")

@@ -33,12 +33,13 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import asdict, dataclass, replace
-from typing import Callable
+from dataclasses import dataclass, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .complexity import first_index
+from .config import CriterionParams
 from .eigenmodel import (
     EigenModel,
     ErrorCriterion,
@@ -90,35 +91,6 @@ _DEFAULT_TOL = 1e-10
 _DEFAULT_MAX_TERMS = 2_000_000
 
 
-# Fields with an inclusive lower bound; every other field must be positive.
-_AT_LEAST = {"tau1": 0.0, "tau3": 0.0, "k": 1}
-
-
-@dataclass(frozen=True)
-class CriterionParams:
-    """Parameter bundle for the criterion sums; unused fields stay None, set ones are finite."""
-
-    tau: float | None = None
-    tau1: float | None = None
-    tau2: float | None = None
-    tau3: float | None = None
-    c_tilde: float | None = None
-    c: float | None = None
-    s: float | None = None
-    t: float | None = None
-    k: int | None = None
-
-    def __post_init__(self):
-        for name, v in self.__dict__.items():
-            low = _AT_LEAST.get(name)
-            if v is not None and not (math.isfinite(v) and (v > 0 if low is None else v >= low)):
-                rule = "> 0" if low is None else f">= {low:g}"
-                raise ValueError(f"{name} must be finite and {rule}, got {v!r}")
-
-    def as_dict(self) -> dict:
-        return {k: v for k, v in self.__dict__.items() if v is not None}
-
-
 def ceil_stable(x: float) -> int:
     """Ceiling that snaps values within one ulp of an integer first."""
     nearest = round(x)
@@ -134,9 +106,19 @@ def ceil_stable(x: float) -> int:
 
 
 # Each planner reads the envelope ratio_envelope returns: it already starts
-# at the sum's start index.  The divergence searches run over u = ln j:
-# certified onset indices can sit far beyond the float range (they are never
-# summed, only recorded).
+# at the sum's start index.  The divergence searches run over u = ln j, and
+# their predicates read v = ln u: certified onset indices can sit far beyond
+# the float range (they are never summed, only recorded), and so can u.
+# In v, j**-x is exp(-exp(v + ln x)).
+
+_LN2 = math.log(2.0)
+
+
+def _log_shift(x: np.ndarray, c: float) -> np.ndarray:
+    """ln(e**x + c) where e**x + c > 0, for any size of x."""
+    if c >= 0.0:
+        return np.logaddexp(x, math.log(c) if c > 0.0 else -math.inf)
+    return x + np.log1p(c * np.exp(-x))  # c e**-x lies in (-1, 0)
 
 
 def _log_divergence(
@@ -148,19 +130,22 @@ def _log_divergence(
     pred holds at no such u.  An onset past 2**62 is kept as its base-2
     exponent: the int itself can run to billions of bits.
 
-    pred maps an array of u to a boolean array; overflow, underflow and NaN
-    (which compares false) pass silently.  Callers guarantee that pred, once
-    true, stays true (a nonincreasing function below a target, a
-    nondecreasing one above zero), so the found index certifies pred
-    everywhere beyond it.
+    pred maps an array of v = ln u to a boolean array, so it is read where u
+    itself is past the double range; overflow, underflow and NaN (which
+    compares false) pass silently.  Callers guarantee that pred, once true,
+    stays true (a nonincreasing function below a target, a nondecreasing one
+    above zero), so the found index certifies pred everywhere beyond it.
     """
     u0 = max(1.0, u_start)
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        k = first_index(lambda k: pred(np.ldexp(0.5 * u0, k)), 200)
+    log_half_u0 = math.log(u0) - _LN2
+    with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
+        k = first_index(lambda k: pred(k * _LN2 + log_half_u0), 200)
     if k is None:
         return None
-    u = u0 * 2.0 ** (k - 1)
-    e = max(0, int(math.ceil(u / math.log(2.0))))
+    # e = ceil(u / ln 2) for u = u0 * 2**(k - 1), in exact integers.
+    n, m = u0.as_integer_ratio()
+    a, b = _LN2.as_integer_ratio()
+    e = -(-(n * b << (k - 1)) // (m * a))
     if e > 62:  # past the int64 index range, so past j0 too
         return Divergence(reason, None, floor, log2_j0=e)
     return Divergence(reason, max(j0, 1 << e), floor)
@@ -224,11 +209,12 @@ def _plan_coupled(env: TailEnvelope, tau: float) -> Plan:
             # 0 above.
             limit = rate if tau == power else 0.0
 
-            def hub(u: np.ndarray) -> np.ndarray:
-                return rate * np.exp((power - tau) * u) + max(0.0, -log_a) * np.exp(-tau * u)
+            def hub(v: np.ndarray) -> np.ndarray:
+                lead = rate if tau == power else rate * np.exp(-np.exp(v + math.log(tau - power)))
+                return lead + max(0.0, -log_a) * np.exp(-np.exp(v + math.log(tau)))
 
             return _log_divergence(
-                "term-limit", 0.5 * math.exp(-limit), lambda u: hub(u) <= limit + math.log(2.0),
+                "term-limit", 0.5 * math.exp(-limit), lambda v: hub(v) <= limit + _LN2,
                 math.log(j0), j0,
             )
         return None
@@ -238,13 +224,14 @@ def _plan_coupled(env: TailEnvelope, tau: float) -> Plan:
     if env.exact:
         beta = form.beta
 
-        def hub(u: np.ndarray) -> np.ndarray:
-            return (beta * u + max(0.0, -log_a)) * np.exp(-tau * u)
+        def log_hub(v: np.ndarray) -> np.ndarray:
+            """ln of (beta u + max(0, -ln a)) e**(-tau u)."""
+            return _log_shift(v + math.log(beta), max(0.0, -log_a)) - np.exp(v + math.log(tau))
 
         # hub is decreasing once u > 1/tau (the ln a correction only adds a
         # decreasing nonnegative part).
         return _log_divergence(
-            "term-limit", 0.5, lambda u: hub(u) <= math.log(2.0), max(math.log(j0), 1.0 / tau), j0
+            "term-limit", 0.5, lambda v: log_hub(v) <= math.log(_LN2), max(math.log(j0), 1.0 / tau), j0
         )
     return None
 
@@ -290,8 +277,11 @@ def _plan_qpt_exp(env: TailEnvelope, T: float) -> Plan:
         beta = form.beta
         # u - T ln(base) is increasing once the base exceeds T beta / 2.
         u3 = (2.0 * max(0.5 * T * beta - 1.0, 0.0) + log_a) / beta
+
+        # ln(1 + 0.5 (beta u - ln a)); its argument is at least 1 from u3 on.
         return _log_divergence(
-            "harmonic", 1.0, lambda u: u >= T * np.log(1.0 + 0.5 * (beta * u - log_a)),
+            "harmonic", 1.0,
+            lambda v: np.exp(v - math.log(T)) >= _log_shift(v + math.log(beta) - _LN2, 1.0 - 0.5 * log_a),
             max(u3, math.log(j0)), j0,
         )
     return None
@@ -386,8 +376,11 @@ def _plan_wt_exp(env: TailEnvelope, c: float, s: float) -> Plan:
         # s < 1: divergent whenever the envelope is exact.
         if env.exact:
             u3 = ((c * s * beta) ** (1.0 / (1.0 - s)) - konst) / beta
+
+            # konst + beta u is positive from u3 on.
             return _log_divergence(
-                "harmonic", 1.0, lambda u: u >= c * (konst + beta * u) ** s, max(u3, math.log(j0)), j0
+                "harmonic", 1.0, lambda v: v >= math.log(c) + s * _log_shift(v + math.log(beta), konst),
+                max(u3, math.log(j0)), j0,
             )
         return None
 
@@ -609,18 +602,18 @@ def _outer_power(inner: SumEvaluation, pref: float, power: float) -> SumEvaluati
             value = pref * inner.value**power
             if not math.isfinite(value):
                 raise OverflowError
-            return replace(inner, value=value)
+            return inner._replace(value=value)
         hi = pref * (inner.value + inner.remainder_bound) ** power
         lo = pref * max(inner.value - inner.remainder_bound, 0.0) ** power
         if not math.isfinite(hi):
             raise OverflowError
     except OverflowError:
         # The sum is finite but its outer power exceeds the double range.
-        return replace(
-            inner, value=math.inf, remainder_bound=None, status=SumStatus.HEURISTIC,
+        return inner._replace(
+            value=math.inf, remainder_bound=None, status=SumStatus.HEURISTIC,
             note="finite inner sum, outer power exceeds the double range",
         )
-    return replace(inner, value=0.5 * (hi + lo), remainder_bound=0.5 * (hi - lo) * (1 + 1e-9))
+    return inner._replace(value=0.5 * (hi + lo), remainder_bound=0.5 * (hi - lo) * (1 + 1e-9))
 
 
 # One-call forms of evaluate_sum; the keyword arguments (tol, max_terms,
@@ -738,8 +731,7 @@ def uwt_statistic(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SupEvaluation:
+class SupEvaluation(NamedTuple):
     """The d-sweep of one criterion sum with an observed supremum and trend."""
 
     values: tuple[float, ...]
@@ -753,7 +745,7 @@ class SupEvaluation:
 
     def as_dict(self) -> dict:
         """Every field but ``upper``."""
-        out = {**asdict(self), "values": list(self.values), "status": self.status.value}
+        out = {**self._asdict(), "values": list(self.values), "status": self.status.value}
         del out["upper"]
         return out
 

@@ -39,8 +39,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, fields, replace
-from typing import Union
+from dataclasses import dataclass, field, fields
+from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -74,7 +74,6 @@ __all__ = [
     "ensure_valid",
     "ValidationReport",
     "Violation",
-    "model_from_config",
 ]
 
 MIN_POSITIVE = 1e-300
@@ -224,7 +223,7 @@ class Tabulated(_Family):
             )
         object.__setattr__(self, "prefix", prefix)
         object.__setattr__(self, "_table", np.asarray(prefix, dtype=float))
-        object.__setattr__(self, "envelope", replace(self.continuation, exact=True).shifted(j))
+        object.__setattr__(self, "envelope", self.continuation._replace(exact=True).shifted(j))
 
     def _split(self, j: np.ndarray, head, tail) -> np.ndarray:
         """head(prefix entries) inside the prefix, tail(j) past it."""
@@ -358,8 +357,7 @@ class StretchedExpTail:
 TailForm = Union[PowerLawTail, GeometricTail, StretchedExpTail]
 
 
-@dataclass(frozen=True)
-class TailEnvelope:
+class TailEnvelope(NamedTuple):
     """An analytic upper bound on lambda(d, j) for j >= valid_from.
 
     ``exact`` marks envelopes that coincide with the sequence (closed-form
@@ -505,16 +503,14 @@ def ratio_envelope(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     kind: str  # nonfinite | increase | envelope | eval-domain
     d: int
     j: int
     detail: str
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     ok: bool
     violations: tuple[Violation, ...]
     d_max: int
@@ -616,97 +612,3 @@ def ensure_valid(model: EigenModel, d_max: int = 8, j_probe: int = 10_000) -> Va
     if not report.ok:
         raise ValidationFailedError(report)
     return report
-
-
-# ---------------------------------------------------------------------------
-# Config ingestion
-# ---------------------------------------------------------------------------
-
-def _cast(cast, value, where: str):
-    """cast(value); a value of the wrong JSON type is a ValueError naming where."""
-    try:
-        return cast(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"{where}: {exc}") from None
-
-
-def _floats(values, where: str) -> tuple[float, ...]:
-    return tuple(_cast(float, v, where) for v in _cast(iter, values, where))
-
-
-# Config name of each tail form -> its class and the config keys of its fields.
-_TAIL_FORMS = {
-    "PowerLaw": (PowerLawTail, ("A", "beta")),
-    "Geometric": (GeometricTail, ("A", "r")),
-    "StretchedExp": (StretchedExpTail, ("A", "b", "gamma")),
-}
-
-
-def _tail_from_config(spec: dict) -> TailEnvelope:
-    if not isinstance(spec, dict):
-        raise ValueError("tail envelope must be an object")
-    if "form" not in spec:
-        raise ValueError("tail envelope needs a 'form' field")
-    form_name = spec["form"]
-    if not isinstance(form_name, str) or form_name not in _TAIL_FORMS:
-        raise ValueError(f"unknown tail form {form_name!r}")
-    form_cls, keys = _TAIL_FORMS[form_name]
-    unknown = set(spec) - {"form", "valid_from", *keys}
-    if unknown:
-        raise ValueError(f"unknown tail key {sorted(unknown)[0]!r}")
-    missing = [k for k in keys if k not in spec]
-    if missing:
-        raise ValueError(f"tail form {form_name} missing field {missing[0]!r}")
-    valid_from = _cast(int, spec.get("valid_from", 1), "tail valid_from")
-    values = [_cast(float, spec[k], f"tail field {k!r}") for k in keys]
-    if form_cls is PowerLawTail and values[1] <= 1:
-        raise ValueError("declared PowerLaw tails require beta > 1")
-    return TailEnvelope(form_cls(*values), valid_from, exact=False)
-
-
-# The closed forms take their parameters by field name, with the class defaults.
-_CLOSED_FORMS = {"PolyDecay": PolyDecay, "ExpDecay": ExpDecay, "Geometric": Geometric}
-_PARAM_FIELDS = {
-    **{kind: tuple(f.name for f in fields(cls) if f.init) for kind, cls in _CLOSED_FORMS.items()},
-    "FiniteRank": ("values",),
-    "Tabulated": ("prefix",),
-    "Expression": ("formula",),
-}
-
-
-def model_from_config(spec: dict) -> EigenModel:
-    """Build a model from the CLI's JSON description (strict keys and types)."""
-    if not isinstance(spec, dict):
-        raise ValueError("model description must be an object")
-    unknown = set(spec) - {"kind", "params", "tail", "d_scale"}
-    if unknown:
-        raise ValueError(f"unknown model key {sorted(unknown)[0]!r}")
-    kind = spec.get("kind")
-    if not isinstance(kind, str) or kind not in _PARAM_FIELDS:
-        raise ValueError(f"unknown model kind {kind!r}")
-    params = spec.get("params", {})
-    if not isinstance(params, dict):
-        raise ValueError("model params must be an object")
-    unknown = set(params) - set(_PARAM_FIELDS[kind])
-    if unknown:
-        raise ValueError(f"unknown {kind} parameter {sorted(unknown)[0]!r}")
-    tail = _tail_from_config(spec["tail"]) if spec.get("tail") is not None else None
-
-    if kind in _CLOSED_FORMS:
-        family: Family = _CLOSED_FORMS[kind](
-            **{k: _cast(float, v, f"{kind} parameter {k!r}") for k, v in params.items()}
-        )
-    elif kind == "FiniteRank":
-        family = FiniteRank(_floats(params.get("values", ()), "FiniteRank values"))
-    elif kind == "Tabulated":
-        if tail is None:
-            raise ValueError("Tabulated models require a tail envelope")
-        family = Tabulated(_floats(params.get("prefix", ()), "Tabulated prefix"), tail)
-        tail = None
-    else:
-        family = Expression(str(params.get("formula", "")))
-
-    d_scale = spec.get("d_scale")
-    if d_scale and not isinstance(d_scale, str):
-        raise ValueError(f"d_scale must be a formula, got {d_scale!r}")
-    return EigenModel(family=family, d_scale=exprdsl.parse(d_scale) if d_scale else None, declared_tail=tail)

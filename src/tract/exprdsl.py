@@ -23,8 +23,7 @@ the first failing d and j instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, NamedTuple, Union
 
 import numpy as np
 
@@ -48,30 +47,25 @@ FUNCTION_ARITY = {"exp": 1, "ln": 1, "sqrt": 1, "pow": 2, "max": 2, "min": 2}
 VARIABLES = ("d", "j")
 
 
-@dataclass(frozen=True)
-class Num:
+class Num(NamedTuple):
     value: float
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(NamedTuple):
     name: str
 
 
-@dataclass(frozen=True)
-class Neg:
+class Neg(NamedTuple):
     operand: "Expr"
 
 
-@dataclass(frozen=True)
-class BinOp:
+class BinOp(NamedTuple):
     op: str
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True)
-class Call:
+class Call(NamedTuple):
     func: str
     args: tuple["Expr", ...]
 
@@ -87,8 +81,7 @@ _PUNCT = {"+", "-", "*", "/", "^", "(", ")", ","}
 _DIGITS = frozenset("0123456789")  # str.isdigit also takes '²' and other scripts' digits
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # 'num', 'ident', punctuation literal, or 'end'
     text: str
     offset: int

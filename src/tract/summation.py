@@ -41,8 +41,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import asdict, dataclass
-from typing import Callable, Union
+from dataclasses import dataclass
+from typing import Callable, NamedTuple, Union
 
 import numpy as np
 
@@ -77,8 +77,7 @@ class SumStatus(enum.Enum):
     DIVERGENT = "DivergenceCertified"
 
 
-@dataclass(frozen=True)
-class SumEvaluation:
+class SumEvaluation(NamedTuple):
     """Value of one criterion sum plus its truncation evidence.
 
     ``converged`` is False when the term budget ran out before any stop rule
@@ -111,7 +110,7 @@ class SumEvaluation:
         return self.value + self.remainder_bound
 
     def as_dict(self) -> dict:
-        return {**asdict(self), "status": self.status.value}
+        return {**self._asdict(), "status": self.status.value}
 
 
 # ---------------------------------------------------------------------------
@@ -251,8 +250,7 @@ class GeomSeriesTail:
         return self._series(J) / _SLACK
 
 
-@dataclass(frozen=True)
-class PolyLogTail:
+class PolyLogTail(NamedTuple):
     """Terms bounded by g(j) = exp(-c (K + beta ln j)**s) with s > 1.
 
     from_j must be large enough that the exponent grows with slope >= 2 in
@@ -280,8 +278,7 @@ class PolyLogTail:
         return 0.0
 
 
-@dataclass(frozen=True)
-class RatioTail:
+class RatioTail(NamedTuple):
     """Terms bounded by g with g(j+1)/g(j) nonincreasing for j >= from_j.
 
     Suits doubly-exponential decay where no named integral applies: the tail
@@ -314,8 +311,7 @@ TailBound = Union[
 ]
 
 
-@dataclass(frozen=True)
-class Divergence:
+class Divergence(NamedTuple):
     """A certificate that the series diverges.
 
     reason is 'term-limit' (terms stay above ``floor`` from j0 on) or

@@ -290,6 +290,18 @@ class TestCriterionCommand:
         out = json.loads(capsys.readouterr().out)
         assert (out["status"], out["value"], out["remainder_bound"]) == ("Certified", 0.0, 0.0)
 
+    def test_onset_past_the_double_range_is_certified(self, tmp_path, capsys):
+        """spt-exp on PolyDecay(1, 2) at tau = 1e-308: the terms tend to 1, and
+        the divergence onset ln j lies past the double range.  The sum is
+        certified divergent, not a heuristic partial sum near pi**2/6."""
+        cfg = write_config(tmp_path, model={"kind": "PolyDecay", "params": {"a": 1.0, "alpha": 2.0}})
+        assert main(["criterion", "--config", cfg, "--sum", "spt-exp", "--tau", "1e-308"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        out = json.loads(captured.out)
+        assert (out["status"], out["value"], out["terms_used"]) == ("DivergenceCertified", "inf", 0)
+        assert out["note"].startswith("divergent (term-limit: terms >= 0.5 from j=2**")
+
     @pytest.mark.parametrize("kind", ["pt-alg", "pt-exp", "qpt-alg"])
     def test_zero_c_tilde_is_config_error(self, tmp_path, capsys, kind):
         # zero is a value, not "unset": it must not fall back to c_tilde = 1

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -498,6 +499,28 @@ class TestOnsetPastInt64:
         assert ev.divergent and ev.note == note
         plan = convergence_plan(poly2, kind, 1, CriterionParams(**params), criterion)
         assert plan.j0 is None and note.endswith(f"2**{plan.log2_j0})")
+
+    @pytest.mark.parametrize(
+        "kind, params, log_term",
+        [
+            # term = exp(-j**-tau * 2 ln j) >= 1/2 where 2 u e**(-tau u) <= ln 2
+            ("spt-exp", dict(tau=1e-305), lambda u: -2 * u * mpmath.exp(-mpmath.mpf(1e-305) * u)),
+            ("spt-exp", dict(tau=1e-308), lambda u: -2 * u * mpmath.exp(-mpmath.mpf(1e-308) * u)),
+            # term = (1 + u)**-T >= 1/j = e**-u
+            ("qpt-exp", dict(tau=1e306), lambda u: -mpmath.mpf(1e306) * mpmath.log(1 + u)),
+        ],
+    )
+    def test_onset_past_the_double_range(self, poly2, kind, params, log_term):
+        """Where u = ln j of the onset, or 2 u, exceeds the double range, the
+        search reads ln u: the divergence is certified (it was a heuristic
+        sum).  The certificate's floor holds at the onset, by mpmath."""
+        ev = evaluate_sum(poly2, kind, 1, CriterionParams(**params), ABS)
+        assert ev.divergent and ev.terms_used == 0
+        plan = convergence_plan(poly2, kind, 1, CriterionParams(**params), ABS)
+        u = plan.log2_j0 * mpmath.log(2)
+        assert 2 * u > sys.float_info.max
+        floor = mpmath.log(plan.floor) - (u if plan.reason == "harmonic" else 0)
+        assert log_term(u) >= floor
 
     def test_onsets_up_to_2_62_stay_ints(self):
         def always(u):

@@ -468,10 +468,13 @@ def test_finite_terms_past_the_double_range_stop_at_inf():
 
 
 def test_import_pulls_in_numpy_only():
-    """A fresh interpreter importing tract loads no third-party module but
-    NumPy: the package runs on the standard library and NumPy."""
+    """A fresh interpreter importing tract, every name it exports and the
+    CLI loads no third-party module but NumPy: the package runs on the
+    standard library and NumPy.  ``import tract`` alone loads no submodule,
+    so the exports are resolved first."""
     code = (
-        "import sys; before = set(sys.modules); import tract; "
+        "import sys; before = set(sys.modules); import tract, tract.cli; "
+        "[getattr(tract, name) for name in tract.__all__]; "
         "print(' '.join(sorted({m.split('.')[0] for m in set(sys.modules) - before}"
         " - set(sys.stdlib_module_names))))"
     )
