@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -40,6 +40,7 @@ from .eigenmodel import (
     GeometricTail,
     PowerLawTail,
     StretchedExpTail,
+    _ratios_d_free,
     eigenvalue,
     ratios,
     ratio_envelope,
@@ -62,6 +63,7 @@ __all__ = [
     "standard_notions",
 ]
 
+_KINDS = ("SPT", "PT", "QPT", "WT", "UWT")  # also the order check_implications reports in
 _TAU_GRID = tuple(2.0**e for e in range(-8, 9))
 _AUX_GRID = (0.0, 0.5, 1.0, 2.0, 4.0)  # tau1 / tau3 style exponents
 _EVIDENCE_TAU_GRID = (1.0, 2.0, 4.0, 0.5, 0.25)  # convergent-first ordering
@@ -78,7 +80,7 @@ class Notion:
     t: float | None = None
 
     def __post_init__(self):
-        if self.kind not in ("SPT", "PT", "QPT", "WT", "UWT"):
+        if self.kind not in _KINDS:
             raise ValueError(f"unknown notion kind {self.kind!r}")
         if self.case not in ("ALG", "EXP"):
             raise ValueError("case must be ALG or EXP")
@@ -96,9 +98,7 @@ class Notion:
     def sum_kind(self) -> str:
         if self.kind == "UWT":
             raise ValueError("UWT is decided from the decay statistic, not a criterion sum")
-        return {"SPT": "spt", "PT": "pt", "QPT": "qpt", "WT": "wt"}[self.kind] + (
-            "-alg" if self.case == "ALG" else "-exp"
-        )
+        return f"{self.kind.lower()}-{self.case.lower()}"
 
 
 class TractabilityVerdict(NamedTuple):
@@ -149,8 +149,6 @@ class GrowthFit(NamedTuple):
 
 
 def _scale_nonincreasing(model: EigenModel) -> bool:
-    if model.d_scale is None:
-        return True
     values = model.scale_at(np.r_[1:65, 2 ** np.arange(7, 13)])  # d = 1..64, 128..4096
     return bool(np.all(values[1:] <= values[:-1] * (1 + 1e-12)))
 
@@ -158,15 +156,10 @@ def _scale_nonincreasing(model: EigenModel) -> bool:
 def _effectively_d_independent(model: EigenModel, criterion: ErrorCriterion) -> bool:
     """True when finite-d evidence provably covers every d.
 
-    The normalized criterion cancels a per-dimension scale exactly; under the
-    absolute criterion a probed nonincreasing scale keeps every criterion
-    term monotone in d.
+    Ratios free of d cover it directly; under the absolute criterion a
+    probed nonincreasing scale keeps every criterion term monotone in d.
     """
-    if not model.family.d_free:
-        return False
-    if criterion is ErrorCriterion.NOR:
-        return True
-    return _scale_nonincreasing(model)
+    return _ratios_d_free(model, criterion) or (model.family.d_free and _scale_nonincreasing(model))
 
 
 def _sup_attained_at_d1(model: EigenModel, sum_kind: str, criterion: ErrorCriterion) -> bool:
@@ -189,18 +182,50 @@ def _exact_env_form(model: EigenModel, criterion: ErrorCriterion):
 
 
 # ---------------------------------------------------------------------------
-# Parameter probing
+# Parameter axes
 # ---------------------------------------------------------------------------
 
 
-def _probe_params(notion: Notion, value: float, aux: float = 0.0) -> CriterionParams:
-    if notion.kind == "SPT":
-        return CriterionParams(tau=value, c_tilde=1.0)
-    if notion.kind == "PT":
-        return CriterionParams(tau1=aux, tau2=value, tau3=aux, c_tilde=1.0)
-    if notion.kind == "QPT" and notion.case == "ALG":
-        return CriterionParams(tau1=aux, tau2=value, c_tilde=1.0)
-    return CriterionParams(tau=value)  # QPT-EXP
+class _Axis(NamedTuple):
+    """How decide and exponent_bracket probe one summable notion.
+
+    ``params(value, aux)`` are the criterion parameters at a grid value and
+    an aux exponent (tau1, and tau3 for PT); ``exponent(value, aux)`` is the
+    tractability exponent they give, None for PT.  The algebraic power sums
+    and the exponential QPT sum pass for large values, the index-coupled
+    exponential SPT/PT sums for small ones.  Under ABS the notions whose
+    params read aux also scan it over _AUX_GRID.
+    """
+
+    params: Callable[[float, float], CriterionParams]
+    exponent: Callable[[float, float], float] | None
+    small_passes: bool = False
+    scans_aux: bool = False
+
+    def aux_grid(self, criterion: ErrorCriterion) -> tuple[float, ...]:
+        return _AUX_GRID if self.scans_aux and criterion is ErrorCriterion.ABS else (0.0,)
+
+
+def _spt(value: float, aux: float) -> CriterionParams:
+    return CriterionParams(tau=value, c_tilde=1.0)
+
+
+def _pt(value: float, aux: float) -> CriterionParams:
+    return CriterionParams(tau1=aux, tau2=value, tau3=aux, c_tilde=1.0)
+
+
+_AXES = {
+    ("SPT", "ALG"): _Axis(_spt, lambda v, aux: 2.0 * v),
+    ("SPT", "EXP"): _Axis(_spt, lambda v, aux: 1.0 / v, small_passes=True),
+    ("PT", "ALG"): _Axis(_pt, None, scans_aux=True),
+    ("PT", "EXP"): _Axis(_pt, None, small_passes=True, scans_aux=True),
+    ("QPT", "ALG"): _Axis(
+        lambda v, aux: CriterionParams(tau1=aux, tau2=v, c_tilde=1.0),
+        lambda v, aux: max(aux, 2.0 * v),
+        scans_aux=True,
+    ),
+    ("QPT", "EXP"): _Axis(lambda v, aux: CriterionParams(tau=v), lambda v, aux: v),
+}
 
 
 def _certified_probe(
@@ -211,25 +236,6 @@ def _certified_probe(
     if plan is None:
         return "unknown"
     return "fail" if isinstance(plan, Divergence) else "pass"
-
-
-def _pass_direction(notion: Notion) -> str:
-    """Side of the parameter axis on which the criterion is easier.
-
-    Algebraic power sums and the exponential QPT sum pass for large
-    parameters; the index-coupled exponential SPT/PT sums for small ones.
-    """
-    if notion.case == "EXP" and notion.kind in ("SPT", "PT"):
-        return "small"
-    return "large"
-
-
-def _exponent_of(notion: Notion, value: float, aux: float = 0.0) -> float:
-    if notion.kind == "SPT":
-        return 2.0 * value if notion.case == "ALG" else 1.0 / value
-    if notion.kind == "QPT" and notion.case == "ALG":
-        return max(aux, 2.0 * value)
-    return value  # QPT-EXP
 
 
 # ---------------------------------------------------------------------------
@@ -243,49 +249,44 @@ def decide(model: EigenModel, notion: Notion, limits: Limits = Limits()) -> Trac
         return _decide_uwt(model, notion, limits)
     if notion.kind == "WT":
         return _decide_wt(model, notion, limits)
-    return _decide_summable(model, notion, limits)
-
-
-def _decide_summable(model: EigenModel, notion: Notion, limits: Limits) -> TractabilityVerdict:
+    axis = _AXES[notion.kind, notion.case]
     if _sup_attained_at_d1(model, notion.sum_kind, notion.criterion):
-        verdict = _decide_summable_certified(model, notion, limits)
+        verdict = _decide_summable_certified(model, notion, axis, limits)
         if verdict is not None:
             return verdict
-    return _decide_summable_evidence(model, notion, limits)
+    return _decide_summable_evidence(model, notion, axis, limits)
 
 
 def _decide_summable_certified(
-    model: EigenModel, notion: Notion, limits: Limits
+    model: EigenModel, notion: Notion, axis: _Axis, limits: Limits
 ) -> TractabilityVerdict | None:
     def probe(params: CriterionParams) -> str:
         return _certified_probe(model, notion.sum_kind, params, notion.criterion)
 
     passing: tuple[float, CriterionParams] | None = None
-    failing: float | None = None
+    failing: float | None = None  # the failing grid value nearest the passing side
     outcomes: list[str] = []
     for tau in _TAU_GRID:
-        params = _probe_params(notion, tau)
+        params = axis.params(tau, 0.0)
         outcome = probe(params)
         outcomes.append(outcome)
         if outcome == "pass" and passing is None:
             passing = (tau, params)
-        elif outcome == "fail":
-            failing = tau if failing is None else (
-                max(failing, tau) if _pass_direction(notion) == "large" else min(failing, tau)
-            )
-        if _pass_direction(notion) == "large" and passing:
+        elif outcome == "fail" and (failing is None or not axis.small_passes):
+            failing = tau  # the grid ascends
+        if passing and not axis.small_passes:
             break
     if passing is not None:
         tau_pass, params = passing
         if failing is not None:
             mid = 0.5 * (tau_pass + failing)
-            mid_params = _probe_params(notion, mid)
+            mid_params = axis.params(mid, 0.0)
             if probe(mid_params) == "pass":
                 tau_pass, params = mid, mid_params
         elif tau_pass != 1.0:
             # Everything passes: prefer a moderate witness whose value is
             # comfortably representable.
-            one = _probe_params(notion, 1.0)
+            one = axis.params(1.0, 0.0)
             if probe(one) == "pass":
                 tau_pass, params = 1.0, one
         witness_eval = evaluate_sum(
@@ -327,26 +328,21 @@ def _decide_summable_certified(
 
 
 def _decide_summable_evidence(
-    model: EigenModel, notion: Notion, limits: Limits
+    model: EigenModel, notion: Notion, axis: _Axis, limits: Limits
 ) -> TractabilityVerdict:
-    aux_grid = (
-        _AUX_GRID
-        if (notion.kind in ("PT", "QPT") and notion.criterion is ErrorCriterion.ABS)
-        else (0.0,)
-    )
     d_sweep = min(limits.d_max, 16)
     best: tuple[CriterionParams, SupEvaluation] | None = None
     for tau in _EVIDENCE_TAU_GRID:
         # Convergence of the j-sum does not depend on the start index, so a
         # cheap single evaluation at d=1 screens the whole aux grid.
         probe = evaluate_sum(
-            model, notion.sum_kind, 1, _probe_params(notion, tau), notion.criterion,
+            model, notion.sum_kind, 1, axis.params(tau, 0.0), notion.criterion,
             tol=_EVIDENCE_TOL, max_terms=_EVIDENCE_MAX_TERMS,
         )
         if not probe.converged or probe.divergent:
             continue
-        for aux in aux_grid:
-            params = _probe_params(notion, tau, aux)
+        for aux in axis.aux_grid(notion.criterion):
+            params = axis.params(tau, aux)
             sweep = sup_over_d(
                 model, notion.sum_kind, params, notion.criterion, d_sweep,
                 tol=_EVIDENCE_TOL, max_terms=_EVIDENCE_MAX_TERMS,
@@ -624,8 +620,6 @@ def _decide_uwt(model: EigenModel, notion: Notion, limits: Limits) -> Tractabili
 # Exponent brackets
 # ---------------------------------------------------------------------------
 
-_BRACKET_NOTIONS = ("SPT", "QPT")
-
 
 def exponent_bracket(
     model: EigenModel, notion: Notion, limits: Limits = Limits()
@@ -636,73 +630,65 @@ def exponent_bracket(
     (EXP-SPT), max(tau1, 2*tau2) (ALG-QPT, minimised over a tau1 grid), or
     tau (EXP-QPT).
     """
-    if notion.kind not in _BRACKET_NOTIONS:
+    axis = _AXES.get((notion.kind, notion.case))
+    if axis is None or axis.exponent is None:
         raise ValueError("exponent brackets are defined for SPT and QPT")
     if not _sup_attained_at_d1(model, notion.sum_kind, notion.criterion):
         raise NoPassingPointError(
             "exponent bracketing needs a d=1 certificate for this model"
         )
-    if notion.kind == "QPT" and notion.case == "ALG":
-        # Two coupled parameters: bisect tau2 per tau1 grid point and combine
-        # (min of uppers bounds the infimum above, min of lowers below).
-        brackets = [
-            br
-            for aux in (_AUX_GRID if notion.criterion is ErrorCriterion.ABS else (0.0,))
-            if (br := _bisect_bracket(model, notion, aux)) is not None
-        ]
-        if not brackets:
-            raise NoPassingPointError("no passing parameter on the grid")
-        best_hi = min(brackets, key=lambda b: b.hi)
-        best_lo = min(brackets, key=lambda b: b.lo)
-        return ExponentBracket(best_lo.lo, best_hi.hi, best_lo.lo_witness, best_hi.hi_witness)
-    br = _bisect_bracket(model, notion, 0.0)
-    if br is None:
+    # Bisect per aux value and combine: the min of the uppers bounds the
+    # infimum above, the min of the lowers below.
+    brackets = [
+        br
+        for aux in axis.aux_grid(notion.criterion)
+        if (br := _bisect_bracket(model, notion, axis, aux)) is not None
+    ]
+    if not brackets:
         raise NoPassingPointError("no passing parameter on the grid")
-    return br
+    best_hi = min(brackets, key=lambda b: b.hi)
+    best_lo = min(brackets, key=lambda b: b.lo)
+    return ExponentBracket(best_lo.lo, best_hi.hi, best_lo.lo_witness, best_hi.hi_witness)
 
 
-def _bisect_bracket(model: EigenModel, notion: Notion, aux: float) -> ExponentBracket | None:
+def _bisect_bracket(
+    model: EigenModel, notion: Notion, axis: _Axis, aux: float
+) -> ExponentBracket | None:
     def passes(tau: float) -> bool:
-        params = _probe_params(notion, tau, aux)
+        params = axis.params(tau, aux)
         return _certified_probe(model, notion.sum_kind, params, notion.criterion) == "pass"
 
-    direction = _pass_direction(notion)
-    grid = _TAU_GRID if direction == "large" else tuple(reversed(_TAU_GRID))
+    def exponent(tau: float) -> float:
+        return axis.exponent(tau, aux)
+
+    grid = tuple(reversed(_TAU_GRID)) if axis.small_passes else _TAU_GRID
     tau_pass = next((tau for tau in grid if passes(tau)), None)
     if tau_pass is None:
         return None
-    fail_side = [tau for tau in grid if (tau < tau_pass if direction == "large" else tau > tau_pass)]
+    fail_side = [tau for tau in grid if (tau > tau_pass if axis.small_passes else tau < tau_pass)]
     if fail_side:
-        tau_fail = max(fail_side) if direction == "large" else min(fail_side)
+        tau_fail = min(fail_side) if axis.small_passes else max(fail_side)
         lo_param, hi_param = tau_fail, tau_pass
         for _ in range(20):
-            if abs(_exponent_of(notion, hi_param, aux) - _exponent_of(notion, lo_param, aux)) <= 0.01:
+            if abs(exponent(hi_param) - exponent(lo_param)) <= 0.01:
                 break
             mid = 0.5 * (lo_param + hi_param)
             if passes(mid):
                 hi_param = mid
             else:
                 lo_param = mid
-        endpoints = sorted(
-            (
-                (_exponent_of(notion, lo_param, aux), _probe_params(notion, lo_param, aux)),
-                (_exponent_of(notion, hi_param, aux), _probe_params(notion, hi_param, aux)),
-            ),
-            key=lambda pair: pair[0],
-        )
-        return ExponentBracket(endpoints[0][0], endpoints[1][0], endpoints[0][1], endpoints[1][1])
+        lo, hi = sorted((lo_param, hi_param), key=exponent)
+        return ExponentBracket(exponent(lo), exponent(hi), axis.params(lo, aux), axis.params(hi, aux))
     # Nothing fails: the exponent infimum sits at (or below) the grid floor.
     hi_param = tau_pass
     for _ in range(20):
-        if _exponent_of(notion, hi_param, aux) <= 0.02:
+        if exponent(hi_param) <= 0.02:
             break
-        candidate = hi_param * (0.5 if direction == "large" else 2.0)
+        candidate = hi_param * (2.0 if axis.small_passes else 0.5)
         if not passes(candidate):
             break
         hi_param = candidate
-    return ExponentBracket(
-        0.0, _exponent_of(notion, hi_param, aux), None, _probe_params(notion, hi_param, aux)
-    )
+    return ExponentBracket(0.0, exponent(hi_param), None, axis.params(hi_param, aux))
 
 
 # ---------------------------------------------------------------------------
@@ -747,7 +733,12 @@ def growth_fit(
 # Implication chain
 # ---------------------------------------------------------------------------
 
-_CHAIN = ("SPT", "PT", "QPT")
+
+def _implies(up: Notion, down: Notion) -> bool:
+    """Whether up => down is a stated implication (same case and criterion)."""
+    if down.kind == "WT":
+        return up.kind != "WT" or (up.s <= down.s and up.t <= down.t)
+    return down.kind in ("PT", "QPT") and _KINDS.index(up.kind) < _KINDS.index(down.kind)
 
 
 def check_implications(verdicts: list[TractabilityVerdict]) -> list[dict]:
@@ -763,42 +754,21 @@ def check_implications(verdicts: list[TractabilityVerdict]) -> list[dict]:
         by_group.setdefault((v.notion.case, v.notion.criterion.value), []).append(v)
 
     for (case, crit), group in sorted(by_group.items()):
-        named = {v.notion.kind if v.notion.kind != "WT" else v.notion.name: v for v in group}
-        wts = [v for v in group if v.notion.kind == "WT"]
-
-        def flag(up: TractabilityVerdict, down: TractabilityVerdict):
-            issues.append(
-                {
-                    "case": case,
-                    "criterion": crit,
-                    "upstream": up.notion.name,
-                    "downstream": down.notion.name,
-                    "detail": f"{up.notion.name} Holds but {down.notion.name} Fails",
-                }
-            )
-
-        chain = [named.get(k) for k in _CHAIN]
-        for i, up in enumerate(chain):
-            if up is None or up.status != "Holds":
+        group.sort(key=lambda v: _KINDS.index(v.notion.kind))
+        for up in group:
+            if up.status != "Holds":
                 continue
-            for down in chain[i + 1 :]:
-                if down is not None and down.status == "Fails":
-                    flag(up, down)
-            for wt in wts:
-                if wt.status == "Fails":
-                    flag(up, wt)
-        for a in wts:
-            for b in wts:
-                if a is b:
-                    continue
-                if a.notion.s <= b.notion.s and a.notion.t <= b.notion.t:
-                    if a.status == "Holds" and b.status == "Fails":
-                        flag(a, b)
-        uwt = named.get("UWT")
-        if uwt is not None and uwt.status == "Holds":
-            for wt in wts:
-                if wt.status == "Fails":
-                    flag(uwt, wt)
+            for down in group:
+                if down.status == "Fails" and _implies(up.notion, down.notion):
+                    issues.append(
+                        {
+                            "case": case,
+                            "criterion": crit,
+                            "upstream": up.notion.name,
+                            "downstream": down.notion.name,
+                            "detail": f"{up.notion.name} Holds but {down.notion.name} Fails",
+                        }
+                    )
     return issues
 
 
@@ -819,12 +789,7 @@ def classify_all(
     criterion: ErrorCriterion,
     limits: Limits = Limits(),
 ) -> dict:
-    """Verdicts for the standard notion set plus the consistency report.
-
-    Notions are decided one after another, in order.  Each verdict is an
-    independent sum over the spectrum, but the work is GIL-bound NumPy, so
-    a thread pool only adds overhead.
-    """
+    """Verdicts for the standard notion set plus the consistency report."""
     verdicts = [decide(model, nt, limits) for nt in standard_notions(criterion)]
     issues = check_implications(verdicts)
     return {

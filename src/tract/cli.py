@@ -30,7 +30,7 @@ import typing
 
 from . import __version__
 from .config import CriterionParams, Limits, _cast, model_from_config
-from .eigenmodel import EigenModel, ErrorCriterion, validate
+from .eigenmodel import EigenModel, ErrorCriterion, _ratios_d_free, validate
 from .errors import ConfigError, TractError, ValidationFailedError
 
 __all__ = ["main", "load_config", "RunConfig"]
@@ -387,7 +387,7 @@ def _cmd_verify_bounds(cfg: RunConfig, args) -> int:
             f"cannot certify the bound constant: sweep status {sweep.status.value}\n"
         )
         return 1
-    if not cfg.model.d_independent:
+    if not _ratios_d_free(cfg.model, cfg.criterion):
         sys.stderr.write(
             f"note: the constant is a finite supremum over d <= {sweep.d_max}; "
             "for d-dependent models treat the bound as evidence, not proof\n"

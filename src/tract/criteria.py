@@ -48,6 +48,7 @@ from .eigenmodel import (
     StretchedExpTail,
     TailEnvelope,
     TailForm,
+    _ratios_d_free,
     log_ratios,
     ratio_envelope,
     support,
@@ -122,7 +123,7 @@ def _log_shift(x: np.ndarray, c: float) -> np.ndarray:
 
 
 def _log_divergence(
-    reason: str, floor: float, pred: Callable[[np.ndarray], np.ndarray], u_start: float, j0: int
+    reason: str, floor: float, pred: Callable[[np.ndarray], np.ndarray], u_start: tuple[int, int], j0: int
 ) -> Divergence | None:
     """The Divergence certificate (reason, floor) from the first
     u = max(1, u_start) * 2**k, k < 200, where pred holds, as an onset index:
@@ -130,20 +131,26 @@ def _log_divergence(
     pred holds at no such u.  An onset past 2**62 is kept as its base-2
     exponent: the int itself can run to billions of bits.
 
+    u_start is an exact ratio (n, m) of ints, so a start past the double
+    range (1/tau for a subnormal tau) is still exact.
+
     pred maps an array of v = ln u to a boolean array, so it is read where u
     itself is past the double range; overflow, underflow and NaN (which
     compares false) pass silently.  Callers guarantee that pred, once true,
     stays true (a nonincreasing function below a target, a nondecreasing one
     above zero), so the found index certifies pred everywhere beyond it.
     """
-    u0 = max(1.0, u_start)
-    log_half_u0 = math.log(u0) - _LN2
+    n, m = u_start if u_start[0] > u_start[1] else (1, 1)
+    try:
+        log_u0 = math.log(n / m)
+    except OverflowError:  # u0 is past the double range
+        log_u0 = math.log(n) - math.log(m)
+    log_half_u0 = log_u0 - _LN2
     with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
         k = first_index(lambda k: pred(k * _LN2 + log_half_u0), 200)
     if k is None:
         return None
     # e = ceil(u / ln 2) for u = u0 * 2**(k - 1), in exact integers.
-    n, m = u0.as_integer_ratio()
     a, b = _LN2.as_integer_ratio()
     e = -(-(n * b << (k - 1)) // (m * a))
     if e > 62:  # past the int64 index range, so past j0 too
@@ -215,7 +222,7 @@ def _plan_coupled(env: TailEnvelope, tau: float) -> Plan:
 
             return _log_divergence(
                 "term-limit", 0.5 * math.exp(-limit), lambda v: hub(v) <= limit + _LN2,
-                math.log(j0), j0,
+                math.log(j0).as_integer_ratio(), j0,
             )
         return None
 
@@ -229,10 +236,12 @@ def _plan_coupled(env: TailEnvelope, tau: float) -> Plan:
             return _log_shift(v + math.log(beta), max(0.0, -log_a)) - np.exp(v + math.log(tau))
 
         # hub is decreasing once u > 1/tau (the ln a correction only adds a
-        # decreasing nonnegative part).
-        return _log_divergence(
-            "term-limit", 0.5, lambda v: log_hub(v) <= math.log(_LN2), max(math.log(j0), 1.0 / tau), j0
-        )
+        # decreasing nonnegative part).  1/tau = m/n exactly: the float
+        # 1/tau overflows for a subnormal tau.
+        n, m = tau.as_integer_ratio()
+        p, q = math.log(j0).as_integer_ratio()
+        start = (p, q) if p * n >= q * m else (m, n)  # max(ln j0, 1/tau)
+        return _log_divergence("term-limit", 0.5, lambda v: log_hub(v) <= math.log(_LN2), start, j0)
     return None
 
 
@@ -282,7 +291,7 @@ def _plan_qpt_exp(env: TailEnvelope, T: float) -> Plan:
         return _log_divergence(
             "harmonic", 1.0,
             lambda v: np.exp(v - math.log(T)) >= _log_shift(v + math.log(beta) - _LN2, 1.0 - 0.5 * log_a),
-            max(u3, math.log(j0)), j0,
+            max(u3, math.log(j0)).as_integer_ratio(), j0,
         )
     return None
 
@@ -380,7 +389,7 @@ def _plan_wt_exp(env: TailEnvelope, c: float, s: float) -> Plan:
             # konst + beta u is positive from u3 on.
             return _log_divergence(
                 "harmonic", 1.0, lambda v: v >= math.log(c) + s * _log_shift(v + math.log(beta), konst),
-                max(u3, math.log(j0)), j0,
+                max(u3, math.log(j0)).as_integer_ratio(), j0,
             )
         return None
 
@@ -714,8 +723,8 @@ def uwt_statistic(
         raise ValueError("case must be ALG or EXP")
     loglog = math.log(math.log(n))
     d_hi = max(1, int(math.log(n) ** k))
-    if model.family.d_free and (model.d_scale is None or criterion is ErrorCriterion.NOR):
-        d_hi = 1  # no d in the ratios: under NOR the scale cancels
+    if _ratios_d_free(model, criterion):
+        d_hi = 1
     try:
         # Both statistics are nondecreasing in the numerator: take its minimum.
         num = -float(np.max(log_ratios(model, np.arange(1, d_hi + 1)[:, None], np.array([n]), criterion)))

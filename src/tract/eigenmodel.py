@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import NamedTuple, Union
 
 import numpy as np
@@ -297,9 +297,6 @@ class PowerLawTail:
     def log_value(self, j):
         return math.log(self.scale) - self.beta * np.log(np.asarray(j, dtype=float))
 
-    def scaled(self, factor: float) -> "PowerLawTail":
-        return PowerLawTail(self.scale * factor, self.beta)
-
 
 @dataclass(frozen=True)
 class GeometricTail:
@@ -322,9 +319,6 @@ class GeometricTail:
     def stretched(self) -> tuple[float, float]:
         """(rate, power) of the same decay written as scale * exp(-rate j**power)."""
         return -math.log(self.ratio), 1.0
-
-    def scaled(self, factor: float) -> "GeometricTail":
-        return GeometricTail(self.scale * factor, self.ratio)
 
 
 @dataclass(frozen=True)
@@ -350,9 +344,6 @@ class StretchedExpTail:
     def stretched(self) -> tuple[float, float]:
         return self.rate, self.power
 
-    def scaled(self, factor: float) -> "StretchedExpTail":
-        return StretchedExpTail(self.scale * factor, self.rate, self.power)
-
 
 TailForm = Union[PowerLawTail, GeometricTail, StretchedExpTail]
 
@@ -376,7 +367,7 @@ class TailEnvelope(NamedTuple):
     def scaled(self, factor: float) -> "TailEnvelope":
         if factor == 1.0:
             return self
-        return TailEnvelope(self.form.scaled(factor), self.valid_from, self.exact)
+        return TailEnvelope(replace(self.form, scale=self.form.scale * factor), self.valid_from, self.exact)
 
     def shifted(self, valid_from: int) -> "TailEnvelope":
         return TailEnvelope(self.form, max(self.valid_from, valid_from), self.exact)
@@ -406,7 +397,7 @@ class EigenModel:
     @property
     def d_independent(self) -> bool:
         """True when lambda(d, j) does not depend on d at all."""
-        return self.d_scale is None and self.family.d_free
+        return _ratios_d_free(self, ErrorCriterion.ABS)  # under ABS the ratios are the eigenvalues
 
     def scale_at(self, d: int | np.ndarray) -> float | np.ndarray:
         """c_d at an int d, or over an int array of d; clamped like any eigenvalue."""
@@ -453,6 +444,12 @@ def ratios(model: EigenModel, d: int | np.ndarray, j: np.ndarray, criterion: Err
         return eigenvalues(model, d, j)
     vals = np.maximum(model.family.values(d, np.append(j, 1)), MIN_POSITIVE)
     return vals[..., :-1] / vals[..., -1:]
+
+
+def _ratios_d_free(model: EigenModel, criterion: ErrorCriterion) -> bool:
+    """True when lambda(d, j)/CRI_d does not depend on d: the family ignores
+    d, and a d-scale is absent or, under NOR, cancels against CRI_d."""
+    return model.family.d_free and (model.d_scale is None or criterion is ErrorCriterion.NOR)
 
 
 def ratio(model: EigenModel, d: int, j: int, criterion: ErrorCriterion) -> float:

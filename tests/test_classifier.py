@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tract import (
     EigenModel,
@@ -158,6 +159,15 @@ class TestExponentBracket:
         br = exponent_bracket(exp1, Notion("QPT", "EXP", ABS), LIM)
         assert br.lo <= 1.0 <= br.hi + 1e-12
 
+    def test_cli_notion_flags_are_the_notions_with_an_exponent(self):
+        """The CLI keeps its own copy of the bracketable notions: parsing its
+        flags must not load the classifier."""
+        from tract.classifier import _AXES
+        from tract.cli import _NOTION_FLAGS
+
+        with_exponent = [key for key, axis in _AXES.items() if axis.exponent is not None]
+        assert sorted(_NOTION_FLAGS.values()) == sorted(with_exponent)
+
 
 class TestGrowthFit:
     def test_alg_slope_near_one(self, poly2):
@@ -178,7 +188,59 @@ class TestGrowthFit:
             growth_fit(poly2, "ALG", ABS, EPS_GRID[:4], D_GRID, LIM)
 
 
+# The stated implications within one case and criterion, by the kind part
+# of the notion name: SPT => PT => QPT => WT(s,t); WT(s2,t2) => WT(s1,t1)
+# for s1 >= s2, t1 >= t2; UWT => WT(s,t).
+_STATED = {
+    "SPT": {"PT", "QPT", "WT(1,1)", "WT(2,2)"},
+    "PT": {"QPT", "WT(1,1)", "WT(2,2)"},
+    "QPT": {"WT(1,1)", "WT(2,2)"},
+    "WT(1,1)": {"WT(2,2)"},
+    "WT(2,2)": set(),
+    "UWT": {"WT(1,1)", "WT(2,2)"},
+}
+_STANDARD = standard_notions(ABS) + standard_notions(NOR)
+_STATUSES = ["Holds", "Fails", "SupportedUpTo", "Inconclusive"]
+
+
+def _reference_flags(verdicts: list) -> list[dict]:
+    """Every Holds => Fails pair linked by a stated implication: groups in
+    sorted (case, criterion) order, pairs in input order within a group."""
+    flags = []
+    for case, crit in sorted({(v.notion.case, v.notion.criterion.value) for v in verdicts}):
+        group = [v for v in verdicts if (v.notion.case, v.notion.criterion.value) == (case, crit)]
+        for up in group:
+            for down in group:
+                if (up.status, down.status) != ("Holds", "Fails"):
+                    continue
+                if down.notion.name.split("-")[1] in _STATED[up.notion.name.split("-")[1]]:
+                    flags.append({
+                        "case": case, "criterion": crit,
+                        "upstream": up.notion.name, "downstream": down.notion.name,
+                        "detail": f"{up.notion.name} Holds but {down.notion.name} Fails",
+                    })
+    return flags
+
+
 class TestImplications:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.sampled_from(_STATUSES), min_size=len(_STANDARD), max_size=len(_STANDARD)),
+        st.permutations(range(len(_STANDARD))),
+    )
+    def test_flags_are_the_stated_implications(self, statuses, order):
+        """Exact flags, in order, for the standard notion order; the same
+        flags for a shuffled one."""
+        verdicts = [TractabilityVerdict(n, s, None, {}, LIM) for n, s in zip(_STANDARD, statuses)]
+        expected = _reference_flags(verdicts)
+        assert check_implications(verdicts) == expected
+        shuffled = check_implications([verdicts[i] for i in order])
+
+        def as_set(flags):
+            return sorted(tuple(sorted(f.items())) for f in flags)
+
+        assert as_set(shuffled) == as_set(expected)
+
     def test_builtin_families_consistent(self, poly2, exp1, geo):
         for model in (poly2, exp1, geo):
             for criterion in (ABS, NOR):

@@ -291,16 +291,18 @@ class TestCriterionCommand:
         assert (out["status"], out["value"], out["remainder_bound"]) == ("Certified", 0.0, 0.0)
 
     def test_onset_past_the_double_range_is_certified(self, tmp_path, capsys):
-        """spt-exp on PolyDecay(1, 2) at tau = 1e-308: the terms tend to 1, and
-        the divergence onset ln j lies past the double range.  The sum is
-        certified divergent, not a heuristic partial sum near pi**2/6."""
+        """spt-exp on PolyDecay(1, 2) at a tiny tau: the terms tend to 1, and
+        the divergence onset ln j lies past the double range (for a subnormal
+        tau, 1/tau does too).  The sum is certified divergent, not a
+        heuristic partial sum near pi**2/6."""
         cfg = write_config(tmp_path, model={"kind": "PolyDecay", "params": {"a": 1.0, "alpha": 2.0}})
-        assert main(["criterion", "--config", cfg, "--sum", "spt-exp", "--tau", "1e-308"]) == 0
-        captured = capsys.readouterr()
-        assert captured.err == ""
-        out = json.loads(captured.out)
-        assert (out["status"], out["value"], out["terms_used"]) == ("DivergenceCertified", "inf", 0)
-        assert out["note"].startswith("divergent (term-limit: terms >= 0.5 from j=2**")
+        for tau in ("1e-308", "1e-310", "5e-324"):
+            assert main(["criterion", "--config", cfg, "--sum", "spt-exp", "--tau", tau]) == 0
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            out = json.loads(captured.out)
+            assert (out["status"], out["value"], out["terms_used"]) == ("DivergenceCertified", "inf", 0), tau
+            assert out["note"].startswith("divergent (term-limit: terms >= 0.5 from j=2**")
 
     @pytest.mark.parametrize("kind", ["pt-alg", "pt-exp", "qpt-alg"])
     def test_zero_c_tilde_is_config_error(self, tmp_path, capsys, kind):
@@ -430,6 +432,22 @@ class TestVerifyBoundsCommand:
         assert code == 0
         out = json.loads(capsys.readouterr().out)
         assert out["ok"] is True and out["violations"] == 0
+
+    @pytest.mark.parametrize("criterion, noted", [("NOR", False), ("ABS", True)])
+    def test_d_dependence_note_follows_the_ratios(self, tmp_path, capsys, criterion, noted):
+        """Under NOR a d_scale cancels, so the ratios and the constant do not
+        depend on d and the note stays silent; under ABS it is printed."""
+        scaled = {"kind": "Geometric", "params": {"a": 1.0, "r": 0.5}, "d_scale": "d^(0-1)"}
+        cfg = write_config(tmp_path, model=scaled, criterion=criterion)
+        code = main(
+            [
+                "verify-bounds", "--config", cfg, "--theorem", "t1",
+                "--tau1", "0", "--tau2", "0.5", "--tau3", "0", "--c-tilde", "1",
+                "--eps-grid", "1e-4:1e-1:5", "--d-grid", "1:4",
+            ]
+        )
+        assert code == 0
+        assert ("for d-dependent models" in capsys.readouterr().err) is noted
 
     def test_csv_rows_written(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

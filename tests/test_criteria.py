@@ -508,6 +508,9 @@ class TestOnsetPastInt64:
             ("spt-exp", dict(tau=1e-308), lambda u: -2 * u * mpmath.exp(-mpmath.mpf(1e-308) * u)),
             # term = (1 + u)**-T >= 1/j = e**-u
             ("qpt-exp", dict(tau=1e306), lambda u: -mpmath.mpf(1e306) * mpmath.log(1 + u)),
+            # subnormal tau: the float 1/tau, where the search starts, overflows
+            ("spt-exp", dict(tau=1e-310), lambda u: -2 * u * mpmath.exp(-mpmath.mpf(1e-310) * u)),
+            ("spt-exp", dict(tau=5e-324), lambda u: -2 * u * mpmath.exp(-mpmath.mpf(5e-324) * u)),
         ],
     )
     def test_onset_past_the_double_range(self, poly2, kind, params, log_term):
@@ -527,8 +530,10 @@ class TestOnsetPastInt64:
             return np.ones(np.shape(u), dtype=bool)
 
         ln2 = math.log(2.0)
-        assert criteria._log_divergence("harmonic", 1.0, always, 61.9 * ln2, 1) == Divergence("harmonic", 2**62, 1.0)
-        assert criteria._log_divergence("harmonic", 1.0, always, 62.1 * ln2, 1) == Divergence(
+        start = (61.9 * ln2).as_integer_ratio()
+        assert criteria._log_divergence("harmonic", 1.0, always, start, 1) == Divergence("harmonic", 2**62, 1.0)
+        start = (62.1 * ln2).as_integer_ratio()
+        assert criteria._log_divergence("harmonic", 1.0, always, start, 1) == Divergence(
             "harmonic", None, 1.0, log2_j0=63
         )
 
