@@ -27,6 +27,7 @@ import numpy as np
 from .complexity import ComplexityQuery, first_index, info_complexity
 from .config import CriterionParams, Limits
 from .criteria import (
+    SUM_SPECS,
     SupEvaluation,
     _classify_trend,
     convergence_plan,
@@ -489,9 +490,9 @@ def _multiplicity_growth(counts: list[int], params: CriterionParams) -> str | No
     m(d) * exp(-c d**t) lower-bounds the sweep (``counts`` holds m(1), m(2),
     ...); a growing trend of this exact bound certifies the growing trend.
     """
-    c, s, t = params.c, params.s, params.t
+    c, s = params.c, params.s
     lows = [
-        m * math.exp(-c * (1.0 + math.log(2.0)) ** s) * math.exp(-c * float(d) ** t)
+        m * math.exp(-c * (1.0 + math.log(2.0)) ** s) * SUM_SPECS["wt-exp"].prefactor(params, d)
         for d, m in enumerate(counts, start=1)
     ]
     if _classify_trend(lows) == "Growing":

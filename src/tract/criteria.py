@@ -107,12 +107,15 @@ def ceil_stable(x: float) -> int:
 
 
 # Each planner reads the envelope ratio_envelope returns: it already starts
-# at the sum's start index.  The divergence searches run over u = ln j, and
-# their predicates read v = ln u: certified onset indices can sit far beyond
-# the float range (they are never summed, only recorded), and so can u.
-# In v, j**-x is exp(-exp(v + ln x)).
+# at the sum's start index.  Coefficients, Divergence floors and start indices
+# come from ln scale, ln kappa, ln beta and the logs of the term parameters,
+# so no step leaves the double range.  The divergence searches run over
+# u = ln j, and their predicates read v = ln u: onsets can sit far beyond the
+# float range (they are only recorded), and so can u.  In v, j**-x is exp(-exp(v + ln x)).
 
 _LN2 = math.log(2.0)
+_LOG_HUGE = 709.0  # e**709 is a double, and e**-(e**709) is 0
+_START_BITS = 1 << 24  # a search start past 2**(2**24) gives no certificate
 
 
 def _log_shift(x: np.ndarray, c: float) -> np.ndarray:
@@ -158,45 +161,53 @@ def _log_divergence(
     return Divergence(reason, max(j0, 1 << e), floor)
 
 
-def _pow_or_none(base: float, exponent: float) -> float | None:
-    try:
-        v = math.pow(base, exponent)
-    except (OverflowError, ValueError):
-        return None
-    return v if math.isfinite(v) else None
+def _index_past(log_x: float, j0: int) -> tuple[int | None, int | None]:
+    """(max(j0, ceil(x) + 1), None) for x = e**log_x, with one index of slack
+    for rounding; past 2**62, (None, k) with 2**k past x, a Divergence's j0
+    and log2_j0, without building the int; (None, None) where x is +inf."""
+    if log_x <= 62 * _LN2:
+        return max(j0, math.ceil(math.exp(log_x)) + 1), None
+    if log_x == math.inf:
+        return None, None
+    a, b = _LN2.as_integer_ratio()
+    n, m = log_x.as_integer_ratio()
+    return None, -(-(n * b) // (m * a)) + 1
 
 
-def _unit_index(form: TailForm) -> int:
-    """An index past which the envelope form is at most 1."""
-    if isinstance(form, PowerLawTail):
-        return int(math.ceil(form.scale ** (1.0 / form.beta))) + 1
+def _harmonic(log_j: float, j0: int, log_floor: float) -> Divergence | None:
+    """'terms >= floor/j from an index past e**log_j and j0 on', or None; a
+    floor past e**709 is lowered to it, which certifies as well."""
+    j, k = _index_past(log_j, j0)
+    return Divergence("harmonic", j, math.exp(min(log_floor, _LOG_HUGE)), k) if j or k else None
+
+
+def _log_unit(form: TailForm) -> float:
+    """ln of a j past which the envelope form is at most 1 (-inf: every j)."""
     log_a = math.log(form.scale)
+    if isinstance(form, PowerLawTail):
+        return log_a / form.beta
     kappa, power = form.stretched
-    return 1 if log_a <= 0 else int(math.ceil((log_a / kappa) ** (1.0 / power))) + 1
+    return (math.log(log_a) - math.log(kappa)) / power if log_a > 0.0 else -math.inf
+
+
+def _search_start(*us: float) -> tuple[int, int] | None:
+    """max(us) as the exact ratio _log_divergence starts from; None at +inf."""
+    u = max(us)
+    return None if u == math.inf else u.as_integer_ratio()
 
 
 def _plan_power(env: TailEnvelope, p: float) -> Plan:
     """Plan for terms rho(j)**p."""
-    j0 = env.valid_from
-    form = env.form
-    coeff = _pow_or_none(form.scale, p)
-    if coeff is None:
-        return None
+    j0, form = env.valid_from, env.form
+    log_C = p * math.log(form.scale)
     if isinstance(form, PowerLawTail):
         if form.beta * p > 1.0:
-            return AffinePowerTail(coeff, 0.0, 1.0, form.beta * p, from_j=j0, exact=env.exact)
-        if env.exact:
-            return Divergence("harmonic", j0, coeff)
-        return None
+            return AffinePowerTail(log_C, 0.0, 1.0, form.beta * p, from_j=j0, exact=env.exact)
+        return _harmonic(-math.inf, j0, log_C) if env.exact else None
     if isinstance(form, GeometricTail):
-        q = form.ratio**p
-        if q >= 1:
-            return None
-        exact = env.exact
-        if q <= 0.0:  # underflowed ratio: widen to a still-sound bound
-            q, exact = 1e-308, False
-        return GeomSeriesTail(coeff, q, from_j=j0, exact=exact)
-    return StretchedIntegralTail(coeff, p * form.rate, form.power, from_j=j0, exact=env.exact)
+        log_q = p * math.log(form.ratio)
+        return GeomSeriesTail(log_C, log_q, from_j=j0, exact=env.exact) if log_q < 0.0 else None
+    return _stretched_plan(log_C, p, form.rate, 1.0, form.power, j0, env.exact)
 
 
 def _plan_coupled(env: TailEnvelope, tau: float) -> Plan:
@@ -208,8 +219,7 @@ def _plan_coupled(env: TailEnvelope, tau: float) -> Plan:
     if isinstance(form, (GeometricTail, StretchedExpTail)):
         rate, power = form.stretched
         if tau < power:
-            coeff = max(1.0, form.scale)
-            return StretchedIntegralTail(coeff, rate, power - tau, from_j=j0, exact=False)
+            return _stretched_plan(max(0.0, log_a), rate, 1.0, 1.0, power - tau, j0, False)
         if env.exact:
             # -ln(term) = rate*j**(power-tau) + max(0,-ln a)*j**-tau is
             # nonincreasing for tau >= power; its limit is rate at tau=power,
@@ -249,161 +259,136 @@ def _plan_qpt_exp(env: TailEnvelope, T: float) -> Plan:
     """Plan for terms [1 + 0.5 ln max(1, 1/rho)]**-T."""
     form = env.form
     log_a = math.log(form.scale)
-    # Past j0 the envelope is <= 1, so the max() clamp is inactive.
-    j0 = max(env.valid_from, _unit_index(form))
+    # Past e**log_j0 the envelope is <= 1, so the max() clamp is inactive.
+    log_j0 = _log_unit(form)
 
     if isinstance(form, (GeometricTail, StretchedExpTail)):
         kappa, power = form.stretched
+        log_kappa = math.log(kappa)
         if power == 1.0:
             alpha, beta = 1.0 - 0.5 * log_a, 0.5 * kappa
             if T > 1.0:
-                return AffinePowerTail(1.0, alpha, beta, T, from_j=j0, exact=env.exact)
+                j0, _ = _index_past(log_j0, env.valid_from)
+                return AffinePowerTail(0.0, alpha, beta, T, from_j=j0, exact=env.exact) if j0 else None
             if env.exact:
-                j_h = max(j0, int(math.ceil(alpha / beta)) + 1)
-                floor = _pow_or_none(2.0 * beta, -T)
-                if floor is not None:
-                    return Divergence("harmonic", j_h, floor)
+                log_h = math.log(alpha) - log_kappa + _LN2 if alpha > 0.0 else -math.inf  # ln(alpha/beta)
+                return _harmonic(max(log_j0, log_h), env.valid_from, -T * log_kappa)
             return None
-        # base >= (kappa/4) j**power once the constant part stops mattering.
-        need = max(0.0, (0.5 * log_a - 1.0) / (0.25 * kappa))
-        j3 = max(j0, int(math.ceil(need ** (1.0 / power))) + 1 if need > 0 else j0)
         if power * T > 1.0:
-            coeff = _pow_or_none(0.25 * kappa, -T)
-            if coeff is None:
-                return None
-            return AffinePowerTail(coeff, 0.0, 1.0, power * T, from_j=j3, exact=False)
+            # base >= (kappa/4) j**power once the constant part stops mattering.
+            log_need = math.log(0.5 * log_a - 1.0) - log_kappa + 2 * _LN2 if log_a > 2.0 else -math.inf
+            j3, _ = _index_past(max(log_j0, log_need / power), env.valid_from)
+            return AffinePowerTail(-T * (log_kappa - 2 * _LN2), 0.0, 1.0, power * T, from_j=j3) if j3 else None
         if env.exact:
             # base <= kappa j**power once 1 + 0.5 max(0, -ln a) <= 0.5 kappa j**power.
-            need = (2.0 + max(0.0, -log_a)) / kappa
-            j4 = max(j0, int(math.ceil(need ** (1.0 / power))) + 1)
-            floor = _pow_or_none(kappa, -T)
-            if floor is not None:
-                return Divergence("harmonic", j4, floor)
+            log_need = math.log(2.0 + max(0.0, -log_a)) - log_kappa
+            return _harmonic(max(log_j0, log_need / power), env.valid_from, -T * log_kappa)
         return None
 
     # Power-law envelope: polylog terms, divergent for every T.
     if env.exact:
         beta = form.beta
-        # u - T ln(base) is increasing once the base exceeds T beta / 2.
-        u3 = (2.0 * max(0.5 * T * beta - 1.0, 0.0) + log_a) / beta
+        # From u3 = max(T - 2/beta, 0) + ln a/beta on, base >= T beta/2, so u - T ln(base) increases.
+        start = _search_start(max(T - 2.0 / beta, 0.0) + log_a / beta, math.log(env.valid_from))
 
         # ln(1 + 0.5 (beta u - ln a)); its argument is at least 1 from u3 on.
-        return _log_divergence(
+        return None if start is None else _log_divergence(
             "harmonic", 1.0,
             lambda v: np.exp(v - math.log(T)) >= _log_shift(v + math.log(beta) - _LN2, 1.0 - 0.5 * log_a),
-            max(u3, math.log(j0)).as_integer_ratio(), j0,
+            start, env.valid_from,
         )
     return None
 
 
 def _stretched_plan(
-    c: float, base: float, power: float, base_pow: float, gamma: float, j0: int, exact: bool
+    log_C: float, c: float, base: float, power: float, gamma: float, j0: int, exact: bool
 ) -> Plan:
-    """Plan for terms bounded by exp(-B j**gamma) with B = c * base_pow.
-
-    ``base_pow`` is base**power as the caller formed it.  Below the normal
-    range B has lost its digits (or is 0), so the tail takes ln B instead;
-    where ln B leaves the range as well, no certificate.
-    """
-    B = c * base_pow
-    if B >= sys.float_info.min:
-        return StretchedIntegralTail(1.0, B, gamma, from_j=j0, exact=exact)
-    log_B = math.log(c) + power * math.log(base)
-    if log_B == -math.inf:
+    """Plan for terms bounded by C exp(-B j**gamma) with B = c * base**power:
+    linear where base**power is a double, else at most e**709, which bounds as
+    well; ln B where B is below the normal range; None where ln B is past the
+    range too, or gamma is, or Gamma(1/gamma) is (gamma below 1e-300)."""
+    log_pow = power * math.log(base)
+    log_B = math.log(c) + log_pow
+    if log_B == -math.inf or not 1e-300 < gamma < math.inf:
         return None
-    return StretchedIntegralTail(1.0, B, gamma, from_j=j0, exact=exact, log_B=log_B)
+    if log_B < math.log(sys.float_info.min):
+        return StretchedIntegralTail(log_C, 0.0, gamma, from_j=j0, exact=exact, log_B=log_B)
+    B = c * base**power if log_pow < _LOG_HUGE else math.exp(min(log_B, _LOG_HUGE))
+    return StretchedIntegralTail(log_C, B, gamma, from_j=j0, exact=exact)
 
 
 def _plan_wt_alg(env: TailEnvelope, c: float, s: float) -> Plan:
     """Plan for terms exp(-c (1/rho)**(s/2)); always convergent under an envelope."""
-    j0 = env.valid_from
     form = env.form
     half_s = 0.5 * s
-    scale_pow = _pow_or_none(form.scale, -half_s)
-    if scale_pow is None:
-        return None
     if isinstance(form, PowerLawTail):
-        gamma = form.beta * half_s
-        return _stretched_plan(c, form.scale, -half_s, scale_pow, gamma, j0, env.exact)
+        return _stretched_plan(0.0, c, form.scale, -half_s, form.beta * half_s, env.valid_from, env.exact)
     # Geometric and stretched envelopes give doubly exponential terms
-    # exp(-c scale_pow grow(x)), with ln grow(x) = half_s log_grow(x); their
-    # ratios decrease where grow is convex: everywhere for big_q**x, from j1
-    # on for exp(B2 x**gamma).
-    if isinstance(form, GeometricTail):
-        big_q = form.ratio**-half_s
-        grow, log_grow, j1 = (lambda x: big_q**x), (lambda x: -math.log(form.ratio) * x), j0
-    else:
-        b2 = half_s * form.rate
-        grow, log_grow = (lambda x: math.exp(b2 * x**form.power)), (lambda x: form.rate * x**form.power)
-        j1 = j0
-        if form.power < 1.0:
-            j1 = max(j0, int(math.ceil(((1.0 - form.power) / (b2 * form.power)) ** (1.0 / form.power))) + 1)
+    # g(x) = exp(-e**y), y = ln c - half_s ln scale + half_s kappa x**power,
+    # whose ratios decrease where y is convex: for power >= 1, else from j1
+    # on.  e**709 stands in for anything larger: that only raises g.
+    kappa, power = form.stretched
+    log_c = math.log(c) - half_s * math.log(form.scale)
+    log_b = math.log(s) - _LN2 + math.log(kappa)  # ln(half_s kappa)
+    j1 = env.valid_from
+    if power < 1.0:
+        j1, _ = _index_past((math.log(1.0 - power) - log_b - math.log(power)) / power, j1)
 
     def g(x: float) -> float:
-        # Where scale_pow underflowed to 0 or grow(x) leaves the double range,
-        # the exponent comes from logarithms: 0 * inf is NaN, and an overflow
-        # read as g = 0 would drop a tail that can be of order one.
-        try:
-            if scale_pow > 0.0:
-                return math.exp(-c * scale_pow * grow(x))
-        except OverflowError:
-            pass
-        try:
-            return math.exp(-c * math.exp(half_s * (log_grow(x) - math.log(form.scale))))
-        except OverflowError:
-            return 0.0
+        y = log_c + math.exp(min(log_b + power * math.log(x), _LOG_HUGE))
+        return math.exp(-math.exp(min(y, _LOG_HUGE)))
 
-    return RatioTail(g, from_j=j1)
+    return RatioTail(g, from_j=j1) if j1 else None
 
 
 def _plan_wt_exp(env: TailEnvelope, c: float, s: float) -> Plan:
     """Plan for terms exp(-c [1 + ln(2 max(1, 1/rho))]**s)."""
     form = env.form
     log_a = math.log(form.scale)
-    konst = 1.0 + math.log(2.0) - log_a
-    # Past j0 the envelope is <= 1, so the max() clamp is inactive.
-    j0 = max(env.valid_from, _unit_index(form))
+    konst = 1.0 + _LN2 - log_a
+    # Past e**log_j0 the envelope is <= 1, so the max() clamp is inactive.
+    log_j0 = _log_unit(form)
+    j0, _ = _index_past(log_j0, env.valid_from)
 
     if isinstance(form, PowerLawTail):
         beta = form.beta
+        log_cs_beta = math.log(c) + math.log(s) + math.log(beta)
         if s == 1.0:
-            coeff = math.exp(-c * konst)
             if c * beta > 1.0:
-                return AffinePowerTail(coeff, 0.0, 1.0, c * beta, from_j=j0, exact=env.exact)
-            if env.exact:
-                return Divergence("harmonic", j0, coeff)
-            return None
+                return AffinePowerTail(-c * konst, 0.0, 1.0, c * beta, from_j=j0, exact=env.exact) if j0 else None
+            return _harmonic(log_j0, env.valid_from, -c * konst) if env.exact else None
         if s > 1.0:
-            # Valid once the exponent c (K + beta u)**s grows with slope >= 2
-            # in u = ln j; then the tail past J is at most J * g(J).
-            u_min = ((2.0 / (c * s * beta)) ** (1.0 / (s - 1.0)) - konst) / beta
-            u_min = max(u_min, 0.0)
-            if u_min > 600.0:
-                return None  # bound valid only beyond any summable index
-            j_star = max(j0, int(math.ceil(math.exp(u_min))) + 1)
-            return PolyLogTail(c, konst, beta, s, from_j=j_star)
+            # The exponent c (K + beta u)**s grows with slope >= 2 in u = ln j from u_min =
+            # (P - K) / beta on, P = (2 / (c s beta))**(1/(s-1)); the tail past J is then <= J g(J).
+            log_P = (_LN2 - log_cs_beta) / (s - 1.0)
+            u_min = (math.exp(log_P) - konst) / beta if log_P < _LOG_HUGE else math.inf
+            j_star, _ = _index_past(max(u_min, 0.0, log_j0), env.valid_from)
+            return PolyLogTail(c, konst, beta, s, from_j=j_star) if j_star else None
         # s < 1: divergent whenever the envelope is exact.
         if env.exact:
-            u3 = ((c * s * beta) ** (1.0 / (1.0 - s)) - konst) / beta
-
-            # konst + beta u is positive from u3 on.
-            return _log_divergence(
+            # konst + beta u > 0 and c (konst + beta u)**s grows slower than u from u3 =
+            # (P - konst) / beta on, P = (c s beta)**(1/(1-s)), which for s near 1 is huge.
+            log_P = log_cs_beta / (1.0 - s)
+            if log_P < _LOG_HUGE:
+                start = _search_start((math.exp(log_P) - konst) / beta, log_j0, math.log(env.valid_from))
+            else:  # u3 <= 2 P / beta, and log_j0 <= u3
+                bits = math.ceil((log_P - math.log(beta)) / _LN2) + 1
+                start = (1 << bits, 1) if bits <= _START_BITS else None
+            return None if start is None else _log_divergence(
                 "harmonic", 1.0, lambda v: v >= math.log(c) + s * _log_shift(v + math.log(beta), konst),
-                max(u3, math.log(j0)).as_integer_ratio(), j0,
+                start, env.valid_from,
             )
         return None
 
     kappa, power = form.stretched
     if power == 1.0 and s == 1.0:
-        coeff = math.exp(-c * konst)
-        q = math.exp(-c * kappa)
-        return GeomSeriesTail(coeff, q, from_j=j0, exact=env.exact)
+        log_q = -c * kappa
+        return GeomSeriesTail(-c * konst, log_q, from_j=j0, exact=env.exact) if j0 and log_q < 0.0 else None
+    # The base konst + kappa j**power is at least factor * kappa j**power.
     factor = 1.0 if konst >= 0.0 else 0.5
-    if konst < 0.0:
-        need = (2.0 * abs(konst) / kappa) ** (1.0 / power)
-        j0 = max(j0, int(math.ceil(need)) + 1)
-    base = factor * kappa
-    return _stretched_plan(c, base, s, base**s, power * s, j0, False)
+    log_need = (math.log(-2.0 * konst) - math.log(kappa)) / power if konst < 0.0 else -math.inf
+    j0, _ = _index_past(max(log_j0, log_need), env.valid_from)
+    return _stretched_plan(0.0, c, factor * kappa, s, power * s, j0, False) if j0 else None
 
 
 # ---------------------------------------------------------------------------
@@ -472,6 +457,14 @@ def _rho_pow_coupled(L: np.ndarray, j: np.ndarray, tau: float) -> np.ndarray:
     return np.exp(w * L)
 
 
+def _wt_damping(p: CriterionParams, d: int) -> float:
+    """exp(-c d**t); 0 where d**t is past the double range."""
+    try:
+        return math.exp(-p.c * float(d) ** p.t)
+    except OverflowError:
+        return 0.0
+
+
 # The alg and exp sums of SPT, PT and WT share everything but the planner
 # and the terms.
 _SPT = dict(
@@ -490,8 +483,7 @@ _WT = dict(
     required=("c", "s", "t"),
     start=lambda p, d, criterion: 1,
     param=lambda p, d: (p.c, p.s),
-    # d**t is never 0, so "or inf" only stands for a power past the double range.
-    prefactor=lambda p, d: math.exp(-p.c * (_pow_or_none(float(d), p.t) or math.inf)),
+    prefactor=_wt_damping,
 )
 
 SUM_SPECS: dict[str, SumSpec] = {
@@ -546,8 +538,9 @@ def _plan(
     kind: str, p: CriterionParams, model: EigenModel, d: int, criterion: ErrorCriterion
 ) -> tuple[int, tuple[float, ...], Plan]:
     """Start index, term parameters and tail plan of a resolved sum; no
-    envelope, or a planner that overflows the double range, gives no
-    certificate (plan None).  ValueError when d < 1 or the start is past 2**62."""
+    envelope gives no certificate (plan None).  The planners work in
+    logarithms, so no plan overflows.  ValueError when d < 1 or the start is
+    past 2**62."""
     if d < 1:
         raise ValueError("d must be >= 1")
     spec = SUM_SPECS[kind]
@@ -556,12 +549,7 @@ def _plan(
         raise ValueError(f"{kind} start index exceeds 2**62 at d={d}")
     x = spec.param(p, d)
     env = ratio_envelope(model, d, criterion, start)
-    if env is None:
-        return start, x, None
-    try:
-        return start, x, spec.planner(env, *x)
-    except OverflowError:
-        return start, x, None
+    return start, x, None if env is None else spec.planner(env, *x)
 
 
 def evaluate_sum(
@@ -833,5 +821,5 @@ def convergence_plan(
     if rank is not None:
         # Finite spectra converge trivially; any tail bound object works as
         # the convergence marker since nothing is summed through it.
-        return GeomSeriesTail(1.0, 0.5, from_j=rank + 1, exact=False)
+        return GeomSeriesTail(0.0, -_LN2, from_j=rank + 1, exact=False)
     return _plan(kind, p, model, d, criterion)[2]

@@ -26,7 +26,10 @@ or a term past 2**1000 goes to ``math.fsum`` (see ``_chunk_sums``).
 Tail bounds come in a handful of integrable shapes.  Each shape provides a
 sound upper bound on the neglected tail; shapes marked exact (the bound
 coincides with the terms) also provide a lower bound, which lets the
-evaluator centre the reported value inside the bracket.
+evaluator centre the reported value inside the bracket.  The three
+integrable shapes take ln C for their coefficient (and ln q for the
+geometric ratio) and form each bound in log space: it neither overflows nor
+flushes to 0 where it is a double, and is +inf (no bound) past that.
 
 Every shape is elementary.  The stretched-exponential integral is the upper
 incomplete gamma function Gamma(s, x), taken from the two-sided bracket
@@ -69,6 +72,11 @@ _SLACK = 1 + 1e-9  # inflation applied to analytic bounds against fp rounding
 _LOG_DOUBLE_MAX = math.log(np.finfo(float).max)
 _EXTRACT_MAX = 2.0**1000  # rows with a larger term are summed by math.fsum
 _UNITS = 1 << 1074  # units of the running total per 1.0
+
+
+def _exp(x: float) -> float:
+    """e**x; +inf past the double range, and for NaN (no bound)."""
+    return math.exp(x) if x <= _LOG_DOUBLE_MAX else math.inf
 
 
 class SumStatus(enum.Enum):
@@ -120,12 +128,12 @@ class SumEvaluation(NamedTuple):
 
 @dataclass(frozen=True)
 class AffinePowerTail:
-    """Terms bounded by C * (alpha + beta*j)**-T, T > 1, beta > 0.
+    """Terms bounded by C * (alpha + beta*j)**-T, T > 1, beta > 0; log_C is ln C.
 
     A plain power law C * j**-p is alpha = 0, beta = 1, T = p.
     """
 
-    coeff: float
+    log_C: float
     alpha: float
     beta: float
     T: float
@@ -140,7 +148,10 @@ class AffinePowerTail:
 
     def _integral(self, a: float) -> float:
         base = self.alpha + self.beta * a
-        return self.coeff * base ** (1.0 - self.T) / (self.beta * (self.T - 1.0))
+        log_pow = (1.0 - self.T) * math.log(base)
+        if self.log_C < 700.0 and abs(log_pow) < 700.0:  # both factors are doubles: the linear form
+            return math.exp(self.log_C) * base ** (1.0 - self.T) / (self.beta * (self.T - 1.0))
+        return _exp(self.log_C + log_pow - math.log(self.beta) - math.log(self.T - 1.0))
 
     def upper_tail(self, J: int) -> float:
         return self._integral(J) * _SLACK
@@ -153,7 +164,7 @@ class AffinePowerTail:
 
 @dataclass(frozen=True)
 class StretchedIntegralTail:
-    """Terms bounded by C * exp(-B * j**gamma) for j >= from_j.
+    """Terms bounded by C * exp(-B * j**gamma) for j >= from_j; log_C is ln C.
 
     The integral from a is C Gamma(s, x) / (gamma B**s) with s = 1/gamma and
     x = B a**gamma.  For x > s - 1 and k = x / (x - (s - 1)),
@@ -165,13 +176,13 @@ class StretchedIntegralTail:
     second one integrates to the k factor.  For x <= s - 1, k is +inf: the
     lower side holds as t**(s-1) >= x**(s-1), and the upper side is the cap
     Gamma(s, x) <= Gamma(s).  Times C / (gamma B**s), x**(s-1) e**-x is
-    C a**(1-gamma) e**-x / (gamma B); all of it, C too, is in log space.
+    C a**(1-gamma) e**-x / (gamma B); all of it is in log space.
 
     ``log_B``, when given, is ln B and stands in for ``B``, which may then
-    lie below the double range; x is then taken from log space as well.
+    lie below the normal range; x is then taken from log space as well.
     """
 
-    coeff: float
+    log_C: float
     B: float
     gamma: float
     from_j: int = 1
@@ -186,7 +197,7 @@ class StretchedIntegralTail:
     def _integral(self, a: float, upper: bool) -> float:
         """The upper or lower side of the bracket on the integral from a, in
         log space; +inf where the upper side exceeds the double range."""
-        if self.coeff == 0.0:
+        if self.log_C == -math.inf:
             return 0.0
         s = 1.0 / self.gamma
         log_B = math.log(self.B) if self.log_B is None else self.log_B
@@ -198,7 +209,7 @@ class StretchedIntegralTail:
             x = math.exp(log_x) if self.log_B is not None else self.B * a**self.gamma
         except OverflowError:  # a**gamma alone leaves the range, x does not
             x = math.exp(log_x)
-        log_c = math.log(self.coeff) - math.log(self.gamma)
+        log_c = self.log_C - math.log(self.gamma)
         log_front = log_c + (1.0 - self.gamma) * math.log(a) - x - log_B
         if x > s - 1.0:
             # k -> 0 with x (s < 1); x is 0 only where it comes from a log_x
@@ -210,10 +221,7 @@ class StretchedIntegralTail:
             log_val = min(log_front + max(0.0, log_k), log_c + math.lgamma(s) - s * log_B)
         else:
             log_val = log_front + min(0.0, log_k)
-        try:
-            return math.exp(log_val)
-        except OverflowError:
-            return math.inf
+        return _exp(log_val)
 
     def upper_tail(self, J: int) -> float:
         return self._integral(J, upper=True) * _SLACK
@@ -227,19 +235,19 @@ class StretchedIntegralTail:
 
 @dataclass(frozen=True)
 class GeomSeriesTail:
-    """Terms bounded by C * q**j; the geometric tail sums in closed form."""
+    """Terms bounded by C * q**j, given as ln C and ln q; the tail sums in closed form."""
 
-    coeff: float
-    q: float
+    log_C: float
+    log_q: float
     from_j: int = 1
     exact: bool = False
 
     def __post_init__(self):
-        if not (0 < self.q < 1):
-            raise ValueError("geometric tail needs q in (0, 1)")
+        if not self.log_q < 0:
+            raise ValueError("geometric tail needs q in [0, 1)")
 
     def _series(self, J: int) -> float:
-        return self.coeff * self.q ** (J + 1) / (1.0 - self.q)
+        return _exp(self.log_C + (J + 1) * self.log_q - math.log(-math.expm1(self.log_q)))
 
     def upper_tail(self, J: int) -> float:
         return self._series(J) * _SLACK
@@ -416,7 +424,9 @@ def certified_sum(
     only from a chunk that is summed.
     """
     if isinstance(plan, Divergence):
-        j0 = plan.j0 if plan.log2_j0 is None else f"2**{plan.log2_j0}"
+        # An exponent too long for a decimal prints as the later onset 2**2**m.
+        k = plan.log2_j0
+        j0 = plan.j0 if k is None else f"2**{k}" if k.bit_length() <= 10_000 else f"2**2**{k.bit_length()}"
         if plan.reason == "harmonic":
             msg = f"divergent (harmonic: terms >= {plan.floor:.3g}/j from j={j0})"
         else:

@@ -100,6 +100,13 @@ class TestDecideWt:
         assert verdict.status == "Fails"
         assert "multiplicity" in verdict.evidence["certificate"]
 
+    def test_damping_past_the_double_range_is_zero(self):
+        """d**t overflows at t = 1e308: the multiplicity bound reads the sum
+        table's damping factor, 0 there, as the sums do."""
+        model = EigenModel(Expression("exp(0-j/d)"))
+        verdict = decide(model, Notion("WT", "EXP", ABS, s=1.0, t=1e308), Limits(d_max=4, c_min=0.5))
+        assert verdict.status == "SupportedUpTo"
+
 
 class TestDecideUwt:
     def test_poly_alg_supported(self):

@@ -304,6 +304,17 @@ class TestCriterionCommand:
             assert (out["status"], out["value"], out["terms_used"]) == ("DivergenceCertified", "inf", 0), tau
             assert out["note"].startswith("divergent (term-limit: terms >= 0.5 from j=2**")
 
+    def test_onset_past_2_62_comes_from_its_logarithm(self, tmp_path, capsys):
+        """qpt-exp on ExpDecay(1, 1, 1e-6) diverges from j = 2**(10**6) on; that
+        power once overflowed, and the sum ran its whole term budget."""
+        cfg = write_config(tmp_path, model={"kind": "ExpDecay", "params": {"a": 1.0, "b": 1.0, "gamma": 1e-6}})
+        assert main(["criterion", "--config", cfg, "--sum", "qpt-exp", "--tau", "1"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        out = json.loads(captured.out)
+        assert (out["status"], out["terms_used"]) == ("DivergenceCertified", 0)
+        assert out["note"] == "divergent (harmonic: terms >= 1/j from j=2**1000002)"
+
     @pytest.mark.parametrize("kind", ["pt-alg", "pt-exp", "qpt-alg"])
     def test_zero_c_tilde_is_config_error(self, tmp_path, capsys, kind):
         # zero is a value, not "unset": it must not fall back to c_tilde = 1

@@ -38,19 +38,19 @@ class TestTailBounds:
         import mpmath
 
         p = 1.7
-        tail = AffinePowerTail(1.0, 0.0, 1.0, p, from_j=1, exact=True)
+        tail = AffinePowerTail(0.0, 0.0, 1.0, p, from_j=1, exact=True)
         for J in (10, 100, 1000):
             true = float(mpmath.zeta(p) - mpmath.fsum(mpmath.mpf(j) ** -p for j in range(1, J + 1)))
             assert tail.lower_tail(J) <= true <= tail.upper_tail(J)
 
     def test_affine_power_brackets_true_tail(self):
-        tail = AffinePowerTail(1.0, 1.0, 2.0, 3.0, from_j=1, exact=True)
+        tail = AffinePowerTail(0.0, 1.0, 2.0, 3.0, from_j=1, exact=True)
         for J in (10, 200):
             true = sum((1.0 + 2.0 * j) ** -3.0 for j in range(J + 1, 200_000))
             assert tail.lower_tail(J) <= true <= tail.upper_tail(J)
 
     def test_stretched_brackets_true_tail(self):
-        tail = StretchedIntegralTail(2.0, 0.5, 0.5, from_j=1, exact=True)
+        tail = StretchedIntegralTail(math.log(2.0), 0.5, 0.5, from_j=1, exact=True)
         for J in (10, 100):
             true = sum(2.0 * math.exp(-0.5 * j**0.5) for j in range(J + 1, 100_000))
             assert tail.lower_tail(J) <= true <= tail.upper_tail(J)
@@ -59,20 +59,20 @@ class TestTailBounds:
         """ln B gives the bracket B gives, and one still where B is below the
         double range (wt-alg on PolyDecay(100, 2) at s = 400: B = 100**-200)."""
         for J in (10, 100):
-            tail = StretchedIntegralTail(2.0, 0.5, 0.5, exact=True)
-            logged = StretchedIntegralTail(2.0, 0.0, 0.5, exact=True, log_B=math.log(0.5))
+            tail = StretchedIntegralTail(math.log(2.0), 0.5, 0.5, exact=True)
+            logged = StretchedIntegralTail(math.log(2.0), 0.0, 0.5, exact=True, log_B=math.log(0.5))
             assert logged.upper_tail(J) == pytest.approx(tail.upper_tail(J), rel=1e-13)
             assert logged.lower_tail(J) == pytest.approx(tail.lower_tail(J), rel=1e-13)
-        tail = StretchedIntegralTail(1.0, 0.0, 400.0, exact=True, log_B=-200 * math.log(100.0))
+        tail = StretchedIntegralTail(0.0, 0.0, 400.0, exact=True, log_B=-200 * math.log(100.0))
         true = float(mpmath.quad(lambda t: mpmath.exp(-((t / 10) ** 400)), [9, 10, 10.5, mpmath.inf]))
         assert tail.lower_tail(8) <= true <= tail.upper_tail(9)
         assert tail.upper_tail(11) == 0.0  # x = 1.1**400 = 3.7e16
         # x = B a**gamma underflows to 0: k -> 0, and the bound is Gamma(s) / (gamma B**s)
-        tail = StretchedIntegralTail(1.0, 0.0, 0.5, exact=True, log_B=-1e6)
+        tail = StretchedIntegralTail(0.0, 0.0, 0.5, exact=True, log_B=-1e6)
         assert (tail.upper_tail(10), tail.lower_tail(10)) == (math.inf, 0.0)
         for B, log_B in ((0.0, None), (0.0, -math.inf), (0.0, math.nan)):
             with pytest.raises(ValueError):
-                StretchedIntegralTail(1.0, B, 1.0, log_B=log_B)
+                StretchedIntegralTail(0.0, B, 1.0, log_B=log_B)
 
     @staticmethod
     def _stretched_integral(coeff, B, gamma, a):
@@ -95,7 +95,7 @@ class TestTailBounds:
             for a in (2, 1000):
                 for x in xs:
                     B = x / a**gamma
-                    tail = StretchedIntegralTail(1.0, B, gamma, exact=True)
+                    tail = StretchedIntegralTail(0.0, B, gamma, exact=True)
                     exact = self._stretched_integral(1.0, B, gamma, a)
                     if not mpmath.mpf("1e-300") < exact < mpmath.mpf("1e300"):
                         continue
@@ -110,14 +110,14 @@ class TestTailBounds:
     def test_stretched_bound_below_s_minus_1_is_gamma_s(self):
         """Where x <= s - 1 the upper side is C Gamma(s) / (gamma B**s): finite,
         above the integral, and the same bound at every such a."""
-        tail = StretchedIntegralTail(1.0, 1.0, 0.1, exact=True)  # s = 10: x = a**0.1 <= 9 up to a = 9**10
+        tail = StretchedIntegralTail(0.0, 1.0, 0.1, exact=True)  # s = 10: x = a**0.1 <= 9 up to a = 9**10
         with mpmath.workdps(40):
             for a in (1, 1000, 10**9):
                 assert tail.upper_tail(a) == pytest.approx(math.gamma(10.0) / 0.1 * _SLACK, rel=1e-13)
                 exact = self._stretched_integral(1.0, 1.0, 0.1, a)
                 assert tail.lower_tail(a - 1) <= exact <= tail.upper_tail(a)
         # An integral past the double range (about 1e310) is no bound.
-        assert math.isinf(StretchedIntegralTail(1.0, 1e-310, 1.0).upper_tail(1))
+        assert math.isinf(StretchedIntegralTail(0.0, 1e-310, 1.0).upper_tail(1))
 
     @pytest.mark.parametrize(
         "coeff, B, a",
@@ -130,14 +130,14 @@ class TestTailBounds:
         4e-22 at x = 740 with C = 1e300, about 1e10 with C = 1e-300 and
         B = 1e-310) is a normal double."""
         gamma = 1.0 if a == 1 else 0.5
-        tail = StretchedIntegralTail(coeff, B, gamma, exact=True)
+        tail = StretchedIntegralTail(math.log(coeff), B, gamma, exact=True)
         with mpmath.workdps(40):
             exact = self._stretched_integral(coeff, B, gamma, a)
         assert tail.lower_tail(a - 1) <= exact <= tail.upper_tail(a) <= exact * (1 + 1e-3)
-        assert StretchedIntegralTail(0.0, B, gamma).upper_tail(a) == 0.0
+        assert StretchedIntegralTail(-math.inf, B, gamma).upper_tail(a) == 0.0
 
     def test_geometric_series_closed_form(self):
-        tail = GeomSeriesTail(3.0, 0.25, exact=True)
+        tail = GeomSeriesTail(math.log(3.0), math.log(0.25), exact=True)
         true = 3.0 * 0.25**11 / 0.75
         assert tail.lower_tail(10) <= true <= tail.upper_tail(10)
 
@@ -159,13 +159,13 @@ class TestTailBounds:
 
 class TestEngine:
     def test_certified_value_within_remainder(self):
-        plan = AffinePowerTail(1.0, 0.0, 1.0, 2.0, from_j=1, exact=True)
+        plan = AffinePowerTail(0.0, 0.0, 1.0, 2.0, from_j=1, exact=True)
         ev = certified_sum(_block(lambda j: j**-2.0), 1, plan, tol=1e-10)
         assert ev.status is SumStatus.CERTIFIED
         assert abs(ev.value - math.pi**2 / 6) <= ev.remainder_bound
 
     def test_min_terms_extension_stays_within_remainder(self):
-        plan = AffinePowerTail(1.0, 0.0, 1.0, 1.5, from_j=1, exact=True)
+        plan = AffinePowerTail(0.0, 0.0, 1.0, 1.5, from_j=1, exact=True)
         terms = _block(lambda j: j**-1.5)
         base = certified_sum(terms, 1, plan, tol=1e-8)
         extended = certified_sum(terms, 1, plan, tol=1e-8, min_terms=10 * base.terms_used)
@@ -194,12 +194,12 @@ class TestEngine:
         assert not ev.converged
 
     def test_prefactor_applied(self):
-        plan = GeomSeriesTail(1.0, 0.5, exact=True)
+        plan = GeomSeriesTail(0.0, math.log(0.5), exact=True)
         ev = certified_sum(_block(lambda j: 0.5**j), 1, plan, prefactor=0.25)
         assert ev.value == pytest.approx(0.25, rel=1e-12)
 
     def test_tail_valid_only_beyond_the_budget_is_heuristic(self):
-        plan = AffinePowerTail(1.0, 0.0, 1.0, 2.0, from_j=10_000, exact=True)
+        plan = AffinePowerTail(0.0, 0.0, 1.0, 2.0, from_j=10_000, exact=True)
         ev = certified_sum(_block(lambda j: j**-2.0), 1, plan, max_terms=2048)
         assert ev.status is SumStatus.HEURISTIC
         assert ev.note == "tail bound valid only beyond term budget"
@@ -349,7 +349,7 @@ def _one_chunk_only(terms):
 
 
 _SLOW_EXP = _vector(lambda j: np.exp(-j / 5000.0))  # heuristic stop near j = 1.2e5
-_POWER = (_vector(lambda j: j**-1.5), AffinePowerTail(1.0, 0.0, 1.0, 1.5, from_j=1, exact=True))
+_POWER = (_vector(lambda j: j**-1.5), AffinePowerTail(0.0, 0.0, 1.0, 1.5, from_j=1, exact=True))
 
 
 class TestBatchedFetch:
