@@ -115,6 +115,7 @@ def ceil_stable(x: float) -> int:
 
 _LN2 = math.log(2.0)
 _LOG_HUGE = 709.0  # e**709 is a double, and e**-(e**709) is 0
+_LOG_TINY = math.log(sys.float_info.min)  # below e**_LOG_TINY doubles lose digits
 _START_BITS = 1 << 24  # a search start past 2**(2**24) gives no certificate
 
 
@@ -191,9 +192,9 @@ def _log_unit(form: TailForm) -> float:
 
 
 def _search_start(*us: float) -> tuple[int, int] | None:
-    """max(us) as the exact ratio _log_divergence starts from; None at +inf."""
+    """max(us) as the exact ratio _log_divergence starts from; None at +inf or a NaN first."""
     u = max(us)
-    return None if u == math.inf else u.as_integer_ratio()
+    return u.as_integer_ratio() if u < math.inf else None
 
 
 def _plan_power(env: TailEnvelope, p: float) -> Plan:
@@ -269,7 +270,7 @@ def _plan_qpt_exp(env: TailEnvelope, T: float) -> Plan:
             alpha, beta = 1.0 - 0.5 * log_a, 0.5 * kappa
             if T > 1.0:
                 j0, _ = _index_past(log_j0, env.valid_from)
-                return AffinePowerTail(0.0, alpha, beta, T, from_j=j0, exact=env.exact) if j0 else None
+                return AffinePowerTail(0.0, alpha, beta, T, from_j=j0, exact=env.exact) if j0 and beta else None
             if env.exact:
                 log_h = math.log(alpha) - log_kappa + _LN2 if alpha > 0.0 else -math.inf  # ln(alpha/beta)
                 return _harmonic(max(log_j0, log_h), env.valid_from, -T * log_kappa)
@@ -303,17 +304,18 @@ def _plan_qpt_exp(env: TailEnvelope, T: float) -> Plan:
 def _stretched_plan(
     log_C: float, c: float, base: float, power: float, gamma: float, j0: int, exact: bool
 ) -> Plan:
-    """Plan for terms bounded by C exp(-B j**gamma) with B = c * base**power:
-    linear where base**power is a double, else at most e**709, which bounds as
-    well; ln B where B is below the normal range; None where ln B is past the
-    range too, or gamma is, or Gamma(1/gamma) is (gamma below 1e-300)."""
-    log_pow = power * math.log(base)
+    """Plan for terms bounded by C exp(-B j**gamma), B = c * base**power: linear
+    where base**power is normal and B < e**709, else e**min(ln B, 709) (a smaller
+    B bounds too); ln B where B is below the normal range; None where ln B is
+    past it too, or gamma is, or Gamma(1/gamma) is (gamma below 1e-300)."""
+    log_pow = power * math.log(base) if base > 0.0 else -math.inf  # a halved subnormal rate
     log_B = math.log(c) + log_pow
     if log_B == -math.inf or not 1e-300 < gamma < math.inf:
         return None
-    if log_B < math.log(sys.float_info.min):
+    if log_B < _LOG_TINY:
         return StretchedIntegralTail(log_C, 0.0, gamma, from_j=j0, exact=exact, log_B=log_B)
-    B = c * base**power if log_pow < _LOG_HUGE else math.exp(min(log_B, _LOG_HUGE))
+    pw = base**power if abs(log_pow) < _LOG_HUGE else 0.0  # subnormal digits are lost
+    B = c * pw if pw >= sys.float_info.min and log_B < _LOG_HUGE else math.exp(min(log_B, _LOG_HUGE))
     return StretchedIntegralTail(log_C, B, gamma, from_j=j0, exact=exact)
 
 
@@ -326,7 +328,7 @@ def _plan_wt_alg(env: TailEnvelope, c: float, s: float) -> Plan:
     # Geometric and stretched envelopes give doubly exponential terms
     # g(x) = exp(-e**y), y = ln c - half_s ln scale + half_s kappa x**power,
     # whose ratios decrease where y is convex: for power >= 1, else from j1
-    # on.  e**709 stands in for anything larger: that only raises g.
+    # on.  The tail reads ln g = -e**y; e**709 stands in for more (raising g).
     kappa, power = form.stretched
     log_c = math.log(c) - half_s * math.log(form.scale)
     log_b = math.log(s) - _LN2 + math.log(kappa)  # ln(half_s kappa)
@@ -334,11 +336,10 @@ def _plan_wt_alg(env: TailEnvelope, c: float, s: float) -> Plan:
     if power < 1.0:
         j1, _ = _index_past((math.log(1.0 - power) - log_b - math.log(power)) / power, j1)
 
-    def g(x: float) -> float:
-        y = log_c + math.exp(min(log_b + power * math.log(x), _LOG_HUGE))
-        return math.exp(-math.exp(min(y, _LOG_HUGE)))
+    def log_g(x: float) -> float:
+        return -math.exp(min(log_c + math.exp(min(log_b + power * math.log(x), _LOG_HUGE)), _LOG_HUGE))
 
-    return RatioTail(g, from_j=j1) if j1 else None
+    return RatioTail(log_g, from_j=j1) if j1 else None
 
 
 def _plan_wt_exp(env: TailEnvelope, c: float, s: float) -> Plan:

@@ -145,13 +145,11 @@ class AffinePowerTail:
             raise ValueError("affine power tail needs T > 1 and beta > 0")
         if self.alpha + self.beta * self.from_j <= 0:
             raise ValueError("affine base must be positive from from_j on")
+        object.__setattr__(self, "_log_front", self.log_C - math.log(self.beta) - math.log(self.T - 1.0))
 
     def _integral(self, a: float) -> float:
-        base = self.alpha + self.beta * a
-        log_pow = (1.0 - self.T) * math.log(base)
-        if self.log_C < 700.0 and abs(log_pow) < 700.0:  # both factors are doubles: the linear form
-            return math.exp(self.log_C) * base ** (1.0 - self.T) / (self.beta * (self.T - 1.0))
-        return _exp(self.log_C + log_pow - math.log(self.beta) - math.log(self.T - 1.0))
+        """C base**(1-T) / (beta (T-1)) for base = alpha + beta*a, in log space."""
+        return _exp(self._log_front + (1.0 - self.T) * math.log(self.alpha + self.beta * a))
 
     def upper_tail(self, J: int) -> float:
         return self._integral(J) * _SLACK
@@ -287,24 +285,24 @@ class PolyLogTail(NamedTuple):
 
 
 class RatioTail(NamedTuple):
-    """Terms bounded by g with g(j+1)/g(j) nonincreasing for j >= from_j.
+    """Terms bounded by g = e**log_g with g(j+1)/g(j) nonincreasing for j >= from_j.
 
     Suits doubly-exponential decay where no named integral applies: the tail
-    past J is dominated by the geometric series with the first ratio.
+    past J is dominated by the geometric series with the first ratio, taken
+    from ln g, so it keeps its digits where g is below the normal range.
     """
 
-    g: Callable[[float], float]
+    log_g: Callable[[float], float]
     from_j: int = 1
 
     def upper_tail(self, J: int) -> float:
-        g1 = self.g(J + 1)
-        g2 = self.g(J + 2)
-        if g1 <= 0.0:
+        log_g1 = self.log_g(J + 1)
+        log_ratio = self.log_g(J + 2) - log_g1
+        if _exp(log_g1) == 0.0:
             return 0.0
-        ratio = g2 / g1
-        if ratio >= 1.0:
+        if log_ratio >= 0.0:
             return math.inf
-        return g1 / (1.0 - ratio) * _SLACK
+        return _exp(log_g1 - math.log(-math.expm1(log_ratio))) * _SLACK
 
     def lower_tail(self, J: int) -> float:
         return 0.0

@@ -38,7 +38,7 @@ RECORDS = [
     (lambda: PolyLogTail(1.0, 2.0, 0.5, 1.5, from_j=4),
      "PolyLogTail(c=1.0, K=2.0, beta=0.5, s=1.5, from_j=4)"),
     (lambda: RatioTail(math.exp, from_j=3),
-     "RatioTail(g=<built-in function exp>, from_j=3)"),
+     "RatioTail(log_g=<built-in function exp>, from_j=3)"),
     (lambda: Divergence("harmonic", 8, 0.5),
      "Divergence(reason='harmonic', j0=8, floor=0.5, log2_j0=None)"),
     (lambda: TailEnvelope(GeometricTail(1.0, 0.5), 3, True),

@@ -151,7 +151,7 @@ class TestTailBounds:
 
     def test_ratio_tail_double_exponential(self):
         g = lambda x: math.exp(-math.exp(0.5 * x))
-        tail = RatioTail(g, from_j=1)
+        tail = RatioTail(lambda x: -math.exp(0.5 * x), from_j=1)
         for J in (2, 6):
             true = sum(g(j) for j in range(J + 1, 200))
             assert true <= tail.upper_tail(J)
