@@ -177,9 +177,9 @@ def _sup_attained_at_d1(model: EigenModel, sum_kind: str, criterion: ErrorCriter
     return True
 
 
-def _exact_env_form(model: EigenModel, criterion: ErrorCriterion):
+def _exact_env(model: EigenModel, criterion: ErrorCriterion):
     env = ratio_envelope(model, 1, criterion, 1)
-    return env.form if env is not None and env.exact else None
+    return env if env is not None and env.exact else None
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +306,7 @@ def _decide_summable_certified(
     # it): certified failure when the whole grid carries divergence
     # certificates and the family-level analysis says no parameter can help
     # (power-law spectra under the exponential criteria).
-    form = _exact_env_form(model, notion.criterion)
+    form = getattr(_exact_env(model, notion.criterion), "form", None)
     if isinstance(form, PowerLawTail) and notion.case == "EXP" and all(o == "fail" for o in outcomes):
         return TractabilityVerdict(
             notion, "Fails", None,
@@ -373,7 +373,7 @@ def _decide_wt(model: EigenModel, notion: Notion, limits: Limits) -> Tractabilit
     s, t = float(notion.s), float(notion.t)
     sum_kind = notion.sum_kind
     certifiable = _sup_attained_at_d1(model, sum_kind, notion.criterion)
-    form = _exact_env_form(model, notion.criterion)
+    form = getattr(_exact_env(model, notion.criterion), "form", None)
     rank = support(model, 1)
 
     c_grid: list[float] = []
@@ -525,9 +525,9 @@ def _uwt_grid(n_max: int) -> list[int]:
     return sorted(set(ns))
 
 
-def _uwt_closed_form(form, case: str, n: float) -> float:
-    """The decay statistic computed from an exact envelope form."""
-    num = -form.log_value(n)
+def _uwt_closed_form(env, case: str, n: float) -> float:
+    """The decay statistic computed from an exact envelope."""
+    num = -(env.form.log_value(n) + env.log_factor)
     if case == "EXP":
         num = math.log(max(1.0, num))
     return num / math.log(math.log(n))
@@ -548,7 +548,8 @@ def _decide_uwt(model: EigenModel, notion: Notion, limits: Limits) -> Tractabili
     }
 
     recognisable = _effectively_d_independent(model, criterion)
-    form = _exact_env_form(model, criterion)
+    env = _exact_env(model, criterion)
+    form = getattr(env, "form", None)
     rank = support(model, 1)
 
     if recognisable and rank is not None and grid[-1] > rank:
@@ -562,7 +563,7 @@ def _decide_uwt(model: EigenModel, notion: Notion, limits: Limits) -> Tractabili
     if recognisable and isinstance(form, (GeometricTail, StretchedExpTail)):
         # Decay at least stretched-exponential: the statistic grows without
         # bound at a polynomial (ALG) or logarithmic-ratio (EXP) rate.
-        closed = [_uwt_closed_form(form, case, n) for n in grid]
+        closed = [_uwt_closed_form(env, case, n) for n in grid]
         agree = all(
             abs(a - b) <= 1e-9 * max(1.0, abs(b)) for a, b in zip(stats[1], closed)
         )
@@ -575,7 +576,7 @@ def _decide_uwt(model: EigenModel, notion: Notion, limits: Limits) -> Tractabili
             )
 
     if recognisable and isinstance(form, PowerLawTail) and case == "EXP":
-        closed = [_uwt_closed_form(form, "EXP", n) for n in grid]
+        closed = [_uwt_closed_form(env, "EXP", n) for n in grid]
         plateau = all(
             abs(a - b) <= 1e-12 * max(1.0, abs(b)) for a, b in zip(stats[1], closed)
         )

@@ -47,7 +47,6 @@ from .eigenmodel import (
     PowerLawTail,
     StretchedExpTail,
     TailEnvelope,
-    TailForm,
     _ratios_d_free,
     log_ratios,
     ratio_envelope,
@@ -107,11 +106,13 @@ def ceil_stable(x: float) -> int:
 
 
 # Each planner reads the envelope ratio_envelope returns: it already starts
-# at the sum's start index.  Coefficients, Divergence floors and start indices
-# come from ln scale, ln kappa, ln beta and the logs of the term parameters,
-# so no step leaves the double range.  The divergence searches run over
-# u = ln j, and their predicates read v = ln u: onsets can sit far beyond the
-# float range (they are only recorded), and so can u.  In v, j**-x is exp(-exp(v + ln x)).
+# at the sum's start index, and its scale is read only as env.log_scale, which
+# holds the ln CRI_d that log_ratios subtracts from the terms.  Coefficients,
+# Divergence floors and start indices come from ln scale, ln kappa, ln beta and
+# the logs of the term parameters, so no step leaves the double range.  The
+# divergence searches run over u = ln j, and their predicates read v = ln u:
+# onsets can sit far beyond the float range (they are only recorded), and so
+# can u.  In v, j**-x is exp(-exp(v + ln x)).
 
 _LN2 = math.log(2.0)
 _LOG_HUGE = 709.0  # e**709 is a double, and e**-(e**709) is 0
@@ -182,9 +183,9 @@ def _harmonic(log_j: float, j0: int, log_floor: float) -> Divergence | None:
     return Divergence("harmonic", j, math.exp(min(log_floor, _LOG_HUGE)), k) if j or k else None
 
 
-def _log_unit(form: TailForm) -> float:
-    """ln of a j past which the envelope form is at most 1 (-inf: every j)."""
-    log_a = math.log(form.scale)
+def _log_unit(env: TailEnvelope) -> float:
+    """ln of a j past which the envelope is at most 1 (-inf: every j)."""
+    form, log_a = env.form, env.log_scale
     if isinstance(form, PowerLawTail):
         return log_a / form.beta
     kappa, power = form.stretched
@@ -200,7 +201,7 @@ def _search_start(*us: float) -> tuple[int, int] | None:
 def _plan_power(env: TailEnvelope, p: float) -> Plan:
     """Plan for terms rho(j)**p."""
     j0, form = env.valid_from, env.form
-    log_C = p * math.log(form.scale)
+    log_C = p * env.log_scale
     if isinstance(form, PowerLawTail):
         if form.beta * p > 1.0:
             return AffinePowerTail(log_C, 0.0, 1.0, form.beta * p, from_j=j0, exact=env.exact)
@@ -208,19 +209,18 @@ def _plan_power(env: TailEnvelope, p: float) -> Plan:
     if isinstance(form, GeometricTail):
         log_q = p * math.log(form.ratio)
         return GeomSeriesTail(log_C, log_q, from_j=j0, exact=env.exact) if log_q < 0.0 else None
-    return _stretched_plan(log_C, p, form.rate, 1.0, form.power, j0, env.exact)
+    return _stretched_plan(log_C, p, math.log(form.rate), 1.0, form.power, j0, env.exact)
 
 
 def _plan_coupled(env: TailEnvelope, tau: float) -> Plan:
     """Plan for terms rho(j)**(j**-tau)."""
     j0 = env.valid_from
-    form = env.form
-    log_a = math.log(form.scale)
+    form, log_a = env.form, env.log_scale
 
     if isinstance(form, (GeometricTail, StretchedExpTail)):
         rate, power = form.stretched
         if tau < power:
-            return _stretched_plan(max(0.0, log_a), rate, 1.0, 1.0, power - tau, j0, False)
+            return _stretched_plan(max(0.0, log_a), rate, 0.0, 1.0, power - tau, j0, False)
         if env.exact:
             # -ln(term) = rate*j**(power-tau) + max(0,-ln a)*j**-tau is
             # nonincreasing for tau >= power; its limit is rate at tau=power,
@@ -258,10 +258,9 @@ def _plan_coupled(env: TailEnvelope, tau: float) -> Plan:
 
 def _plan_qpt_exp(env: TailEnvelope, T: float) -> Plan:
     """Plan for terms [1 + 0.5 ln max(1, 1/rho)]**-T."""
-    form = env.form
-    log_a = math.log(form.scale)
+    form, log_a = env.form, env.log_scale
     # Past e**log_j0 the envelope is <= 1, so the max() clamp is inactive.
-    log_j0 = _log_unit(form)
+    log_j0 = _log_unit(env)
 
     if isinstance(form, (GeometricTail, StretchedExpTail)):
         kappa, power = form.stretched
@@ -302,19 +301,20 @@ def _plan_qpt_exp(env: TailEnvelope, T: float) -> Plan:
 
 
 def _stretched_plan(
-    log_C: float, c: float, base: float, power: float, gamma: float, j0: int, exact: bool
+    log_C: float, c: float, log_base: float, power: float, gamma: float, j0: int, exact: bool
 ) -> Plan:
-    """Plan for terms bounded by C exp(-B j**gamma), B = c * base**power: linear
-    where base**power is normal and B < e**709, else e**min(ln B, 709) (a smaller
-    B bounds too); ln B where B is below the normal range; None where ln B is
-    past it too, or gamma is, or Gamma(1/gamma) is (gamma below 1e-300)."""
-    log_pow = power * math.log(base) if base > 0.0 else -math.inf  # a halved subnormal rate
+    """Plan for terms bounded by C exp(-B j**gamma), B = c * base**power, from
+    ln base: linear where base**power is normal and B < e**709, else
+    e**min(ln B, 709) (a smaller B bounds too); ln B where B is below the normal
+    range; None where ln B is past it too, or gamma is, or Gamma(1/gamma) is
+    (gamma below 1e-300)."""
+    log_pow = power * log_base
     log_B = math.log(c) + log_pow
     if log_B == -math.inf or not 1e-300 < gamma < math.inf:
         return None
     if log_B < _LOG_TINY:
         return StretchedIntegralTail(log_C, 0.0, gamma, from_j=j0, exact=exact, log_B=log_B)
-    pw = base**power if abs(log_pow) < _LOG_HUGE else 0.0  # subnormal digits are lost
+    pw = math.exp(log_pow) if abs(log_pow) < _LOG_HUGE else 0.0  # subnormal digits are lost
     B = c * pw if pw >= sys.float_info.min and log_B < _LOG_HUGE else math.exp(min(log_B, _LOG_HUGE))
     return StretchedIntegralTail(log_C, B, gamma, from_j=j0, exact=exact)
 
@@ -324,13 +324,13 @@ def _plan_wt_alg(env: TailEnvelope, c: float, s: float) -> Plan:
     form = env.form
     half_s = 0.5 * s
     if isinstance(form, PowerLawTail):
-        return _stretched_plan(0.0, c, form.scale, -half_s, form.beta * half_s, env.valid_from, env.exact)
+        return _stretched_plan(0.0, c, env.log_scale, -half_s, form.beta * half_s, env.valid_from, env.exact)
     # Geometric and stretched envelopes give doubly exponential terms
     # g(x) = exp(-e**y), y = ln c - half_s ln scale + half_s kappa x**power,
     # whose ratios decrease where y is convex: for power >= 1, else from j1
     # on.  The tail reads ln g = -e**y; e**709 stands in for more (raising g).
     kappa, power = form.stretched
-    log_c = math.log(c) - half_s * math.log(form.scale)
+    log_c = math.log(c) - half_s * env.log_scale
     log_b = math.log(s) - _LN2 + math.log(kappa)  # ln(half_s kappa)
     j1 = env.valid_from
     if power < 1.0:
@@ -344,11 +344,10 @@ def _plan_wt_alg(env: TailEnvelope, c: float, s: float) -> Plan:
 
 def _plan_wt_exp(env: TailEnvelope, c: float, s: float) -> Plan:
     """Plan for terms exp(-c [1 + ln(2 max(1, 1/rho))]**s)."""
-    form = env.form
-    log_a = math.log(form.scale)
+    form, log_a = env.form, env.log_scale
     konst = 1.0 + _LN2 - log_a
     # Past e**log_j0 the envelope is <= 1, so the max() clamp is inactive.
-    log_j0 = _log_unit(form)
+    log_j0 = _log_unit(env)
     j0, _ = _index_past(log_j0, env.valid_from)
 
     if isinstance(form, PowerLawTail):
@@ -386,10 +385,10 @@ def _plan_wt_exp(env: TailEnvelope, c: float, s: float) -> Plan:
         log_q = -c * kappa
         return GeomSeriesTail(-c * konst, log_q, from_j=j0, exact=env.exact) if j0 and log_q < 0.0 else None
     # The base konst + kappa j**power is at least factor * kappa j**power.
-    factor = 1.0 if konst >= 0.0 else 0.5
+    log_factor_kappa = math.log(kappa) - (0.0 if konst >= 0.0 else _LN2)  # factor 1 or 1/2
     log_need = (math.log(-2.0 * konst) - math.log(kappa)) / power if konst < 0.0 else -math.inf
     j0, _ = _index_past(max(log_j0, log_need), env.valid_from)
-    return _stretched_plan(0.0, c, factor * kappa, s, power * s, j0, False) if j0 else None
+    return _stretched_plan(0.0, c, log_factor_kappa, s, power * s, j0, False) if j0 else None
 
 
 # ---------------------------------------------------------------------------

@@ -31,15 +31,17 @@ multiplies every family.  Under the normalized error criterion the scale
 cancels algebraically, which this module exploits so normalized ratios are
 bit-identical with and without it.
 
-Values below ``MIN_POSITIVE`` are clamped to that sentinel so underflow to
-zero cannot corrupt ratios such as (CRI_d / lambda)**(s/2).
+Linear values (``eigenvalues``, ``ratios``, a tail's ``bound_array``) clamp
+below at ``MIN_POSITIVE``, so no count divides by an underflowed zero.  The
+criterion sums read logarithms: their terms from ``log_ratios`` and their tail
+bound from the ``log_scale`` of ``ratio_envelope``, both less the same ln CRI_d.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple, Union
 
 import numpy as np
@@ -349,28 +351,32 @@ TailForm = Union[PowerLawTail, GeometricTail, StretchedExpTail]
 
 
 class TailEnvelope(NamedTuple):
-    """An analytic upper bound on lambda(d, j) for j >= valid_from.
+    """An analytic upper bound e**log_factor * form(j) on lambda(d, j) for
+    j >= valid_from.
 
     ``exact`` marks envelopes that coincide with the sequence (closed-form
     families are their own envelope; a tabulated model equals its declared
     envelope beyond the prefix).  Exact envelopes are two-sided and can
-    therefore certify divergence, not just convergence.
+    therefore certify divergence, not just convergence.  ``log_factor`` is
+    kept apart from the form, so the bound's scale is read as its logarithm
+    ``log_scale`` even where the factor itself is past the double range.
     """
 
     form: TailForm
     valid_from: int = 1
     exact: bool = False
+    log_factor: float = 0.0
+
+    @property
+    def log_scale(self) -> float:
+        """ln of the bound's scale: ln form.scale + log_factor."""
+        return math.log(self.form.scale) + self.log_factor
 
     def bound_array(self, j: np.ndarray) -> np.ndarray:
-        return np.maximum(self.form.value_array(j), MIN_POSITIVE)
-
-    def scaled(self, factor: float) -> "TailEnvelope":
-        if factor == 1.0:
-            return self
-        return TailEnvelope(replace(self.form, scale=self.form.scale * factor), self.valid_from, self.exact)
+        return np.maximum(self.form.value_array(j) * math.exp(self.log_factor), MIN_POSITIVE)
 
     def shifted(self, valid_from: int) -> "TailEnvelope":
-        return TailEnvelope(self.form, max(self.valid_from, valid_from), self.exact)
+        return self._replace(valid_from=max(self.valid_from, valid_from))
 
 
 # ---------------------------------------------------------------------------
@@ -483,16 +489,19 @@ def ratio_envelope(
     heuristic).
 
     It is the family's own envelope (closed forms are exact; a Tabulated
-    model is exact past its prefix), else the declared tail.  Under NOR the
-    d-scale cancels against CRI_d, so it is left out of both.
+    model is exact past its prefix), else the declared tail.  Its
+    ``log_factor`` gains what :func:`log_ratios` adds to the family's logs:
+    -ln lambda(d, 1) under NOR, where the d-scale cancels against CRI_d and
+    is left out of both, and ln c_d under ABS.
     """
     env = model.family.envelope or model.declared_tail
     if env is None:
         return None
     if criterion is ErrorCriterion.NOR:
-        lead = max(float(model.family.values(d, np.ones(1, dtype=np.int64))[0]), MIN_POSITIVE)
-        return env.shifted(start).scaled(1.0 / lead)
-    return env.shifted(start).scaled(model.scale_at(d))
+        shift = -float(model.family.log_values(d, np.ones(1, dtype=np.int64))[0])
+    else:
+        shift = float(np.log(model.scale_at(d)))
+    return env.shifted(start)._replace(log_factor=env.log_factor + shift)
 
 
 # ---------------------------------------------------------------------------
@@ -585,7 +594,7 @@ def validate(model: EigenModel, d_max: int = 8, j_probe: int = 10_000) -> Valida
             )
         if grid.size:
             values = eigenvalues(model, d, grid)
-            bounds = env.scaled(model.scale_at(d)).bound_array(grid)
+            bounds = env._replace(log_factor=env.log_factor + math.log(model.scale_at(d))).bound_array(grid)
             for pos in np.flatnonzero(values > bounds * (1 + 1e-12)):
                 violations.append(
                     Violation(

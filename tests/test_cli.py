@@ -290,6 +290,16 @@ class TestCriterionCommand:
         out = json.loads(capsys.readouterr().out)
         assert (out["status"], out["value"], out["remainder_bound"]) == ("Certified", 0.0, 0.0)
 
+    def test_nor_lead_below_the_clamp(self, tmp_path, capsys):
+        """Under NOR on Geometric(1e-305, 0.999) the terms are 0.999**(j-1);
+        the certificate brackets their sum, 1000."""
+        model = {"kind": "Geometric", "params": {"a": 1e-305, "r": 0.999}}
+        cfg = write_config(tmp_path, model=model, criterion="NOR")
+        assert main(["criterion", "--config", cfg, "--sum", "spt-alg", "--tau", "1"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["status"] == "Certified"
+        assert abs(out["value"] - 1000.0) <= out["remainder_bound"]
+
     def test_onset_past_the_double_range_is_certified(self, tmp_path, capsys):
         """spt-exp on PolyDecay(1, 2) at a tiny tau: the terms tend to 1, and
         the divergence onset ln j lies past the double range (for a subnormal

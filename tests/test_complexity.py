@@ -133,6 +133,15 @@ class TestOracleEquivalence:
         assert info_complexity(scaled, q).n == 1868
         assert count_oracle(scaled, q).n == 1868
 
+    @pytest.mark.xfail(strict=True, raises=UnboundedError,
+                       reason="NOR ratios clamp lambda(d, j) and lambda(d, 1) at 1e-300 before dividing")
+    @pytest.mark.parametrize("route", [info_complexity, count_oracle])
+    def test_nor_count_ignores_a_scale_below_the_clamp(self, route):
+        # NOR counts do not depend on the scale: Geometric(1, 0.999) gives 1386.
+        q = ComplexityQuery(1, 0.5, NOR)
+        assert route(EigenModel(Geometric(1.0, 0.999)), q).n == 1386
+        assert route(EigenModel(Geometric(1e-305, 0.999)), q).n == 1386
+
     @pytest.mark.parametrize("route", [info_complexity, count_oracle])
     def test_routes_leave_cri_to_ratios(self, route):
         assert "ErrorCriterion" not in inspect.getsource(route)

@@ -82,6 +82,20 @@ class TestSptAlg:
         tail = sum_spt_alg(geo, 1, 1.0, 4, ABS).value
         assert tail == pytest.approx(full - 0.5 - 0.25 - 0.125, rel=1e-10)
 
+    def test_nor_lead_below_the_clamp(self):
+        """lambda(d, 1) = 1e-305 * 0.999 lies below 1e-300: the terms are
+        0.999**(j-1), summing to 1000, and their envelope is normalised by
+        the same ln lambda(d, 1), so the certificate brackets 1000."""
+        ev = evaluate_sum(EigenModel(Geometric(1e-305, 0.999)), "spt-alg", 1, CriterionParams(tau=1.0), NOR)
+        assert ev.status is SumStatus.CERTIFIED
+        assert abs(ev.value - 1000.0) <= ev.remainder_bound
+
+    def test_nor_envelope_factor_past_the_double_range(self):
+        """1/lambda(d, 1) = e**1e300 is no double; the envelope keeps its
+        logarithm, and every term past the first is 0."""
+        ev = evaluate_sum(EigenModel(ExpDecay(1e300, 1e300, 1.0)), "spt-alg", 1, CriterionParams(tau=1.0), NOR)
+        assert (ev.status, ev.value) == (SumStatus.CERTIFIED, 1.0)
+
 
 class TestSptExp:
     def test_stretched_value(self, exp1):
@@ -603,6 +617,19 @@ class TestCertificationSoundness:
                     min_terms=10 * ev.terms_used,
                 )
                 assert abs(extended.value - ev.value) <= ev.remainder_bound + 1e-12 * abs(ev.value)
+
+    def test_abs_d_scale_past_the_double_range(self):
+        """c_d * lambda(d, j) leaves the double range below and above; the
+        envelope carries ln c_d, as log_ratios adds it to the terms."""
+        tiny = EigenModel(Geometric(1e-300, 0.5), d_scale=exprdsl.parse("1e-300"))
+        ev = evaluate_sum(tiny, "spt-alg", 1, CriterionParams(tau=1.0), ABS)
+        assert (ev.status, ev.value, ev.remainder_bound) == (SumStatus.CERTIFIED, 0.0, 0.0)
+        huge = EigenModel(ExpDecay(1e300, 1.0, 1.0), d_scale=exprdsl.parse("1e300"))
+        params = CriterionParams(tau=2.0)
+        ev = evaluate_sum(huge, "qpt-exp", 1, params, ABS)
+        assert ev.certified
+        extended = evaluate_sum(huge, "qpt-exp", 1, params, ABS, min_terms=10 * ev.terms_used)
+        assert abs(extended.value - ev.value) <= ev.remainder_bound + 1e-12 * abs(ev.value)
 
 
 def test_ceil_stable_snaps_near_integers():

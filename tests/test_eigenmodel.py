@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -120,7 +122,7 @@ class TestTailBound:
         model = EigenModel(Tabulated(tuple(1.0 / (j + 1) for j in range(60)), tail))
         env = ratio_envelope(model, 4, ABS, 10)
         assert isinstance(env.form, PowerLawTail)
-        assert env.form.scale == 2.0 and env.form.beta == 3.0
+        assert math.exp(env.log_scale) == 2.0 and env.form.beta == 3.0
         assert env.valid_from == 61
         assert env.exact
 
@@ -134,12 +136,12 @@ class TestTailBound:
         env = ratio_envelope(model, 1, NOR, 1)
         assert env is not None
         # normalised by lambda(d, 1) = 2
-        assert env.form.scale == pytest.approx(1.0)
+        assert math.exp(env.log_scale) == pytest.approx(1.0)
 
     def test_d_scale_rescales_envelope(self):
         model = EigenModel(Geometric(1.0, 0.5), d_scale=exprdsl.parse("1/d"))
         env = ratio_envelope(model, 4, ABS, 1)
-        assert env.form.scale == pytest.approx(0.25)
+        assert math.exp(env.log_scale) == pytest.approx(0.25)
 
     def test_d_scale_underflow_clamps(self):
         model = EigenModel(PolyDecay(1.0, 2.0), d_scale=exprdsl.parse("exp(0-d)"))

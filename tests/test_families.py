@@ -84,9 +84,12 @@ def _indices(model: EigenModel) -> np.ndarray:
 
 
 def _encode(env: TailEnvelope | None):
+    """[form name, scale, other form fields, valid_from, exact]; the scale is
+    the envelope's, e**log_scale."""
     if env is None:
         return None
-    return [type(env.form).__name__, *dataclasses.astuple(env.form), env.valid_from, env.exact]
+    _, *shape = dataclasses.astuple(env.form)
+    return [type(env.form).__name__, math.exp(env.log_scale), *shape, env.valid_from, env.exact]
 
 
 def _envelopes(name: str, scaled: bool) -> dict:
@@ -116,9 +119,16 @@ class TestFamilyContract:
                 np.testing.assert_allclose(np.exp(logs[keep]), values[keep], rtol=1e-13, atol=0)
 
     def test_envelopes_match_recorded(self, name, scaled):
+        # The scale is e**log_scale, so it matches the recorded one to within
+        # the rounding of a logarithm and an exponential; the rest exactly.
         recorded = json.loads(GOLDEN.read_text())
         for key, env in _envelopes(name, scaled).items():
-            assert env == recorded[key], key
+            if env is None or recorded[key] is None:
+                assert env == recorded[key], key
+                continue
+            (kind, scale, *rest), (kind0, scale0, *rest0) = env, recorded[key]
+            assert [kind, *rest] == [kind0, *rest0], key
+            assert abs(scale - scale0) <= 2 * math.ulp(scale0), (key, scale, scale0)
 
     def test_rank_and_d_independence(self, name, scaled):
         model = _model(name, scaled)

@@ -215,6 +215,12 @@ def _audit(case: Case, kind: str, params: CriterionParams, criterion: ErrorCrite
     case=_closed(Geometric(1.0, 0.16119931113540154)), kind="wt-alg", params=CriterionParams(c=0.5, s=1.0, t=1.0),
     criterion=ABS, d=1,
 )
+# lambda(d, 1) below 1e-300: the envelope is normalised by the same ln
+# lambda(d, 1) as the terms, not by a clamped one.
+@example(
+    case=_closed(Geometric(1e-305, 0.999)), kind="spt-alg", params=CriterionParams(tau=1.0),
+    criterion=NOR, d=1,
+)
 def test_every_plan_holds_against_its_terms(case, kind, params, criterion, d):
     _audit(case, kind, params, criterion, d)
 
@@ -265,6 +271,13 @@ _TAU = st.one_of(st.floats(1e-300, 1e308), st.sampled_from([5e-324, 1e-310, 1e30
 )
 @example(family=ExpDecay(5e-324, 5e-324, 1.0), kind="qpt-exp", params=CriterionParams(tau=2.0), criterion=ABS, d=1)
 @example(family=PolyDecay(1e-310, 1e-300), kind="qpt-exp", params=CriterionParams(tau=1e308), criterion=ABS, d=3)
+# A NOR factor 1/lambda(d, 1) = e**1e300, past the double range.
+@example(family=ExpDecay(1e300, 1e300, 1.0), kind="spt-alg", params=CriterionParams(tau=1.0), criterion=NOR, d=1)
+# c * e**(-(s/2) ln(1/lambda(d, 1))) underflows to 0; ln B does not.
+@example(
+    family=PolyDecay(1e-12, 1.0), kind="wt-alg", params=CriterionParams(c=1.0, s=54.0, t=1.0),
+    criterion=NOR, d=1,
+)
 def test_planning_never_overflows(family, kind, params, criterion, d):
     """No planner catches OverflowError: any overflow left fails here.  A
     plan is None, a Divergence whose note renders, or a shape from an int
@@ -272,11 +285,7 @@ def test_planning_never_overflows(family, kind, params, criterion, d):
     try:
         plan = convergence_plan(EigenModel(family), kind, d, params, criterion)
     except ValueError as err:
-        # The one error a plan may raise is a start past 2**62.  A NOR
-        # envelope scaled past the double range is a known fault of
-        # TailEnvelope.scaled, before any planner runs.
-        if criterion is NOR and re.fullmatch(r"\w+ scale must be finite, got inf", str(err)):
-            return
+        # The one error a plan may raise is a start past 2**62.
         assert re.fullmatch(rf"{kind} start index exceeds 2\*\*62 at d={d}", str(err)), err
         return
     if isinstance(plan, Divergence):

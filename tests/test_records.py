@@ -42,7 +42,7 @@ RECORDS = [
     (lambda: Divergence("harmonic", 8, 0.5),
      "Divergence(reason='harmonic', j0=8, floor=0.5, log2_j0=None)"),
     (lambda: TailEnvelope(GeometricTail(1.0, 0.5), 3, True),
-     "TailEnvelope(form=GeometricTail(scale=1.0, ratio=0.5), valid_from=3, exact=True)"),
+     "TailEnvelope(form=GeometricTail(scale=1.0, ratio=0.5), valid_from=3, exact=True, log_factor=0.0)"),
     (lambda: Violation("increase", 2, 5, "detail"),
      "Violation(kind='increase', d=2, j=5, detail='detail')"),
     (lambda: ValidationReport(True, (Violation("nonfinite", 1, 2, "value nan"),), 8, 100, 512),
