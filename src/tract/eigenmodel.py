@@ -35,6 +35,10 @@ Linear values (``eigenvalues``, ``ratios``, a tail's ``bound_array``) clamp
 below at ``MIN_POSITIVE``, so no count divides by an underflowed zero.  The
 criterion sums read logarithms: their terms from ``log_ratios`` and their tail
 bound from the ``log_scale`` of ``ratio_envelope``, both less the same ln CRI_d.
+An Expression's logarithms, and ln c_d, come from the log walk of
+:func:`tract.exprdsl.log_array`, unclamped, so the sums read the true value
+where the counts read the clamp.  Where that walk gives no answer they are
+ln of the clamped linear values, which raise the linear walk's domain errors.
 """
 
 from __future__ import annotations
@@ -257,6 +261,12 @@ class Expression(_Family):
     def values(self, d: int | np.ndarray, j: np.ndarray) -> np.ndarray:
         return _clamped(self.tree, d, j, "formula produced negative eigenvalue")
 
+    def log_values(self, d: int | np.ndarray, j: np.ndarray) -> np.ndarray:
+        """The log walk of the formula, unclamped; where it gives no answer,
+        ln of the clamped values, which raise any domain error."""
+        logs = exprdsl.log_array(self.tree, d, j)
+        return super().log_values(d, j) if logs is None else logs
+
 
 def _clamped(tree: exprdsl.Expr, d, j, negative: str) -> np.ndarray:
     """A formula over d and j, clamped below at MIN_POSITIVE.  An error names
@@ -412,6 +422,14 @@ class EigenModel:
         c = _clamped(self.d_scale, d, 1, "d_scale produced a negative factor")
         return float(c) if c.ndim == 0 else c
 
+    def log_scale_at(self, d: int | np.ndarray) -> float | np.ndarray:
+        """ln c_d at an int d, or over an int array of d: the log walk of the
+        d-scale, unclamped; where it gives no answer, ln of :meth:`scale_at`."""
+        if self.d_scale is None:
+            return 0.0
+        logs = exprdsl.log_array(self.d_scale, d, 1)
+        return np.log(self.scale_at(d)) if logs is None else logs
+
 
 def support(model: EigenModel, d: int) -> int | None:
     """Finite rank of the spectrum for dimension d, or None if infinite."""
@@ -472,7 +490,7 @@ def log_ratios(model: EigenModel, d: int | np.ndarray, j: np.ndarray, criterion:
         return logs[..., :-1] - logs[..., -1:]
     logs = model.family.log_values(d, np.asarray(j))
     if model.d_scale is not None:
-        return logs + np.log(model.scale_at(d))
+        return logs + model.log_scale_at(d)
     return logs
 
 
@@ -500,7 +518,7 @@ def ratio_envelope(
     if criterion is ErrorCriterion.NOR:
         shift = -float(model.family.log_values(d, np.ones(1, dtype=np.int64))[0])
     else:
-        shift = float(np.log(model.scale_at(d)))
+        shift = float(model.log_scale_at(d))
     return env.shifted(start)._replace(log_factor=env.log_factor + shift)
 
 

@@ -19,10 +19,20 @@ view.  A division by zero, anything that would produce a NaN (0*inf,
 inf-inf, log of a negative number, square root of a negative, ...), or a
 value past the finite double range raises :class:`EvalDomainError` naming
 the first failing d and j instead.
+
+:func:`log_array` reads the same tree in logarithms, so a value below (or
+above) the double range keeps its logarithm: ln(uv) = ln u + ln v,
+ln(u/v) = ln u - ln v, ln(u + v) = logaddexp(ln u, ln v), ln exp(u) = u,
+ln u^v = v ln u, ln sqrt(u) = ln u / 2, and max and min of the logs.  The
+argument of exp and the exponent of a power are read by the linear walk.
+Any other node (a difference, a negation, ln, a constant <= 0) takes ln of
+its linear value, which must be a positive normal double; where it is not,
+:func:`log_array` gives no answer and the caller reads the linear walk.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable, NamedTuple, Union
 
 import numpy as np
@@ -40,6 +50,7 @@ __all__ = [
     "to_source",
     "evaluate",
     "compile_array",
+    "log_array",
     "variables_used",
 ]
 
@@ -322,6 +333,65 @@ def _walk(node: Expr, d: np.ndarray, j: np.ndarray):
     if isinstance(node, BinOp):
         return _OPS[node.op](_walk(node.left, d, j), _walk(node.right, d, j))
     return _OPS[node.func](*(_walk(a, d, j) for a in node.args))
+
+
+class _NoLogRule(Exception):
+    """A node without a log rule whose linear value is not a positive normal double."""
+
+
+# What each operator and call means on the logarithms of its operands.
+_LOG_OPS = {"*": np.add, "/": np.subtract, "+": np.logaddexp, "max": np.maximum, "min": np.minimum}
+_LOG_DOUBLE_MAX = math.log(np.finfo(float).max)
+_TINY = np.finfo(float).tiny  # the smallest positive normal double
+
+
+def _log_walk(node: Expr, d: np.ndarray, j: np.ndarray):
+    """ln of the node's value, read from the logs of its operands.  The
+    argument of exp and the exponent of a power are read by :func:`_walk`;
+    a node without a rule takes ln of its linear value."""
+    if isinstance(node, Var):
+        return np.log(d if node.name == "d" else j)
+    if isinstance(node, Num) and node.value > 0:
+        return math.log(node.value)
+    if isinstance(node, (BinOp, Call)):
+        op = node.op if isinstance(node, BinOp) else node.func
+        args = (node.left, node.right) if isinstance(node, BinOp) else node.args
+        if op in _LOG_OPS:
+            return _LOG_OPS[op](_log_walk(args[0], d, j), _log_walk(args[1], d, j))
+        if op in ("^", "pow"):
+            return _walk(args[1], d, j) * _log_walk(args[0], d, j)
+        if op == "exp":
+            return _walk(args[0], d, j)
+        if op == "sqrt":
+            return 0.5 * _log_walk(args[0], d, j)
+    value = _walk(node, d, j)
+    if not (np.all(value >= _TINY) and np.all(value < np.inf)):
+        raise _NoLogRule
+    return np.log(value)
+
+
+def log_array(node: Expr, d: float | np.ndarray, j: float | np.ndarray) -> np.ndarray | None:
+    """ln of the tree's value over the broadcast of d and j, each a number or
+    an array, as a new array, where the value itself may lie past the double
+    range.
+
+    None where the log walk gives no answer: a node without a log rule whose
+    linear value is not a positive normal double, a division by zero or an
+    invalid operation, or a log that is not finite or lies past the double
+    range.  The caller then takes ln of the linear value, whose walk raises
+    any :class:`EvalDomainError`.
+    """
+    d = np.asarray(d, dtype=float)
+    j = np.asarray(j, dtype=float)
+    out = np.empty(np.broadcast(d, j).shape)
+    try:
+        with np.errstate(divide="raise", invalid="raise", over="ignore", under="ignore"):
+            out[...] = _log_walk(node, d, j)
+    except (FloatingPointError, _NoLogRule):
+        return None
+    if out.size and not (out.min() > -np.inf and out.max() <= _LOG_DOUBLE_MAX):
+        return None
+    return out
 
 
 def evaluate(node: Expr, d: int, j: int | float) -> float:

@@ -8,8 +8,8 @@ exact total, and its true division by 2**1074, which CPython rounds
 correctly, is bit for bit the ``math.fsum`` of the chunk sums; each chunk
 costs the same however many came before.  After every chunk it stops once
 an analytic bound on the neglected tail is small enough, the term budget is
-hit, a heuristic stagnation rule fires, or the partial sum exceeds the
-double range.
+hit, a heuristic stagnation rule fires, or the partial sum (or the partial
+sum plus an exact tail's lower bound) exceeds the double range.
 Deep sums fetch several chunks per call of the term function; every
 fetched chunk is summed, and those past the stop are dropped.
 
@@ -37,7 +37,8 @@ x**(s-1) e**-x min(1, k) <= Gamma(s, x) <= x**(s-1) e**-x max(1, k) with
 k = x / (x - (s - 1)) for x > s - 1: it bounds t**(s-1) under the integral
 between x**(s-1) and x**(s-1) e**((s-1)(t-x)/x), since ln(t/x) <= (t-x)/x.
 The upper side is also capped by Gamma(s, x) <= Gamma(s), the only bound
-where x <= s - 1.
+where x <= s - 1; there the lower side is also Gamma(s) - x**s / s, since
+e**-t <= 1 under the integral from 0 to x.
 """
 
 from __future__ import annotations
@@ -173,8 +174,10 @@ class StretchedIntegralTail:
     x**(s-1) e**((s-1)(t-x)/x), because 0 <= ln(t/x) <= (t-x)/x, and the
     second one integrates to the k factor.  For x <= s - 1, k is +inf: the
     lower side holds as t**(s-1) >= x**(s-1), and the upper side is the cap
-    Gamma(s, x) <= Gamma(s).  Times C / (gamma B**s), x**(s-1) e**-x is
-    C a**(1-gamma) e**-x / (gamma B); all of it is in log space.
+    Gamma(s, x) <= Gamma(s).  There the lower side is also
+    Gamma(s, x) >= Gamma(s) - x**s / s, whichever is larger.  Times
+    C / (gamma B**s), x**(s-1) e**-x is C a**(1-gamma) e**-x / (gamma B);
+    all of it is in log space.
 
     ``log_B``, when given, is ln B and stands in for ``B``, which may then
     lie below the normal range; x is then taken from log space as well.
@@ -209,6 +212,7 @@ class StretchedIntegralTail:
             x = math.exp(log_x)
         log_c = self.log_C - math.log(self.gamma)
         log_front = log_c + (1.0 - self.gamma) * math.log(a) - x - log_B
+        log_gamma, s_log_B = math.lgamma(s), s * log_B
         if x > s - 1.0:
             # k -> 0 with x (s < 1); x is 0 only where it comes from a log_x
             # below the double range.
@@ -216,19 +220,27 @@ class StretchedIntegralTail:
         else:
             log_k = math.inf
         if upper:
-            log_val = min(log_front + max(0.0, log_k), log_c + math.lgamma(s) - s * log_B)
-        else:
-            log_val = log_front + min(0.0, log_k)
+            return _exp(min(log_front + max(0.0, log_k), log_c + log_gamma - s_log_B))
+        log_val = log_front + min(0.0, log_k)
+        if x <= s - 1.0:
+            # Gamma(s) - x**s / s, from lgamma: ln(x**s / (s Gamma(s))) is
+            # s ln B + ln a - ln s - lgamma(s).  Its parts can be large and
+            # cancel, so both logs move by 2**-50 of their sizes, against
+            # the rounding, towards a smaller bound.
+            fuzz = 2.0**-50 * (abs(log_c) + abs(log_gamma) + abs(s_log_B) + math.log(s * a))
+            log_cut = s_log_B + math.log(a) - math.log(s) - log_gamma + fuzz
+            if log_cut < 0.0:
+                log_val = max(log_val, log_c + log_gamma - s_log_B + math.log1p(-math.exp(log_cut)) - fuzz)
         return _exp(log_val)
 
     def upper_tail(self, J: int) -> float:
         return self._integral(J, upper=True) * _SLACK
 
     def lower_tail(self, J: int) -> float:
+        """inf where the lower side lies past the double range."""
         if not self.exact:
             return 0.0
-        val = self._integral(J + 1, upper=False)
-        return 0.0 if not math.isfinite(val) else val / _SLACK
+        return self._integral(J + 1, upper=False) / _SLACK
 
 
 @dataclass(frozen=True)
@@ -392,6 +404,12 @@ def _chunk_sums(values: np.ndarray) -> tuple[list[float], list[float]]:
     return sums, maxima
 
 
+def _past_range(count: int) -> SumEvaluation:
+    return SumEvaluation(
+        math.inf, count, None, SumStatus.HEURISTIC, "partial sum exceeds the double range", converged=False,
+    )
+
+
 def certified_sum(
     terms: Callable[[int, int], np.ndarray],
     start: int,
@@ -476,14 +494,13 @@ def certified_sum(
                 partial = total / _UNITS
             except OverflowError:
                 # The terms are non-negative: no later chunk brings the sum back.
-                return SumEvaluation(
-                    math.inf, count, None, SumStatus.HEURISTIC,
-                    "partial sum exceeds the double range", converged=False,
-                )
+                return _past_range(count)
             J = j - 1  # last index summed
             if tail is not None and J >= tail.from_j and count >= min_terms:
                 up = tail.upper_tail(J)
                 lo = tail.lower_tail(J)
+                if math.isinf(partial + lo):  # so is the whole sum past the double range
+                    return _past_range(count)
                 if math.isfinite(up):
                     width = up - lo
                     mid = partial + 0.5 * (up + lo)

@@ -90,6 +90,14 @@ class TestSptAlg:
         assert ev.status is SumStatus.CERTIFIED
         assert abs(ev.value - 1000.0) <= ev.remainder_bound
 
+    def test_exact_lower_side_past_the_double_range_stops_at_once(self):
+        """The sum is about Gamma(10**6 + 1), past the double range: the lower
+        side Gamma(s) - x**s / s of the exact tail says so after one chunk."""
+        model = EigenModel(ExpDecay(1.0, 1.0, 1e-6))
+        ev = evaluate_sum(model, "spt-alg", 1, CriterionParams(tau=1.0), ABS)
+        assert (ev.value, ev.terms_used, ev.status, ev.converged) == (math.inf, CHUNK, SumStatus.HEURISTIC, False)
+        assert ev.note == "partial sum exceeds the double range"
+
     def test_nor_envelope_factor_past_the_double_range(self):
         """1/lambda(d, 1) = e**1e300 is no double; the envelope keeps its
         logarithm, and every term past the first is 0."""
@@ -198,6 +206,18 @@ class TestQpt:
         assert ev.divergent
         assert "harmonic" in ev.note
 
+    def test_exp_expression_sums_its_logarithms(self):
+        """exp(-1.05 j/d) is below 1e-300 from j = 658 on.  Its terms come
+        from ln lambda = -1.05 j, not from the clamp, so the sum converges
+        near the certified value of the same spectrum as ExpDecay(1, 1.05, 1)
+        instead of running the whole term budget."""
+        params = CriterionParams(tau=2.0)
+        ev = evaluate_sum(EigenModel(Expression("exp(0-1.05*j/d)")), "qpt-exp", 1, params, NOR)
+        twin = evaluate_sum(EigenModel(ExpDecay(1.0, 1.05, 1.0)), "qpt-exp", 1, params, NOR)
+        assert twin.certified and twin.value == pytest.approx(2.488150, abs=1e-6)
+        assert ev.converged and ev.terms_used < 200_000
+        assert ev.value == pytest.approx(twin.value, abs=1e-4)
+
     def test_clamp_contributes_unit_terms(self):
         model = EigenModel(Expression("min(1, 2^(5-j))"))  # five ratios >= 1 at d>=5
         ev = sum_qpt_exp(model, 1, 2.0, ABS, max_terms=32_768)
@@ -285,6 +305,16 @@ class TestUwtStatistic:
     def test_exp_decay_grows(self, exp1):
         stat = uwt_statistic(exp1, 100, 2, "EXP", ABS)
         assert stat == pytest.approx(math.log(100) / math.log(math.log(100)), rel=1e-12)
+
+    def test_expression_past_the_clamp(self):
+        """At n = 10**4 the numerator is least at d = 9, where exp(-1.05 n/d)
+        is about 1e-507: the statistic is 1.05 n / (9 ln ln n), not the
+        clamp's ln(1e300) / ln ln n = 311.1."""
+        model = EigenModel(Expression("exp(0-1.05*j/d)"))
+        n = 10_000
+        stat = uwt_statistic(model, n, 1, "ALG", ABS)
+        assert stat == pytest.approx(1.05 * n / (9 * math.log(math.log(n))), rel=1e-13)
+        assert round(stat, 3) == 525.448
 
     def test_k_independent_for_d_independent_models(self, poly2):
         values = {uwt_statistic(poly2, 1000, k, "ALG", ABS) for k in (1, 2, 3)}

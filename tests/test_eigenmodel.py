@@ -147,6 +147,16 @@ class TestTailBound:
         model = EigenModel(PolyDecay(1.0, 2.0), d_scale=exprdsl.parse("exp(0-d)"))
         assert eigenvalue(model, 2000, 1) == MIN_POSITIVE
 
+    def test_d_scale_below_the_double_range_keeps_its_logarithm(self):
+        """c_8 = 8**-400 is about 1e-361.  The linear scale clamps; the terms
+        and the envelope both add the exact ln c_8 = -400 ln 8."""
+        model = EigenModel(PolyDecay(1.0, 2.0), d_scale=exprdsl.parse("d^(0-400)"))
+        log_c = -400 * math.log(8)
+        assert model.scale_at(8) == MIN_POSITIVE
+        assert model.log_scale_at(8) == log_c
+        assert log_ratios(model, 8, np.array([1, 2]), ABS).tolist() == [log_c, log_c - 2 * math.log(2)]
+        assert ratio_envelope(model, 8, ABS, 1).log_factor == log_c
+
     def test_d_scale_negative_rejected(self):
         model = EigenModel(PolyDecay(1.0, 2.0), d_scale=exprdsl.parse("1-d"))
         with pytest.raises(EvalDomainError):

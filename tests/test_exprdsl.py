@@ -1,12 +1,13 @@
 import math
 
+import mpmath
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tract import EigenModel, ErrorCriterion, Expression, eigenvalue, eigenvalues, exprdsl
 from tract.eigenmodel import log_ratios
 from tract.errors import ArityError, EvalDomainError, ExprSyntaxError, UnknownIdentifierError
-from tract.exprdsl import BinOp, Num, compile_array, evaluate, parse, to_source
+from tract.exprdsl import BinOp, Neg, Num, Var, compile_array, evaluate, parse, to_source
 
 import numpy as np
 
@@ -201,3 +202,121 @@ def test_nan_under_pow_raises(path):
 
 def test_one_expression_walk():
     assert not hasattr(exprdsl, "_POINT")
+
+
+@pytest.mark.parametrize("source, log", [("exp(0-800)/exp(0-790)", -10.0), ("exp(1000)/exp(999)", 1.0)])
+def test_a_linear_underflow_or_overflow_sums_but_does_not_count(source, log):
+    """0/0 and inf/inf in doubles: the linear walk raises, the log walk reads the quotient."""
+    family = Expression(source)
+    assert family.log_values(1, np.array([1])).tolist() == [log]
+    with pytest.raises(EvalDomainError, match="NaN"):
+        family.values(1, np.array([1]))
+
+
+# ---------------------------------------------------------------------------
+# The log walk against mpmath
+# ---------------------------------------------------------------------------
+
+_MP_OPS = {
+    "+": lambda a, b: a + b, "-": lambda a, b: a - b, "*": lambda a, b: a * b, "/": lambda a, b: a / b,
+    "^": lambda a, b: a**b, "pow": lambda a, b: a**b, "exp": mpmath.exp, "ln": mpmath.log, "sqrt": mpmath.sqrt,
+    "max": max, "min": min,
+}
+
+
+def _mp_walk(node, d, j, logs):
+    """(value, scale) of the tree in mpmath; ln of each positive node value
+    goes to logs.  scale is the sum over the nodes of max(1, |ln value|)
+    (of max(1, |value|) where it is not positive), each times |v| inside
+    the base of a power u**v: each node rounds relative to its own size and
+    to its value, and a power scales the error of its base by v.
+    ZeroDivisionError where the formula divides by zero."""
+    if isinstance(node, (Num, Var)):
+        value = mpmath.mpf(node.value if isinstance(node, Num) else d if node.name == "d" else j)
+        parts = []
+    elif isinstance(node, Neg):
+        parts = [_mp_walk(node.operand, d, j, logs)]
+        value = -parts[0][0]
+    else:
+        op = node.op if isinstance(node, BinOp) else node.func
+        args = (node.left, node.right) if isinstance(node, BinOp) else node.args
+        parts = [_mp_walk(a, d, j, logs) for a in args]
+        value = _MP_OPS[op](*(v for v, _ in parts))
+        if op in ("^", "pow"):
+            parts[0] = (parts[0][0], abs(parts[1][0]) * parts[0][1])
+    if value > 0:
+        logs.append(mpmath.log(value))
+    own = abs(mpmath.log(value)) if value > 0 else abs(value)
+    return value, max(1, own) + sum(scale for _, scale in parts)
+
+
+_LOG_DOUBLE_MAX = math.log(np.finfo(float).max)
+_LOG_TINY = math.log(np.finfo(float).tiny)
+_EXP_ARG = st.builds(
+    "0-{}*{}".format, st.floats(1e-3, 3.0).map(repr), st.sampled_from(["j", "d", "j/d", "j*d", "sqrt(j)"])
+)
+_LOG_LEAVES = st.one_of(
+    st.sampled_from(["d", "j"]),
+    st.floats(0.01, 100.0).map(repr),
+    _EXP_ARG.map("exp({})".format),
+    # A value past the double range, and a division by zero at j = 1..3.
+    st.floats(1.0, 3.0).map("exp({!r}*j)".format),
+    st.integers(1, 3).map("exp(0-1/(j-{}))".format),
+)
+_POWER = st.one_of(st.floats(-3.0, 3.0).map("({!r})".format), st.floats(0.1, 2.0).map("(0-{!r}*d)".format))
+
+
+def _log_rules(inner):
+    return st.one_of(
+        st.builds("({}){}({})".format, inner, st.sampled_from("*/+"), inner),
+        st.builds("({})^{}".format, inner, _POWER),
+        st.builds("pow({}, {})".format, inner, _POWER),
+        st.builds("{}({}, {})".format, st.sampled_from(["max", "min"]), inner, inner),
+        inner.map("sqrt({})".format),
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    source=st.recursive(_LOG_LEAVES, _log_rules, max_leaves=4),
+    d=st.integers(1, 50),
+    j=st.one_of(st.integers(1, 4), st.integers(1, 10**7)),
+)
+# Fails in the linear walk only, through an underflow: exp(-800)/exp(-790) is 0/0.
+@example(source="exp(0-800.0*d)/exp(0-790.0*d)", d=1, j=1)
+@example(source="exp(0-1.05*j/d)", d=1, j=10**6)
+@example(source="(j)^(0-400.0*d)", d=8, j=2)
+def test_log_walk_against_mpmath(source, d, j):
+    """log_values reads a formula built from the log rules within 1e-12 of
+    its 50-digit logarithm, also where the value underflows (plus 4 ulps of
+    the formula's error scale, see _mp_walk, where large logs cancel: the
+    rounding of the operands is then larger than the result).  Where every
+    node's value is a normal double, so that the linear walk keeps its
+    digits, it is within 4 ulps of the error scale of ln of the linear
+    value.  A formula past the double range
+    or with a division by zero raises the EvalDomainError that the linear
+    values raise."""
+    family = Expression(source)
+    index = np.array([j])
+    logs = []
+    try:
+        with mpmath.workdps(50):
+            value, scale = _mp_walk(family.tree, d, j, logs)
+            reference = mpmath.log(value)
+    except ZeroDivisionError:
+        reference = None
+    if reference is None or reference > _LOG_DOUBLE_MAX:
+        with pytest.raises(EvalDomainError) as linear:
+            family.values(d, index)
+        with pytest.raises(EvalDomainError) as logged:
+            family.log_values(d, index)
+        assert (str(logged.value), logged.value.d, logged.value.j) == (
+            str(linear.value), linear.value.d, linear.value.j
+        )
+        return
+    L = float(reference)
+    got = float(family.log_values(d, index)[0])
+    assert abs(got - L) <= 1e-12 * max(1.0, abs(L)) + 4 * math.ulp(float(scale)), (got, L, float(scale))
+    if all(_LOG_TINY <= x <= _LOG_DOUBLE_MAX for x in logs):
+        linear = math.log(evaluate(family.tree, d, j))
+        assert abs(got - linear) <= 4 * math.ulp(float(scale)), (got, linear, float(scale))

@@ -225,16 +225,22 @@ def test_every_plan_holds_against_its_terms(case, kind, params, criterion, d):
     _audit(case, kind, params, criterion, d)
 
 
-@pytest.mark.xfail(strict=True, reason="Expression eigenvalues clamp at 1e-300 below their declared tail")
-def test_clamped_expression_exceeds_its_declared_tail():
+def test_expression_keeps_its_declared_tail_below_the_double_range():
+    """The terms of a*exp(-c j) come from its logarithm, ln a - c j, past
+    j = 2100 where the value is below 1e-300, so its declared tail holds."""
     a, c = 1.3, 0.32
     tail = TailEnvelope(GeometricTail(a, math.exp(-c)), valid_from=1)
     model = EigenModel(Expression(f"{a}*exp(0-{c}*j)"), declared_tail=tail)
 
     def log_lambda(j):
-        return mpmath.log(max(mpmath.mpf(a) * mpmath.exp(-mpmath.mpf(c) * j), mpmath.mpf(1e-300)))
+        return mpmath.log(a) - mpmath.mpf(c) * j
 
-    _audit(Case(model, log_lambda), "qpt-exp", CriterionParams(tau=2.0), NOR, 1)
+    params = CriterionParams(tau=2.0)
+    _audit(Case(model, log_lambda), "qpt-exp", params, NOR, 1)
+    ev = evaluate_sum(model, "qpt-exp", 1, params, NOR)
+    twin = evaluate_sum(EigenModel(Geometric(a, math.exp(-c))), "qpt-exp", 1, params, NOR)
+    assert ev.certified and twin.certified
+    assert abs(ev.value - twin.value) <= ev.remainder_bound + twin.remainder_bound
 
 
 # Extreme but valid parameters: scales and rates over 1e-300 to 1e300, tau

@@ -67,9 +67,10 @@ class TestTailBounds:
         true = float(mpmath.quad(lambda t: mpmath.exp(-((t / 10) ** 400)), [9, 10, 10.5, mpmath.inf]))
         assert tail.lower_tail(8) <= true <= tail.upper_tail(9)
         assert tail.upper_tail(11) == 0.0  # x = 1.1**400 = 3.7e16
-        # x = B a**gamma underflows to 0: k -> 0, and the bound is Gamma(s) / (gamma B**s)
+        # x = B a**gamma underflows to 0: both sides are Gamma(s) / (gamma B**s),
+        # past the double range.
         tail = StretchedIntegralTail(0.0, 0.0, 0.5, exact=True, log_B=-1e6)
-        assert (tail.upper_tail(10), tail.lower_tail(10)) == (math.inf, 0.0)
+        assert (tail.upper_tail(10), tail.lower_tail(10)) == (math.inf, math.inf)
         for B, log_B in ((0.0, None), (0.0, -math.inf), (0.0, math.nan)):
             with pytest.raises(ValueError):
                 StretchedIntegralTail(0.0, B, 1.0, log_B=log_B)
@@ -118,6 +119,19 @@ class TestTailBounds:
                 assert tail.lower_tail(a - 1) <= exact <= tail.upper_tail(a)
         # An integral past the double range (about 1e310) is no bound.
         assert math.isinf(StretchedIntegralTail(0.0, 1e-310, 1.0).upper_tail(1))
+
+    def test_stretched_lower_side_below_s_minus_1(self):
+        """Where x <= s - 1 the lower side is also C (Gamma(s) - x**s / s) /
+        (gamma B**s): below the integral, and within 1e-3 of it where x**s / s
+        is small against Gamma(s) = 362880."""
+        tail = StretchedIntegralTail(0.0, 1.0, 0.1, exact=True)  # s = 10: x = a**0.1
+        with mpmath.workdps(40):
+            for a in (2, 1000, 10**6):
+                exact = self._stretched_integral(1.0, 1.0, 0.1, a)
+                lower = tail.lower_tail(a - 1)
+                assert lower <= exact
+                if a <= 1000:  # x**10 / 10 = a / 10
+                    assert lower >= exact * (1 - 1e-3)
 
     @pytest.mark.parametrize(
         "coeff, B, a",
