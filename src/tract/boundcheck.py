@@ -25,7 +25,7 @@ import numpy as np
 from .complexity import ComplexityQuery, first_index, info_complexity
 from .config import CriterionParams
 from .criteria import SUM_SPECS, _plan, ceil_stable
-from .eigenmodel import EigenModel, ErrorCriterion, log_ratios, ratios, support
+from .eigenmodel import EigenModel, ErrorCriterion, compare_ratios, log_ratios, support
 from .summation import SumEvaluation
 
 __all__ = [
@@ -209,5 +209,5 @@ def diagnostics(
 
 def _count_above_cri(model: EigenModel, d: int, criterion: ErrorCriterion, cap: int) -> int:
     """|{j : lambda(d, j) > CRI_d}| by monotone search, capped at ``cap``."""
-    first = first_index(lambda j: ratios(model, d, j, criterion) <= 1.0, cap)
+    first = first_index(lambda j: compare_ratios(model, d, j, criterion, 1.0) <= 0, cap)
     return cap if first is None else first - 1

@@ -42,8 +42,8 @@ from .eigenmodel import (
     PowerLawTail,
     StretchedExpTail,
     _ratios_d_free,
+    compare_ratios,
     eigenvalue,
-    ratios,
     ratio_envelope,
     support,
 )
@@ -150,8 +150,8 @@ class GrowthFit(NamedTuple):
 
 
 def _scale_nonincreasing(model: EigenModel) -> bool:
-    values = model.scale_at(np.r_[1:65, 2 ** np.arange(7, 13)])  # d = 1..64, 128..4096
-    return bool(np.all(values[1:] <= values[:-1] * (1 + 1e-12)))
+    logs = model.log_d_scale(np.r_[1:65, 2 ** np.arange(7, 13)])  # d = 1..64, 128..4096
+    return bool(np.all(logs[1:] <= logs[:-1] + 1e-12))
 
 
 def _effectively_d_independent(model: EigenModel, criterion: ErrorCriterion) -> bool:
@@ -506,7 +506,7 @@ def _multiplicity_growth(counts: list[int], params: CriterionParams) -> str | No
 def _count_ratios_at_least_one(model: EigenModel, d: int, criterion: ErrorCriterion) -> int:
     rank = support(model, d)
     cap = rank if rank is not None else 1 << 22
-    first = first_index(lambda j: ratios(model, d, j, criterion) < 1.0, cap)
+    first = first_index(lambda j: compare_ratios(model, d, j, criterion, 1.0) < 0, cap)
     return cap if first is None else first - 1
 
 

@@ -4,9 +4,9 @@ n(eps, d) is the number of ratios lambda(d, j)/CRI_d strictly above eps^2,
 which for a non-increasing sequence equals the least n with
 lambda(d, n+1)/CRI_d <= eps^2.  Two independent routes are provided: a
 monotonicity-exploiting search and an ordering-free counting scan; their
-exact agreement is a tested invariant.  Both compare
-``eigenmodel.ratios`` with eps^2, so CRI_d is applied in one place and a
-d-scale cancels exactly under NOR.
+exact agreement is a tested invariant.  Both read
+``eigenmodel.compare_ratios`` against eps^2, so CRI_d is applied in one
+place, a d-scale cancels exactly under NOR, and ties follow the real numbers.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .eigenmodel import EigenModel, ErrorCriterion, eigenvalue, ratios, support
+from .eigenmodel import EigenModel, ErrorCriterion, compare_ratios, eigenvalue, support
 from .errors import UnboundedError
 
 __all__ = [
@@ -66,7 +66,7 @@ def info_complexity(
     d, eps2 = query.d, query.eps * query.eps
     rank = support(model, d)
     cap = j_max if rank is None else rank
-    first = first_index(lambda j: ratios(model, d, j, query.criterion) <= eps2, cap)
+    first = first_index(lambda j: compare_ratios(model, d, j, query.criterion, eps2) <= 0, cap)
     if first is None:
         if rank is not None:
             return ComplexityResult(n=rank, capped=True, method="search")
@@ -124,7 +124,7 @@ def count_oracle(
     chunk = 1 << 16
     for j0 in range(1, stop + 1, chunk):
         j = np.arange(j0, min(j0 + chunk, stop + 1), dtype=np.int64)
-        count += int(np.count_nonzero(ratios(model, d, j, query.criterion) > eps2))
+        count += int(np.count_nonzero(compare_ratios(model, d, j, query.criterion, eps2) > 0))
     if rank is not None:
         return ComplexityResult(n=count, capped=(count == rank), method="count")
     if count == stop:

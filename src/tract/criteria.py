@@ -441,8 +441,8 @@ def _spt_start(p: CriterionParams, d: int, criterion: ErrorCriterion) -> int:
     return 1 if criterion is ErrorCriterion.NOR else max(1, int(p.c_tilde))
 
 
-# Terms are computed from L(j) = ln(lambda/CRI): closed forms stay exact in
-# log space where the linear values would saturate at the underflow clamp.
+# Terms are computed from L(j) = ln(lambda/CRI), which stays exact where
+# lambda/CRI itself lies past the double range.
 
 
 def _rho_pow(L: np.ndarray, j: np.ndarray, p: float) -> np.ndarray:

@@ -15,10 +15,12 @@ FiniteRank  an explicit finite multiset, stored non-increasing; indices past
 Tabulated   an explicit prefix continued by its mandatory tail envelope
 Expression  a formula in d and j (see :mod:`tract.exprdsl`)
 
-Every family answers arrays of indices only: ``values(d, j)`` and
-``log_values(d, j)`` take an int64 index array j and return the unscaled
-values and their logarithms (unclamped where the family can be); d is an
-int, or an int array of shape (m, 1) broadcast against j.  It also
+Every family answers logarithms of arrays of indices only:
+``log_values(d, j)`` takes an int64 index array j and returns ln of the
+unscaled values, also where the values lie past the double range; d is an
+int, or an int array of shape (m, 1) broadcast against j.  ``log_decimal(d,
+j)`` gives one of them at the precision of the current :mod:`decimal`
+context, for the tie rule of :func:`compare_ratios`.  A family also
 provides its ``envelope`` (an analytic bound, or None), its ``rank`` (None
 when infinite) and ``d_free`` (whether it ignores d).  The three closed
 forms are their exact tail form: every one of those answers comes from the
@@ -31,14 +33,12 @@ multiplies every family.  Under the normalized error criterion the scale
 cancels algebraically, which this module exploits so normalized ratios are
 bit-identical with and without it.
 
-Linear values (``eigenvalues``, ``ratios``, a tail's ``bound_array``) clamp
-below at ``MIN_POSITIVE``, so no count divides by an underflowed zero.  The
-criterion sums read logarithms: their terms from ``log_ratios`` and their tail
-bound from the ``log_scale`` of ``ratio_envelope``, both less the same ln CRI_d.
-An Expression's logarithms, and ln c_d, come from the log walk of
-:func:`tract.exprdsl.log_array`, unclamped, so the sums read the true value
-where the counts read the clamp.  Where that walk gives no answer they are
-ln of the clamped linear values, which raise the linear walk's domain errors.
+The spectrum is read in logarithms only.  The criterion sums take their
+terms from ``log_ratios`` and their tail bound from the ``log_scale`` of
+``ratio_envelope``, both less the same ln CRI_d; the counts compare
+``log_ratios`` with ln t through :func:`compare_ratios`; ``eigenvalues`` and
+``ratios`` are the exp of ``log_ratios``, so 0 below the double range.  An
+Expression's logarithms, and ln c_d, come from :func:`tract.exprdsl.log_array`.
 """
 
 from __future__ import annotations
@@ -54,7 +54,6 @@ from . import exprdsl
 from .errors import BeyondRankError, EvalDomainError, ValidationFailedError
 
 __all__ = [
-    "MIN_POSITIVE",
     "ErrorCriterion",
     "PolyDecay",
     "ExpDecay",
@@ -73,6 +72,7 @@ __all__ = [
     "ratios",
     "log_ratio",
     "log_ratios",
+    "compare_ratios",
     "cri",
     "support",
     "ratio_envelope",
@@ -81,8 +81,6 @@ __all__ = [
     "ValidationReport",
     "Violation",
 ]
-
-MIN_POSITIVE = 1e-300
 
 
 class ErrorCriterion(enum.Enum):
@@ -119,26 +117,21 @@ class _Family:
     envelope: "TailEnvelope | None" = None  # analytic bound on the unscaled values
     d_free: bool = True  # lambda(d, j) does not depend on d
 
-    def log_values(self, d: int | np.ndarray, j: np.ndarray) -> np.ndarray:
-        """ln lambda without the d-scale."""
-        return np.log(self.values(d, j))
-
 
 @dataclass(frozen=True)
 class _ClosedForm(_Family):
-    """A family that is its own exact envelope; its values and logarithms are
-    the form's, so deep-tail logarithms stay exact where the values underflow."""
+    """A family that is its own exact envelope; its logarithms are the form's."""
 
     envelope: "TailEnvelope" = field(init=False, compare=False, repr=False)
 
     def _set_envelope(self, form: "TailForm") -> None:
         object.__setattr__(self, "envelope", TailEnvelope(form, 1, exact=True))
 
-    def values(self, d: int | np.ndarray, j: np.ndarray) -> np.ndarray:
-        return self.envelope.form.value_array(j)
-
     def log_values(self, d: int | np.ndarray, j: np.ndarray) -> np.ndarray:
         return self.envelope.form.log_value(j)
+
+    def log_decimal(self, d: int, j: int):
+        return self.envelope.form.log_decimal(j)
 
 
 @dataclass(frozen=True)
@@ -191,17 +184,20 @@ class FiniteRank(_Family):
         # A multiset: answers must not depend on input order, and the
         # initial error lambda(d, 1) must be the largest entry.
         object.__setattr__(self, "entries", tuple(sorted(self.entries, reverse=True)))
-        object.__setattr__(self, "_table", np.asarray(self.entries, dtype=float))
+        object.__setattr__(self, "_table", np.log(self.entries))
 
     @property
     def rank(self) -> int:
         return len(self.entries)
 
-    def values(self, d: int | np.ndarray, j: np.ndarray) -> np.ndarray:
+    def log_values(self, d: int | np.ndarray, j: np.ndarray) -> np.ndarray:
         j = np.asarray(j)
         if np.any(j > self.rank):
             raise BeyondRankError(int(np.min(d)), int(j.max()), self.rank)
         return self._table[j - 1]
+
+    def log_decimal(self, d: int, j: int):
+        return _decimal(self.entries[j - 1]).ln()
 
 
 @dataclass(frozen=True)
@@ -221,31 +217,30 @@ class Tabulated(_Family):
         # the continuation must not rise above the smallest one.
         prefix = tuple(sorted(self.prefix, reverse=True))
         j = len(prefix) + 1
-        first = float(self.continuation.bound_array(j))
-        if first > prefix[-1]:
+        form = self.continuation.form
+        first = form.log_value(np.array([j]))
+        if _signs(first, prefix[-1], lambda _: form.log_decimal(j))[0] > 0:
             raise ValueError(
-                f"Tabulated continuation at j={j} ({first!r}) "
+                f"Tabulated continuation at j={j} ({math.exp(first[0]):.15g}) "
                 f"exceeds the last prefix entry {prefix[-1]!r}"
             )
         object.__setattr__(self, "prefix", prefix)
-        object.__setattr__(self, "_table", np.asarray(prefix, dtype=float))
+        object.__setattr__(self, "_table", np.log(prefix))
         object.__setattr__(self, "envelope", self.continuation._replace(exact=True).shifted(j))
 
-    def _split(self, j: np.ndarray, head, tail) -> np.ndarray:
-        """head(prefix entries) inside the prefix, tail(j) past it."""
+    def log_values(self, d: int | np.ndarray, j: np.ndarray) -> np.ndarray:
+        # Past the prefix the logarithm comes from the form.
         j = np.asarray(j)
         out = np.empty(j.shape, dtype=float)
         inside = j <= len(self.prefix)
-        out[inside] = head(self._table[j[inside] - 1])
-        out[~inside] = tail(j[~inside])
+        out[inside] = self._table[j[inside] - 1]
+        out[~inside] = self.continuation.form.log_value(j[~inside])
         return out
 
-    def values(self, d: int | np.ndarray, j: np.ndarray) -> np.ndarray:
-        return self._split(j, np.asarray, self.continuation.bound_array)
-
-    def log_values(self, d: int | np.ndarray, j: np.ndarray) -> np.ndarray:
-        # Past the prefix the logarithm comes from the form, unclamped.
-        return self._split(j, np.log, self.continuation.form.log_value)
+    def log_decimal(self, d: int, j: int):
+        if j > len(self.prefix):
+            return self.continuation.form.log_decimal(j)
+        return _decimal(self.prefix[j - 1]).ln()
 
 
 @dataclass(frozen=True)
@@ -258,31 +253,18 @@ class Expression(_Family):
         object.__setattr__(self, "tree", exprdsl.parse(self.formula))
         object.__setattr__(self, "d_free", "d" not in exprdsl.variables_used(self.tree))
 
-    def values(self, d: int | np.ndarray, j: np.ndarray) -> np.ndarray:
-        return _clamped(self.tree, d, j, "formula produced negative eigenvalue")
-
     def log_values(self, d: int | np.ndarray, j: np.ndarray) -> np.ndarray:
-        """The log walk of the formula, unclamped; where it gives no answer,
-        ln of the clamped values, which raise any domain error."""
-        logs = exprdsl.log_array(self.tree, d, j)
-        return super().log_values(d, j) if logs is None else logs
+        return exprdsl.log_array(self.tree, d, j, "formula produced negative eigenvalue")
+
+    def log_decimal(self, d: int, j: int):
+        return exprdsl.log_decimal(self.tree, d, j)
 
 
-def _clamped(tree: exprdsl.Expr, d, j, negative: str) -> np.ndarray:
-    """A formula over d and j, clamped below at MIN_POSITIVE.  An error names
-    the smallest failing d, as a loop over d would; within a d the walk goes first."""
-    try:
-        out = exprdsl.compile_array(tree)(d, j)
-    except EvalDomainError as exc:
-        earlier = np.reshape(d, -1) < exc.d
-        if earlier.any():
-            _clamped(tree, d[earlier], j, negative)
-        raise
-    if (out < 0).any():
-        first = np.flatnonzero(out < 0)[0]
-        dd, jj = (np.broadcast_to(a, out.shape).reshape(-1)[first] for a in (d, j))
-        raise EvalDomainError(negative, d=int(dd), j=int(jj))
-    return np.maximum(out, MIN_POSITIVE)
+def _decimal(x: float):
+    """x as a Decimal; :mod:`decimal` is loaded only where a tie needs it."""
+    from decimal import Decimal
+
+    return Decimal(x)
 
 
 Family = Union[PolyDecay, ExpDecay, Geometric, FiniteRank, Tabulated, Expression]
@@ -303,11 +285,11 @@ class PowerLawTail:
         if not (self.scale > 0 and self.beta > 0):
             raise ValueError("PowerLaw tail requires scale > 0 and beta > 0")
 
-    def value_array(self, j: np.ndarray) -> np.ndarray:
-        return self.scale * np.asarray(j, dtype=float) ** -self.beta
-
     def log_value(self, j):
         return math.log(self.scale) - self.beta * np.log(np.asarray(j, dtype=float))
+
+    def log_decimal(self, j: int):
+        return _decimal(self.scale).ln() - _decimal(self.beta) * _decimal(j).ln()
 
 
 @dataclass(frozen=True)
@@ -320,12 +302,11 @@ class GeometricTail:
         if not (self.scale > 0 and 0 < self.ratio < 1):
             raise ValueError("Geometric tail requires scale > 0 and ratio in (0, 1)")
 
-    def value_array(self, j: np.ndarray) -> np.ndarray:
-        with np.errstate(under="ignore"):
-            return self.scale * self.ratio ** np.asarray(j, dtype=float)
-
     def log_value(self, j):
         return math.log(self.scale) + np.asarray(j, dtype=float) * math.log(self.ratio)
+
+    def log_decimal(self, j: int):
+        return _decimal(self.scale).ln() + j * _decimal(self.ratio).ln()
 
     @property
     def stretched(self) -> tuple[float, float]:
@@ -344,13 +325,12 @@ class StretchedExpTail:
         if not (self.scale > 0 and self.rate > 0 and self.power > 0):
             raise ValueError("StretchedExp tail requires scale, rate, power > 0")
 
-    def value_array(self, j: np.ndarray) -> np.ndarray:
-        with np.errstate(under="ignore"):
-            return self.scale * np.exp(-self.rate * np.asarray(j, dtype=float) ** self.power)
-
     def log_value(self, j):
         with np.errstate(over="ignore"):
             return math.log(self.scale) - self.rate * np.asarray(j, dtype=float) ** self.power
+
+    def log_decimal(self, j: int):
+        return _decimal(self.scale).ln() - _decimal(self.rate) * _decimal(j) ** _decimal(self.power)
 
     @property
     def stretched(self) -> tuple[float, float]:
@@ -382,9 +362,6 @@ class TailEnvelope(NamedTuple):
         """ln of the bound's scale: ln form.scale + log_factor."""
         return math.log(self.form.scale) + self.log_factor
 
-    def bound_array(self, j: np.ndarray) -> np.ndarray:
-        return np.maximum(self.form.value_array(j) * math.exp(self.log_factor), MIN_POSITIVE)
-
     def shifted(self, valid_from: int) -> "TailEnvelope":
         return self._replace(valid_from=max(self.valid_from, valid_from))
 
@@ -415,20 +392,11 @@ class EigenModel:
         """True when lambda(d, j) does not depend on d at all."""
         return _ratios_d_free(self, ErrorCriterion.ABS)  # under ABS the ratios are the eigenvalues
 
-    def scale_at(self, d: int | np.ndarray) -> float | np.ndarray:
-        """c_d at an int d, or over an int array of d; clamped like any eigenvalue."""
-        if self.d_scale is None:
-            return 1.0
-        c = _clamped(self.d_scale, d, 1, "d_scale produced a negative factor")
-        return float(c) if c.ndim == 0 else c
-
-    def log_scale_at(self, d: int | np.ndarray) -> float | np.ndarray:
-        """ln c_d at an int d, or over an int array of d: the log walk of the
-        d-scale, unclamped; where it gives no answer, ln of :meth:`scale_at`."""
+    def log_d_scale(self, d: int | np.ndarray) -> float | np.ndarray:
+        """ln c_d at an int d, or over an int array of d."""
         if self.d_scale is None:
             return 0.0
-        logs = exprdsl.log_array(self.d_scale, d, 1)
-        return np.log(self.scale_at(d)) if logs is None else logs
+        return exprdsl.log_array(self.d_scale, d, 1, "d_scale produced a negative factor")
 
 
 def support(model: EigenModel, d: int) -> int | None:
@@ -437,9 +405,8 @@ def support(model: EigenModel, d: int) -> int | None:
 
 
 def eigenvalues(model: EigenModel, d: int | np.ndarray, j: np.ndarray) -> np.ndarray:
-    """lambda(d, j) over an index array, clamped below at MIN_POSITIVE."""
-    vals = model.family.values(d, np.asarray(j)) * model.scale_at(d)
-    return np.maximum(vals, MIN_POSITIVE)
+    """lambda(d, j) over an index array: the exp of :func:`log_ratios` under ABS."""
+    return np.exp(log_ratios(model, d, j, ErrorCriterion.ABS))
 
 
 def eigenvalue(model: EigenModel, d: int, j: int) -> float:
@@ -457,17 +424,8 @@ def cri(model: EigenModel, d: int, criterion: ErrorCriterion) -> float:
 
 
 def ratios(model: EigenModel, d: int | np.ndarray, j: np.ndarray, criterion: ErrorCriterion) -> np.ndarray:
-    """lambda(d, j) / CRI_d over an index array.
-
-    Under NOR the per-dimension scale cancels algebraically, so it is left
-    out of both numerator and denominator; the result is bit-identical for
-    scaled and unscaled variants of the same family.  The lead lambda(d, 1)
-    comes from the same family call, last, as in :func:`log_ratios`.
-    """
-    if criterion is ErrorCriterion.ABS:
-        return eigenvalues(model, d, j)
-    vals = np.maximum(model.family.values(d, np.append(j, 1)), MIN_POSITIVE)
-    return vals[..., :-1] / vals[..., -1:]
+    """lambda(d, j) / CRI_d over an index array: the exp of :func:`log_ratios`."""
+    return np.exp(log_ratios(model, d, j, criterion))
 
 
 def _ratios_d_free(model: EigenModel, criterion: ErrorCriterion) -> bool:
@@ -482,7 +440,12 @@ def ratio(model: EigenModel, d: int, j: int, criterion: ErrorCriterion) -> float
 
 
 def log_ratios(model: EigenModel, d: int | np.ndarray, j: np.ndarray, criterion: ErrorCriterion) -> np.ndarray:
-    """ln(lambda(d, j)/CRI_d) without underflow saturation (closed forms)."""
+    """ln(lambda(d, j)/CRI_d) over an index array.
+
+    Under NOR the per-dimension scale cancels algebraically, so it is left
+    out of both numerator and denominator; the result is bit-identical for
+    scaled and unscaled variants of the same family.
+    """
     if criterion is ErrorCriterion.NOR:
         # One family call; the lead lambda(d, 1) goes last, so an invalid
         # index in j is still the one an error names.
@@ -490,13 +453,55 @@ def log_ratios(model: EigenModel, d: int | np.ndarray, j: np.ndarray, criterion:
         return logs[..., :-1] - logs[..., -1:]
     logs = model.family.log_values(d, np.asarray(j))
     if model.d_scale is not None:
-        return logs + model.log_scale_at(d)
+        return logs + model.log_d_scale(d)
     return logs
 
 
 def log_ratio(model: EigenModel, d: int, j: int, criterion: ErrorCriterion) -> float:
     """Scalar counterpart of :func:`log_ratios`."""
     return float(log_ratios(model, d, np.asarray([j], dtype=np.int64), criterion)[0])
+
+
+def compare_ratios(model: EigenModel, d: int, j: np.ndarray, criterion: ErrorCriterion, t: float) -> np.ndarray:
+    """The sign of lambda(d, j)/CRI_d - t over an index array, by :func:`_signs`
+    from :func:`log_ratios` and the family's ``log_decimal``; every count reads it."""
+    j = np.asarray(j)
+
+    def exact(pos: int):
+        jj = int(j[pos])
+        if criterion is ErrorCriterion.NOR:  # the ratio at j = 1 is 1 exactly
+            return 0 if jj == 1 else model.family.log_decimal(d, jj) - model.family.log_decimal(d, 1)
+        log = model.family.log_decimal(d, jj)
+        return log if model.d_scale is None else log + exprdsl.log_decimal(model.d_scale, d, 1)
+
+    return _signs(log_ratios(model, d, j, criterion), t, exact)
+
+
+# The rounding of a logarithm here is a few ulps of its operands, which lie
+# below 2**11 in magnitude wherever a value is near a double t (ln t, and ln
+# of a double scale, lie within +-745): 1e-10 is far beyond that error.
+_NEAR = 1e-10
+
+
+def _signs(logs: np.ndarray, t: float, exact) -> np.ndarray:
+    """The sign of e**logs - t, t >= 0 a double: 1 above, 0 at, -1 below.
+    Within _NEAR of ln t it compares exact(pos), ln of the value at 40
+    digits, with ln t at 40 digits, and a gap below 1e-30 is a tie: ties
+    follow the real numbers whichever way the doubles round."""
+    if not t > 0:
+        return (logs > -math.inf).astype(np.int8)
+    gap = logs - math.log(t)
+    sign = np.sign(gap)
+    near = np.flatnonzero(np.abs(gap) <= _NEAR)
+    if near.size:
+        import decimal
+
+        with decimal.localcontext(decimal.Context(prec=40, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)):
+            log_t = decimal.Decimal(t).ln()
+            for pos in near:
+                gap40 = exact(pos) - log_t
+                sign[pos] = 0 if abs(gap40) < decimal.Decimal("1e-30") else 1 if gap40 > 0 else -1
+    return sign
 
 
 def ratio_envelope(
@@ -518,7 +523,7 @@ def ratio_envelope(
     if criterion is ErrorCriterion.NOR:
         shift = -float(model.family.log_values(d, np.ones(1, dtype=np.int64))[0])
     else:
-        shift = float(model.log_scale_at(d))
+        shift = float(model.log_d_scale(d))
     return env.shifted(start)._replace(log_factor=env.log_factor + shift)
 
 
@@ -602,26 +607,14 @@ def validate(model: EigenModel, d_max: int = 8, j_probe: int = 10_000) -> Valida
             violations.append(Violation("nonfinite", d, int(indices[pos]), f"value {vals[pos]!r}"))
         for pos in np.flatnonzero(nxt > vals):
             jj = int(indices[pos])
-            violations.append(
-                Violation(
-                    "increase",
-                    d,
-                    jj + 1,
-                    f"lambda(d,{jj + 1})={nxt[pos]!r} > lambda(d,{jj})={vals[pos]!r}",
-                )
-            )
+            detail = f"lambda(d,{jj + 1})={nxt[pos]!r} > lambda(d,{jj})={vals[pos]!r}"
+            violations.append(Violation("increase", d, jj + 1, detail))
         if grid.size:
-            values = eigenvalues(model, d, grid)
-            bounds = env._replace(log_factor=env.log_factor + math.log(model.scale_at(d))).bound_array(grid)
-            for pos in np.flatnonzero(values > bounds * (1 + 1e-12)):
-                violations.append(
-                    Violation(
-                        "envelope",
-                        d,
-                        int(grid[pos]),
-                        f"lambda={values[pos]!r} exceeds envelope {bounds[pos]!r}",
-                    )
-                )
+            logs = log_ratios(model, d, grid, ErrorCriterion.ABS)
+            bounds = env.form.log_value(grid) + env.log_factor + model.log_d_scale(d)
+            for pos in np.flatnonzero(logs > bounds + 1e-12):
+                detail = f"ln lambda={logs[pos]!r} exceeds ln envelope {bounds[pos]!r}"
+                violations.append(Violation("envelope", d, int(grid[pos]), detail))
     return ValidationReport(
         ok=not violations,
         violations=tuple(violations),

@@ -26,8 +26,9 @@ ln(u/v) = ln u - ln v, ln(u + v) = logaddexp(ln u, ln v), ln exp(u) = u,
 ln u^v = v ln u, ln sqrt(u) = ln u / 2, and max and min of the logs.  The
 argument of exp and the exponent of a power are read by the linear walk.
 Any other node (a difference, a negation, ln, a constant <= 0) takes ln of
-its linear value, which must be a positive normal double; where it is not,
-:func:`log_array` gives no answer and the caller reads the linear walk.
+its linear value; where the log walk gives no answer, :func:`log_array`
+reads ln of the linear walk.  :func:`log_decimal` runs the linear walk in
+:mod:`decimal` arithmetic, for one (d, j) at the caller's precision.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ __all__ = [
     "evaluate",
     "compile_array",
     "log_array",
+    "log_decimal",
     "variables_used",
 ]
 
@@ -316,33 +318,29 @@ def to_source(node: Expr) -> str:
 
 
 # What each operator and call means, over the NumPy arrays and scalars the
-# walk carries.
+# walk carries; "num" reads a constant.
 _OPS = {
     "+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide, "^": np.power,
     "exp": np.exp, "ln": np.log, "sqrt": np.sqrt, "pow": np.power, "max": np.maximum, "min": np.minimum,
+    "num": float,
 }
 
 
-def _walk(node: Expr, d: np.ndarray, j: np.ndarray):
+def _walk(node: Expr, d, j, ops: dict = _OPS):
     if isinstance(node, Num):
-        return node.value
+        return ops["num"](node.value)
     if isinstance(node, Var):
         return d if node.name == "d" else j
     if isinstance(node, Neg):
-        return -_walk(node.operand, d, j)
+        return -_walk(node.operand, d, j, ops)
     if isinstance(node, BinOp):
-        return _OPS[node.op](_walk(node.left, d, j), _walk(node.right, d, j))
-    return _OPS[node.func](*(_walk(a, d, j) for a in node.args))
-
-
-class _NoLogRule(Exception):
-    """A node without a log rule whose linear value is not a positive normal double."""
+        return ops[node.op](_walk(node.left, d, j, ops), _walk(node.right, d, j, ops))
+    return ops[node.func](*(_walk(a, d, j, ops) for a in node.args))
 
 
 # What each operator and call means on the logarithms of its operands.
 _LOG_OPS = {"*": np.add, "/": np.subtract, "+": np.logaddexp, "max": np.maximum, "min": np.minimum}
 _LOG_DOUBLE_MAX = math.log(np.finfo(float).max)
-_TINY = np.finfo(float).tiny  # the smallest positive normal double
 
 
 def _log_walk(node: Expr, d: np.ndarray, j: np.ndarray):
@@ -364,22 +362,18 @@ def _log_walk(node: Expr, d: np.ndarray, j: np.ndarray):
             return _walk(args[0], d, j)
         if op == "sqrt":
             return 0.5 * _log_walk(args[0], d, j)
-    value = _walk(node, d, j)
-    if not (np.all(value >= _TINY) and np.all(value < np.inf)):
-        raise _NoLogRule
-    return np.log(value)
+    return np.log(_walk(node, d, j))
 
 
-def log_array(node: Expr, d: float | np.ndarray, j: float | np.ndarray) -> np.ndarray | None:
+def log_array(node: Expr, d: float | np.ndarray, j: float | np.ndarray, negative: str) -> np.ndarray:
     """ln of the tree's value over the broadcast of d and j, each a number or
     an array, as a new array, where the value itself may lie past the double
     range.
 
-    None where the log walk gives no answer: a node without a log rule whose
-    linear value is not a positive normal double, a division by zero or an
-    invalid operation, or a log that is not finite or lies past the double
-    range.  The caller then takes ln of the linear value, whose walk raises
-    any :class:`EvalDomainError`.
+    Where the log walk gives no answer (a node without a log rule whose
+    linear value is not positive, a division by zero or an invalid
+    operation, or a log past the double range), ln of the linear walk
+    (-inf at a zero), which raises as ``compile_array(node, negative)``.
     """
     d = np.asarray(d, dtype=float)
     j = np.asarray(j, dtype=float)
@@ -387,11 +381,20 @@ def log_array(node: Expr, d: float | np.ndarray, j: float | np.ndarray) -> np.nd
     try:
         with np.errstate(divide="raise", invalid="raise", over="ignore", under="ignore"):
             out[...] = _log_walk(node, d, j)
-    except (FloatingPointError, _NoLogRule):
-        return None
-    if out.size and not (out.min() > -np.inf and out.max() <= _LOG_DOUBLE_MAX):
-        return None
-    return out
+        if not out.size or out.max() <= _LOG_DOUBLE_MAX:
+            return out
+    except FloatingPointError:
+        pass
+    with np.errstate(divide="ignore"):
+        return np.log(compile_array(node, negative)(d, j))
+
+
+def log_decimal(node: Expr, d: int, j: int):
+    """ln of the tree's value at one (d, j) as a Decimal of the current decimal
+    context: the linear walk, whose NumPy calls run the Decimal methods."""
+    from decimal import Decimal
+
+    return _walk(node, Decimal(int(d)), Decimal(int(j)), {**_OPS, "ln": Decimal.ln, "num": Decimal}).ln()
 
 
 def evaluate(node: Expr, d: int, j: int | float) -> float:
@@ -414,24 +417,27 @@ def variables_used(node: Expr) -> set[str]:
     return set()
 
 
-def _values(node: Expr, d: np.ndarray, j: np.ndarray) -> np.ndarray:
+def _values(node: Expr, d: np.ndarray, j: np.ndarray, negative: str | None) -> np.ndarray:
     """The walk over the broadcast of d and j, as a new array.
-    FloatingPointError on a division by zero, an invalid operation or a
-    value that is not finite."""
+    FloatingPointError on a division by zero, an invalid operation, a
+    value that is not finite or, where ``negative`` is given, below 0."""
     values = np.empty(np.broadcast(d, j).shape)
     with np.errstate(divide="raise", invalid="raise", over="ignore"):
         values[...] = _walk(node, d, j)
     if not np.isfinite(values).all():
         raise FloatingPointError("expression left the finite double range")
+    if negative and (values < 0).any():
+        raise FloatingPointError(negative)
     return values
 
 
-def compile_array(node: Expr) -> Callable[..., np.ndarray]:
+def compile_array(node: Expr, negative: str | None = None) -> Callable[..., np.ndarray]:
     """Compile a tree into an evaluator over d and j, each a number or an array.
 
     The result has the broadcast shape of d and j.  A division by zero, an
-    operation that would produce a NaN, or a value past the finite double
-    range raises :class:`EvalDomainError` naming the first failing (d, j)
+    operation that would produce a NaN, a value past the finite double
+    range or, where ``negative`` is given, a value below 0 (with that
+    reason) raises :class:`EvalDomainError` naming the first failing (d, j)
     row-major: the smallest failing d, then its smallest j.
     """
 
@@ -439,7 +445,7 @@ def compile_array(node: Expr) -> Callable[..., np.ndarray]:
         d = np.asarray(d, dtype=float)
         j = np.asarray(j, dtype=float)
         try:
-            return _values(node, d, j)
+            return _values(node, d, j, negative)
         except FloatingPointError:
             pass
         ds, js = (a.reshape(-1) for a in np.broadcast_arrays(d, j))
@@ -450,12 +456,12 @@ def compile_array(node: Expr) -> Callable[..., np.ndarray]:
         while hi - lo > 1:
             mid = (lo + hi) // 2
             try:
-                _values(node, ds[lo:mid], js[lo:mid])
+                _values(node, ds[lo:mid], js[lo:mid], negative)
                 lo = mid
             except FloatingPointError:
                 hi = mid
         try:
-            _values(node, ds[lo:hi], js[lo:hi])
+            _values(node, ds[lo:hi], js[lo:hi], negative)
         except FloatingPointError as exc:
             # NumPy says "divide by zero encountered in ..." or, for a NaN,
             # "invalid value encountered in ...".

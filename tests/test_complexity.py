@@ -1,6 +1,7 @@
 import inspect
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -35,8 +36,23 @@ class TestInfoComplexity:
         assert info_complexity(geo, ComplexityQuery(3, 0.5, ABS)).n == 1
 
     def test_geometric_nor(self, geo):
-        # threshold = eps^2 lambda_1 = 1/8: lambda_3 = 1/8 satisfies it
+        # threshold = eps^2 lambda_1 = 1/8: lambda_3 = 1/8 satisfies it, a
+        # tie (ln lambda_3 - ln lambda_1 rounds above ln 1/4).
+        with mpmath.workdps(50):
+            assert mpmath.mpf(0.5) ** 3 / mpmath.mpf(0.5) == mpmath.mpf(0.5 * 0.5)
         assert info_complexity(geo, ComplexityQuery(3, 0.5, NOR)).n == 2
+        assert count_oracle(geo, ComplexityQuery(3, 0.5, NOR)).n == 2
+
+    def test_near_tie_follows_the_real_ratio(self):
+        # lambda_3/lambda_1 = r**2 lies 1.3e-17 below fl(r*r) = eps**2, so
+        # lambda_3 satisfies the threshold although the doubles round above it.
+        r = 0.6752128032309727
+        with mpmath.workdps(50):
+            gap = mpmath.mpf(r) ** 2 - mpmath.mpf(r * r)
+        assert -1.4e-17 < gap < -1.3e-17
+        model, q = EigenModel(Geometric(1.875, r)), ComplexityQuery(1, r, NOR)
+        assert info_complexity(model, q).n == 2
+        assert count_oracle(model, q).n == 2
 
     def test_zero_at_large_eps_abs(self, geo, poly2, exp1):
         for model in (geo, poly2, exp1):
@@ -124,8 +140,12 @@ class TestOracleEquivalence:
 
     def test_d_scale_cancels_at_a_nor_tie(self):
         # eps**2 sits on a ratio here: scaling before dividing once counted
-        # 1867 for the scaled model.
+        # 1867 for the scaled model.  The 1868th ratio lies 1.4e-16 above
+        # eps**2, relative, and the 1869th below it.
         alpha, d, eps = 1.6204837511179113, 18, 0.0022355967400540687
+        with mpmath.workdps(50):
+            rho = [mpmath.mpf(j) ** -mpmath.mpf(alpha) for j in (1868, 1869)]
+            assert rho[0] > mpmath.mpf(eps * eps) > rho[1]
         plain = EigenModel(PolyDecay(1.0, alpha))
         scaled = EigenModel(PolyDecay(1.0, alpha), d_scale=exprdsl.parse("1/d"))
         q = ComplexityQuery(d, eps, NOR)
@@ -133,14 +153,16 @@ class TestOracleEquivalence:
         assert info_complexity(scaled, q).n == 1868
         assert count_oracle(scaled, q).n == 1868
 
-    @pytest.mark.xfail(strict=True, raises=UnboundedError,
-                       reason="NOR ratios clamp lambda(d, j) and lambda(d, 1) at 1e-300 before dividing")
     @pytest.mark.parametrize("route", [info_complexity, count_oracle])
-    def test_nor_count_ignores_a_scale_below_the_clamp(self, route):
+    def test_nor_count_ignores_a_tiny_scale(self, route):
         # NOR counts do not depend on the scale: Geometric(1, 0.999) gives 1386.
         q = ComplexityQuery(1, 0.5, NOR)
         assert route(EigenModel(Geometric(1.0, 0.999)), q).n == 1386
         assert route(EigenModel(Geometric(1e-305, 0.999)), q).n == 1386
+
+    @pytest.mark.parametrize("route", [info_complexity, count_oracle, _count_ratios_at_least_one, _count_above_cri])
+    def test_every_count_reads_the_one_comparison(self, route):
+        assert "compare_ratios(" in inspect.getsource(route)
 
     @pytest.mark.parametrize("route", [info_complexity, count_oracle])
     def test_routes_leave_cri_to_ratios(self, route):

@@ -21,7 +21,7 @@ from tract import (
     validate,
 )
 from tract.criteria import CriterionParams, evaluate_sum
-from tract.eigenmodel import MIN_POSITIVE, log_ratios, ratio, ratio_envelope, ratios
+from tract.eigenmodel import log_ratio, log_ratios, ratio, ratio_envelope, ratios
 from tract.errors import BeyondRankError, EvalDomainError
 from tract import exprdsl
 
@@ -34,7 +34,9 @@ class TestEigenvalue:
         assert eigenvalue(geo, 3, 4) == 0.0625
 
     def test_poly(self, poly2):
-        assert eigenvalue(poly2, 1, 3) == pytest.approx(1.0 / 9.0, abs=0)
+        # The exp of the logarithm -2 ln 3, which is exact in the log reading.
+        assert log_ratio(poly2, 1, 3, ABS) == -2.0 * math.log(3.0)
+        assert eigenvalue(poly2, 1, 3) == pytest.approx(1.0 / 9.0, rel=1e-15, abs=0)
 
     def test_exp_matches_expression_model(self):
         model = EigenModel(ExpDecay(1.0, 1.0, 1.0))
@@ -50,9 +52,10 @@ class TestEigenvalue:
         with pytest.raises(BeyondRankError):
             eigenvalue(model, 1, 3)
 
-    def test_underflow_clamps(self):
+    def test_underflow_reads_zero_and_keeps_its_logarithm(self):
         model = EigenModel(ExpDecay(1.0, 2.0, 1.0))
-        assert eigenvalue(model, 1, 10_000) == MIN_POSITIVE
+        assert eigenvalue(model, 1, 10_000) == 0.0
+        assert log_ratio(model, 1, 10_000, ABS) == -20_000.0
 
     def test_negative_formula_rejected(self):
         model = EigenModel(Expression("1 - j"))
@@ -86,7 +89,7 @@ class TestEigenvalue:
         assert (err.value.d, err.value.j) == (1, 7)
         scaled = EigenModel(PolyDecay(1.0, 2.0), d_scale=exprdsl.parse("1/(d-3)"))
         with pytest.raises(EvalDomainError, match="negative") as err:
-            scaled.scale_at(np.arange(1, 5))
+            scaled.log_d_scale(np.arange(1, 5))
         assert err.value.d == 1
 
     def test_vectorised_agrees_with_scalar(self, geo, poly2, exp1):
@@ -105,7 +108,7 @@ class TestCri:
 
     def test_nor_scaled_poly(self):
         model = EigenModel(PolyDecay(3.0, 1.0))
-        assert cri(model, 1, NOR) == 3.0
+        assert cri(model, 1, NOR) == pytest.approx(3.0, rel=1e-15, abs=0)  # exp(ln 3)
 
 
 class TestTailBound:
@@ -143,17 +146,18 @@ class TestTailBound:
         env = ratio_envelope(model, 4, ABS, 1)
         assert math.exp(env.log_scale) == pytest.approx(0.25)
 
-    def test_d_scale_underflow_clamps(self):
+    def test_d_scale_underflow_keeps_its_logarithm(self):
         model = EigenModel(PolyDecay(1.0, 2.0), d_scale=exprdsl.parse("exp(0-d)"))
-        assert eigenvalue(model, 2000, 1) == MIN_POSITIVE
+        assert eigenvalue(model, 2000, 1) == 0.0
+        assert log_ratio(model, 2000, 1, ABS) == -2000.0
 
     def test_d_scale_below_the_double_range_keeps_its_logarithm(self):
-        """c_8 = 8**-400 is about 1e-361.  The linear scale clamps; the terms
-        and the envelope both add the exact ln c_8 = -400 ln 8."""
+        """c_8 = 8**-400 is about 1e-361.  The eigenvalue underflows to 0; the
+        terms and the envelope both add the exact ln c_8 = -400 ln 8."""
         model = EigenModel(PolyDecay(1.0, 2.0), d_scale=exprdsl.parse("d^(0-400)"))
         log_c = -400 * math.log(8)
-        assert model.scale_at(8) == MIN_POSITIVE
-        assert model.log_scale_at(8) == log_c
+        assert eigenvalue(model, 8, 1) == 0.0
+        assert model.log_d_scale(8) == log_c
         assert log_ratios(model, 8, np.array([1, 2]), ABS).tolist() == [log_c, log_c - 2 * math.log(2)]
         assert ratio_envelope(model, 8, ABS, 1).log_factor == log_c
 
@@ -221,7 +225,8 @@ class TestRatios:
         assert val == pytest.approx(-2000.0)
 
     def test_ratio_scalar(self, geo):
-        assert ratio(geo, 2, 3, NOR) == 0.25
+        assert ratio(geo, 2, 3, NOR) == math.exp(log_ratio(geo, 2, 3, NOR))
+        assert ratio(geo, 2, 3, NOR) == pytest.approx(0.25, rel=1e-15, abs=0)
 
     def test_nor_log_ratios_evaluate_the_family_once(self):
         calls = []
@@ -317,4 +322,4 @@ class TestConfigIngestion:
         model = model_from_config(
             {"kind": "Geometric", "params": {"a": 1, "r": 0.5}, "d_scale": "1/d"}
         )
-        assert eigenvalue(model, 4, 1) == 0.125
+        assert eigenvalue(model, 4, 1) == pytest.approx(0.125, rel=1e-15, abs=0)

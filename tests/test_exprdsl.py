@@ -4,8 +4,18 @@ import mpmath
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from tract import EigenModel, ErrorCriterion, Expression, eigenvalue, eigenvalues, exprdsl
-from tract.eigenmodel import log_ratios
+from tract import (
+    ComplexityQuery,
+    EigenModel,
+    ErrorCriterion,
+    Expression,
+    count_oracle,
+    eigenvalue,
+    eigenvalues,
+    exprdsl,
+    info_complexity,
+)
+from tract.eigenmodel import log_ratio, log_ratios
 from tract.errors import ArityError, EvalDomainError, ExprSyntaxError, UnknownIdentifierError
 from tract.exprdsl import BinOp, Neg, Num, Var, compile_array, evaluate, parse, to_source
 
@@ -204,13 +214,32 @@ def test_one_expression_walk():
     assert not hasattr(exprdsl, "_POINT")
 
 
-@pytest.mark.parametrize("source, log", [("exp(0-800)/exp(0-790)", -10.0), ("exp(1000)/exp(999)", 1.0)])
-def test_a_linear_underflow_or_overflow_sums_but_does_not_count(source, log):
-    """0/0 and inf/inf in doubles: the linear walk raises, the log walk reads the quotient."""
+@pytest.mark.parametrize(
+    "source, log, n",
+    [("exp(0-800*j)/exp(0-790*j)", -10.0, 2), ("exp(1000-j)/exp(999)", 0.0, 5)],
+    ids=["underflow", "overflow"],
+)
+def test_a_linear_underflow_or_overflow_sums_and_counts(source, log, n):
+    """0/0 and inf/inf in doubles at j = 1: the linear walk raises, the log
+    walk reads the quotient, and both counts read the log walk.  Under ABS,
+    e**-10j exceeds eps**2 = 1e-10 for j <= 2, and e**(1-j) exceeds
+    eps**2 = 0.01 = e**-4.6 for j <= 5."""
     family = Expression(source)
     assert family.log_values(1, np.array([1])).tolist() == [log]
     with pytest.raises(EvalDomainError, match="NaN"):
-        family.values(1, np.array([1]))
+        compile_array(family.tree)(1, np.array([1]))
+    q = ComplexityQuery(1, 1e-5 if log < 0 else 0.1, ErrorCriterion.ABS)
+    model = EigenModel(family)
+    assert info_complexity(model, q).n == n
+    assert count_oracle(model, q).n == n
+
+
+def test_a_subnormal_intermediate_keeps_its_digits():
+    """exp(-718.7578125) is subnormal, so ln of its linear sqrt is 8 ulps off;
+    the log walk halves the exponent, exactly, and eigenvalue is its exp."""
+    model = EigenModel(Expression("sqrt(exp(0-0.1015625*j))"))
+    assert log_ratio(model, 1, 7077, ErrorCriterion.ABS) == -359.37890625
+    assert eigenvalue(model, 1, 7077) == math.exp(-359.37890625)
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +324,7 @@ def test_log_walk_against_mpmath(source, d, j):
     digits, it is within 4 ulps of the error scale of ln of the linear
     value.  A formula past the double range
     or with a division by zero raises the EvalDomainError that the linear
-    values raise."""
+    walk raises."""
     family = Expression(source)
     index = np.array([j])
     logs = []
@@ -307,7 +336,7 @@ def test_log_walk_against_mpmath(source, d, j):
         reference = None
     if reference is None or reference > _LOG_DOUBLE_MAX:
         with pytest.raises(EvalDomainError) as linear:
-            family.values(d, index)
+            compile_array(family.tree)(d, index)
         with pytest.raises(EvalDomainError) as logged:
             family.log_values(d, index)
         assert (str(logged.value), logged.value.d, logged.value.j) == (

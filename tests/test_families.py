@@ -1,7 +1,8 @@
 """The family contract: every eigenvalue family answers for itself.
 
-Each family provides ``values``, ``log_values``, ``envelope``, ``rank`` and
-``d_free``, answering arrays of indices only; nothing outside
+Each family provides ``log_values`` (over arrays of indices only) and
+``log_decimal`` (one index, at the decimal context's precision),
+``envelope``, ``rank`` and ``d_free``; nothing outside
 :mod:`tract.eigenmodel` dispatches on the family class.  The envelopes the
 model functions build from those answers are pinned against
 ``data/family_envelopes.json``; regenerate it with ``PYTHONPATH=src python
@@ -10,6 +11,7 @@ tests/test_families.py`` only when an envelope is meant to change.
 
 import ast
 import dataclasses
+import decimal
 import importlib
 import json
 import math
@@ -35,7 +37,7 @@ from tract import (
     TailEnvelope,
     exprdsl,
 )
-from tract.eigenmodel import log_ratios, ratio_envelope, ratios, support
+from tract.eigenmodel import eigenvalues, log_ratios, ratio_envelope, ratios, support
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "family_envelopes.json"
 
@@ -108,15 +110,17 @@ def _envelopes(name: str, scaled: bool) -> dict:
 @pytest.mark.parametrize("name,scaled", CASES, ids=IDS)
 class TestFamilyContract:
     def test_log_values_match_values(self, name, scaled):
+        """The logarithms match the family's 40-digit values, and the ratios
+        are their exp."""
         model = _model(name, scaled)
         j = _indices(model)
         for d in (1, 4):
-            pairs = [(model.family.log_values(d, j), model.family.values(d, j))]
-            pairs += [(log_ratios(model, d, j, c), ratios(model, d, j, c)) for c in ErrorCriterion]
-            for logs, values in pairs:
-                keep = values > 1e-290
-                assert keep.any()
-                np.testing.assert_allclose(np.exp(logs[keep]), values[keep], rtol=1e-13, atol=0)
+            logs = model.family.log_values(d, j[::31])
+            with decimal.localcontext(decimal.Context(prec=40)):
+                exact = [float(model.family.log_decimal(d, int(i))) for i in j[::31]]
+            np.testing.assert_allclose(logs, exact, rtol=1e-14, atol=1e-15)
+            for c in ErrorCriterion:
+                assert np.array_equal(ratios(model, d, j, c), np.exp(log_ratios(model, d, j, c)))
 
     def test_envelopes_match_recorded(self, name, scaled):
         # The scale is e**log_scale, so it matches the recorded one to within
@@ -144,8 +148,7 @@ class TestFamilyContract:
 )
 def test_closed_form_logs_survive_underflow(family):
     j = np.arange(10_000, 1_000_001, 997, dtype=np.int64)
-    with np.errstate(under="ignore"):
-        assert np.all(family.values(1, j) == 0.0)  # the linear values are gone
+    assert np.all(eigenvalues(EigenModel(family), 1, j) == 0.0)  # the linear view underflows
     logs = family.log_values(1, j)
     assert np.all(np.isfinite(logs))
     assert np.all(np.diff(logs) < 0)
@@ -180,7 +183,8 @@ def test_closed_forms_are_their_tail_form():
     ]:
         assert family.envelope == TailEnvelope(form, 1, exact=True)
         j = np.arange(1, 100, dtype=np.int64)
-        assert np.array_equal(family.values(1, j), form.value_array(j))
+        assert np.array_equal(family.log_values(1, j), form.log_value(j))
+        assert family.log_decimal(1, 7) == form.log_decimal(7)
         assert family == dataclasses.replace(family)
         assert hash(family) == hash(dataclasses.replace(family))
         assert "envelope" not in repr(family)

@@ -65,3 +65,22 @@ def test_subcommand_loads_only_what_it_uses(tmp_path, argv, not_loaded):
     loaded = _loaded_after(code)
     assert "tract.eigenmodel" in loaded
     assert loaded.isdisjoint(not_loaded)
+
+
+@pytest.mark.parametrize("criterion, eps, loaded", [("ABS", "0.1", False), ("NOR", "0.5", True)])
+def test_decimal_loads_only_at_a_near_tie(tmp_path, criterion, eps, loaded):
+    # Geometric(1, 1/2): at eps = 0.1 no ratio is near eps**2; under NOR at
+    # eps = 1/2, lambda_3/lambda_1 = 1/4 is a tie, decided at 40 digits.
+    config = tmp_path / "config.json"
+    model = {"kind": "Geometric", "params": {"a": 1.0, "r": 0.5}}
+    config.write_text(json.dumps({"model": model, "criterion": criterion}))
+    argv = ["complexity", "--eps", eps, "--d", "2", "--config", str(config)]
+    script = (
+        "import contextlib, io, sys, tract.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert tract.cli.main({argv!r}) == 0\n"
+        "print('decimal' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": SRC}
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == [str(loaded)]

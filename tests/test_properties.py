@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -20,7 +21,7 @@ from tract import (
     info_complexity,
     nth_minimal_error,
 )
-from tract.eigenmodel import eigenvalues, probe_indices
+from tract.eigenmodel import log_ratios, probe_indices
 
 ABS = ErrorCriterion.ABS
 NOR = ErrorCriterion.NOR
@@ -74,9 +75,22 @@ def test_sequences_nonincreasing_and_positive(family, d):
     idx = probe_indices(2000)
     if isinstance(family, FiniteRank):
         idx = idx[idx <= family.rank]
-    vals = eigenvalues(model, d, idx)
-    assert np.all(vals > 0)
-    assert np.all(np.diff(vals) <= 0)
+    # In logarithms: exp underflows to 0 from j of about 1075 on Geometric(1, 1/2).
+    logs = log_ratios(model, d, idx, ABS)
+    assert np.all(np.isfinite(logs))
+    assert np.all(np.diff(logs) <= 0)
+
+
+def _mp_eigenvalue(family, j: int):
+    """lambda(j) of a family of the strategy, in the current mpmath precision."""
+    if isinstance(family, FiniteRank):
+        return mpmath.mpf(family.entries[j - 1])
+    a = mpmath.mpf(family.a)
+    if isinstance(family, Geometric):
+        return a * mpmath.mpf(family.r) ** j
+    if isinstance(family, PolyDecay):
+        return a * mpmath.mpf(j) ** -mpmath.mpf(family.alpha)
+    return a * mpmath.exp(-mpmath.mpf(family.b) * mpmath.mpf(j) ** mpmath.mpf(family.gamma))
 
 
 @settings(max_examples=40, deadline=None)
@@ -94,18 +108,20 @@ def test_sequences_nonincreasing_and_positive(family, d):
 def test_error_inversion(family, d, eps, criterion):
     # The exact statement lives on the eigenvalues: under ABS lambda_j against
     # eps^2, under NOR the ratio lambda_j/lambda_1 against eps^2, as the counts
-    # compare them.  The square-root form can flip an exact tie by an ulp, so
-    # it gets a correspondingly tiny slack.
-    from tract import cri, eigenvalue
-    from tract.eigenmodel import ratio, support
+    # compare them, here in 50-digit arithmetic.  The square-root form can
+    # flip an exact tie by an ulp, so it gets a correspondingly tiny slack.
+    from tract import cri
+    from tract.eigenmodel import support
 
     model = EigenModel(family)
     n = info_complexity(model, ComplexityQuery(d, eps, criterion)).n
 
     def above(j):
-        if criterion is NOR:
-            return ratio(model, d, j, NOR) > eps * eps
-        return eigenvalue(model, d, j) > eps * eps * cri(model, d, ABS)
+        with mpmath.workdps(50):
+            rho = _mp_eigenvalue(family, j)
+            if criterion is NOR:
+                rho /= _mp_eigenvalue(family, 1)
+            return rho > mpmath.mpf(eps * eps)
 
     rank = support(model, d)
     if rank is None or n + 1 <= rank:
