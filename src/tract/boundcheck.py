@@ -22,10 +22,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .complexity import ComplexityQuery, first_index, info_complexity
+from .complexity import ComplexityQuery, count_above, first_index, info_complexity
 from .config import CriterionParams
 from .criteria import SUM_SPECS, _plan, ceil_stable
-from .eigenmodel import EigenModel, ErrorCriterion, compare_ratios, log_ratios, support
+from .eigenmodel import EigenModel, ErrorCriterion, log_ratios
 from .summation import SumEvaluation
 
 __all__ = [
@@ -171,7 +171,7 @@ def diagnostics(
     """
     p = spec.params
     crit = spec.criterion
-    rank = support(model, d)
+    rank = model.family.rank
     cap = rank if rank is not None else 1 << 22
 
     out: dict = {}
@@ -193,7 +193,7 @@ def diagnostics(
         out["B_d_bound"] = int(bound)
         out["B_d_ok"] = count <= bound
     if spec.theorem in ("T1", "T2"):
-        j1 = _count_above_cri(model, d, crit, cap)
+        j1 = count_above(model, d, crit, 1.0, cap)
         out["j1_star"] = j1
         if spec.theorem == "T2":
             bound = spec.constant_upper * float(d) ** p.tau
@@ -205,9 +205,3 @@ def diagnostics(
             bracket = (1.0 + math.log(max(1.0, float(big_c - d)))) ** p.s
             out["k1_star"] = int(math.floor(math.exp(spec.params.c * (bracket + float(d) ** p.t)))) + 1
     return out
-
-
-def _count_above_cri(model: EigenModel, d: int, criterion: ErrorCriterion, cap: int) -> int:
-    """|{j : lambda(d, j) > CRI_d}| by monotone search, capped at ``cap``."""
-    first = first_index(lambda j: compare_ratios(model, d, j, criterion, 1.0) <= 0, cap)
-    return cap if first is None else first - 1

@@ -24,7 +24,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .complexity import ComplexityQuery, first_index, info_complexity
+from .complexity import ComplexityQuery, count_above, info_complexity
 from .config import CriterionParams, Limits
 from .criteria import (
     SUM_SPECS,
@@ -42,10 +42,8 @@ from .eigenmodel import (
     PowerLawTail,
     StretchedExpTail,
     _ratios_d_free,
-    compare_ratios,
     eigenvalue,
     ratio_envelope,
-    support,
 )
 from .errors import DegenerateGridError, NoPassingPointError
 from .summation import Divergence, SumStatus
@@ -154,7 +152,7 @@ def _scale_nonincreasing(model: EigenModel) -> bool:
     return bool(np.all(logs[1:] <= logs[:-1] + 1e-12))
 
 
-def _effectively_d_independent(model: EigenModel, criterion: ErrorCriterion) -> bool:
+def _effectively_d_free(model: EigenModel, criterion: ErrorCriterion) -> bool:
     """True when finite-d evidence provably covers every d.
 
     Ratios free of d cover it directly; under the absolute criterion a
@@ -170,7 +168,7 @@ def _sup_attained_at_d1(model: EigenModel, sum_kind: str, criterion: ErrorCriter
     ABS additionally needs ratios <= 1 because its inner exponent grows
     with d.
     """
-    if not _effectively_d_independent(model, criterion):
+    if not _effectively_d_free(model, criterion):
         return False
     if sum_kind == "qpt-alg" and criterion is ErrorCriterion.ABS:
         return eigenvalue(model, 1, 1) <= 1.0
@@ -374,7 +372,7 @@ def _decide_wt(model: EigenModel, notion: Notion, limits: Limits) -> Tractabilit
     sum_kind = notion.sum_kind
     certifiable = _sup_attained_at_d1(model, sum_kind, notion.criterion)
     form = getattr(_exact_env(model, notion.criterion), "form", None)
-    rank = support(model, 1)
+    rank = model.family.rank
 
     c_grid: list[float] = []
     c = 1.0
@@ -417,7 +415,7 @@ def _decide_wt(model: EigenModel, notion: Notion, limits: Limits) -> Tractabilit
     # exact eigenvalue counts and is independent of any summation budget.
     worst_note = ""
     d_sweep = min(limits.d_max, 24)
-    counts = [_count_ratios_at_least_one(model, d, notion.criterion) for d in range(1, d_sweep + 1)]
+    counts = [count_above(model, d, notion.criterion, 1.0, 1 << 22, at_least=True) for d in range(1, d_sweep + 1)]
     for c in c_grid:
         params = CriterionParams(c=c, s=s, t=t)
         cert = _multiplicity_growth(counts, params)
@@ -503,13 +501,6 @@ def _multiplicity_growth(counts: list[int], params: CriterionParams) -> str | No
     return None
 
 
-def _count_ratios_at_least_one(model: EigenModel, d: int, criterion: ErrorCriterion) -> int:
-    rank = support(model, d)
-    cap = rank if rank is not None else 1 << 22
-    first = first_index(lambda j: compare_ratios(model, d, j, criterion, 1.0) < 0, cap)
-    return cap if first is None else first - 1
-
-
 # ---------------------------------------------------------------------------
 # UWT
 # ---------------------------------------------------------------------------
@@ -547,10 +538,10 @@ def _decide_uwt(model: EigenModel, notion: Notion, limits: Limits) -> Tractabili
         "threshold_at_top": math.log(math.log(grid[-1])),
     }
 
-    recognisable = _effectively_d_independent(model, criterion)
+    recognisable = _effectively_d_free(model, criterion)
     env = _exact_env(model, criterion)
     form = getattr(env, "form", None)
-    rank = support(model, 1)
+    rank = model.family.rank
 
     if recognisable and rank is not None and grid[-1] > rank:
         if math.isinf(stats[1][-1]):

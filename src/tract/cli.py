@@ -176,7 +176,7 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _emit(cfg: RunConfig, command: str, params: dict, body: dict | str, path: str | None) -> None:
+def _output(cfg: RunConfig, command: str, params: dict, body: dict | str, path: str | None) -> None:
     """Write ``body`` to stdout, or to ``path`` next to ``path.manifest.json``.
 
     A dict body is JSON and embeds the manifest; a str body (CSV) is written
@@ -243,7 +243,7 @@ def _cmd_validate(cfg: RunConfig, args) -> int:
         "violations": [v._asdict() for v in report.violations],
     }
     params = {"d_max": args.d_max, "j_probe": args.j_probe}
-    _emit(cfg, "validate", params, payload, args.out or cfg.output_path)
+    _output(cfg, "validate", params, payload, args.out or cfg.output_path)
     return 0 if report.ok else 1
 
 
@@ -261,7 +261,7 @@ def _cmd_complexity(cfg: RunConfig, args) -> int:
         else:
             res = info_complexity(cfg.model, query, cfg.limits.j_max)
         payload = {"d": d, "eps": eps, "criterion": cfg.criterion.value, **res.as_dict()}
-        _emit(cfg, "complexity", params, payload, args.out or cfg.output_path)
+        _output(cfg, "complexity", params, payload, args.out or cfg.output_path)
         return 0
     eps_grid = _setting(cfg, args, "eps_grid", str)
     d_grid = _setting(cfg, args, "d_grid", str)
@@ -278,7 +278,7 @@ def _cmd_complexity(cfg: RunConfig, args) -> int:
 
     rows = [solve(p) for p in points]
     text = _csv_text(["d", "eps", "criterion", "n", "capped"], rows)
-    _emit(cfg, "complexity", {"eps_grid": eps_grid, "d_grid": d_grid},
+    _output(cfg, "complexity", {"eps_grid": eps_grid, "d_grid": d_grid},
           text, args.out or cfg.output_path)
     return 0
 
@@ -314,14 +314,14 @@ def _cmd_criterion(cfg: RunConfig, args) -> int:
         case = "ALG" if sum_kind == "uwt-alg" else "EXP"
         value = uwt_statistic(cfg.model, n, params.k or 1, case, cfg.criterion)
         payload = {"statistic": value, "n": n, "k": params.k or 1, "case": case}
-        _emit(cfg, "criterion", run_params, payload, path)
+        _output(cfg, "criterion", run_params, payload, path)
         return 0
     if args.sup:
         d_max = args.d_max or cfg.limits.d_max
         run_params.update(sup=True, d_max=d_max)
         sweep = sup_over_d(cfg.model, sum_kind, params, cfg.criterion, d_max, tol=cfg.limits.tol)
         rows = [[d + 1, repr(v)] for d, v in enumerate(sweep.values)]
-        _emit(cfg, "criterion", run_params, _csv_text(["d", "value"], rows), path)
+        _output(cfg, "criterion", run_params, _csv_text(["d", "value"], rows), path)
         sys.stderr.write(
             f"sup_observed={sweep.sup_observed!r} trend={sweep.trend} status={sweep.status.value}\n"
         )
@@ -330,7 +330,7 @@ def _cmd_criterion(cfg: RunConfig, args) -> int:
     d = 1 if d is None else d
     run_params["d"] = d
     ev = evaluate_sum(cfg.model, sum_kind, d, params, cfg.criterion, tol=cfg.limits.tol)
-    _emit(cfg, "criterion", run_params, {**ev.as_dict(), "d": d, "sum": sum_kind}, path)
+    _output(cfg, "criterion", run_params, {**ev.as_dict(), "d": d, "sum": sum_kind}, path)
     return 0
 
 
@@ -339,7 +339,7 @@ def _cmd_classify(cfg: RunConfig, args) -> int:
 
     report = classify_all(cfg.model, cfg.criterion, cfg.limits)
     payload = {**report, "criterion": cfg.criterion.value}
-    _emit(cfg, "classify", {}, payload, args.out or cfg.output_path)
+    _output(cfg, "classify", {}, payload, args.out or cfg.output_path)
     return 0
 
 
@@ -361,7 +361,7 @@ def _cmd_exponent(cfg: RunConfig, args) -> int:
     notion = Notion(kind, case, cfg.criterion)
     bracket = exponent_bracket(cfg.model, notion, cfg.limits)
     payload = {"notion": notion.name, **bracket.as_dict()}
-    _emit(cfg, "exponent", {"notion": notion_name}, payload, args.out or cfg.output_path)
+    _output(cfg, "exponent", {"notion": notion_name}, payload, args.out or cfg.output_path)
     return 0
 
 
@@ -410,9 +410,9 @@ def _cmd_verify_bounds(cfg: RunConfig, args) -> int:
     run_params = {"theorem": theorem, "eps_grid": eps_grid, "d_grid": d_grid, **params.as_dict()}
     path = args.out or cfg.output_path
     if path:
-        _emit(cfg, "verify-bounds", run_params, text, path)
+        _output(cfg, "verify-bounds", run_params, text, path)
     # The summary always goes to stdout, with the same manifest as the file.
-    _emit(cfg, "verify-bounds", run_params, {**report.summary(), "constant": sweep.sup_observed}, None)
+    _output(cfg, "verify-bounds", run_params, {**report.summary(), "constant": sweep.sup_observed}, None)
     return 0 if report.ok else 1
 
 

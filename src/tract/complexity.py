@@ -4,9 +4,11 @@ n(eps, d) is the number of ratios lambda(d, j)/CRI_d strictly above eps^2,
 which for a non-increasing sequence equals the least n with
 lambda(d, n+1)/CRI_d <= eps^2.  Two independent routes are provided: a
 monotonicity-exploiting search and an ordering-free counting scan; their
-exact agreement is a tested invariant.  Both read
-``eigenmodel.compare_ratios`` against eps^2, so CRI_d is applied in one
-place, a d-scale cancels exactly under NOR, and ties follow the real numbers.
+exact agreement is a tested invariant.  The search is :func:`count_above`,
+the one search count, which also counts the WT multiplicities (ratios >= 1)
+and the T1/T2 diagnostics (ratios > 1).  Both routes read
+``eigenmodel.compare_ratios``, so CRI_d is applied in one place, a d-scale
+cancels exactly under NOR, and ties follow the real numbers.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .eigenmodel import EigenModel, ErrorCriterion, compare_ratios, eigenvalue, support
+from .eigenmodel import EigenModel, ErrorCriterion, compare_ratios, eigenvalue
 from .errors import UnboundedError
 
 __all__ = [
@@ -25,6 +27,7 @@ __all__ = [
     "ComplexityQuery",
     "ComplexityResult",
     "info_complexity",
+    "count_above",
     "count_oracle",
     "nth_minimal_error",
     "first_index",
@@ -58,20 +61,32 @@ class ComplexityResult(NamedTuple):
 def info_complexity(
     model: EigenModel, query: ComplexityQuery, j_max: int = J_MAX_DEFAULT
 ) -> ComplexityResult:
-    """Least n with lambda(d, n+1)/CRI_d <= eps^2 (ties count as satisfied).
+    """Least n with lambda(d, n+1)/CRI_d <= eps^2 (ties count as satisfied),
+    by :func:`count_above`.
 
-    The first index at or below the threshold comes from :func:`first_index`.
     Raises :class:`UnboundedError` when no such index exists up to ``j_max``.
     """
-    d, eps2 = query.d, query.eps * query.eps
-    rank = support(model, d)
-    cap = j_max if rank is None else rank
-    first = first_index(lambda j: compare_ratios(model, d, j, query.criterion, eps2) <= 0, cap)
-    if first is None:
-        if rank is not None:
-            return ComplexityResult(n=rank, capped=True, method="search")
-        raise UnboundedError(d, query.eps, j_max)
-    return ComplexityResult(n=first - 1, capped=False, method="search")
+    rank = model.family.rank
+    n = count_above(model, query.d, query.criterion, query.eps * query.eps, j_max)
+    if rank is None and n == j_max:
+        raise UnboundedError(query.d, query.eps, j_max)
+    return ComplexityResult(n=n, capped=(n == rank), method="search")
+
+
+def count_above(
+    model: EigenModel, d: int, criterion: ErrorCriterion, t: float, cap: int, at_least: bool = False
+) -> int:
+    """|{j : lambda(d, j)/CRI_d > t}|, or >= t with ``at_least``, by
+    :func:`first_index` over :func:`compare_ratios`.
+
+    The search runs up to the family's rank, else up to ``cap``, and reads
+    that bound when every index there counts.
+    """
+    rank = model.family.rank
+    cap = cap if rank is None else rank
+    stop = 0 if at_least else 1  # the search stops at the first sign below this
+    first = first_index(lambda j: compare_ratios(model, d, j, criterion, t) < stop, cap)
+    return cap if first is None else first - 1
 
 
 # The first probe of every search: each index up to 64, then each power of
@@ -118,7 +133,7 @@ def count_oracle(
     oracle for :func:`info_complexity` on validated (non-increasing) models.
     """
     d, eps2 = query.d, query.eps * query.eps
-    rank = support(model, d)
+    rank = model.family.rank
     stop = rank if rank is not None else j_max
     count = 0
     chunk = 1 << 16
@@ -136,7 +151,7 @@ def nth_minimal_error(model: EigenModel, d: int, n: int) -> float:
     """The error left after n optimally chosen functionals: sqrt(lambda(d, n+1))."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    rank = support(model, d)
+    rank = model.family.rank
     if rank is not None and n + 1 > rank:
         return 0.0
     return math.sqrt(eigenvalue(model, d, n + 1))

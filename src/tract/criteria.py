@@ -50,7 +50,6 @@ from .eigenmodel import (
     _ratios_d_free,
     log_ratios,
     ratio_envelope,
-    support,
 )
 from .errors import BeyondRankError
 from .summation import (
@@ -328,7 +327,9 @@ def _plan_wt_alg(env: TailEnvelope, c: float, s: float) -> Plan:
     # Geometric and stretched envelopes give doubly exponential terms
     # g(x) = exp(-e**y), y = ln c - half_s ln scale + half_s kappa x**power,
     # whose ratios decrease where y is convex: for power >= 1, else from j1
-    # on.  The tail reads ln g = -e**y; e**709 stands in for more (raising g).
+    # on.  The tail reads ln g = -e**min(y, 10), raising g: g is 0 as a
+    # double from y = 6.7 on, and the cap keeps the rounding of y, which
+    # e**y multiplies, from taking ln g below the terms.
     kappa, power = form.stretched
     log_c = math.log(c) - half_s * env.log_scale
     log_b = math.log(s) - _LN2 + math.log(kappa)  # ln(half_s kappa)
@@ -337,7 +338,7 @@ def _plan_wt_alg(env: TailEnvelope, c: float, s: float) -> Plan:
         j1, _ = _index_past((math.log(1.0 - power) - log_b - math.log(power)) / power, j1)
 
     def log_g(x: float) -> float:
-        return -math.exp(min(log_c + math.exp(min(log_b + power * math.log(x), _LOG_HUGE)), _LOG_HUGE))
+        return -math.exp(min(log_c + math.exp(min(log_b + power * math.log(x), _LOG_HUGE)), 10.0))
 
     return RatioTail(log_g, from_j=j1) if j1 else None
 
@@ -582,7 +583,7 @@ def evaluate_sum(
         tol=tol,
         max_terms=max_terms,
         min_terms=min_terms,
-        hard_end=support(model, d),
+        hard_end=model.family.rank,
         prefactor=1.0 if spec.outer_power else pref,
     )
     return _outer_power(ev, pref, 1.0 / p.tau2) if spec.outer_power else ev
@@ -817,7 +818,7 @@ def convergence_plan(
     parameters evaluate_sum rejects.
     """
     p = _spec(kind).resolve(params)
-    rank = support(model, d)
+    rank = model.family.rank
     if rank is not None:
         # Finite spectra converge trivially; any tail bound object works as
         # the convergence marker since nothing is summed through it.

@@ -74,7 +74,6 @@ __all__ = [
     "log_ratios",
     "compare_ratios",
     "cri",
-    "support",
     "ratio_envelope",
     "validate",
     "ensure_valid",
@@ -216,30 +215,29 @@ class Tabulated(_Family):
         # A multiset, as FiniteRank: lambda(d, 1) is the largest entry, and
         # the continuation must not rise above the smallest one.
         prefix = tuple(sorted(self.prefix, reverse=True))
+        object.__setattr__(self, "prefix", prefix)
+        object.__setattr__(self, "_table", np.log(prefix))
         j = len(prefix) + 1
-        form = self.continuation.form
-        first = form.log_value(np.array([j]))
-        if _signs(first, prefix[-1], lambda _: form.log_decimal(j))[0] > 0:
+        first = self.log_values(1, np.array([j]))
+        if _signs(first, prefix[-1], lambda _: self.log_decimal(1, j))[0] > 0:
             raise ValueError(
                 f"Tabulated continuation at j={j} ({math.exp(first[0]):.15g}) "
                 f"exceeds the last prefix entry {prefix[-1]!r}"
             )
-        object.__setattr__(self, "prefix", prefix)
-        object.__setattr__(self, "_table", np.log(prefix))
         object.__setattr__(self, "envelope", self.continuation._replace(exact=True).shifted(j))
 
     def log_values(self, d: int | np.ndarray, j: np.ndarray) -> np.ndarray:
-        # Past the prefix the logarithm comes from the form.
+        # Past the prefix the logarithm comes from the continuation, factor included.
         j = np.asarray(j)
         out = np.empty(j.shape, dtype=float)
         inside = j <= len(self.prefix)
         out[inside] = self._table[j[inside] - 1]
-        out[~inside] = self.continuation.form.log_value(j[~inside])
+        out[~inside] = self.continuation.form.log_value(j[~inside]) + self.continuation.log_factor
         return out
 
     def log_decimal(self, d: int, j: int):
         if j > len(self.prefix):
-            return self.continuation.form.log_decimal(j)
+            return self.continuation.form.log_decimal(j) + _decimal(self.continuation.log_factor)
         return _decimal(self.prefix[j - 1]).ln()
 
 
@@ -380,28 +378,18 @@ class EigenModel:
     def __post_init__(self):
         if self.d_scale is not None and "j" in exprdsl.variables_used(self.d_scale):
             raise ValueError("d_scale must be a formula in d only")
-        if self.declared_tail is not None and isinstance(self.family, FiniteRank):
+        if self.declared_tail is not None and self.family.rank is not None:
             raise ValueError("FiniteRank spectra are finite; a tail envelope is meaningless")
 
     @property
     def kind(self) -> str:
         return type(self.family).__name__
 
-    @property
-    def d_independent(self) -> bool:
-        """True when lambda(d, j) does not depend on d at all."""
-        return _ratios_d_free(self, ErrorCriterion.ABS)  # under ABS the ratios are the eigenvalues
-
     def log_d_scale(self, d: int | np.ndarray) -> float | np.ndarray:
         """ln c_d at an int d, or over an int array of d."""
         if self.d_scale is None:
             return 0.0
         return exprdsl.log_array(self.d_scale, d, 1, "d_scale produced a negative factor")
-
-
-def support(model: EigenModel, d: int) -> int | None:
-    """Finite rank of the spectrum for dimension d, or None if infinite."""
-    return model.family.rank
 
 
 def eigenvalues(model: EigenModel, d: int | np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -466,15 +454,22 @@ def compare_ratios(model: EigenModel, d: int, j: np.ndarray, criterion: ErrorCri
     """The sign of lambda(d, j)/CRI_d - t over an index array, by :func:`_signs`
     from :func:`log_ratios` and the family's ``log_decimal``; every count reads it."""
     j = np.asarray(j)
+    logs = log_ratios(model, d, j, criterion)
 
     def exact(pos: int):
-        jj = int(j[pos])
-        if criterion is ErrorCriterion.NOR:  # the ratio at j = 1 is 1 exactly
-            return 0 if jj == 1 else model.family.log_decimal(d, jj) - model.family.log_decimal(d, 1)
-        log = model.family.log_decimal(d, jj)
+        log = model.family.log_decimal(d, int(j[pos]))
+        if criterion is ErrorCriterion.NOR:
+            return log - model.family.log_decimal(d, 1)
         return log if model.d_scale is None else log + exprdsl.log_decimal(model.d_scale, d, 1)
 
-    return _signs(log_ratios(model, d, j, criterion), t, exact)
+    if criterion is ErrorCriterion.ABS or abs(t - 1.0) > 2 * _NEAR:
+        return _signs(logs, t, exact)
+    # Under NOR the ratio at j = 1 is 1 exactly, and only a t near 1 brings
+    # its log, 0, near ln t: its sign is that of 1 - t, with no digits.
+    lead = j == 1
+    sign = _signs(np.where(lead, math.inf, logs), t, exact)
+    sign[lead] = np.sign(1.0 - t)
+    return sign
 
 
 # The rounding of a logarithm here is a few ulps of its operands, which lie
@@ -591,7 +586,7 @@ def validate(model: EigenModel, d_max: int = 8, j_probe: int = 10_000) -> Valida
         if isinstance(fam, Tabulated):
             grid = grid[grid <= len(fam.prefix)]
     for d in range(1, d_max + 1):
-        cap = support(model, d)
+        cap = model.family.rank
         indices = idx[idx <= cap] if cap is not None else idx
         if indices.size == 0:
             continue

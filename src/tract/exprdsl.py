@@ -48,7 +48,6 @@ __all__ = [
     "BinOp",
     "Call",
     "parse",
-    "to_source",
     "evaluate",
     "compile_array",
     "log_array",
@@ -244,72 +243,6 @@ def parse(source: str) -> Expr:
     if tail.kind != "end":
         raise ExprSyntaxError(tail.offset, ("operator", "end of input"), repr(tail.text))
     return node
-
-
-# ---------------------------------------------------------------------------
-# Printer
-# ---------------------------------------------------------------------------
-
-# Precedence levels used for minimal re-parseable parenthesisation.
-_LEVEL_ADD, _LEVEL_MUL, _LEVEL_UNARY, _LEVEL_POW, _LEVEL_ATOM = 1, 2, 3, 4, 5
-
-
-def _level(node: Expr) -> int:
-    if isinstance(node, (Num, Var, Call)):
-        return _LEVEL_ATOM
-    if isinstance(node, Neg):
-        return _LEVEL_UNARY
-    if node.op in ("+", "-"):
-        return _LEVEL_ADD
-    if node.op in ("*", "/"):
-        return _LEVEL_MUL
-    return _LEVEL_POW
-
-
-def _emit(node: Expr, min_level: int) -> str:
-    if isinstance(node, Num):
-        text = repr(node.value)
-    elif isinstance(node, Var):
-        text = node.name
-    elif isinstance(node, Call):
-        text = f"{node.func}({', '.join(_emit(a, _LEVEL_ADD) for a in node.args)})"
-    elif isinstance(node, Neg):
-        # Grammar: unary := '-' unary, so only another unary or a primary
-        # may follow the sign unparenthesised.  In particular "-a^b"
-        # re-parses as (-a)^b, so a power operand needs parens.
-        if isinstance(node.operand, BinOp):
-            text = f"-({_emit(node.operand, _LEVEL_ADD)})"
-        else:
-            text = f"-{_emit(node.operand, _LEVEL_UNARY)}"
-    elif node.op == "^":
-        # factor := unary ('^' factor)?: the left slot holds a unary (a
-        # leading minus binds to it), the right slot another factor, which
-        # keeps chains right-associative.
-        if isinstance(node.left, BinOp):
-            left = f"({_emit(node.left, _LEVEL_ADD)})"
-        else:
-            left = _emit(node.left, _LEVEL_UNARY)
-        if isinstance(node.right, BinOp) and node.right.op != "^":
-            right = f"({_emit(node.right, _LEVEL_ADD)})"
-        else:
-            right = _emit(node.right, _LEVEL_UNARY)
-        text = f"{left}^{right}"
-    else:
-        own = _level(node)
-        left = _emit(node.left, own)
-        # Both chains are left-associative: the right child must sit one
-        # level tighter to survive a round trip.
-        right = _emit(node.right, own + 1)
-        text = f"{left} {node.op} {right}"
-
-    if _level(node) < min_level:
-        return f"({text})"
-    return text
-
-
-def to_source(node: Expr) -> str:
-    """Render a tree to source that parses back to a structurally equal tree."""
-    return _emit(node, _LEVEL_ADD)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,14 @@
+import ast
 import inspect
 import math
+import pathlib
+import re
 
 import mpmath
 import numpy as np
 import pytest
 
+import tract
 from tract import (
     ComplexityQuery,
     EigenModel,
@@ -21,13 +25,27 @@ from tract import (
     nth_minimal_error,
 )
 from tract import exprdsl
-from tract.boundcheck import _count_above_cri
-from tract.classifier import _count_ratios_at_least_one
-from tract.complexity import first_index
+from tract.boundcheck import diagnostics
+from tract.classifier import _decide_wt
+from tract.complexity import count_above, first_index
 from tract.errors import UnboundedError
 
 ABS = ErrorCriterion.ABS
 NOR = ErrorCriterion.NOR
+
+# What each count reads its ratios through: info_complexity is the search
+# of count_above, and the two counts compare with compare_ratios.
+_READS = {info_complexity: "count_above(", count_above: "compare_ratios(", count_oracle: "compare_ratios("}
+# The two ratio counts outside the query path, read through count_above: the
+# T1/T2 diagnostics count ratios > 1 and the WT multiplicities ratios >= 1.
+_RATIO_COUNTS = [
+    pytest.param(diagnostics, "count_above(model, d, crit, 1.0, cap)", id="_count_above_cri"),
+    pytest.param(
+        _decide_wt,
+        "count_above(model, d, notion.criterion, 1.0, 1 << 22, at_least=True)",
+        id="_count_ratios_at_least_one",
+    ),
+]
 
 
 class TestInfoComplexity:
@@ -160,14 +178,27 @@ class TestOracleEquivalence:
         assert route(EigenModel(Geometric(1.0, 0.999)), q).n == 1386
         assert route(EigenModel(Geometric(1e-305, 0.999)), q).n == 1386
 
-    @pytest.mark.parametrize("route", [info_complexity, count_oracle, _count_ratios_at_least_one, _count_above_cri])
-    def test_every_count_reads_the_one_comparison(self, route):
-        assert "compare_ratios(" in inspect.getsource(route)
+    @pytest.mark.parametrize(
+        "route, call", [*(pytest.param(r, c, id=r.__name__) for r, c in _READS.items()), *_RATIO_COUNTS]
+    )
+    def test_every_count_reads_the_one_comparison(self, route, call):
+        assert call in inspect.getsource(route)
 
-    @pytest.mark.parametrize("route", [info_complexity, count_oracle])
+    def test_only_the_counts_call_the_comparison(self):
+        callers = set()
+        for path in pathlib.Path(tract.__file__).parent.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.FunctionDef):
+                    calls = [n for n in ast.walk(node) if isinstance(n, ast.Call)]
+                    if any(getattr(c.func, "id", None) == "compare_ratios" for c in calls):
+                        callers.add(node.name)
+        assert callers == {"count_above", "count_oracle"}
+
+    @pytest.mark.parametrize("route", list(_READS))
     def test_routes_leave_cri_to_ratios(self, route):
-        assert "ErrorCriterion" not in inspect.getsource(route)
-        assert "ratios(" in inspect.getsource(route)
+        source = inspect.getsource(route)
+        assert not re.search(r"ErrorCriterion\.|\b(ABS|NOR|cri)\b|criterion (is|==)", source)
+        assert _READS[route] in source
 
     def test_eps_monotonicity(self, poly2):
         values = [
@@ -249,5 +280,5 @@ class TestFirstIndex:
     def test_tie_semantics_of_the_ratio_counts(self):
         # ratios 2, 1, 1, 0.5: three are >= 1, one is > 1
         model = EigenModel(FiniteRank((2.0, 1.0, 1.0, 0.5)))
-        assert _count_ratios_at_least_one(model, 1, ABS) == 3
-        assert _count_above_cri(model, 1, ABS, 4) == 1
+        assert count_above(model, 1, ABS, 1.0, 1 << 22, at_least=True) == 3
+        assert count_above(model, 1, ABS, 1.0, 1 << 22) == 1

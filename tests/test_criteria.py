@@ -20,6 +20,7 @@ from tract import (
     Geometric,
     GeometricTail,
     PolyDecay,
+    PowerLawTail,
     Tabulated,
     TailEnvelope,
     sum_pt_alg,
@@ -103,6 +104,15 @@ class TestSptAlg:
         logarithm, and every term past the first is 0."""
         ev = evaluate_sum(EigenModel(ExpDecay(1e300, 1e300, 1.0)), "spt-alg", 1, CriterionParams(tau=1.0), NOR)
         assert (ev.status, ev.value) == (SumStatus.CERTIFIED, 1.0)
+
+    def test_tabulated_continuation_reads_its_log_factor(self):
+        """Past the prefix the values are e**-5 j**-2, as the envelope says,
+        so the sum is 1 + e**-5 (zeta(2) - 1)."""
+        tail = TailEnvelope(PowerLawTail(1.0, 2.0), valid_from=2, log_factor=-5.0)
+        ev = evaluate_sum(EigenModel(Tabulated((1.0,), tail)), "spt-alg", 1, CriterionParams(tau=1.0), ABS, tol=1e-6)
+        exact = 1 + mpmath.exp(-5) * (mpmath.zeta(2) - 1)
+        assert ev.status is SumStatus.CERTIFIED
+        assert abs(ev.value - exact) <= ev.remainder_bound
 
 
 class TestSptExp:

@@ -262,6 +262,14 @@ class TestTabulatedOrder:
             Tabulated((0.2, 1.0), TailEnvelope(GeometricTail(2.0, 0.5), valid_from=3))
         Tabulated((0.25, 1.0), TailEnvelope(GeometricTail(2.0, 0.5), valid_from=3))  # ties pass
 
+    def test_continuation_join_reads_its_log_factor(self):
+        # 0.5**3 = 0.125 at j = 3, times e: 0.34, above the smallest entry 0.2;
+        # 2 * 0.5**3 = 0.25, times 1/e: 0.092, below it.
+        with pytest.raises(ValueError, match=r"j=3 \(0\.339"):
+            Tabulated((0.2, 1.0), TailEnvelope(GeometricTail(1.0, 0.5), valid_from=3, log_factor=1.0))
+        model = EigenModel(Tabulated((0.2, 1.0), TailEnvelope(GeometricTail(2.0, 0.5), valid_from=3, log_factor=-1.0)))
+        assert eigenvalue(model, 1, 3) == pytest.approx(0.25 / math.e, rel=1e-15)
+
 
 class TestConfigIngestion:
     def test_roundtrip_geometric(self):

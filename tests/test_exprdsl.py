@@ -17,7 +17,7 @@ from tract import (
 )
 from tract.eigenmodel import log_ratio, log_ratios
 from tract.errors import ArityError, EvalDomainError, ExprSyntaxError, UnknownIdentifierError
-from tract.exprdsl import BinOp, Neg, Num, Var, compile_array, evaluate, parse, to_source
+from tract.exprdsl import BinOp, Neg, Num, Var, compile_array, evaluate, parse
 
 import numpy as np
 
@@ -110,56 +110,6 @@ def test_unary_minus_binds_inside_power_left_operand():
 
 def test_negative_exponent_on_the_right():
     assert evaluate(parse("2^-2"), 1, 1) == 0.25
-
-
-def test_roundtrip_examples():
-    for source in [
-        "2+3*2^2",
-        "j^(0-2)",
-        "exp(0-j)",
-        "-2^2",
-        "max(1, ln(j)) - -j",
-        "1/j + 1/d",
-        "2^3^2",
-        "-(2^2)",
-        "(1+d)*(1+j)",
-        "1 - (2 - 3)",
-        "2 / (3 / 4)",
-        "min(1, 2^(pow(2,d)-j))",
-        "1.5e-3 * j",
-    ]:
-        tree = parse(source)
-        assert parse(to_source(tree)) == tree, source
-
-
-_leaf = st.one_of(
-    st.floats(min_value=0.0, max_value=100.0, allow_nan=False).map(Num),
-    st.sampled_from(["d", "j"]).map(lambda s: parse(s)),
-)
-
-
-def _expr_strategy():
-    return st.recursive(
-        _leaf,
-        lambda children: st.one_of(
-            st.tuples(st.sampled_from("+-*/^"), children, children).map(
-                lambda t: BinOp(t[0], t[1], t[2])
-            ),
-            children.map(lambda c: parse(f"-({to_source(c)})")),
-            st.tuples(st.sampled_from(["exp", "ln", "sqrt"]), children).map(
-                lambda t: parse(f"{t[0]}({to_source(t[1])})")
-            ),
-            st.tuples(st.sampled_from(["max", "min", "pow"]), children, children).map(
-                lambda t: parse(f"{t[0]}({to_source(t[1])}, {to_source(t[2])})")
-            ),
-        ),
-        max_leaves=12,
-    )
-
-
-@given(_expr_strategy())
-def test_roundtrip_property(tree):
-    assert parse(to_source(tree)) == tree
 
 
 def test_eval_referentially_transparent():

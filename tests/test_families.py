@@ -37,7 +37,7 @@ from tract import (
     TailEnvelope,
     exprdsl,
 )
-from tract.eigenmodel import eigenvalues, log_ratios, ratio_envelope, ratios, support
+from tract.eigenmodel import _ratios_d_free, eigenvalues, log_ratios, ratio_envelope, ratios
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "family_envelopes.json"
 
@@ -78,7 +78,7 @@ def _model(name: str, scaled: bool) -> EigenModel:
 
 
 def _indices(model: EigenModel) -> np.ndarray:
-    rank = support(model, 1)
+    rank = model.family.rank
     if rank is not None:
         return np.arange(1, rank + 1, dtype=np.int64)
     grid = np.round(np.geomspace(3000, 1e5, 40)).astype(np.int64)
@@ -138,9 +138,8 @@ class TestFamilyContract:
         model = _model(name, scaled)
         _, _, rank, d_free = FAMILIES[name]
         assert model.family.rank == rank
-        assert support(model, 4) == rank
         assert model.family.d_free is d_free
-        assert model.d_independent is (d_free and not scaled)
+        assert _ratios_d_free(model, ErrorCriterion.ABS) is (d_free and not scaled)
 
 
 @pytest.mark.parametrize(

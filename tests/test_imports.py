@@ -4,8 +4,10 @@ These tests check the import graph, not timings: each runs a fresh
 interpreter and lists the ``tract`` modules it loaded.
 """
 
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 
@@ -67,14 +69,33 @@ def test_subcommand_loads_only_what_it_uses(tmp_path, argv, not_loaded):
     assert loaded.isdisjoint(not_loaded)
 
 
-@pytest.mark.parametrize("criterion, eps, loaded", [("ABS", "0.1", False), ("NOR", "0.5", True)])
-def test_decimal_loads_only_at_a_near_tie(tmp_path, criterion, eps, loaded):
-    # Geometric(1, 1/2): at eps = 0.1 no ratio is near eps**2; under NOR at
-    # eps = 1/2, lambda_3/lambda_1 = 1/4 is a tie, decided at 40 digits.
+_GEOMETRIC = {"kind": "Geometric", "params": {"a": 1.0, "r": 0.5}}
+_COMPLEXITY = ["complexity", "--d", "2", "--eps"]
+
+
+def _formula(formula: str) -> dict:
+    return {"kind": "Expression", "params": {"formula": formula}}
+
+
+@pytest.mark.parametrize(
+    "criterion, model, argv, loaded",
+    [
+        # Geometric(1, 1/2): at eps = 0.1 no ratio is near eps**2; under NOR at
+        # eps = 1/2, lambda_3/lambda_1 = 1/4 is a tie, decided at 40 digits.
+        pytest.param("ABS", _GEOMETRIC, [*_COMPLEXITY, "0.1"], False, id="ABS-0.1-False"),
+        pytest.param("NOR", _GEOMETRIC, [*_COMPLEXITY, "0.5"], True, id="NOR-0.5-True"),
+        # The WT multiplicities count ratios >= 1: under NOR the lead ratio is
+        # 1 exactly and needs no digits, while under ABS lambda(d, 1) = 1**-2.1
+        # is a real near tie.
+        pytest.param("NOR", _formula("exp(0-1.05*j/d)"), ["classify"], False, id="NOR-classify-exp"),
+        pytest.param("NOR", _formula("j^(0-2.1)"), ["classify"], False, id="NOR-classify-power"),
+        pytest.param("ABS", _formula("j^(0-2.1)"), ["classify"], True, id="ABS-classify-power"),
+    ],
+)
+def test_decimal_loads_only_at_a_near_tie(tmp_path, criterion, model, argv, loaded):
     config = tmp_path / "config.json"
-    model = {"kind": "Geometric", "params": {"a": 1.0, "r": 0.5}}
     config.write_text(json.dumps({"model": model, "criterion": criterion}))
-    argv = ["complexity", "--eps", eps, "--d", "2", "--config", str(config)]
+    argv = [*argv, "--config", str(config)]
     script = (
         "import contextlib, io, sys, tract.cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
@@ -84,3 +105,11 @@ def test_decimal_loads_only_at_a_near_tie(tmp_path, criterion, eps, loaded):
     env = {**os.environ, "PYTHONPATH": SRC}
     out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.split() == [str(loaded)]
+
+
+def test_every_exported_name_resolves():
+    # A name left in a module's __all__ after its definition is deleted.
+    for info in pkgutil.iter_modules(tract.__path__):
+        module = importlib.import_module(f"tract.{info.name}")
+        missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+        assert not missing, (info.name, missing)

@@ -215,6 +215,13 @@ def _audit(case: Case, kind: str, params: CriterionParams, criterion: ErrorCrite
     case=_closed(Geometric(1.0, 0.16119931113540154)), kind="wt-alg", params=CriterionParams(c=0.5, s=1.0, t=1.0),
     criterion=ABS, d=1,
 )
+# A RatioTail whose ln g = -e**y reaches -1.5e301 at j = 10001: the
+# rounding of y, times e**y, would take ln g below the terms, so y is
+# capped where g is 0 as a double already.
+@example(
+    case=_closed(Geometric(3.0, 0.5)), kind="wt-alg", params=CriterionParams(c=1.4921875, s=0.2, t=1.0),
+    criterion=ABS, d=1,
+)
 # lambda(d, 1) below 1e-300: the envelope is normalised by the same ln
 # lambda(d, 1) as the terms, not by a clamped one.
 @example(

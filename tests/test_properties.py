@@ -1,6 +1,7 @@
 """Property tests for the cross-module invariants."""
 
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -15,12 +16,16 @@ from tract import (
     ExpDecay,
     FiniteRank,
     Geometric,
+    GeometricTail,
     PolyDecay,
+    Tabulated,
+    TailEnvelope,
     count_oracle,
     evaluate_sum,
     info_complexity,
     nth_minimal_error,
 )
+from tract.complexity import count_above
 from tract.eigenmodel import log_ratios, probe_indices
 
 ABS = ErrorCriterion.ABS
@@ -93,6 +98,43 @@ def _mp_eigenvalue(family, j: int):
     return a * mpmath.exp(-mpmath.mpf(family.b) * mpmath.mpf(j) ** mpmath.mpf(family.gamma))
 
 
+# Entries m * 2**e, some repeated: many ratios, and so many thresholds
+# drawn from them, are exact doubles, and the counts meet real ties.
+_ENTRIES = st.lists(
+    st.one_of(
+        st.builds(lambda m, e: m * 2.0**e, st.sampled_from([1, 3, 5]), st.integers(-6, 6)),
+        st.floats(1e-3, 1e3),
+    ),
+    min_size=1,
+    max_size=8,
+).flatmap(lambda vs: st.lists(st.sampled_from(vs), max_size=6).map(lambda repeats: vs + repeats))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    entries=_ENTRIES,
+    tabulated=st.booleans(),
+    criterion=st.sampled_from([ABS, NOR]),
+    data=st.data(),
+)
+def test_count_above_ties_follow_the_rationals(entries, tabulated, criterion, data):
+    # A Tabulated continuation starts at half the smallest entry, below
+    # every threshold drawn here, so only the entries count.
+    n, low = len(entries), min(entries)
+    family = (
+        Tabulated(tuple(entries), TailEnvelope(GeometricTail(low * 2.0**n, 0.5), valid_from=n + 1))
+        if tabulated else FiniteRank(tuple(entries))
+    )
+    model = EigenModel(family)
+    cri = max(entries) if criterion is NOR else 1.0
+    t = data.draw(st.sampled_from(entries)) / cri
+    exact = [Fraction(v) / Fraction(cri) for v in entries]
+    above = sum(r > Fraction(t) for r in exact)
+    at_least = sum(r >= Fraction(t) for r in exact)
+    assert count_above(model, 1, criterion, t, 1000) == above
+    assert count_above(model, 1, criterion, t, 1000, at_least=True) == at_least
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     family=_families,
@@ -111,7 +153,6 @@ def test_error_inversion(family, d, eps, criterion):
     # compare them, here in 50-digit arithmetic.  The square-root form can
     # flip an exact tie by an ulp, so it gets a correspondingly tiny slack.
     from tract import cri
-    from tract.eigenmodel import support
 
     model = EigenModel(family)
     n = info_complexity(model, ComplexityQuery(d, eps, criterion)).n
@@ -123,7 +164,7 @@ def test_error_inversion(family, d, eps, criterion):
                 rho /= _mp_eigenvalue(family, 1)
             return rho > mpmath.mpf(eps * eps)
 
-    rank = support(model, d)
+    rank = model.family.rank
     if rank is None or n + 1 <= rank:
         assert not above(n + 1)
     if n >= 1:
