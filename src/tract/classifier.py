@@ -5,8 +5,8 @@ A verdict is one of
 Holds          a certificate covers every dimension (closed-form boundedness
                for effectively d-independent models, a finite spectrum, or a
                recognised decay family),
-Fails          a divergence certificate exists (or, for the eigenvalue decay
-               statistics, a certified bounded plateau),
+Fails          a divergence certificate exists (or, for the decay statistics
+               of the spectrum, a certified bounded plateau),
 SupportedUpTo  finite evidence agrees with the notion up to the probed
                limits but nothing lifts it to every d or every parameter,
 Inconclusive   the evidence is mixed or certification was impossible.
@@ -42,7 +42,7 @@ from .eigenmodel import (
     PowerLawTail,
     StretchedExpTail,
     _ratios_d_free,
-    eigenvalue,
+    log_ratio,
     ratio_envelope,
 )
 from .errors import DegenerateGridError, NoPassingPointError
@@ -171,7 +171,7 @@ def _sup_attained_at_d1(model: EigenModel, sum_kind: str, criterion: ErrorCriter
     if not _effectively_d_free(model, criterion):
         return False
     if sum_kind == "qpt-alg" and criterion is ErrorCriterion.ABS:
-        return eigenvalue(model, 1, 1) <= 1.0
+        return log_ratio(model, 1, 1, ErrorCriterion.ABS) <= 0.0
     return True
 
 
@@ -394,7 +394,7 @@ def _decide_wt(model: EigenModel, notion: Notion, limits: Limits) -> Tractabilit
                     },
                     limits,
                 )
-        elif quantifier == "holds":
+        else:
             witness = CriterionParams(c=1.0, s=s, t=t)
             value = evaluate_sum(
                 model, sum_kind, 1, witness, notion.criterion,
@@ -412,7 +412,7 @@ def _decide_wt(model: EigenModel, notion: Notion, limits: Limits) -> Tractabilit
             )
 
     # Evidence path over the c grid.  The multiplicity certificate runs on
-    # exact eigenvalue counts and is independent of any summation budget.
+    # exact counts of ratios >= 1 and is independent of any summation budget.
     worst_note = ""
     d_sweep = min(limits.d_max, 24)
     counts = [count_above(model, d, notion.criterion, 1.0, 1 << 22, at_least=True) for d in range(1, d_sweep + 1)]
@@ -458,18 +458,16 @@ def _decide_wt(model: EigenModel, notion: Notion, limits: Limits) -> Tractabilit
 
 
 def _wt_quantifier(form, sum_kind: str, s: float, rank: int | None, limits: Limits):
-    """Resolve 'for all c > 0' analytically on an exact family.
+    """Resolve 'for all c > 0' analytically on a finite rank, else on ``form``.
 
-    Returns "holds" when the inner sum converges for every c, a failing c
-    when some c certifiably diverges, or None when undecided.  The algebraic
+    Returns "holds" when the inner sum converges for every c, else a c at
+    which it diverges, for the caller to certify.  The algebraic
     sum has (super-)stretched-exponential terms on every supported envelope;
     the exponential sum only struggles on power-law spectra, where the terms
     are exp(-c (K + beta ln j)**s): summable for every c iff s > 1.
     """
     if rank is not None:
         return "holds"
-    if form is None:
-        return None
     if sum_kind == "wt-alg":
         return "holds"
     if isinstance(form, (GeometricTail, StretchedExpTail)):
@@ -484,7 +482,7 @@ def _wt_quantifier(form, sum_kind: str, s: float, rank: int | None, limits: Limi
 def _multiplicity_growth(counts: list[int], params: CriterionParams) -> str | None:
     """Exact lower bounds from the multiplicity of ratios >= 1.
 
-    Each eigenvalue with lambda >= CRI contributes a fixed positive term, so
+    Each index j with lambda(d, j) >= CRI_d contributes a fixed positive term, so
     m(d) * exp(-c d**t) lower-bounds the sweep (``counts`` holds m(1), m(2),
     ...); a growing trend of this exact bound certifies the growing trend.
     """
@@ -495,7 +493,7 @@ def _multiplicity_growth(counts: list[int], params: CriterionParams) -> str | No
     ]
     if _classify_trend(lows) == "Growing":
         return (
-            "multiplicity growth: the count of eigenvalues at or above CRI_d grows "
+            "multiplicity growth: the count of ratios lambda(d, j)/CRI_d >= 1 grows "
             "faster than exp(c d^t) damps it"
         )
     return None

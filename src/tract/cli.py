@@ -31,7 +31,7 @@ import typing
 from . import __version__
 from .config import CriterionParams, Limits, _cast, model_from_config
 from .eigenmodel import EigenModel, ErrorCriterion, _ratios_d_free, validate
-from .errors import ConfigError, TractError, ValidationFailedError
+from .errors import ConfigError, TractError
 
 __all__ = ["main", "load_config", "RunConfig"]
 
@@ -500,9 +500,6 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, ValueError) as exc:  # bad analysis parameters surface like config errors
         sys.stderr.write(f"config error: {exc}\n")
         return 2
-    except ValidationFailedError as exc:
-        sys.stderr.write(f"validation failed: {exc}\n")
-        return 1
     except TractError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

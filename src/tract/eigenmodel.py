@@ -565,7 +565,10 @@ def probe_indices(j_probe: int) -> np.ndarray:
 
 
 def validate(model: EigenModel, d_max: int = 8, j_probe: int = 10_000) -> ValidationReport:
-    """Check positivity, monotone non-increase, and envelope domination.
+    """Check that lambda(d, j) is in the double range, non-increasing and
+    under its declared envelope, on the logarithms of one :func:`log_ratios`
+    read per d: the probed indices, each one's successor and the envelope's
+    grid.  An EvalDomainError in the read is an eval-domain violation.
 
     Closed forms are monotone analytically; the probe still runs so formula
     mistakes (Expression) and bad tables surface with a (d, j) witness.
@@ -574,10 +577,12 @@ def validate(model: EigenModel, d_max: int = 8, j_probe: int = 10_000) -> Valida
         raise ValueError("d_max and j_probe must be >= 1")
     violations: list[Violation] = []
     idx = probe_indices(j_probe)
+    fam = model.family
+    indices = idx if fam.rank is None else idx[idx <= fam.rank]
+    succ = indices + 1 if fam.rank is None else np.minimum(indices + 1, fam.rank)
     # A declared envelope must dominate the values it does not give itself:
     # an Expression's from its onset, a Tabulated prefix from the onset of
     # its continuation.  Its grid runs to ten times the onset.
-    fam = model.family
     env = fam.continuation if isinstance(fam, Tabulated) else model.declared_tail
     grid = np.empty(0, dtype=np.int64)
     if env is not None:
@@ -585,30 +590,27 @@ def validate(model: EigenModel, d_max: int = 8, j_probe: int = 10_000) -> Valida
         grid = grid[grid >= env.valid_from]
         if isinstance(fam, Tabulated):
             grid = grid[grid <= len(fam.prefix)]
+    read = np.sort(np.concatenate([indices, succ, grid]))
+    read = read[np.append(True, read[1:] != read[:-1])]
+    at, after, on_grid = (np.searchsorted(read, part) for part in (indices, succ, grid))
     for d in range(1, d_max + 1):
-        cap = model.family.rank
-        indices = idx[idx <= cap] if cap is not None else idx
-        if indices.size == 0:
-            continue
-        # Each probed index is compared with its successor.
-        succ = np.minimum(indices + 1, cap) if cap is not None else indices + 1
         try:
-            vals = eigenvalues(model, d, indices)
-            nxt = eigenvalues(model, d, succ)
+            logs = log_ratios(model, d, read, ErrorCriterion.ABS)
         except EvalDomainError as exc:
             violations.append(Violation("eval-domain", d, exc.j or 0, str(exc)))
             continue
-        for pos in np.flatnonzero(~np.isfinite(vals)):
-            violations.append(Violation("nonfinite", d, int(indices[pos]), f"value {vals[pos]!r}"))
-        for pos in np.flatnonzero(nxt > vals):
+        here, nxt, enveloped = logs[at], logs[after], logs[on_grid]
+        for pos in np.flatnonzero(~(here <= exprdsl._LOG_DOUBLE_MAX)):
+            detail = f"ln lambda={float(here[pos])!r} is not <= ln DBL_MAX={exprdsl._LOG_DOUBLE_MAX!r}"
+            violations.append(Violation("nonfinite", d, int(indices[pos]), detail))
+        for pos in np.flatnonzero(nxt > here):
             jj = int(indices[pos])
-            detail = f"lambda(d,{jj + 1})={nxt[pos]!r} > lambda(d,{jj})={vals[pos]!r}"
+            detail = f"ln lambda(d,{jj + 1})={float(nxt[pos])!r} > ln lambda(d,{jj})={float(here[pos])!r}"
             violations.append(Violation("increase", d, jj + 1, detail))
         if grid.size:
-            logs = log_ratios(model, d, grid, ErrorCriterion.ABS)
             bounds = env.form.log_value(grid) + env.log_factor + model.log_d_scale(d)
-            for pos in np.flatnonzero(logs > bounds + 1e-12):
-                detail = f"ln lambda={logs[pos]!r} exceeds ln envelope {bounds[pos]!r}"
+            for pos in np.flatnonzero(enveloped > bounds + 1e-12):
+                detail = f"ln lambda={float(enveloped[pos])!r} exceeds ln envelope {float(bounds[pos])!r}"
                 violations.append(Violation("envelope", d, int(grid[pos]), detail))
     return ValidationReport(
         ok=not violations,

@@ -94,6 +94,24 @@ class TestDecideWt:
         assert verdict.status == "Fails"
         assert verdict.evidence == {"certificate": "divergent inner sum", "witness_c": 1.0}
 
+    def test_divergent_inner_sum_fails_on_the_family_path(self):
+        """On the d-free power law the quantifier names c = 1 for s < 1, and the
+        certified probe confirms the divergence there."""
+        verdict = decide(EigenModel(PolyDecay(1.0, 2.0)), Notion("WT", "EXP", ABS, s=0.5, t=1.0), LIM)
+        assert verdict.status == "Fails"
+        assert verdict.evidence == {
+            "certificate": "divergent inner sum at c=1 (power-law spectrum under the doubly logarithmic terms)"
+        }
+
+    def test_undecided_inner_sum_is_inconclusive(self):
+        """An Expression has no exact envelope, so the evidence path runs; at
+        c = 0.5 the power-law inner sum is neither certified nor divergent."""
+        verdict = decide(
+            EigenModel(Expression("j^(0-2)")), Notion("WT", "EXP", ABS, s=1.0, t=1.0), Limits(d_max=4, n_max=10**4)
+        )
+        assert verdict.status == "Inconclusive"
+        assert verdict.evidence == {"note": "inner sum undecided within budget at c=0.5"}
+
     def test_multiplicity_growth_fails(self):
         model = EigenModel(Expression("min(1, 2^(pow(2,d)-j))"))
         verdict = decide(model, Notion("WT", "ALG", ABS, s=1.0, t=1.0), Limits(d_max=20))

@@ -114,6 +114,22 @@ class TestSptAlg:
         assert ev.status is SumStatus.CERTIFIED
         assert abs(ev.value - exact) <= ev.remainder_bound
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="100-j <= 0 from j = 100 on makes the log walk raise, and exprdsl.log_array "
+        "then reads the whole array from the linear walk, which underflows to 0: every log is -inf",
+    )
+    def test_one_nonpositive_branch_keeps_the_other_logarithms(self):
+        """max(1, 100-j) needs the linear walk where 100-j <= 0; the terms
+        e**(-0.8 j) max(1, 100-j)**0.001 are far inside the double range."""
+        ev = sum_spt_alg(EigenModel(Expression("exp(0-800*j) * max(1, 100-j)")), 1, 0.001, 1, ABS)
+        with mpmath.workdps(30):
+            exact = mpmath.fsum(
+                mpmath.exp(-mpmath.mpf("0.8") * j) * mpmath.mpf(max(1, 100 - j)) ** mpmath.mpf("0.001")
+                for j in range(1, 400)
+            )
+        assert ev.value == pytest.approx(float(exact), rel=1e-9)
+
 
 class TestSptExp:
     def test_stretched_value(self, exp1):

@@ -1,8 +1,11 @@
+import ast
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
+import tract
 from tract import (
     EigenModel,
     ErrorCriterion,
@@ -21,9 +24,9 @@ from tract import (
     validate,
 )
 from tract.criteria import CriterionParams, evaluate_sum
-from tract.eigenmodel import log_ratio, log_ratios, ratio, ratio_envelope, ratios
-from tract.errors import BeyondRankError, EvalDomainError
-from tract import exprdsl
+from tract.eigenmodel import ensure_valid, log_ratio, log_ratios, ratio, ratio_envelope, ratios
+from tract.errors import BeyondRankError, EvalDomainError, ValidationFailedError
+from tract import eigenmodel, exprdsl
 
 ABS = ErrorCriterion.ABS
 NOR = ErrorCriterion.NOR
@@ -97,6 +100,22 @@ class TestEigenvalue:
         for model in (geo, poly2, exp1):
             vec = eigenvalues(model, 2, js)
             assert vec == pytest.approx([eigenvalue(model, 2, int(j)) for j in js], rel=0)
+
+    def test_only_the_output_views_read_a_linear_eigenvalue(self):
+        """Searches, counts, sums and checks read logarithms; a linear value is
+        read only by the views that print one."""
+        callers = set()
+        for path in pathlib.Path(tract.__file__).parent.glob("*.py"):
+            owner = {}
+            # ast.walk is breadth-first, so an inner function overwrites its outer one.
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.FunctionDef):
+                    owner.update((child, node.name) for child in ast.walk(node))
+                elif isinstance(node, ast.Call):
+                    name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                    if name in ("eigenvalue", "eigenvalues"):
+                        callers.add(owner.get(node, "<module>"))
+        assert callers == {"eigenvalue", "cri", "nth_minimal_error"}
 
 
 class TestCri:
@@ -192,6 +211,60 @@ class TestValidate:
     def test_probed_monotonicity_on_every_index(self, poly2):
         report = validate(poly2, d_max=4, j_probe=10_000)
         assert report.ok
+
+    def test_one_log_read_per_dimension(self, monkeypatch):
+        """The probed indices, their successors and the envelope grid are one
+        log_ratios read per d; no linear value is read."""
+        reads = []
+
+        def counted(model, d, j, criterion):
+            reads.append(d)
+            return log_ratios(model, d, j, criterion)
+
+        def linear(*args):
+            raise AssertionError("validate read a linear eigenvalue")
+
+        monkeypatch.setattr(eigenmodel, "log_ratios", counted)
+        monkeypatch.setattr(eigenmodel, "eigenvalues", linear)
+        model = EigenModel(Expression("j^(0-2)"), declared_tail=TailEnvelope(PowerLawTail(1.0, 2.0), valid_from=600))
+        assert validate(model, d_max=3, j_probe=2048).ok
+        assert reads == [1, 2, 3]
+
+    def test_increase_below_the_double_range(self):
+        """Every value lies below 1e-308 and rises from j = 101 on: the
+        logarithms show the increase that the linear values, all 0, hide."""
+        model = EigenModel(Expression("exp(0-800) * j^(0-2) * max(1, j/100)^3"))
+        report = validate(model, d_max=1, j_probe=2048)
+        first = report.violations[0]
+        assert (first.kind, first.d, first.j) == ("increase", 1, 101)
+        assert first.detail.startswith("ln lambda(d,101)=-809.2")
+
+    def test_values_past_the_double_range_are_nonfinite(self):
+        """ln lambda = ln 1e300 + 700 - 2 ln j lies above ln DBL_MAX at every
+        probed j; each is reported with its logarithm, and no exp overflows."""
+        model = EigenModel(PolyDecay(1e300, 2.0), d_scale=exprdsl.parse("exp(700)"))
+        report = validate(model, d_max=1, j_probe=600)
+        assert [v.kind for v in report.violations] == ["nonfinite"] * report.probed_indices
+        assert report.violations[0].detail.startswith("ln lambda=1390.77")
+
+    def test_domain_error_on_the_envelope_grid_is_a_violation(self):
+        """The formula turns negative at j = 20000, inside the envelope's grid
+        (3000 to 30000) but past the probed indices."""
+        model = EigenModel(
+            Expression("1/(j*(20000-j))"), declared_tail=TailEnvelope(PowerLawTail(1.0, 1.5), valid_from=3000)
+        )
+        report = validate(model, d_max=1, j_probe=2048)
+        assert [v.kind for v in report.violations] == ["eval-domain"]
+        assert "negative eigenvalue" in report.violations[0].detail
+
+    def test_ensure_valid_raises_with_the_first_violation(self):
+        model = EigenModel(Expression("max(1/j, 0.7*max(0, 1-(j-3)^2))"))
+        with pytest.raises(ValidationFailedError) as info:
+            ensure_valid(model, d_max=1, j_probe=3)
+        report = info.value.report
+        assert not report.ok
+        assert str(info.value) == f"model validation failed: {report.summary()}"
+        assert "first: increase at (d=1, j=3): ln lambda(d,3)=" in str(info.value)
 
 
 class TestRatios:
