@@ -38,9 +38,7 @@ from .criteria import (
 from .eigenmodel import (
     EigenModel,
     ErrorCriterion,
-    GeometricTail,
     PowerLawTail,
-    StretchedExpTail,
     _ratios_d_free,
     log_ratio,
     ratio_envelope,
@@ -137,9 +135,6 @@ class GrowthFit(NamedTuple):
     p: float
     q: float
     residual: float
-
-    def as_dict(self) -> dict:
-        return {"C": self.C, "p": self.p, "q": self.q, "residual": self.residual}
 
 
 # ---------------------------------------------------------------------------
@@ -381,15 +376,18 @@ def _decide_wt(model: EigenModel, notion: Notion, limits: Limits) -> Tractabilit
         c *= 0.5
 
     if certifiable and (form is not None or rank is not None):
-        # Family-level resolution of the 'for all c > 0' quantifier.
-        quantifier = _wt_quantifier(form, sum_kind, s, rank, limits)
-        if isinstance(quantifier, float):  # a failing c
-            params = CriterionParams(c=quantifier, s=s, t=t)
+        # Family-level resolution of the 'for all c > 0' quantifier: the
+        # terms are (super-)stretched-exponential on every envelope but for
+        # wt-exp on a power law, exp(-c (K + beta ln j)**s), which diverges
+        # for c <= 1/beta at s = 1 and for every c at s < 1.
+        if sum_kind == "wt-exp" and isinstance(form, PowerLawTail) and s <= 1.0:
+            c_fail = min(limits.c_min, 0.5 / form.beta) if s == 1.0 else 1.0
+            params = CriterionParams(c=c_fail, s=s, t=t)
             if _certified_probe(model, sum_kind, params, notion.criterion) == "fail":
                 return TractabilityVerdict(
                     notion, "Fails", params,
                     {
-                        "certificate": f"divergent inner sum at c={quantifier:g} "
+                        "certificate": f"divergent inner sum at c={c_fail:g} "
                         "(power-law spectrum under the doubly logarithmic terms)",
                     },
                     limits,
@@ -455,28 +453,6 @@ def _decide_wt(model: EigenModel, notion: Notion, limits: Limits) -> Tractabilit
         {"note": "bounded sweeps for every tested c", "smallest_tested_c": c_grid[-1]},
         limits,
     )
-
-
-def _wt_quantifier(form, sum_kind: str, s: float, rank: int | None, limits: Limits):
-    """Resolve 'for all c > 0' analytically on a finite rank, else on ``form``.
-
-    Returns "holds" when the inner sum converges for every c, else a c at
-    which it diverges, for the caller to certify.  The algebraic
-    sum has (super-)stretched-exponential terms on every supported envelope;
-    the exponential sum only struggles on power-law spectra, where the terms
-    are exp(-c (K + beta ln j)**s): summable for every c iff s > 1.
-    """
-    if rank is not None:
-        return "holds"
-    if sum_kind == "wt-alg":
-        return "holds"
-    if isinstance(form, (GeometricTail, StretchedExpTail)):
-        return "holds"
-    if s > 1.0:
-        return "holds"
-    if s == 1.0:
-        return min(limits.c_min, 0.5 / form.beta)
-    return 1.0
 
 
 def _multiplicity_growth(counts: list[int], params: CriterionParams) -> str | None:
@@ -549,7 +525,7 @@ def _decide_uwt(model: EigenModel, notion: Notion, limits: Limits) -> Tractabili
                 limits,
             )
 
-    if recognisable and isinstance(form, (GeometricTail, StretchedExpTail)):
+    if recognisable and form is not None and not isinstance(form, PowerLawTail):
         # Decay at least stretched-exponential: the statistic grows without
         # bound at a polynomial (ALG) or logarithmic-ratio (EXP) rate.
         closed = [_uwt_closed_form(env, case, n) for n in grid]

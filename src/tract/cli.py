@@ -56,7 +56,6 @@ class RunConfig(typing.NamedTuple):
     model: EigenModel
     criterion: ErrorCriterion
     limits: Limits
-    output_format: str
     output_path: str | None
     analysis: dict
     digest: str  # sha256 of the canonical config text
@@ -96,8 +95,8 @@ def parse_config(raw: dict, source: str = "<config>") -> RunConfig:
     if not isinstance(output, dict):
         raise ConfigError(f"{source}: output must be an object")
     _strict_keys(output, ("format", "path"), f"{source}: output")
-    fmt = output.get("format", "json")
-    if fmt not in ("json", "csv"):
+    # Each subcommand fixes its own format; the key is only checked.
+    if output.get("format", "json") not in ("json", "csv"):
         raise ConfigError(f"{source}: output format must be json or csv")
 
     analysis = raw.get("analysis", {})
@@ -112,7 +111,6 @@ def parse_config(raw: dict, source: str = "<config>") -> RunConfig:
         model=model,
         criterion=criterion,
         limits=limits,
-        output_format=fmt,
         output_path=output.get("path"),
         analysis=analysis,
         digest=digest,

@@ -43,9 +43,7 @@ from .config import CriterionParams
 from .eigenmodel import (
     EigenModel,
     ErrorCriterion,
-    GeometricTail,
     PowerLawTail,
-    StretchedExpTail,
     TailEnvelope,
     _ratios_d_free,
     log_ratios,
@@ -198,17 +196,22 @@ def _search_start(*us: float) -> tuple[int, int] | None:
 
 
 def _plan_power(env: TailEnvelope, p: float) -> Plan:
-    """Plan for terms rho(j)**p."""
+    """Plan for terms rho(j)**p: on a power law an affine power tail (a harmonic
+    floor where beta p <= 1); on scale * exp(-rate j**power) the geometric series
+    with ln q = -p rate at power 1, else the integral.  The integral also takes a
+    power 1 whose ln q underflows to 0 or whose ln C overflows, where ln C + j ln q
+    would read inf or NaN: it keeps the rate as ln B."""
     j0, form = env.valid_from, env.form
     log_C = p * env.log_scale
     if isinstance(form, PowerLawTail):
         if form.beta * p > 1.0:
             return AffinePowerTail(log_C, 0.0, 1.0, form.beta * p, from_j=j0, exact=env.exact)
         return _harmonic(-math.inf, j0, log_C) if env.exact else None
-    if isinstance(form, GeometricTail):
-        log_q = p * math.log(form.ratio)
-        return GeomSeriesTail(log_C, log_q, from_j=j0, exact=env.exact) if log_q < 0.0 else None
-    return _stretched_plan(log_C, p, math.log(form.rate), 1.0, form.power, j0, env.exact)
+    rate, power = form.stretched
+    log_q = -p * rate
+    if power == 1.0 and log_q < 0.0 and log_C < math.inf:
+        return GeomSeriesTail(log_C, log_q, from_j=j0, exact=env.exact)
+    return _stretched_plan(log_C, p, math.log(rate), 1.0, power, j0, env.exact)
 
 
 def _plan_coupled(env: TailEnvelope, tau: float) -> Plan:
@@ -216,29 +219,11 @@ def _plan_coupled(env: TailEnvelope, tau: float) -> Plan:
     j0 = env.valid_from
     form, log_a = env.form, env.log_scale
 
-    if isinstance(form, (GeometricTail, StretchedExpTail)):
-        rate, power = form.stretched
-        if tau < power:
-            return _stretched_plan(max(0.0, log_a), rate, 0.0, 1.0, power - tau, j0, False)
-        if env.exact:
-            # -ln(term) = rate*j**(power-tau) + max(0,-ln a)*j**-tau is
-            # nonincreasing for tau >= power; its limit is rate at tau=power,
-            # 0 above.
-            limit = rate if tau == power else 0.0
-
-            def hub(v: np.ndarray) -> np.ndarray:
-                lead = rate if tau == power else rate * np.exp(-np.exp(v + math.log(tau - power)))
-                return lead + max(0.0, -log_a) * np.exp(-np.exp(v + math.log(tau)))
-
-            return _log_divergence(
-                "term-limit", 0.5 * math.exp(-limit), lambda v: hub(v) <= limit + _LN2,
-                math.log(j0).as_integer_ratio(), j0,
-            )
-        return None
-
-    # Power-law envelope: upper bounds cannot certify convergence here; the
-    # exact case has terms exp(-j**-tau (beta ln j - ln a)) -> 1.
-    if env.exact:
+    if isinstance(form, PowerLawTail):
+        # Upper bounds cannot certify convergence here; the exact case has
+        # terms exp(-j**-tau (beta ln j - ln a)) -> 1.
+        if not env.exact:
+            return None
         beta = form.beta
 
         def log_hub(v: np.ndarray) -> np.ndarray:
@@ -252,7 +237,25 @@ def _plan_coupled(env: TailEnvelope, tau: float) -> Plan:
         p, q = math.log(j0).as_integer_ratio()
         start = (p, q) if p * n >= q * m else (m, n)  # max(ln j0, 1/tau)
         return _log_divergence("term-limit", 0.5, lambda v: log_hub(v) <= math.log(_LN2), start, j0)
-    return None
+
+    rate, power = form.stretched
+    if tau < power:
+        return _stretched_plan(max(0.0, log_a), rate, 0.0, 1.0, power - tau, j0, False)
+    if not env.exact:
+        return None
+    # -ln(term) = rate*j**(power-tau) + max(0,-ln a)*j**-tau is
+    # nonincreasing for tau >= power; its limit is rate at tau=power,
+    # 0 above.
+    limit = rate if tau == power else 0.0
+
+    def hub(v: np.ndarray) -> np.ndarray:
+        lead = rate if tau == power else rate * np.exp(-np.exp(v + math.log(tau - power)))
+        return lead + max(0.0, -log_a) * np.exp(-np.exp(v + math.log(tau)))
+
+    return _log_divergence(
+        "term-limit", 0.5 * math.exp(-limit), lambda v: hub(v) <= limit + _LN2,
+        math.log(j0).as_integer_ratio(), j0,
+    )
 
 
 def _plan_qpt_exp(env: TailEnvelope, T: float) -> Plan:
@@ -261,31 +264,10 @@ def _plan_qpt_exp(env: TailEnvelope, T: float) -> Plan:
     # Past e**log_j0 the envelope is <= 1, so the max() clamp is inactive.
     log_j0 = _log_unit(env)
 
-    if isinstance(form, (GeometricTail, StretchedExpTail)):
-        kappa, power = form.stretched
-        log_kappa = math.log(kappa)
-        if power == 1.0:
-            alpha, beta = 1.0 - 0.5 * log_a, 0.5 * kappa
-            if T > 1.0:
-                j0, _ = _index_past(log_j0, env.valid_from)
-                return AffinePowerTail(0.0, alpha, beta, T, from_j=j0, exact=env.exact) if j0 and beta else None
-            if env.exact:
-                log_h = math.log(alpha) - log_kappa + _LN2 if alpha > 0.0 else -math.inf  # ln(alpha/beta)
-                return _harmonic(max(log_j0, log_h), env.valid_from, -T * log_kappa)
+    if isinstance(form, PowerLawTail):
+        # Polylog terms, divergent for every T.
+        if not env.exact:
             return None
-        if power * T > 1.0:
-            # base >= (kappa/4) j**power once the constant part stops mattering.
-            log_need = math.log(0.5 * log_a - 1.0) - log_kappa + 2 * _LN2 if log_a > 2.0 else -math.inf
-            j3, _ = _index_past(max(log_j0, log_need / power), env.valid_from)
-            return AffinePowerTail(-T * (log_kappa - 2 * _LN2), 0.0, 1.0, power * T, from_j=j3) if j3 else None
-        if env.exact:
-            # base <= kappa j**power once 1 + 0.5 max(0, -ln a) <= 0.5 kappa j**power.
-            log_need = math.log(2.0 + max(0.0, -log_a)) - log_kappa
-            return _harmonic(max(log_j0, log_need / power), env.valid_from, -T * log_kappa)
-        return None
-
-    # Power-law envelope: polylog terms, divergent for every T.
-    if env.exact:
         beta = form.beta
         # From u3 = max(T - 2/beta, 0) + ln a/beta on, base >= T beta/2, so u - T ln(base) increases.
         start = _search_start(max(T - 2.0 / beta, 0.0) + log_a / beta, math.log(env.valid_from))
@@ -296,6 +278,27 @@ def _plan_qpt_exp(env: TailEnvelope, T: float) -> Plan:
             lambda v: np.exp(v - math.log(T)) >= _log_shift(v + math.log(beta) - _LN2, 1.0 - 0.5 * log_a),
             start, env.valid_from,
         )
+
+    kappa, power = form.stretched
+    log_kappa = math.log(kappa)
+    if power == 1.0:
+        alpha, beta = 1.0 - 0.5 * log_a, 0.5 * kappa
+        if T > 1.0:
+            j0, _ = _index_past(log_j0, env.valid_from)
+            return AffinePowerTail(0.0, alpha, beta, T, from_j=j0, exact=env.exact) if j0 and beta else None
+        if env.exact:
+            log_h = math.log(alpha) - log_kappa + _LN2 if alpha > 0.0 else -math.inf  # ln(alpha/beta)
+            return _harmonic(max(log_j0, log_h), env.valid_from, -T * log_kappa)
+        return None
+    if power * T > 1.0:
+        # base >= (kappa/4) j**power once the constant part stops mattering.
+        log_need = math.log(0.5 * log_a - 1.0) - log_kappa + 2 * _LN2 if log_a > 2.0 else -math.inf
+        j3, _ = _index_past(max(log_j0, log_need / power), env.valid_from)
+        return AffinePowerTail(-T * (log_kappa - 2 * _LN2), 0.0, 1.0, power * T, from_j=j3) if j3 else None
+    if env.exact:
+        # base <= kappa j**power once 1 + 0.5 max(0, -ln a) <= 0.5 kappa j**power.
+        log_need = math.log(2.0 + max(0.0, -log_a)) - log_kappa
+        return _harmonic(max(log_j0, log_need / power), env.valid_from, -T * log_kappa)
     return None
 
 
@@ -382,9 +385,10 @@ def _plan_wt_exp(env: TailEnvelope, c: float, s: float) -> Plan:
         return None
 
     kappa, power = form.stretched
-    if power == 1.0 and s == 1.0:
-        log_q = -c * kappa
-        return GeomSeriesTail(-c * konst, log_q, from_j=j0, exact=env.exact) if j0 and log_q < 0.0 else None
+    log_C, log_q = -c * konst, -c * kappa
+    # The series where ln C + j ln q is a number, as in _plan_power.
+    if power == 1.0 and s == 1.0 and j0 and log_q < 0.0 and log_C < math.inf:
+        return GeomSeriesTail(log_C, log_q, from_j=j0, exact=env.exact)
     # The base konst + kappa j**power is at least factor * kappa j**power.
     log_factor_kappa = math.log(kappa) - (0.0 if konst >= 0.0 else _LN2)  # factor 1 or 1/2
     log_need = (math.log(-2.0 * konst) - math.log(kappa)) / power if konst < 0.0 else -math.inf

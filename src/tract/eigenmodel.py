@@ -380,6 +380,8 @@ class EigenModel:
             raise ValueError("d_scale must be a formula in d only")
         if self.declared_tail is not None and self.family.rank is not None:
             raise ValueError("FiniteRank spectra are finite; a tail envelope is meaningless")
+        if self.declared_tail is not None and self.family.envelope is not None:
+            raise ValueError(f"{self.kind} has an envelope of its own; a declared tail would go unread")
 
     @property
     def kind(self) -> str:

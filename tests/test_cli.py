@@ -198,6 +198,13 @@ class TestConfigStrictness:
         # One config error line, no traceback.
         assert capsys.readouterr().err == f"config error: {cfg}: {message}\n"
 
+    def test_declared_tail_on_a_closed_form_is_a_config_error(self, tmp_path, capsys):
+        tail = {"form": "PowerLaw", "A": 1e-9, "beta": 3.0, "valid_from": 2}
+        cfg = write_config(tmp_path, model={"kind": "PolyDecay", "params": {"a": 1.0, "alpha": 2.0}, "tail": tail})
+        assert main(["criterion", "--config", cfg, "--sum", "spt-alg", "--tau", "1"]) == 2
+        message = "PolyDecay has an envelope of its own; a declared tail would go unread"
+        assert capsys.readouterr().err == f"config error: {cfg}: model: {message}\n"
+
     def test_missing_file(self, tmp_path, capsys):
         assert main(["validate", "--config", str(tmp_path / "absent.json")]) == 2
 

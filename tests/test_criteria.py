@@ -221,6 +221,21 @@ class TestQpt:
         assert not pt.converged
         assert qpt.as_dict() == pt.as_dict()
 
+    def test_alg_outer_power_past_the_double_range(self):
+        """The inner sum of 2**(-tau2 j) is finite, about 1/(tau2 ln 2): its
+        1/tau2 power is past the double range at tau2 = 0.005, and at tau2 =
+        0.01 it is 5.8e215, certified through the power."""
+        model = EigenModel(Geometric(1.0, 0.5))
+        ev = evaluate_sum(model, "qpt-alg", 1, CriterionParams(tau2=0.005, c_tilde=1.0), ABS)
+        assert (ev.value, ev.status, ev.remainder_bound) == (math.inf, SumStatus.HEURISTIC, None)
+        assert ev.note == "finite inner sum, outer power exceeds the double range"
+        ev = evaluate_sum(model, "qpt-alg", 1, CriterionParams(tau2=0.01, c_tilde=1.0), ABS)
+        with mpmath.workdps(30):
+            q = mpmath.mpf(2) ** -mpmath.mpf(0.01)
+            ref = float((q / (1 - q)) ** 100)
+        assert ev.certified and math.isclose(ev.value, 5.8459e215, rel_tol=1e-4)
+        assert abs(ev.value - ref) <= ev.remainder_bound
+
     def test_exp_zeta3_minus_one(self, exp2):
         ev = sum_qpt_exp(exp2, 1, 3.0, ABS)
         ref = brute(lambda j: (1.0 + j) ** -3.0, 1, 2_000_000)

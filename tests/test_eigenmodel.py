@@ -160,6 +160,18 @@ class TestTailBound:
         # normalised by lambda(d, 1) = 2
         assert math.exp(env.log_scale) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize(
+        "family",
+        [PolyDecay(1.0, 2.0), Tabulated((1.0, 0.5), TailEnvelope(GeometricTail(1.0, 0.5), valid_from=3))],
+        ids=["PolyDecay", "Tabulated"],
+    )
+    def test_declared_tail_needs_a_family_without_an_envelope(self, family):
+        """ratio_envelope reads the family's own envelope first, so a tail
+        declared beside it would be read by validate alone."""
+        tail = TailEnvelope(PowerLawTail(1e-9, 3.0), valid_from=2)
+        with pytest.raises(ValueError, match=f"^{family.__class__.__name__} has an envelope of its own"):
+            EigenModel(family, declared_tail=tail)
+
     def test_d_scale_rescales_envelope(self):
         model = EigenModel(Geometric(1.0, 0.5), d_scale=exprdsl.parse("1/d"))
         env = ratio_envelope(model, 4, ABS, 1)

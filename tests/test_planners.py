@@ -10,7 +10,9 @@ shape's bound is written out again here from its fields, so the check
 shares no code with the planners, the tail shapes or ``log_ratios``.
 """
 
+import ast
 import math
+import pathlib
 import re
 from typing import Callable, NamedTuple
 
@@ -18,6 +20,7 @@ import mpmath
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import tract
 from tract import (
     CriterionParams,
     EigenModel,
@@ -228,8 +231,72 @@ def _audit(case: Case, kind: str, params: CriterionParams, criterion: ErrorCrite
     case=_closed(Geometric(1e-305, 0.999)), kind="spt-alg", params=CriterionParams(tau=1.0),
     criterion=NOR, d=1,
 )
+# A stretched form of power 1 is the geometric series q = e**(-p b): its
+# plan is the two-sided series, as for a Geometric.
+@example(
+    case=_closed(ExpDecay(1.0, 1e-3, 1.0)), kind="spt-alg", params=CriterionParams(tau=1.0),
+    criterion=ABS, d=1,
+)
+@example(
+    case=_closed(ExpDecay(1.0, 1e-3, 1.0)), kind="pt-alg",
+    params=CriterionParams(tau1=1.0, tau2=2.0, tau3=1.0, c_tilde=2.0), criterion=ABS, d=3,
+)
+@example(
+    case=_closed(ExpDecay(1.0, 1e-3, 1.0)), kind="qpt-alg", params=CriterionParams(tau2=0.5, c_tilde=1.0),
+    criterion=NOR, d=3,
+)
 def test_every_plan_holds_against_its_terms(case, kind, params, criterion, d):
     _audit(case, kind, params, criterion, d)
+
+
+def test_stretched_form_of_power_one_sums_as_a_geometric_series():
+    """exp(-0.001 j) is the geometric series of ratio e**-0.001, so its plan is
+    the two-sided series of its Geometric twin, not an integral bracket, and
+    the sum certifies within 3072 terms (16384 through the bracket)."""
+    model = EigenModel(ExpDecay(1.0, 1e-3, 1.0))
+    params = CriterionParams(tau=1.0)
+    plan = convergence_plan(model, "spt-alg", 1, params, ABS)
+    assert isinstance(plan, GeomSeriesTail) and plan.exact
+    ev = evaluate_sum(model, "spt-alg", 1, params, ABS)
+    with mpmath.workdps(30):
+        ref = float(1 / mpmath.expm1(mpmath.mpf(1e-3)))  # sum of e**(-b j), j >= 1, b the double 1e-3
+    assert ev.certified and ev.terms_used <= 3072
+    assert abs(ev.value - ref) <= ev.remainder_bound
+
+
+@pytest.mark.parametrize(
+    "family, kind, params",
+    [
+        (Geometric(1e300, math.exp(-1.0)), "spt-alg", CriterionParams(tau=1e307, c_tilde=1000.0)),
+        (ExpDecay(1e300, 1.0, 1.0), "spt-alg", CriterionParams(tau=1e307, c_tilde=1000.0)),
+        (Geometric(1e300, 1e-300), "wt-exp", CriterionParams(c=1e307, s=1.0, t=1.0)),
+    ],
+    ids=["Geometric-spt-alg", "ExpDecay-spt-alg", "Geometric-wt-exp"],
+)
+def test_power_one_whose_ln_C_overflows_takes_the_integral(family, kind, params):
+    """ln C is past the double range (tau ln A = 1e307 * 690.8 for spt-alg,
+    -c (1 + ln 2 - ln A) = 6.9e309 for wt-exp) while every term from the
+    plan's onset on is 0.  The series would read ln C + j ln q as inf or
+    inf - inf and take the sum past the double range; the integral reads
+    its rate as ln B and certifies 0."""
+    model = EigenModel(family)
+    assert isinstance(convergence_plan(model, kind, 1, params, ABS), StretchedIntegralTail)
+    ev = evaluate_sum(model, kind, 1, params, ABS)
+    assert (ev.value, ev.remainder_bound, ev.status) == (0.0, 0.0, SumStatus.CERTIFIED)
+
+
+def test_only_the_model_and_config_name_the_tail_form_classes():
+    """The planners and the classifier read a tail form by its numbers: beta
+    for a power law, else form.stretched = (rate, power).  So a new stretched
+    form needs no edit outside the module that defines it and the config
+    that builds it."""
+    classes = {"GeometricTail", "StretchedExpTail"}
+    users = set()
+    for path in pathlib.Path(tract.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if {getattr(node, field, None) for field in ("id", "attr", "name")} & classes:
+                users.add(path.stem)
+    assert users == {"eigenmodel", "config"}
 
 
 def test_expression_keeps_its_declared_tail_below_the_double_range():
@@ -284,6 +351,8 @@ _TAU = st.one_of(st.floats(1e-300, 1e308), st.sampled_from([5e-324, 1e-310, 1e30
 )
 @example(family=ExpDecay(5e-324, 5e-324, 1.0), kind="qpt-exp", params=CriterionParams(tau=2.0), criterion=ABS, d=1)
 @example(family=PolyDecay(1e-310, 1e-300), kind="qpt-exp", params=CriterionParams(tau=1e308), criterion=ABS, d=3)
+# p rate = tau b underflows to 0: the integral plan from ln B, not a series of ratio 1.
+@example(family=ExpDecay(1.0, 1e-300, 1.0), kind="spt-alg", params=CriterionParams(tau=5e-324), criterion=ABS, d=1)
 # A NOR factor 1/lambda(d, 1) = e**1e300, past the double range.
 @example(family=ExpDecay(1e300, 1e300, 1.0), kind="spt-alg", params=CriterionParams(tau=1.0), criterion=NOR, d=1)
 # c * e**(-(s/2) ln(1/lambda(d, 1))) underflows to 0; ln B does not.
@@ -294,7 +363,8 @@ _TAU = st.one_of(st.floats(1e-300, 1e308), st.sampled_from([5e-324, 1e-310, 1e30
 def test_planning_never_overflows(family, kind, params, criterion, d):
     """No planner catches OverflowError: any overflow left fails here.  A
     plan is None, a Divergence whose note renders, or a shape from an int
-    index whose bound there is a number."""
+    index whose bounds, at that index and at the last int64 one, are
+    ordered numbers."""
     try:
         plan = convergence_plan(EigenModel(family), kind, d, params, criterion)
     except ValueError as err:
@@ -306,7 +376,9 @@ def test_planning_never_overflows(family, kind, params, criterion, d):
         assert certified_sum(None, 1, plan).divergent
     elif plan is not None:
         assert type(plan.from_j) is int
-        assert plan.upper_tail(plan.from_j) >= 0.0
+        for J in (plan.from_j, 2**62 - 2):
+            lower, upper = plan.lower_tail(J), plan.upper_tail(J)
+            assert 0.0 <= lower <= upper, (J, lower, upper)
 
 
 # Divergent sums whose plan once left the double range, so that the

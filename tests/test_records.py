@@ -79,10 +79,10 @@ RECORDS = [
      "DominationRow(d=1, eps=0.1, oracle_n=3, bound=4)"),
     (lambda: DominationReport((DominationRow(1, 0.1, 3, math.inf),), "T1"),
      "DominationReport(rows=(DominationRow(d=1, eps=0.1, oracle_n=3, bound=inf),), theorem='T1')"),
-    (lambda: RunConfig(EigenModel(Geometric()), ABS, Limits(), "json", None, {}, "ab"),
+    (lambda: RunConfig(EigenModel(Geometric()), ABS, Limits(), None, {}, "ab"),
      "RunConfig(model=EigenModel(family=Geometric(a=1.0, r=0.5), d_scale=None, declared_tail=None), "
      "criterion=<ErrorCriterion.ABS: 'ABS'>, limits=Limits(d_max=64, j_max=67108864, n_max=1000000, "
-     "tol=1e-10, c_min=0.0009765625), output_format='json', output_path=None, analysis={}, digest='ab')"),
+     "tol=1e-10, c_min=0.0009765625), output_path=None, analysis={}, digest='ab')"),
 ]
 
 
