@@ -12,28 +12,25 @@ NUMBER is a decimal literal with optional fraction and optional e-exponent.
 '^' is right-associative.  The only identifiers are the variables d, j and
 the calls exp, ln, sqrt (one argument) and pow, max, min (two arguments).
 
-Evaluation is plain double precision over NumPy arrays, in one walk:
-:func:`compile_array` evaluates a tree over d and j, each a number or an
-array, broadcast against each other; :func:`evaluate` is its one-element
-view.  A division by zero, anything that would produce a NaN (0*inf,
-inf-inf, log of a negative number, square root of a negative, ...), or a
-value past the finite double range raises :class:`EvalDomainError` naming
-the first failing d and j instead.
-
-:func:`log_array` reads the same tree in logarithms, so a value below (or
-above) the double range keeps its logarithm: ln(uv) = ln u + ln v,
-ln(u/v) = ln u - ln v, ln(u + v) = logaddexp(ln u, ln v), ln exp(u) = u,
-ln u^v = v ln u, ln sqrt(u) = ln u / 2, and max and min of the logs.  The
-argument of exp and the exponent of a power are read by the linear walk.
-Any other node (a difference, a negation, ln, a constant <= 0) takes ln of
-its linear value; where the log walk gives no answer, :func:`log_array`
-reads ln of the linear walk.  :func:`log_decimal` runs the linear walk in
-:mod:`decimal` arithmetic, for one (d, j) at the caller's precision.
+One walk reads a tree over d and j, each a number or an array, by a table
+of what each node means.  :func:`compile_array` (and its one-element view
+:func:`evaluate`) reads doubles and :func:`log_decimal` Decimals, linearly.
+:func:`log_array` reads (sign, ln|x|) pairs, so that a value below the double
+range keeps its logarithm: * and / add and subtract the logs, + and - take a
+signed log-sum-exp, a negation flips the sign, max and min order by sign and
+then by log, sqrt halves the log, ln x has the sign of ln x and the log
+ln|ln x|, and u^v multiplies ln|u| by v.  The argument of exp and the
+exponent of a power are plain doubles of the linear reading.  A division by
+zero (0 to a negative power too), a NaN (0*inf, inf-inf, ln or sqrt of a
+negative, a negative base to a non-integer power), a value past the double
+range or, in :func:`log_array`, a negative value raises
+:class:`EvalDomainError` naming the first failing d and j.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from typing import Callable, NamedTuple, Union
 
 import numpy as np
@@ -250,12 +247,11 @@ def parse(source: str) -> Expr:
 # ---------------------------------------------------------------------------
 
 
-# What each operator and call means, over the NumPy arrays and scalars the
-# walk carries; "num" reads a constant.
+# What each node means in the linear walk, over NumPy arrays and scalars; "num" reads a constant, "var" d or j.
 _OPS = {
     "+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide, "^": np.power,
     "exp": np.exp, "ln": np.log, "sqrt": np.sqrt, "pow": np.power, "max": np.maximum, "min": np.minimum,
-    "num": float,
+    "num": float, "var": lambda x: x, "neg": operator.neg,
 }
 
 
@@ -263,71 +259,142 @@ def _walk(node: Expr, d, j, ops: dict = _OPS):
     if isinstance(node, Num):
         return ops["num"](node.value)
     if isinstance(node, Var):
-        return d if node.name == "d" else j
+        return ops["var"](d if node.name == "d" else j)
     if isinstance(node, Neg):
-        return -_walk(node.operand, d, j, ops)
-    if isinstance(node, BinOp):
-        return ops[node.op](_walk(node.left, d, j, ops), _walk(node.right, d, j, ops))
-    return ops[node.func](*(_walk(a, d, j, ops) for a in node.args))
+        return ops["neg"](_walk(node.operand, d, j, ops))
+    op, args = (node.op, (node.left, node.right)) if isinstance(node, BinOp) else (node.func, node.args)
+    # A table may read exp's argument and a power's exponent, each the last argument, by another table.
+    exponent = ops.get("exponent", ops) if op in ("^", "exp", "pow") else ops
+    if len(args) == 1:
+        return ops[op](_walk(args[0], d, j, exponent))
+    return ops[op](_walk(args[0], d, j, ops), _walk(args[1], d, j, exponent))
 
 
-# What each operator and call means on the logarithms of its operands.
-_LOG_OPS = {"*": np.add, "/": np.subtract, "+": np.logaddexp, "max": np.maximum, "min": np.minimum}
+# The signed reading: each value is (sign, ln|x|), the sign in {-1, 0, 1} and an exact zero (0, -inf).  A sign
+# stays a Python float until a rule must choose it per element, so the all-positive case does no array work.
+def _same_sign(sa, sb) -> bool:
+    return isinstance(sa, float) and isinstance(sb, float) and sa == sb
+
+
+def _neg(a):
+    return -a[0], a[1]
+
+
+def _add(a, b):
+    """Signed log-sum-exp; 0 where the two cancel exactly."""
+    (sa, la), (sb, lb) = a, b
+    if _same_sign(sa, sb):
+        return sa, np.logaddexp(la, lb)
+    hi, lo = np.maximum(la, lb), np.minimum(la, lb)
+    # Where hi == lo the two cancel: -inf, and NaN for inf - inf.  Each branch's misfires are the other's elements.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log = np.where(sa * sb < 0, hi + np.log1p(-np.exp(np.where(hi == lo, 0.0, lo - hi))), np.logaddexp(la, lb))
+    if np.isnan(log).any():
+        raise FloatingPointError("invalid value encountered in subtract")
+    return np.where(log > -np.inf, np.where(la >= lb, sa, sb), 0.0), log
+
+
+def _pow(base, v):
+    """base^v for a linear v; the sign powers as the linear walk does, so a negative base needs an integer v."""
+    s, log = base
+    if isinstance(s, float) and s > 0:
+        return s, np.multiply(v, log)
+    sign = np.power(s, v)
+    with np.errstate(invalid="ignore"):  # 0 * inf where x^0 = 1, also at x = 0
+        return sign, np.where(v == 0, 0.0, np.multiply(v, log))
+
+
+def _ln(a):
+    s, log = a
+    np.log(s)  # raises as the linear walk does, where x <= 0
+    with np.errstate(divide="ignore"):  # ln 1 = 0
+        return np.sign(log), np.log(np.abs(log))
+
+
+def _max(a, b):
+    """By sign, then by log: the larger log where positive, the smaller where negative."""
+    (sa, la), (sb, lb) = a, b
+    if _same_sign(sa, sb):
+        return sa, (np.maximum if sa > 0 else np.minimum)(la, lb)
+    first = (sa > sb) | (sa == sb) & np.where(sa > 0, la >= lb, la <= lb)
+    return np.where(first, sa, sb), np.where(first, la, lb)
+
+
+_SIGNED = {
+    "+": _add, "-": lambda a, b: _add(a, _neg(b)), "*": lambda a, b: (a[0] * b[0], np.add(a[1], b[1])),
+    # 1/0 divides by zero for every numerator, 0/0 included.
+    "/": lambda a, b: (a[0] * (1 / b[0]), np.subtract(a[1], b[1])), "^": _pow, "pow": _pow,
+    "exp": lambda v: (1.0, v), "ln": _ln, "sqrt": lambda a: (np.sqrt(a[0]), 0.5 * a[1]),
+    "max": _max, "min": lambda a, b: _neg(_max(_neg(a), _neg(b))),
+    "num": lambda x: (math.copysign(1.0, x), math.log(abs(x))) if x else (0.0, -math.inf),
+    "var": lambda x: (1.0, np.log(x)), "neg": _neg, "exponent": _OPS,
+}
 _LOG_DOUBLE_MAX = math.log(np.finfo(float).max)
 
 
-def _log_walk(node: Expr, d: np.ndarray, j: np.ndarray):
-    """ln of the node's value, read from the logs of its operands.  The
-    argument of exp and the exponent of a power are read by :func:`_walk`;
-    a node without a rule takes ln of its linear value."""
-    if isinstance(node, Var):
-        return np.log(d if node.name == "d" else j)
-    if isinstance(node, Num) and node.value > 0:
-        return math.log(node.value)
-    if isinstance(node, (BinOp, Call)):
-        op = node.op if isinstance(node, BinOp) else node.func
-        args = (node.left, node.right) if isinstance(node, BinOp) else node.args
-        if op in _LOG_OPS:
-            return _LOG_OPS[op](_log_walk(args[0], d, j), _log_walk(args[1], d, j))
-        if op in ("^", "pow"):
-            return _walk(args[1], d, j) * _log_walk(args[0], d, j)
-        if op == "exp":
-            return _walk(args[0], d, j)
-        if op == "sqrt":
-            return 0.5 * _log_walk(args[0], d, j)
-    return np.log(_walk(node, d, j))
+def _located(read: Callable, d, j) -> np.ndarray:
+    """read(d, j) over the broadcast of d and j, each a number or an array.  Where it fails,
+    :class:`EvalDomainError` naming the first failing (d, j) row-major: the smallest d, then its smallest j."""
+    d, j = np.asarray(d, dtype=float), np.asarray(j, dtype=float)
+    with np.errstate(divide="raise", invalid="raise", over="ignore", under="ignore"):
+        try:
+            return read(d, j)
+        except ArithmeticError:
+            pass
+        ds, js = (a.reshape(-1) for a in np.broadcast_arrays(d, j))
+        # Every operation is elementwise, so a slice fails iff it holds a failing element: halve [lo, hi).
+        lo, hi = 0, ds.size
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            try:
+                read(ds[lo:mid], js[lo:mid])
+                lo = mid
+            except ArithmeticError:
+                hi = mid
+        try:
+            read(ds[lo:hi], js[lo:hi])
+        except ArithmeticError as exc:
+            # NumPy says "divide by zero encountered in ..." or "invalid value encountered in ...".
+            reason = str(exc).replace("divide by zero", "division by zero").replace("invalid value", "NaN")
+            raise EvalDomainError(reason, d=int(ds[lo]), j=int(js[lo])) from None
+    raise AssertionError("the first failing element evaluated cleanly")
 
 
 def log_array(node: Expr, d: float | np.ndarray, j: float | np.ndarray, negative: str) -> np.ndarray:
-    """ln of the tree's value over the broadcast of d and j, each a number or
-    an array, as a new array, where the value itself may lie past the double
-    range.
+    """ln of the tree's value over d and j, each a number or an array, by the signed reading, as a new
+    array; a negative value raises with the reason ``negative``, other errors as in :func:`compile_array`."""
 
-    Where the log walk gives no answer (a node without a log rule whose
-    linear value is not positive, a division by zero or an invalid
-    operation, or a log past the double range), ln of the linear walk
-    (-inf at a zero), which raises as ``compile_array(node, negative)``.
-    """
-    d = np.asarray(d, dtype=float)
-    j = np.asarray(j, dtype=float)
-    out = np.empty(np.broadcast(d, j).shape)
-    try:
-        with np.errstate(divide="raise", invalid="raise", over="ignore", under="ignore"):
-            out[...] = _log_walk(node, d, j)
-        if not out.size or out.max() <= _LOG_DOUBLE_MAX:
-            return out
-    except FloatingPointError:
-        pass
-    with np.errstate(divide="ignore"):
-        return np.log(compile_array(node, negative)(d, j))
+    def signed(d: np.ndarray, j: np.ndarray) -> np.ndarray:
+        logs = np.empty(np.broadcast(d, j).shape)
+        sign, logs[...] = _walk(node, d, j, _SIGNED)
+        if sign < 0 if isinstance(sign, float) else (sign < 0).any():
+            raise FloatingPointError(negative)
+        if logs.size and logs.max() > _LOG_DOUBLE_MAX:
+            raise FloatingPointError("expression left the finite double range")
+        return logs
+
+    return _located(signed, d, j)
 
 
 def log_decimal(node: Expr, d: int, j: int):
-    """ln of the tree's value at one (d, j) as a Decimal of the current decimal
-    context: the linear walk, whose NumPy calls run the Decimal methods."""
+    """ln of the tree's value at one (d, j), at the decimal context's precision: the linear walk over Decimals."""
     from decimal import Decimal
 
     return _walk(node, Decimal(int(d)), Decimal(int(j)), {**_OPS, "ln": Decimal.ln, "num": Decimal}).ln()
+
+
+def compile_array(node: Expr) -> Callable[..., np.ndarray]:
+    """The tree's linear reading over d and j, each a number or an array, with their broadcast shape; a
+    division by zero, a NaN or a value past the double range raises as :func:`_located` says."""
+
+    def linear(d: np.ndarray, j: np.ndarray) -> np.ndarray:
+        values = np.empty(np.broadcast(d, j).shape)
+        values[...] = _walk(node, d, j)
+        if not np.isfinite(values).all():
+            raise FloatingPointError("expression left the finite double range")
+        return values
+
+    return lambda d, j: _located(linear, d, j)
 
 
 def evaluate(node: Expr, d: int, j: int | float) -> float:
@@ -335,71 +402,9 @@ def evaluate(node: Expr, d: int, j: int | float) -> float:
     return float(compile_array(node)(d, j))
 
 
+# The variables a tree reads: the walk over sets of names.
+_NAMES = {**dict.fromkeys(_OPS, lambda *names: set().union(*names)), "num": lambda _: set(), "var": lambda x: {x}}
+
+
 def variables_used(node: Expr) -> set[str]:
-    if isinstance(node, Var):
-        return {node.name}
-    if isinstance(node, Neg):
-        return variables_used(node.operand)
-    if isinstance(node, BinOp):
-        return variables_used(node.left) | variables_used(node.right)
-    if isinstance(node, Call):
-        out: set[str] = set()
-        for a in node.args:
-            out |= variables_used(a)
-        return out
-    return set()
-
-
-def _values(node: Expr, d: np.ndarray, j: np.ndarray, negative: str | None) -> np.ndarray:
-    """The walk over the broadcast of d and j, as a new array.
-    FloatingPointError on a division by zero, an invalid operation, a
-    value that is not finite or, where ``negative`` is given, below 0."""
-    values = np.empty(np.broadcast(d, j).shape)
-    with np.errstate(divide="raise", invalid="raise", over="ignore"):
-        values[...] = _walk(node, d, j)
-    if not np.isfinite(values).all():
-        raise FloatingPointError("expression left the finite double range")
-    if negative and (values < 0).any():
-        raise FloatingPointError(negative)
-    return values
-
-
-def compile_array(node: Expr, negative: str | None = None) -> Callable[..., np.ndarray]:
-    """Compile a tree into an evaluator over d and j, each a number or an array.
-
-    The result has the broadcast shape of d and j.  A division by zero, an
-    operation that would produce a NaN, a value past the finite double
-    range or, where ``negative`` is given, a value below 0 (with that
-    reason) raises :class:`EvalDomainError` naming the first failing (d, j)
-    row-major: the smallest failing d, then its smallest j.
-    """
-
-    def run(d: float | np.ndarray, j: float | np.ndarray) -> np.ndarray:
-        d = np.asarray(d, dtype=float)
-        j = np.asarray(j, dtype=float)
-        try:
-            return _values(node, d, j, negative)
-        except FloatingPointError:
-            pass
-        ds, js = (a.reshape(-1) for a in np.broadcast_arrays(d, j))
-        # Every operation is elementwise, so a slice fails exactly when it
-        # holds a failing element.  Halve [lo, hi): it holds the first one,
-        # and nothing before lo fails.
-        lo, hi = 0, ds.size
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            try:
-                _values(node, ds[lo:mid], js[lo:mid], negative)
-                lo = mid
-            except FloatingPointError:
-                hi = mid
-        try:
-            _values(node, ds[lo:hi], js[lo:hi], negative)
-        except FloatingPointError as exc:
-            # NumPy says "divide by zero encountered in ..." or, for a NaN,
-            # "invalid value encountered in ...".
-            reason = str(exc).replace("divide by zero", "division by zero").replace("invalid value", "NaN")
-            raise EvalDomainError(reason, d=int(ds[lo]), j=int(js[lo])) from None
-        raise AssertionError("the first failing element evaluated cleanly")
-
-    return run
+    return _walk(node, "d", "j", _NAMES)

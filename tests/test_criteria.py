@@ -114,14 +114,9 @@ class TestSptAlg:
         assert ev.status is SumStatus.CERTIFIED
         assert abs(ev.value - exact) <= ev.remainder_bound
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="100-j <= 0 from j = 100 on makes the log walk raise, and exprdsl.log_array "
-        "then reads the whole array from the linear walk, which underflows to 0: every log is -inf",
-    )
     def test_one_nonpositive_branch_keeps_the_other_logarithms(self):
-        """max(1, 100-j) needs the linear walk where 100-j <= 0; the terms
-        e**(-0.8 j) max(1, 100-j)**0.001 are far inside the double range."""
+        """100-j <= 0 from j = 100 on, and max(1, 100-j) still reads 1 there;
+        the terms e**(-0.8 j) max(1, 100-j)**0.001 are far inside the double range."""
         ev = sum_spt_alg(EigenModel(Expression("exp(0-800*j) * max(1, 100-j)")), 1, 0.001, 1, ABS)
         with mpmath.workdps(30):
             exact = mpmath.fsum(

@@ -1,4 +1,5 @@
 import math
+import operator
 
 import mpmath
 import pytest
@@ -73,9 +74,13 @@ def test_division_by_zero_tagged():
 
 
 @pytest.mark.parametrize(
-    "source", ["max(1, 0*exp(1000))", "max(0*exp(1000), 1)", "min(1, 0*exp(1000))", "min(0*exp(1000), 1)"]
+    "source",
+    ["max(1, 0*exp(exp(1000)))", "max(0*exp(exp(1000)), 1)",
+     "min(1, 0*exp(exp(1000)))", "min(0*exp(exp(1000)), 1)"],
 )
 def test_max_min_keep_a_nan_in_either_argument(source):
+    # exp(1000) overflows as a double, so 0*exp(exp(1000)) is 0*inf, a NaN in
+    # either reading; 0*exp(1000) is 0 in the signed one, and so is max(1, 0).
     model = EigenModel(Expression(source))
     with pytest.raises(EvalDomainError, match="NaN"):
         eigenvalue(model, 1, 1)
@@ -154,14 +159,14 @@ def test_grid_error_names_the_first_failing_point(source, j, first):
     ids=["evaluate", "eigenvalues", "log_ratios"],
 )
 def test_nan_under_pow_raises(path):
-    # 0*exp(1000) is 0*inf, a NaN; pow(NaN, 0) would hide it as 1.
-    model = EigenModel(Expression("pow(0*exp(1000), 0)"))
+    # 0*exp(exp(1000)) is 0*inf, a NaN; pow(NaN, 0) would hide it as 1.
+    model = EigenModel(Expression("pow(0*exp(exp(1000)), 0)"))
     with pytest.raises(EvalDomainError, match="NaN"):
         path(model)
 
 
 def test_one_expression_walk():
-    assert not hasattr(exprdsl, "_POINT")
+    assert not any(hasattr(exprdsl, name) for name in ("_POINT", "_log_walk", "_values"))
 
 
 @pytest.mark.parametrize(
@@ -184,6 +189,17 @@ def test_a_linear_underflow_or_overflow_sums_and_counts(source, log, n):
     assert count_oracle(model, q).n == n
 
 
+def test_a_difference_keeps_the_logarithm_below_the_double_range():
+    """exp(-745) is subnormal; ln of its linear value is -744.44."""
+    assert log_ratio(EigenModel(Expression("exp(0-745*j) - 0")), 1, 1, ErrorCriterion.ABS) == -745.0
+
+
+@pytest.mark.parametrize("source", ["j - j", "max(0, 5-j) + max(0, j-10)", "exp(0-exp(1000)) - exp(0-exp(1000))"])
+def test_zeros_sum_to_an_exact_zero(source):
+    """Each sum is 0 at j = 7, also where both terms read ln 0 = -inf."""
+    assert Expression(source).log_values(1, np.array([7])).tolist() == [-math.inf]
+
+
 def test_a_subnormal_intermediate_keeps_its_digits():
     """exp(-718.7578125) is subnormal, so ln of its linear sqrt is 8 ulps off;
     the log walk halves the exponent, exactly, and eigenvalue is its exp."""
@@ -193,25 +209,86 @@ def test_a_subnormal_intermediate_keeps_its_digits():
 
 
 # ---------------------------------------------------------------------------
-# The log walk against mpmath
+# The signed reading against mpmath
 # ---------------------------------------------------------------------------
 
-_MP_OPS = {
-    "+": lambda a, b: a + b, "-": lambda a, b: a - b, "*": lambda a, b: a * b, "/": lambda a, b: a / b,
-    "^": lambda a, b: a**b, "pow": lambda a, b: a**b, "exp": mpmath.exp, "ln": mpmath.log, "sqrt": mpmath.sqrt,
-    "max": max, "min": min,
+class _Domain(Exception):
+    """ln, sqrt or a power outside its real domain."""
+
+
+class _Unsettled(Exception):
+    """A node whose sign the reference, or the rounding of doubles, does not settle."""
+
+
+# A private interval context: every reference value is an enclosure at 50 digits.
+_IV = mpmath.ctx_iv.MPIntervalContext()
+_IV.dps = 50
+
+
+def _sign(x) -> int:
+    if x.a > 0:
+        return 1
+    if x.b < 0:
+        return -1
+    if x.a == 0 and x.b == 0:
+        return 0
+    raise _Unsettled
+
+
+def _iv_pow(u, v):
+    """u**v: a negative u needs an integer v, and 0 a v >= 0.  Doubles may
+    round v, an exponent of the linear walk, to an integer, or off one."""
+    if _sign(u) > 0:
+        return u**v
+    if _sign(u) == 0:
+        if _sign(v) < 0:
+            raise ZeroDivisionError
+        return _IV.mpf(0 if _sign(v) else 1)
+    n = int(mpmath.nint(v.mid))
+    if v.a == v.b == n:
+        return (-1) ** n * (-u) ** v
+    raise _Unsettled if abs(v.mid - n) <= 1e-12 * max(1, abs(n)) else _Domain("^")
+
+
+def _iv_hull(pick):
+    """max or min of two intervals, as the interval of its values."""
+    return lambda a, b: _IV.mpf([pick(a.a, b.a), pick(a.b, b.b)])
+
+
+def _iv_checked(f, domain):
+    def call(x):
+        if not domain(_sign(x)):
+            raise _Domain(f.__name__)
+        return f(x)
+
+    return call
+
+
+def _iv_div(a, b):
+    if not _sign(b):
+        raise ZeroDivisionError
+    return a / b
+
+
+_IV_OPS = {
+    "+": operator.add, "-": operator.sub, "*": operator.mul, "/": _iv_div, "^": _iv_pow, "pow": _iv_pow,
+    "exp": _IV.exp, "max": _iv_hull(max), "min": _iv_hull(min),
+    "ln": _iv_checked(_IV.log, lambda s: s > 0), "sqrt": _iv_checked(_IV.sqrt, lambda s: s >= 0),
 }
 
 
 def _mp_walk(node, d, j, logs):
-    """(value, scale) of the tree in mpmath; ln of each positive node value
-    goes to logs.  scale is the sum over the nodes of max(1, |ln value|)
-    (of max(1, |value|) where it is not positive), each times |v| inside
-    the base of a power u**v: each node rounds relative to its own size and
-    to its value, and a power scales the error of its base by v.
-    ZeroDivisionError where the formula divides by zero."""
+    """(value, scale) of the tree: value is a 50-digit interval, and ln |value|
+    of each nonzero node goes to logs.  scale is the sum over the nodes of
+    max(1, |ln |value||), each times the factor by which the nodes above
+    scale its error: |v| inside the base of a power u**v, (|a| + |b|)/|a +- b|
+    inside a sum or difference and 1/|ln x| inside ln x, where that is not 0.
+    ZeroDivisionError where the formula divides by zero, _Domain where it
+    leaves a real domain, and _Unsettled where the interval of a node holds
+    0 and other values, or where 4 ulps of its scale reach 1/4, so that
+    doubles may not even hold its sign."""
     if isinstance(node, (Num, Var)):
-        value = mpmath.mpf(node.value if isinstance(node, Num) else d if node.name == "d" else j)
+        value = _IV.mpf(node.value if isinstance(node, Num) else d if node.name == "d" else j)
         parts = []
     elif isinstance(node, Neg):
         parts = [_mp_walk(node.operand, d, j, logs)]
@@ -220,13 +297,21 @@ def _mp_walk(node, d, j, logs):
         op = node.op if isinstance(node, BinOp) else node.func
         args = (node.left, node.right) if isinstance(node, BinOp) else node.args
         parts = [_mp_walk(a, d, j, logs) for a in args]
-        value = _MP_OPS[op](*(v for v, _ in parts))
+        value = _IV_OPS[op](*(v for v, _ in parts))
+        size = [abs(mpmath.mpf(v.mid)) for v, _ in parts]
         if op in ("^", "pow"):
-            parts[0] = (parts[0][0], abs(parts[1][0]) * parts[0][1])
-    if value > 0:
-        logs.append(mpmath.log(value))
-    own = abs(mpmath.log(value)) if value > 0 else abs(value)
-    return value, max(1, own) + sum(scale for _, scale in parts)
+            parts[0] = (parts[0][0], size[1] * parts[0][1])
+        elif op in ("+", "-") and _sign(value):
+            factor = (size[0] + size[1]) / abs(mpmath.mpf(value.mid))
+            parts = [(v, factor * scale) for v, scale in parts]
+        elif op == "ln" and _sign(value):
+            parts[0] = (parts[0][0], parts[0][1] / abs(mpmath.mpf(value.mid)))
+    if _sign(value):
+        logs.append(mpmath.log(abs(mpmath.mpf(value.mid))))
+    scale = max(1, abs(logs[-1]) if _sign(value) else 0) + sum(scale for _, scale in parts)
+    if 4 * math.ulp(float(scale)) >= 0.25:
+        raise _Unsettled
+    return value, scale
 
 
 _LOG_DOUBLE_MAX = math.log(np.finfo(float).max)
@@ -245,19 +330,19 @@ _LOG_LEAVES = st.one_of(
 _POWER = st.one_of(st.floats(-3.0, 3.0).map("({!r})".format), st.floats(0.1, 2.0).map("(0-{!r}*d)".format))
 
 
-def _log_rules(inner):
+def _signed_rules(inner):
     return st.one_of(
-        st.builds("({}){}({})".format, inner, st.sampled_from("*/+"), inner),
+        st.builds("({}){}({})".format, inner, st.sampled_from("*/+-"), inner),
         st.builds("({})^{}".format, inner, _POWER),
         st.builds("pow({}, {})".format, inner, _POWER),
         st.builds("{}({}, {})".format, st.sampled_from(["max", "min"]), inner, inner),
-        inner.map("sqrt({})".format),
+        st.builds("{}({})".format, st.sampled_from(["sqrt", "ln", "-"]), inner),
     )
 
 
 @settings(max_examples=400, deadline=None)
 @given(
-    source=st.recursive(_LOG_LEAVES, _log_rules, max_leaves=4),
+    source=st.recursive(_LOG_LEAVES, _signed_rules, max_leaves=4),
     d=st.integers(1, 50),
     j=st.one_of(st.integers(1, 4), st.integers(1, 10**7)),
 )
@@ -265,33 +350,54 @@ def _log_rules(inner):
 @example(source="exp(0-800.0*d)/exp(0-790.0*d)", d=1, j=1)
 @example(source="exp(0-1.05*j/d)", d=1, j=10**6)
 @example(source="(j)^(0-400.0*d)", d=8, j=2)
+# The linear walk reads inf*0, a NaN; the signed one a logarithm past ln DBL_MAX.
+@example(source="exp(1.0*j)*exp(0-3.0*sqrt(j))", d=1, j=61692)
+@example(source="-(d)", d=1, j=1)
+@example(source="ln((j)/(j))", d=1, j=3)
+@example(source="((d)-(d))^(0.0)", d=2, j=1)
 def test_log_walk_against_mpmath(source, d, j):
-    """log_values reads a formula built from the log rules within 1e-12 of
-    its 50-digit logarithm, also where the value underflows (plus 4 ulps of
-    the formula's error scale, see _mp_walk, where large logs cancel: the
-    rounding of the operands is then larger than the result).  Where every
-    node's value is a normal double, so that the linear walk keeps its
-    digits, it is within 4 ulps of the error scale of ln of the linear
-    value.  A formula past the double range
-    or with a division by zero raises the EvalDomainError that the linear
-    walk raises."""
+    """log_values reads a formula within 1e-12 of its 50-digit logarithm,
+    also where the value underflows (plus 4 ulps of the formula's error
+    scale, see _mp_walk: large logs cancel, and so may the terms of a
+    difference).  Where every nonzero node's value is a normal double, so
+    that the linear walk keeps its digits, it is within 4 ulps of the error
+    scale of ln of the linear value.  An exact zero reads -inf, a negative
+    value raises as negative, a value outside a real domain raises, and a
+    division by zero or a value past the double range raises as such where
+    the linear walk raises too, at the same (d, j)."""
     family = Expression(source)
     index = np.array([j])
     logs = []
     try:
         with mpmath.workdps(50):
             value, scale = _mp_walk(family.tree, d, j, logs)
-            reference = mpmath.log(value)
+            sign = _sign(value)
+            reference = mpmath.log(mpmath.mpf(value.mid)) if sign > 0 else None
+    except _Unsettled:
+        try:
+            family.log_values(d, index)
+        except EvalDomainError:
+            pass
+        return
+    except _Domain:
+        with pytest.raises(EvalDomainError):
+            family.log_values(d, index)
+        return
     except ZeroDivisionError:
-        reference = None
-    if reference is None or reference > _LOG_DOUBLE_MAX:
+        sign, reference = None, "division by zero"
+    if sign == -1:
+        with pytest.raises(EvalDomainError, match="negative"):
+            family.log_values(d, index)
+        return
+    if sign == 0:
+        assert family.log_values(d, index).tolist() == [-math.inf]
+        return
+    if sign is None or reference > _LOG_DOUBLE_MAX:
+        with pytest.raises(EvalDomainError, match=reference if sign is None else "double range") as logged:
+            family.log_values(d, index)
         with pytest.raises(EvalDomainError) as linear:
             compile_array(family.tree)(d, index)
-        with pytest.raises(EvalDomainError) as logged:
-            family.log_values(d, index)
-        assert (str(logged.value), logged.value.d, logged.value.j) == (
-            str(linear.value), linear.value.d, linear.value.j
-        )
+        assert (logged.value.d, logged.value.j) == (linear.value.d, linear.value.j)
         return
     L = float(reference)
     got = float(family.log_values(d, index)[0])
