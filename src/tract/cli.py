@@ -315,7 +315,7 @@ def _cmd_criterion(cfg: RunConfig, args) -> int:
         _output(cfg, "criterion", run_params, payload, path)
         return 0
     if args.sup:
-        d_max = args.d_max or cfg.limits.d_max
+        d_max = cfg.limits.d_max if args.d_max is None else args.d_max
         run_params.update(sup=True, d_max=d_max)
         sweep = sup_over_d(cfg.model, sum_kind, params, cfg.criterion, d_max, tol=cfg.limits.tol)
         rows = [[d + 1, repr(v)] for d, v in enumerate(sweep.values)]

@@ -136,7 +136,7 @@ def count_oracle(
     rank = model.family.rank
     stop = rank if rank is not None else j_max
     count = 0
-    chunk = 1 << 16
+    chunk = 1 << 13  # 2**13 float64 is 64 KB, below glibc's 128 KB mmap threshold: no block is mapped afresh
     for j0 in range(1, stop + 1, chunk):
         j = np.arange(j0, min(j0 + chunk, stop + 1), dtype=np.int64)
         count += int(np.count_nonzero(compare_ratios(model, d, j, query.criterion, eps2) > 0))

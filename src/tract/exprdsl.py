@@ -8,9 +8,13 @@ Grammar::
     unary   := '-' unary | primary
     primary := NUMBER | 'd' | 'j' | IDENT '(' expr (',' expr)* ')' | '(' expr ')'
 
-NUMBER is a decimal literal with optional fraction and optional e-exponent.
-'^' is right-associative.  The only identifiers are the variables d, j and
-the calls exp, ln, sqrt (one argument) and pow, max, min (two arguments).
+Whitespace between tokens is skipped.  NUMBER is ASCII digits, then an
+optional fraction, a '.' that needs a digit after it, then an optional e or E
+exponent, taken only where digits follow it.  A name starts with a letter or
+'_' and goes on with letters, digits and '_'.  '^' is right-associative, and
+a unary '-' binds tighter on its left: -2^2 is (-2)^2.  The only names are
+the variables d, j and the calls exp, ln, sqrt (one argument) and pow, max,
+min (two arguments).
 
 One walk reads a tree over d and j, each a number or an array, by a table
 of what each node means.  :func:`compile_array` (and its one-element view
@@ -19,7 +23,8 @@ of what each node means.  :func:`compile_array` (and its one-element view
 range keeps its logarithm: * and / add and subtract the logs, + and - take a
 signed log-sum-exp, a negation flips the sign, max and min order by sign and
 then by log, sqrt halves the log, ln x has the sign of ln x and the log
-ln|ln x|, and u^v multiplies ln|u| by v.  The argument of exp and the
+ln|ln x|, and u^v multiplies ln|u| by v, but x^0 and 1^v read 1 for every x
+and v, +-inf too, as in the linear reading.  The argument of exp and the
 exponent of a power are plain doubles of the linear reading.  A division by
 zero (0 to a negative power too), a NaN (0*inf, inf-inf, ln or sqrt of a
 negative, a negative base to a non-integer power), a value past the double
@@ -31,6 +36,7 @@ from __future__ import annotations
 
 import math
 import operator
+import re
 from typing import Callable, NamedTuple, Union
 
 import numpy as np
@@ -83,162 +89,94 @@ Expr = Union[Num, Var, Neg, BinOp, Call]
 
 
 # ---------------------------------------------------------------------------
-# Lexer
-# ---------------------------------------------------------------------------
-
-_PUNCT = {"+", "-", "*", "/", "^", "(", ")", ","}
-_DIGITS = frozenset("0123456789")  # str.isdigit also takes '²' and other scripts' digits
-
-
-class _Token(NamedTuple):
-    kind: str  # 'num', 'ident', punctuation literal, or 'end'
-    text: str
-    offset: int
-
-
-def _tokenize(source: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    i = 0
-    n = len(source)
-    while i < n:
-        ch = source[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in _PUNCT:
-            tokens.append(_Token(ch, ch, i))
-            i += 1
-            continue
-        if ch in _DIGITS:
-            start = i
-            while i < n and source[i] in _DIGITS:
-                i += 1
-            if i < n and source[i] == ".":
-                i += 1
-                if i >= n or source[i] not in _DIGITS:
-                    raise ExprSyntaxError(i, ("digit",), repr(source[i]) if i < n else "end of input")
-                while i < n and source[i] in _DIGITS:
-                    i += 1
-            if i < n and source[i] in "eE":
-                k = i + 1
-                if k < n and source[k] in "+-":
-                    k += 1
-                if k < n and source[k] in _DIGITS:
-                    i = k
-                    while i < n and source[i] in _DIGITS:
-                        i += 1
-            tokens.append(_Token("num", source[start:i], start))
-            continue
-        if ch.isalpha() or ch == "_":
-            start = i
-            while i < n and (source[i].isalnum() or source[i] == "_"):
-                i += 1
-            tokens.append(_Token("ident", source[start:i], start))
-            continue
-        raise ExprSyntaxError(i, ("number", "identifier", "operator"), repr(ch))
-    tokens.append(_Token("end", "", n))
-    return tokens
-
-
-# ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------
 
+# One token after any whitespace.  [0-9], not \d, which also takes other scripts' digits such as '٣'; a name
+# that starts with such a digit, or with '²' or any other character but a letter or '_', fails in _lex.
+_TOKEN = re.compile(
+    r"\s*(?:(?P<dot>[0-9]+\.)(?![0-9])|(?P<num>[0-9]+(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?)|(?P<name>\w+)"
+    r"|(?P<op>[-+*/^(),])|(?P<bad>.)|(?P<end>\Z))",
+    re.S,
+)
+_LEVELS = (("+", "-"), ("*", "/"))  # the left-associative operators, loosest first
 
-class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
-        self.pos = 0
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind: str, *expected_names: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            names = expected_names or (repr(kind),)
-            raise ExprSyntaxError(tok.offset, names, repr(tok.text) if tok.text else "end of input")
-        return self.advance()
-
-    def parse_expr(self) -> Expr:
-        node = self.parse_term()
-        while self.peek().kind in ("+", "-"):
-            op = self.advance().kind
-            node = BinOp(op, node, self.parse_term())
-        return node
-
-    def parse_term(self) -> Expr:
-        node = self.parse_factor()
-        while self.peek().kind in ("*", "/"):
-            op = self.advance().kind
-            node = BinOp(op, node, self.parse_factor())
-        return node
-
-    def parse_factor(self) -> Expr:
-        node = self.parse_unary()
-        if self.peek().kind == "^":
-            self.advance()
-            node = BinOp("^", node, self.parse_factor())
-        return node
-
-    def parse_unary(self) -> Expr:
-        if self.peek().kind == "-":
-            self.advance()
-            return Neg(self.parse_unary())
-        return self.parse_primary()
-
-    def parse_primary(self) -> Expr:
-        tok = self.peek()
-        if tok.kind == "num":
-            self.advance()
-            return Num(float(tok.text))
-        if tok.kind == "ident":
-            self.advance()
-            if tok.text in VARIABLES:
-                return Var(tok.text)
-            if tok.text in FUNCTION_ARITY:
-                self.expect("(", "'('")
-                args = [self.parse_expr()]
-                while self.peek().kind == ",":
-                    self.advance()
-                    args.append(self.parse_expr())
-                closing = self.peek()
-                if closing.kind != ")":
-                    raise ExprSyntaxError(
-                        closing.offset,
-                        ("','", "')'"),
-                        repr(closing.text) if closing.text else "end of input",
-                    )
-                self.advance()
-                want = FUNCTION_ARITY[tok.text]
-                if len(args) != want:
-                    raise ArityError(tok.text, want, len(args), tok.offset)
-                return Call(tok.text, tuple(args))
-            raise UnknownIdentifierError(tok.text, tok.offset)
-        if tok.kind == "(":
-            self.advance()
-            node = self.parse_expr()
-            self.expect(")", "')'")
-            return node
-        raise ExprSyntaxError(
-            tok.offset,
-            ("number", "'d'", "'j'", "function name", "'('", "'-'"),
-            repr(tok.text) if tok.text else "end of input",
-        )
+def _lex(source: str) -> list[tuple[str, str, int]]:
+    """The (kind, text, offset) tokens of ``source``, the last of kind 'end'; an operator's kind is itself."""
+    tokens, at = [], 0
+    while True:
+        match = _TOKEN.match(source, at)
+        kind, at = match.lastgroup, match.end()
+        text, offset = match[kind], match.start(kind)
+        if kind == "dot":
+            raise ExprSyntaxError(at, ("digit",), repr(source[at]) if at < len(source) else "end of input")
+        if kind == "bad" or kind == "name" and not (text[0].isalpha() or text[0] == "_"):
+            raise ExprSyntaxError(offset, ("number", "identifier", "operator"), repr(text[0]))
+        tokens.append((text if kind == "op" else kind, text, offset))
+        if kind == "end":
+            return tokens
 
 
 def parse(source: str) -> Expr:
     """Parse ``source`` into an expression tree."""
-    parser = _Parser(_tokenize(source))
-    node = parser.parse_expr()
-    tail = parser.peek()
-    if tail.kind != "end":
-        raise ExprSyntaxError(tail.offset, ("operator", "end of input"), repr(tail.text))
+    tokens, at = _lex(source), 0
+
+    def take(*kinds: str) -> str | None:
+        """The next token's kind, consumed, if it is one of ``kinds``."""
+        nonlocal at
+        kind = tokens[at][0]
+        if kind not in kinds:
+            return None
+        at += 1
+        return kind
+
+    def fail(*expected: str):
+        _, text, offset = tokens[at]
+        raise ExprSyntaxError(offset, expected, repr(text) if text else "end of input")
+
+    def fold(level: int = 0) -> Expr:
+        """The operators of one level, folded from the left over operands of the next."""
+        operand = (lambda: fold(level + 1)) if level + 1 < len(_LEVELS) else power
+        node = operand()
+        while op := take(*_LEVELS[level]):
+            node = BinOp(op, node, operand())
+        return node
+
+    def power() -> Expr:
+        node = unary()
+        return BinOp("^", node, power()) if take("^") else node
+
+    def unary() -> Expr:
+        return Neg(unary()) if take("-") else primary()
+
+    def primary() -> Expr:
+        _, text, offset = tokens[at]
+        if take("num"):
+            return Num(float(text))
+        if take("("):
+            node = fold()
+            return node if take(")") else fail("')'")
+        if not take("name"):
+            fail("number", "'d'", "'j'", "function name", "'('", "'-'")
+        if text in VARIABLES:
+            return Var(text)
+        if text not in FUNCTION_ARITY:
+            raise UnknownIdentifierError(text, offset)
+        if not take("("):
+            fail("'('")
+        args = [fold()]
+        while take(","):
+            args.append(fold())
+        if not take(")"):
+            fail("','", "')'")
+        if len(args) != FUNCTION_ARITY[text]:
+            raise ArityError(text, FUNCTION_ARITY[text], len(args), offset)
+        return Call(text, tuple(args))
+
+    node = fold()
+    if tokens[at][0] != "end":
+        fail("operator", "end of input")
     return node
 
 
@@ -298,10 +236,13 @@ def _pow(base, v):
     """base^v for a linear v; the sign powers as the linear walk does, so a negative base needs an integer v."""
     s, log = base
     if isinstance(s, float) and s > 0:
-        return s, np.multiply(v, log)
+        try:
+            return s, np.multiply(v, log)
+        except FloatingPointError:  # inf * 0, under _located's errstate
+            pass
     sign = np.power(s, v)
-    with np.errstate(invalid="ignore"):  # 0 * inf where x^0 = 1, also at x = 0
-        return sign, np.where(v == 0, 0.0, np.multiply(v, log))
+    with np.errstate(invalid="ignore"):  # inf * 0 at x^0 for x = 0 or inf, and at 1^+-inf: each reads 1
+        return sign, np.where((v == 0) | (log == 0), 0.0, np.multiply(v, log))
 
 
 def _ln(a):

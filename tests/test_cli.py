@@ -250,6 +250,20 @@ class TestCriterionCommand:
         assert lines[0] == "d,value"
         assert len(lines) == 5
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["criterion", "--sum", "spt-alg", "--tau", "1", "--sup", "--d-max", "0"], "d_max must be >= 1"),
+            (["criterion", "--sum", "spt-alg", "--tau", "1", "--sup", "--d-max", "-1"], "d_max must be >= 1"),
+            (["validate", "--d-max", "0"], "d_max and j_probe must be >= 1"),
+        ],
+        ids=["sup-0", "sup-minus-1", "validate-0"],
+    )
+    def test_d_max_below_one_is_a_config_error(self, tmp_path, capsys, argv, message):
+        cfg = write_config(tmp_path)
+        assert main([argv[0], "--config", cfg, *argv[1:]]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
     def test_uwt_statistic(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         assert main(

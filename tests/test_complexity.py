@@ -123,6 +123,17 @@ class TestCountOracle:
             assert info_complexity(model, query).n == 1, prefix
             assert count_oracle(model, query).n == 1, prefix
 
+    def test_scans_in_blocks_of_at_most_8192(self, poly2, monkeypatch):
+        sizes = []
+
+        def compare(model, d, j, criterion, t):
+            sizes.append(j.size)
+            return tract.eigenmodel.compare_ratios(model, d, j, criterion, t)
+
+        monkeypatch.setattr(tract.complexity, "compare_ratios", compare)
+        count_oracle(poly2, ComplexityQuery(1, 0.1, ABS), 20_000)
+        assert sum(sizes) == 20_000 and max(sizes) <= 8192
+
 
 class TestOracleEquivalence:
     def test_exact_agreement_on_grids(self, geo, poly2, exp1):

@@ -18,7 +18,7 @@ from tract import (
 )
 from tract.eigenmodel import log_ratio, log_ratios
 from tract.errors import ArityError, EvalDomainError, ExprSyntaxError, UnknownIdentifierError
-from tract.exprdsl import BinOp, Neg, Num, Var, compile_array, evaluate, parse
+from tract.exprdsl import FUNCTION_ARITY, BinOp, Call, Neg, Num, Var, compile_array, evaluate, parse
 
 import numpy as np
 
@@ -41,6 +41,82 @@ def test_unterminated_call_offset():
     with pytest.raises(ExprSyntaxError) as err:
         parse("max(1, ln(")
     assert err.value.offset == 10
+
+
+_ANY = ("number", "'d'", "'j'", "function name", "'('", "'-'")
+_LEXICAL = ("number", "identifier", "operator")
+_TAIL = ("operator", "end of input")
+
+
+@pytest.mark.parametrize(
+    "source, answer",
+    [
+        ("1.", (ExprSyntaxError, 2, ("digit",), "end of input")),
+        ("1.x", (ExprSyntaxError, 2, ("digit",), "'x'")),
+        ("1.5.", (ExprSyntaxError, 3, _LEXICAL, "'.'")),
+        ("1e5.", (ExprSyntaxError, 3, _LEXICAL, "'.'")),
+        ("1e", (ExprSyntaxError, 1, _TAIL, "'e'")),
+        ("\u00b2", (ExprSyntaxError, 0, _LEXICAL, "'\u00b2'")),
+        ("j^(0-\u0663)", (ExprSyntaxError, 5, _LEXICAL, "'\u0663'")),
+        ("max(1, ln(", (ExprSyntaxError, 10, _ANY, "end of input")),
+        ("max(1,2,3)", (ArityError, 0, 2, None)),
+        ("exp()", (ExprSyntaxError, 4, _ANY, "')'")),
+        ("pow(d)", (ArityError, 0, 2, None)),
+        ("()", (ExprSyntaxError, 1, _ANY, "')'")),
+        ("(d", (ExprSyntaxError, 2, ("')'",), "end of input")),
+        ("d)", (ExprSyntaxError, 1, _TAIL, "')'")),
+        ("d j", (ExprSyntaxError, 2, _TAIL, "'j'")),
+        ("", (ExprSyntaxError, 0, _ANY, "end of input")),
+        ("  ", (ExprSyntaxError, 2, _ANY, "end of input")),
+        ("--d", Neg(Neg(Var("d")))),
+        ("2^-2^3", BinOp("^", Num(2.0), BinOp("^", Neg(Num(2.0)), Num(3.0)))),
+        ("foo(1)", (UnknownIdentifierError, 0, None, None)),
+    ],
+)
+def test_parse_answers(source, answer):
+    """The tree, or the exception with its offset, expected and found."""
+    if not isinstance(answer[0], type):
+        assert parse(source) == answer
+        return
+    kind, offset, expected, found = answer
+    with pytest.raises(kind) as err:
+        parse(source)
+    assert (err.value.offset, getattr(err.value, "expected", None), getattr(err.value, "found", None)) == (
+        offset, expected, found)
+
+
+def _print(node) -> str:
+    """The tree fully parenthesized, numbers as their repr."""
+    if isinstance(node, Num):
+        return repr(node.value)
+    if isinstance(node, Var):
+        return node.name
+    if isinstance(node, Neg):
+        return f"(-{_print(node.operand)})"
+    if isinstance(node, BinOp):
+        return f"({_print(node.left)}{node.op}{_print(node.right)})"
+    return f"{node.func}({', '.join(map(_print, node.args))})"
+
+
+def _calls(inner):
+    return st.sampled_from(sorted(FUNCTION_ARITY)).flatmap(
+        lambda f: st.tuples(*[inner] * FUNCTION_ARITY[f]).map(lambda args: Call(f, args))
+    )
+
+
+_TREES = st.recursive(
+    st.one_of(st.floats(min_value=0.0, allow_infinity=False).map(abs).map(Num), st.sampled_from("dj").map(Var)),
+    lambda inner: st.one_of(
+        inner.map(Neg), st.builds(BinOp, st.sampled_from("+-*/^"), inner, inner), _calls(inner)
+    ),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_TREES)
+def test_a_printed_tree_parses_back(tree):
+    assert parse(_print(tree)) == tree
 
 
 @pytest.mark.parametrize("source, offset", [("\u00b2", 0), ("j^(0-\u0663)", 5)])
@@ -198,6 +274,21 @@ def test_a_difference_keeps_the_logarithm_below_the_double_range():
 def test_zeros_sum_to_an_exact_zero(source):
     """Each sum is 0 at j = 7, also where both terms read ln 0 = -inf."""
     assert Expression(source).log_values(1, np.array([7])).tolist() == [-math.inf]
+
+
+@pytest.mark.parametrize("source", ["j^exp(1000)", "(j/j)^exp(1000)", "(0-1)^exp(1000)", "exp(exp(1000))^(j-j)"])
+def test_one_to_an_infinite_power_and_infinity_to_zero_read_one(source):
+    """exp(1000) overflows to inf, and 1^inf and inf^0 are 1 in both readings:
+    the signed one must not multiply ln 1 = 0 by inf, or inf by 0."""
+    family = Expression(source)
+    assert compile_array(family.tree)(1, np.array([1])).tolist() == [1.0]
+    assert family.log_values(1, np.array([1])).tolist() == [0.0]
+
+
+def test_an_infinite_power_fails_past_one():
+    with pytest.raises(EvalDomainError, match="double range") as err:
+        Expression("j^exp(1000)").log_values(1, np.array([1, 2]))
+    assert (err.value.d, err.value.j) == (1, 2)
 
 
 def test_a_subnormal_intermediate_keeps_its_digits():

@@ -25,7 +25,7 @@ from tract.eigenmodel import (
     ValidationReport,
     Violation,
 )
-from tract.exprdsl import BinOp, Call, Neg, Num, Var, _Token
+from tract.exprdsl import BinOp, Call, Neg, Num, Var
 from tract.summation import Divergence, PolyLogTail, RatioTail, SumEvaluation, SumStatus
 
 ABS = ErrorCriterion.ABS
@@ -58,8 +58,6 @@ RECORDS = [
      "BinOp(op='^', left=Var(name='j'), right=Num(value=-2.0))"),
     (lambda: Call("max", (Var("d"), Num(1.0))),
      "Call(func='max', args=(Var(name='d'), Num(value=1.0)))"),
-    (lambda: _Token("num", "2", 0),
-     "_Token(kind='num', text='2', offset=0)"),
     (lambda: ComplexityResult(5, False, "search"),
      "ComplexityResult(n=5, capped=False, method='search')"),
     (lambda: TractabilityVerdict(Notion("SPT", "ALG", ABS), "Holds", CriterionParams(tau=1.0), {"k": 1}, Limits()),
