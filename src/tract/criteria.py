@@ -240,7 +240,8 @@ def _plan_coupled(env: TailEnvelope, tau: float) -> Plan:
 
     rate, power = form.stretched
     if tau < power:
-        return _stretched_plan(max(0.0, log_a), rate, 0.0, 1.0, power - tau, j0, False)
+        # The terms are a**(j**-tau) exp(-rate j**(power-tau)), two-sided where the envelope is exact.
+        return _stretched_plan(0.0, rate, 0.0, 1.0, power - tau, j0, env.exact, log_A=log_a, tau=tau)
     if not env.exact:
         return None
     # -ln(term) = rate*j**(power-tau) + max(0,-ln a)*j**-tau is
@@ -303,9 +304,10 @@ def _plan_qpt_exp(env: TailEnvelope, T: float) -> Plan:
 
 
 def _stretched_plan(
-    log_C: float, c: float, log_base: float, power: float, gamma: float, j0: int, exact: bool
+    log_C: float, c: float, log_base: float, power: float, gamma: float, j0: int, exact: bool,
+    log_A: float = 0.0, tau: float = 0.0,
 ) -> Plan:
-    """Plan for terms bounded by C exp(-B j**gamma), B = c * base**power, from
+    """Plan for terms bounded by C A**(j**-tau) exp(-B j**gamma), B = c * base**power, from
     ln base: linear where base**power is normal and B < e**709, else
     e**min(ln B, 709) (a smaller B bounds too); ln B where B is below the normal
     range; None where ln B is past it too, or gamma is, or Gamma(1/gamma) is
@@ -315,10 +317,10 @@ def _stretched_plan(
     if log_B == -math.inf or not 1e-300 < gamma < math.inf:
         return None
     if log_B < _LOG_TINY:
-        return StretchedIntegralTail(log_C, 0.0, gamma, from_j=j0, exact=exact, log_B=log_B)
+        return StretchedIntegralTail(log_C, 0.0, gamma, j0, exact, log_B, log_A, tau)
     pw = math.exp(log_pow) if abs(log_pow) < _LOG_HUGE else 0.0  # subnormal digits are lost
     B = c * pw if pw >= sys.float_info.min and log_B < _LOG_HUGE else math.exp(min(log_B, _LOG_HUGE))
-    return StretchedIntegralTail(log_C, B, gamma, from_j=j0, exact=exact)
+    return StretchedIntegralTail(log_C, B, gamma, j0, exact, None, log_A, tau)
 
 
 def _plan_wt_alg(env: TailEnvelope, c: float, s: float) -> Plan:

@@ -20,9 +20,10 @@ Every family answers logarithms of arrays of indices only:
 unscaled values, also where the values lie past the double range; d is an
 int, or an int array of shape (m, 1) broadcast against j.  ``log_decimal(d,
 j)`` gives one of them at the precision of the current :mod:`decimal`
-context, for the tie rule of :func:`compare_ratios`.  A family also
-provides its ``envelope`` (an analytic bound, or None), its ``rank`` (None
-when infinite) and ``d_free`` (whether it ignores d).  The three closed
+context, for the tie rule of :func:`compare_ratios` and the linear views
+:func:`eigenvalues`.  A family also provides its ``envelope`` (an analytic
+bound, or None), its ``rank`` (None when infinite) and ``d_free`` (whether
+it ignores d).  The three closed
 forms are their exact tail form: every one of those answers comes from the
 form.  Callers read these attributes; no code outside this module
 dispatches on the family.  A single eigenvalue is a one-element array call,
@@ -395,8 +396,20 @@ class EigenModel:
 
 
 def eigenvalues(model: EigenModel, d: int | np.ndarray, j: np.ndarray) -> np.ndarray:
-    """lambda(d, j) over an index array: the exp of :func:`log_ratios` under ABS."""
-    return np.exp(log_ratios(model, d, j, ErrorCriterion.ABS))
+    """lambda(d, j) over an index array, each rounded to a double from its
+    value at 40 digits.
+
+    :func:`log_ratios` under ABS checks the indices and the domain.  The exp
+    of its double logarithm can be several ulps off, enough to flip an exact
+    tie such as sqrt(lambda(d, 3)) = r sqrt(lambda(d, 1)) on Geometric(a, r),
+    so each value is read from the family's ``log_decimal`` instead.
+    """
+    log_ratios(model, d, j, ErrorCriterion.ABS)
+    pairs = np.broadcast(np.asarray(d), np.asarray(j))
+    values = np.empty(pairs.shape)
+    with _digits40():
+        values.flat = [float(_log_decimal(model, int(dd), int(jj), ErrorCriterion.ABS).exp()) for dd, jj in pairs]
+    return values
 
 
 def eigenvalue(model: EigenModel, d: int, j: int) -> float:
@@ -459,10 +472,7 @@ def compare_ratios(model: EigenModel, d: int, j: np.ndarray, criterion: ErrorCri
     logs = log_ratios(model, d, j, criterion)
 
     def exact(pos: int):
-        log = model.family.log_decimal(d, int(j[pos]))
-        if criterion is ErrorCriterion.NOR:
-            return log - model.family.log_decimal(d, 1)
-        return log if model.d_scale is None else log + exprdsl.log_decimal(model.d_scale, d, 1)
+        return _log_decimal(model, d, int(j[pos]), criterion)
 
     if criterion is ErrorCriterion.ABS or abs(t - 1.0) > 2 * _NEAR:
         return _signs(logs, t, exact)
@@ -472,6 +482,21 @@ def compare_ratios(model: EigenModel, d: int, j: np.ndarray, criterion: ErrorCri
     sign = _signs(np.where(lead, math.inf, logs), t, exact)
     sign[lead] = np.sign(1.0 - t)
     return sign
+
+
+def _log_decimal(model: EigenModel, d: int, j: int, criterion: ErrorCriterion):
+    """ln(lambda(d, j)/CRI_d) at the precision of the current decimal context."""
+    log = model.family.log_decimal(d, j)
+    if criterion is ErrorCriterion.NOR:
+        return log - model.family.log_decimal(d, 1)
+    return log if model.d_scale is None else log + exprdsl.log_decimal(model.d_scale, d, 1)
+
+
+def _digits40():
+    """A decimal context of 40 digits over the whole exponent range, for a with block."""
+    import decimal
+
+    return decimal.localcontext(decimal.Context(prec=40, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN))
 
 
 # The rounding of a logarithm here is a few ulps of its operands, which lie
@@ -493,7 +518,7 @@ def _signs(logs: np.ndarray, t: float, exact) -> np.ndarray:
     if near.size:
         import decimal
 
-        with decimal.localcontext(decimal.Context(prec=40, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)):
+        with _digits40():
             log_t = decimal.Decimal(t).ln()
             for pos in near:
                 gap40 = exact(pos) - log_t

@@ -29,7 +29,11 @@ exponent of a power are plain doubles of the linear reading.  A division by
 zero (0 to a negative power too), a NaN (0*inf, inf-inf, ln or sqrt of a
 negative, a negative base to a non-integer power), a value past the double
 range or, in :func:`log_array`, a negative value raises
-:class:`EvalDomainError` naming the first failing d and j.
+:class:`EvalDomainError` naming the first failing d and j.  A formula nested
+past the interpreter's stack is refused: :func:`parse` raises
+:class:`ExprSyntaxError` at the token it reached, and a walk over a tree too
+deep for it (a sum of some thousand terms folds into one) raises
+:class:`EvalDomainError`.
 """
 
 from __future__ import annotations
@@ -174,7 +178,10 @@ def parse(source: str) -> Expr:
             raise ArityError(text, FUNCTION_ARITY[text], len(args), offset)
         return Call(text, tuple(args))
 
-    node = fold()
+    try:
+        node = fold()
+    except RecursionError:  # nested past the interpreter's stack: refused at the token it ran out on
+        fail("fewer nested levels")
     if tokens[at][0] != "end":
         fail("operator", "end of input")
     return node
@@ -206,6 +213,14 @@ def _walk(node: Expr, d, j, ops: dict = _OPS):
     if len(args) == 1:
         return ops[op](_walk(args[0], d, j, exponent))
     return ops[op](_walk(args[0], d, j, ops), _walk(args[1], d, j, exponent))
+
+
+def _read(node: Expr, d, j, ops: dict = _OPS):
+    """_walk from the root; a tree deeper than the interpreter's stack raises :class:`EvalDomainError`."""
+    try:
+        return _walk(node, d, j, ops)
+    except RecursionError:
+        raise EvalDomainError("expression nested too deeply") from None
 
 
 # The signed reading: each value is (sign, ln|x|), the sign in {-1, 0, 1} and an exact zero (0, -inf).  A sign
@@ -307,7 +322,7 @@ def log_array(node: Expr, d: float | np.ndarray, j: float | np.ndarray, negative
 
     def signed(d: np.ndarray, j: np.ndarray) -> np.ndarray:
         logs = np.empty(np.broadcast(d, j).shape)
-        sign, logs[...] = _walk(node, d, j, _SIGNED)
+        sign, logs[...] = _read(node, d, j, _SIGNED)
         if sign < 0 if isinstance(sign, float) else (sign < 0).any():
             raise FloatingPointError(negative)
         if logs.size and logs.max() > _LOG_DOUBLE_MAX:
@@ -321,7 +336,7 @@ def log_decimal(node: Expr, d: int, j: int):
     """ln of the tree's value at one (d, j), at the decimal context's precision: the linear walk over Decimals."""
     from decimal import Decimal
 
-    return _walk(node, Decimal(int(d)), Decimal(int(j)), {**_OPS, "ln": Decimal.ln, "num": Decimal}).ln()
+    return _read(node, Decimal(int(d)), Decimal(int(j)), {**_OPS, "ln": Decimal.ln, "num": Decimal}).ln()
 
 
 def compile_array(node: Expr) -> Callable[..., np.ndarray]:
@@ -330,7 +345,7 @@ def compile_array(node: Expr) -> Callable[..., np.ndarray]:
 
     def linear(d: np.ndarray, j: np.ndarray) -> np.ndarray:
         values = np.empty(np.broadcast(d, j).shape)
-        values[...] = _walk(node, d, j)
+        values[...] = _read(node, d, j)
         if not np.isfinite(values).all():
             raise FloatingPointError("expression left the finite double range")
         return values
@@ -348,4 +363,4 @@ _NAMES = {**dict.fromkeys(_OPS, lambda *names: set().union(*names)), "num": lamb
 
 
 def variables_used(node: Expr) -> set[str]:
-    return _walk(node, "d", "j", _NAMES)
+    return _read(node, "d", "j", _NAMES)

@@ -167,6 +167,26 @@ class TestValidateCommand:
         assert any(v["kind"] == "increase" and v["j"] == 3 for v in out["violations"])
 
 
+class TestDeepFormulas:
+    """A formula nested past the interpreter's stack is a config error (exit 2,
+    one line, no traceback), in the parser and in the walk over its tree."""
+
+    def _validate(self, tmp_path, capsys, formula):
+        cfg = write_config(tmp_path, model={"kind": "Expression", "params": {"formula": formula}})
+        assert main(["validate", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {cfg}: model: ") and err.count("\n") == 1
+        return err
+
+    def test_deep_parentheses_are_a_syntax_error(self, tmp_path, capsys):
+        err = self._validate(tmp_path, capsys, "(" * 250 + "1/(j*j)" + ")" * 250)
+        assert "syntax error at offset" in err and "expected fewer nested levels, found '('" in err
+
+    def test_a_long_sum_is_a_domain_error(self, tmp_path, capsys):
+        err = self._validate(tmp_path, capsys, "+".join(["1/(j*j)"] * 1500))
+        assert err.endswith("model: expression nested too deeply\n")
+
+
 class TestConfigStrictness:
     def test_unknown_top_level_key(self, tmp_path, capsys):
         cfg = write_config(tmp_path, extra_key=1)

@@ -4,10 +4,11 @@ The planners in ``criteria`` turn hand-derived inequalities into tail bounds
 and divergence floors.  This audit takes each plan ``convergence_plan``
 returns and checks its pointwise claim against the true terms at about 40
 log-spaced indices: a tail shape must dominate the terms from its ``from_j``
-to 1e12, and a ``Divergence`` floor must hold from its onset on.  The terms
-come from mpmath at 50 digits, from the family's own formula, and each
-shape's bound is written out again here from its fields, so the check
-shares no code with the planners, the tail shapes or ``log_ratios``.
+to 1e12 (and an exact shape equal them), and a ``Divergence`` floor must
+hold from its onset on.  The terms come from mpmath at 50 digits, from the
+family's own formula, and each shape's bound is written out again here from
+its fields, so the check shares no code with the planners, the tail shapes
+or ``log_ratios``.
 """
 
 import ast
@@ -139,7 +140,7 @@ def _log_bound(shape, j):
         return shape.log_C - shape.T * mpmath.log(shape.alpha + shape.beta * j)
     if isinstance(shape, StretchedIntegralTail):
         B = mpmath.exp(shape.log_B) if shape.log_B is not None else mpmath.mpf(shape.B)
-        return shape.log_C - B * j**shape.gamma
+        return shape.log_C + shape.log_A * j ** -mpmath.mpf(shape.tau) - B * j**shape.gamma
     if isinstance(shape, GeomSeriesTail):
         return shape.log_C + j * shape.log_q
     if isinstance(shape, PolyLogTail):
@@ -181,6 +182,8 @@ def _audit(case: Case, kind: str, params: CriterionParams, criterion: ErrorCrite
         for j in _grid(plan.from_j, 10**12):
             bound = _log_bound(plan, j)
             assert log_term(j) <= bound + _slack(bound), (plan, j)
+            if getattr(plan, "exact", False):  # an exact shape is the terms, so bounds them below too
+                assert log_term(j) >= bound - _slack(bound), (plan, j)
             if isinstance(plan, RatioTail):
                 log_g = [plan.log_g(int(j) + k) for k in range(3)]
                 if math.exp(log_g[2]) > 0.0:  # past that the tail reads 0
@@ -197,11 +200,20 @@ def _audit(case: Case, kind: str, params: CriterionParams, criterion: ErrorCrite
     criterion=st.sampled_from([ABS, NOR]),
     d=st.sampled_from([1, 3]),
 )
-# spt-exp on a stretched envelope with scale below 1: the coefficient of the
-# coupled plan must be max(1, scale), since rho**(j**-tau) rises towards 1.
+# spt-exp on a stretched envelope with scale below 1: the coupled plan's factor
+# scale**(j**-tau) rises towards 1, and the exact plan is the terms.
 @example(
     case=_closed(ExpDecay(0.5, 1.0, 1.0)), kind="spt-exp", params=CriterionParams(tau=0.5),
     criterion=ABS, d=1,
+)
+# The same factor above 1 (NOR: scale e**b) and equal to 1 (ABS, scale 1).
+@example(
+    case=_closed(ExpDecay(1.0, 1.11, 0.5)), kind="spt-exp", params=CriterionParams(tau=0.25),
+    criterion=NOR, d=3,
+)
+@example(
+    case=_closed(ExpDecay(1.0, 1.11, 0.5)), kind="pt-exp",
+    params=CriterionParams(tau1=1.0, tau2=0.25, tau3=1.0, c_tilde=1.0), criterion=ABS, d=1,
 )
 # A PolyLogTail, and a RatioTail that holds from j1 on (stretched power < 1).
 @example(
@@ -416,3 +428,34 @@ def test_stretched_rate_from_an_underflowed_power():
     ev = evaluate_sum(model, "wt-alg", 1, params, ABS)
     assert ev.status is SumStatus.CERTIFIED
     _audit(_closed(model.family), "wt-alg", params, ABS, 1)
+
+
+def _stretched_reference(b, log_A):
+    """The sum over j >= 1 of exp(log_A j**-0.25 - b j**0.25) at 30 digits."""
+    with mpmath.workdps(30):
+        f = lambda j: mpmath.exp(log_A * j**-0.25 - b * j**0.25)
+        return mpmath.fsum(f(mpmath.mpf(j)) for j in range(1, 3000)) + mpmath.sumem(f, [3000, mpmath.inf])
+
+
+_TABULATED = Tabulated(tuple(1.5 / (j * j) for j in range(1, 201)), TailEnvelope(PowerLawTail(1.5, 2.0), 201))
+
+
+@pytest.mark.parametrize(
+    "family, kind, tau, criterion, d, most, reference",
+    [
+        # rho**(j**-1/4) = exp(-b j**1/4): the Hermite-Hadamard bracket on the integral
+        (ExpDecay(1.0, 1.11, 0.5), "spt-exp", 0.25, ABS, 2, 20_480, lambda: _stretched_reference(1.11, 0.0)),
+        # NOR: rho = e**b exp(-b j**1/2), so the factor e**(b (J+1)**-1/4) sets the width
+        (ExpDecay(1.0, 1.11, 0.5), "spt-exp", 0.25, NOR, 3, 450_000, lambda: _stretched_reference(1.11, 1.11)),
+        (_TABULATED, "spt-alg", 1.0, ABS, 1, 4_096, lambda: 1.5 * mpmath.zeta(2)),
+    ],
+    ids=["stretched-ABS", "stretched-NOR", "tabulated"],
+)
+def test_deep_sums_certify_within_their_pins(family, kind, tau, criterion, d, most, reference):
+    """Two-sided brackets stop these sums early: 8192, 395 264 and 2048
+    terms, against 667 648, 734 208 and 78 848 with the one-sided coupled
+    bound and the integral bracket [from J + 1, from J].  Each value holds
+    its mpmath reference within its remainder."""
+    ev = evaluate_sum(EigenModel(family), kind, d, CriterionParams(tau=tau), criterion)
+    assert ev.certified and ev.terms_used <= most
+    assert abs(ev.value - float(reference())) <= ev.remainder_bound + 1e-15 * ev.value

@@ -147,6 +147,8 @@ def test_count_above_ties_follow_the_rationals(entries, tabulated, criterion, da
 @example(family=Geometric(0.6415056733948675, 0.6415056733948675), d=1, eps=0.6415056733948675, criterion=NOR)
 @example(family=Geometric(1.6665826222078564, 0.75), d=1, eps=0.75, criterion=NOR)
 @example(family=Geometric(1.875, 0.6752128032309727), d=1, eps=0.6752128032309727, criterion=NOR)
+# The same tie, lost when lambda_3 was the exp of its double logarithm, several ulps off.
+@example(family=Geometric(0.25, 0.17232592975636857), d=1, eps=0.17232592975636857, criterion=NOR)
 def test_error_inversion(family, d, eps, criterion):
     # The exact statement lives on the eigenvalues: under ABS lambda_j against
     # eps^2, under NOR the ratio lambda_j/lambda_1 against eps^2, as the counts

@@ -84,9 +84,8 @@ class TestTailBounds:
 
     @pytest.mark.parametrize("s", [0.05, 0.3, 0.5, 0.9, 1.0, 1.5, 2.0, 3.7, 10.0, 25.0, 50.0, 100.0])
     def test_stretched_bracket_holds_against_mpmath(self, s):
-        """lower_tail(a - 1) <= integral from a <= upper_tail(a), _SLACK undone,
-        from x near 0 through x = s - 1 to the deep tail, wherever the integral
-        is a normal double."""
+        """The integral bracket from a holds, from x near 0 through x = s - 1
+        to the deep tail, wherever the integral is a normal double."""
         gamma = 1.0 / s
         base = max(s - 1.0, 0.0)
         below = [base * f for f in (1e-3, 0.5, 1 - 1e-9, 1.0)] if s > 1 else []
@@ -101,8 +100,8 @@ class TestTailBounds:
                     if not mpmath.mpf("1e-300") < exact < mpmath.mpf("1e300"):
                         continue
                     checked += 1
-                    upper = tail.upper_tail(a) / _SLACK
-                    lower = tail.lower_tail(a - 1) * _SLACK
+                    upper = tail._integral(a, upper=True)
+                    lower = tail._integral(a, upper=False)
                     assert math.isfinite(upper), (a, x)
                     assert upper >= exact * (1 - 1e-13), (a, x)
                     assert lower <= exact * (1 + 1e-13), (a, x)
@@ -116,7 +115,7 @@ class TestTailBounds:
             for a in (1, 1000, 10**9):
                 assert tail.upper_tail(a) == pytest.approx(math.gamma(10.0) / 0.1 * _SLACK, rel=1e-13)
                 exact = self._stretched_integral(1.0, 1.0, 0.1, a)
-                assert tail.lower_tail(a - 1) <= exact <= tail.upper_tail(a)
+                assert tail._integral(a, upper=False) / _SLACK <= exact <= tail._integral(a, upper=True) * _SLACK
         # An integral past the double range (about 1e310) is no bound.
         assert math.isinf(StretchedIntegralTail(0.0, 1e-310, 1.0).upper_tail(1))
 
@@ -128,7 +127,7 @@ class TestTailBounds:
         with mpmath.workdps(40):
             for a in (2, 1000, 10**6):
                 exact = self._stretched_integral(1.0, 1.0, 0.1, a)
-                lower = tail.lower_tail(a - 1)
+                lower = tail._integral(a, upper=False) / _SLACK
                 assert lower <= exact
                 if a <= 1000:  # x**10 / 10 = a / 10
                     assert lower >= exact * (1 - 1e-3)
@@ -147,7 +146,8 @@ class TestTailBounds:
         tail = StretchedIntegralTail(math.log(coeff), B, gamma, exact=True)
         with mpmath.workdps(40):
             exact = self._stretched_integral(coeff, B, gamma, a)
-        assert tail.lower_tail(a - 1) <= exact <= tail.upper_tail(a) <= exact * (1 + 1e-3)
+        lower, upper = tail._integral(a, upper=False) / _SLACK, tail._integral(a, upper=True) * _SLACK
+        assert lower <= exact <= upper <= exact * (1 + 1e-3)
         assert StretchedIntegralTail(-math.inf, B, gamma).upper_tail(a) == 0.0
 
     def test_geometric_series_closed_form(self):
@@ -169,6 +169,84 @@ class TestTailBounds:
         for J in (2, 6):
             true = sum(g(j) for j in range(J + 1, 200))
             assert true <= tail.upper_tail(J)
+
+
+def _true_tail(f, J, head=2000):
+    """The sum of f(j) over j > J at 30 digits: the first terms one by one, the rest by Euler-Maclaurin."""
+    with mpmath.workdps(30):
+        first = mpmath.fsum(f(mpmath.mpf(j)) for j in range(J + 1, J + 1 + head))
+        return first + mpmath.sumem(f, [J + 1 + head, mpmath.inf])
+
+
+class TestNarrowBrackets:
+    """The Gamma recurrence, the coupled coefficient and the Hermite-Hadamard
+    sides, each against true values."""
+
+    @staticmethod
+    def _gamma_sides(s, x):
+        """The integral bracket at a = 1, B = x, over its exact value."""
+        tail = StretchedIntegralTail(0.0, x, 1.0 / s, exact=True)
+        with mpmath.workdps(40):
+            exact = mpmath.gammainc(mpmath.mpf(s), x) * s / mpmath.mpf(x) ** s
+        return float(tail._integral(1, upper=False) / exact), float(tail._integral(1, upper=True) / exact)
+
+    @pytest.mark.parametrize(
+        "s, x, width",
+        [(4.3, 20.0, 1e-6), (4.0, 20.0, 1e-15), (2.5, 3.0, 0.01), (200.5, 200.0, 1e-3)],
+        ids=["s-4.3", "integer-s", "near-s-1", "past-64-steps"],
+    )
+    def test_recurrence_narrows_the_gamma_bracket(self, s, x, width):
+        """Gamma(s, x) by recurrence down to s' in (0, 1], then DLMF 8.10.1,
+        in units of Gamma(s, x): at s = 4.3, x = 20 the sides are 5e-7
+        apart, where the k factor alone left 0.17; at an integer s they
+        meet; at s = 2.5, x = 3 they are 0.008 apart, against 0.64.  Past
+        64 steps the k factor brackets what is left."""
+        lower, upper = self._gamma_sides(s, x)
+        assert lower <= 1 + 1e-13 and upper >= 1 - 1e-13
+        assert upper - lower <= width
+
+    @pytest.mark.parametrize("log_A", [1.5, 0.0, -1.5])
+    def test_coupled_bracket_holds_against_the_true_tail(self, log_A):
+        """Terms A**(j**-tau) exp(-B j**gamma) for A above, at and below 1:
+        the tail past J lies between the sides, and they close in as
+        A**((J+1)**-tau) tends to 1, to the Hermite-Hadamard width at A = 1."""
+        B, gamma, tau = 0.8, 0.5, 0.25
+        tail = StretchedIntegralTail(0.0, B, gamma, exact=True, log_A=log_A, tau=tau)
+        f = lambda j: mpmath.exp(log_A * j**-tau - B * mpmath.sqrt(j))
+        widths = []
+        for J in (1, 10, 100, 1000):
+            true = _true_tail(f, J)
+            lower, upper = tail.lower_tail(J), tail.upper_tail(J)
+            assert lower <= true <= upper, J
+            widths.append((upper - lower) / float(true))
+        assert widths == sorted(widths, reverse=True)
+        assert widths[-1] <= math.expm1(abs(log_A) * 1001**-tau) + 3e-5
+
+    def test_affine_power_hermite_hadamard(self):
+        """Convex terms C (alpha + beta j)**-T: the sum past J lies between
+        the integral from J + 1 plus half the next term and the integral from
+        J + 1/2, a bracket about T f(J) / (8 J) wide, not f(J)."""
+        C, alpha, beta, T = 1.5, 0.5, 2.0, 2.0
+        tail = AffinePowerTail(math.log(C), alpha, beta, T, exact=True)
+        f = lambda j: C * (alpha + beta * j) ** -T
+        for J in (1, 10, 1000):
+            true = _true_tail(f, J)
+            lower, upper = tail.lower_tail(J), tail.upper_tail(J)
+            assert lower <= true <= upper, J
+            assert upper - lower <= T * beta * float(f(J)) / (8 * (alpha / beta + J)), J
+
+    @pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])
+    def test_stretched_hermite_hadamard(self, gamma):
+        """exp(-B j**gamma) is convex where x = B j**gamma >= 1 - 1/gamma:
+        everywhere for gamma <= 1, from j = 50**0.5 on for gamma = 2 and
+        B = 0.01.  The bracket holds on both sides of that index."""
+        B = 0.01
+        tail = StretchedIntegralTail(0.0, B, gamma, exact=True)
+        f = lambda j: mpmath.exp(-B * j**gamma)
+        assert tail._convex(7.5) and (gamma <= 1.0 or not tail._convex(6.5))
+        for J in (1, 3, 6, 7, 10, 30):
+            true = _true_tail(f, J)
+            assert tail.lower_tail(J) <= true <= tail.upper_tail(J), J
 
 
 class TestEngine:
@@ -317,6 +395,27 @@ def _batches(draw):
     return values
 
 
+@st.composite
+def _settle_rows(draw):
+    """One row whose extraction leaves bits below its second level: a lead
+    term near a power of two, terms at and near half its ulp (ties, broken
+    or kept), terms that take the sum onto the power of two from below,
+    subnormals, and terms of both signs over 200 binades under the lead."""
+    e = draw(st.integers(-1000, 990))
+    lead = math.ldexp(draw(st.sampled_from([1.0, 1.5, _NEAR_ONE, 1.0 + 2.0**-52])), e)
+    half = math.ulp(lead) / 2
+    special = st.sampled_from(
+        [half, -half, half / 2, math.ldexp(1.0, e - 53), math.ldexp(1.0, e - 54), 5e-324, -5e-324,
+         math.ldexp(1.0, e - 120), -math.ldexp(1.0, e - 120)]
+    )
+    mixed = st.builds(
+        lambda m, k, sign: sign * math.ldexp(m, e - k),
+        st.floats(0.5, 1.0, exclude_max=True), st.integers(0, 200), st.sampled_from([1.0, -1.0]),
+    )
+    rest = draw(st.lists(st.one_of(special, mixed), max_size=40))
+    return draw(st.permutations([lead] + rest))
+
+
 class TestChunkSums:
     @settings(max_examples=300, deadline=None)
     @given(_batches())
@@ -330,6 +429,23 @@ class TestChunkSums:
         chunks = [values[a : a + CHUNK] for a in range(0, len(values), CHUNK)]
         assert [x.hex() for x in sums] == [_fsum_or_inf(c.tolist()).hex() for c in chunks]
         assert [x.hex() for x in maxima] == [float(np.abs(c).max()).hex() for c in chunks]
+
+    @settings(max_examples=500, deadline=None)
+    @given(_settle_rows())
+    @example([1.0, 2.0**-53, 2.0**-200])  # a tie broken upward by a residual
+    @example([1.0, 2.0**-53, -(2.0**-200)])  # broken downward
+    @example([_NEAR_ONE, 2.0**-53, 2.0**-120])  # onto 2**0 from below, then past it
+    @example([_NEAR_ONE, 2.0**-53, -(2.0**-120)])  # onto 2**0, then back under it
+    @example([2.0**-1022, 5e-324, -5e-324, 5e-324])  # subnormal residuals
+    # The TwoSum error is just under half an ulp of 1.5, and five residuals
+    # of 2**-84, below the second level, take the sum past it: up, and down.
+    @example([1.5, 2.0**-53 - 2.0**-82] + [2.0**-84] * 5)
+    @example([1.5, 2.0**-82 - 2.0**-53] + [-(2.0**-84)] * 5)
+    def test_rows_with_bits_left_round_as_fsum(self, row):
+        """Where the extraction leaves bits, the row sum is tau1 + tau2
+        unless those bits could move its rounding, and fsum otherwise: bit
+        for bit fsum either way."""
+        assert _chunk_sums(np.array(row))[0][0].hex() == math.fsum(row).hex()
 
 
 def _recording(fn, calls):
@@ -366,7 +482,60 @@ _SLOW_EXP = _vector(lambda j: np.exp(-j / 5000.0))  # heuristic stop near j = 1.
 _POWER = (_vector(lambda j: j**-1.5), AffinePowerTail(0.0, 0.0, 1.0, 1.5, from_j=1, exact=True))
 
 
+@st.composite
+def _stop_cases(draw):
+    """A certified sum that stops inside its first 64 chunks, or at a budget
+    there: convex power terms or coupled stretched terms with an exact plan,
+    from a drawn start, at a drawn minimum and at a tolerance that the rule
+    first meets at a drawn index, mostly inside a batch of several chunks."""
+    start = draw(st.integers(1, 50))
+    if draw(st.booleans()):
+        T = draw(st.floats(1.2, 3.0))
+        plan = AffinePowerTail(0.0, 0.0, 1.0, T, from_j=start, exact=True)
+        fn = lambda j: j**-T
+    else:
+        B, gamma = draw(st.floats(0.01, 0.2)), draw(st.floats(0.25, 1.0))
+        log_A, tau = draw(st.floats(-2.0, 2.0)), draw(st.floats(0.1, 0.5))
+        plan = StretchedIntegralTail(0.0, B, gamma, from_j=start, exact=True, log_A=log_A, tau=tau)
+        fn = lambda j: np.exp(log_A * j**-tau - B * j**gamma)
+    J = start + draw(st.integers(0, 63 * CHUNK))
+    up, lo = plan.upper_tail(J), plan.lower_tail(J)
+    mid = math.fsum(fn(np.arange(start, J + 1, dtype=float)).tolist()) + 0.5 * (up + lo)
+    kwargs = {
+        "tol": max((up - lo) / mid, 1e-300) * draw(st.floats(0.9, 1.1)),
+        "min_terms": draw(st.sampled_from([0, CHUNK * draw(st.integers(0, 40))])),
+        "max_terms": draw(st.sampled_from([64 * CHUNK, draw(st.integers(CHUNK, 64 * CHUNK))])),
+    }
+    return _vector(fn), start, plan, kwargs
+
+
+def _first_stop(terms, start, plan, tol, min_terms, max_terms) -> int:
+    """The count at the first chunk boundary where the certified stop rule
+    holds, or the budget, with the rule read at every boundary."""
+    max_terms = max(max_terms, min_terms)
+    values = terms(start, start + max_terms)
+    sums = [math.fsum(values[a : a + CHUNK].tolist()) for a in range(0, max_terms, CHUNK)]
+    for k in range(1, len(sums) + 1):
+        count = min(k * CHUNK, max_terms)
+        J, partial = start + count - 1, math.fsum(sums[:k])
+        if J >= plan.from_j and count >= min_terms:
+            up, lo = plan.upper_tail(J), plan.lower_tail(J)
+            if up - lo <= tol * max(abs(partial + 0.5 * (up + lo)), 1e-300):
+                return count
+    return max_terms
+
+
 class TestBatchedFetch:
+    @settings(max_examples=100, deadline=None)
+    @given(_stop_cases())
+    def test_stop_is_the_first_boundary_where_the_rule_holds(self, case):
+        """The tail rule is read once per fetched batch, at its last chunk;
+        the stop is still the first chunk boundary at which it holds."""
+        terms, start, plan, kwargs = case
+        ev = certified_sum(terms, start, plan, **kwargs)
+        assert ev.terms_used == _first_stop(terms, start, plan, **kwargs)
+        assert ev.status is SumStatus.CERTIFIED
+
     @pytest.mark.parametrize(
         "kwargs",
         [
