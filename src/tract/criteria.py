@@ -282,20 +282,21 @@ def _plan_qpt_exp(env: TailEnvelope, T: float) -> Plan:
 
     kappa, power = form.stretched
     log_kappa = math.log(kappa)
+    alpha, beta = 1.0 - 0.5 * log_a, 0.5 * kappa
+    if power * T > 1.0:
+        # The terms are at most (alpha + beta j**power)**-T past j0, and equal to them where the envelope is exact.
+        j0, _ = _index_past(log_j0, env.valid_from)
+        if not (j0 and beta):
+            return None
+        try:
+            return AffinePowerTail(0.0, alpha, beta, T, from_j=j0, exact=env.exact, gamma=power)
+        except ValueError:  # the base, at least 1 at j0, rounds to 0 or below where ln a dwarfs 1
+            return None
     if power == 1.0:
-        alpha, beta = 1.0 - 0.5 * log_a, 0.5 * kappa
-        if T > 1.0:
-            j0, _ = _index_past(log_j0, env.valid_from)
-            return AffinePowerTail(0.0, alpha, beta, T, from_j=j0, exact=env.exact) if j0 and beta else None
         if env.exact:
             log_h = math.log(alpha) - log_kappa + _LN2 if alpha > 0.0 else -math.inf  # ln(alpha/beta)
             return _harmonic(max(log_j0, log_h), env.valid_from, -T * log_kappa)
         return None
-    if power * T > 1.0:
-        # base >= (kappa/4) j**power once the constant part stops mattering.
-        log_need = math.log(0.5 * log_a - 1.0) - log_kappa + 2 * _LN2 if log_a > 2.0 else -math.inf
-        j3, _ = _index_past(max(log_j0, log_need / power), env.valid_from)
-        return AffinePowerTail(-T * (log_kappa - 2 * _LN2), 0.0, 1.0, power * T, from_j=j3) if j3 else None
     if env.exact:
         # base <= kappa j**power once 1 + 0.5 max(0, -ln a) <= 0.5 kappa j**power.
         log_need = math.log(2.0 + max(0.0, -log_a)) - log_kappa
@@ -596,9 +597,11 @@ def evaluate_sum(
 
 
 def _outer_power(inner: SumEvaluation, pref: float, power: float) -> SumEvaluation:
-    """pref * inner**power, with the remainder bracket carried through the power;
-    the other fields (converged among them) carry over from the inner sum.  An
-    infinite inner sum (divergent, or past the double range) comes back as is."""
+    """pref * inner**power, with the remainder bracket carried through the
+    power, and no narrower than the rounding of the power where the inner
+    remainder is positive; the other fields (converged among them) carry over
+    from the inner sum.  An infinite inner sum (divergent, or past the double
+    range) comes back as is."""
     if math.isinf(inner.value):
         return inner
     try:
@@ -617,7 +620,11 @@ def _outer_power(inner: SumEvaluation, pref: float, power: float) -> SumEvaluati
             value=math.inf, remainder_bound=None, status=SumStatus.HEURISTIC,
             note="finite inner sum, outer power exceeds the double range",
         )
-    return inner._replace(value=0.5 * (hi + lo), remainder_bound=0.5 * (hi - lo) * (1 + 1e-9))
+    value = 0.5 * (hi + lo)
+    # Where the sides round together, their rounding still counts: v +- r, the power, the product and the
+    # mean move the value by (power + 4) units of 2**-53 of it at most, each below one ulp of it.
+    floor = (power + 4.0) * math.ulp(value) if inner.remainder_bound > 0.0 else 0.0
+    return inner._replace(value=value, remainder_bound=max(0.5 * (hi - lo) * (1 + 1e-9), floor))
 
 
 # One-call forms of evaluate_sum; the keyword arguments (tol, max_terms,

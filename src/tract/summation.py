@@ -27,27 +27,41 @@ addition) could move it past half a gap; only such a chunk, and one with a
 non-finite term or a term past 2**1000, goes to ``math.fsum`` (see
 ``_chunk_sums``).
 
-Tail bounds come in a handful of integrable shapes.  Each shape provides a
-sound upper bound on the neglected tail; shapes marked exact (the bound
-coincides with the terms) also provide a lower bound, which lets the
-evaluator centre the reported value inside the bracket.  The three
-integrable shapes take ln C for their coefficient (and ln q for the
-geometric ratio) and form each bound in log space: it neither overflows nor
-flushes to 0 where it is a double, and is +inf (no bound) past that.
+Tail bounds come in a handful of integrable shapes.  Each shape's
+``sides(J)`` gives a sound upper bound on the tail past J; shapes marked
+exact (the bound coincides with the terms) give a lower bound with it,
+which lets the evaluator centre the reported value inside the bracket.
+The three integrable shapes take ln C for their coefficient (and ln q for
+the geometric ratio) and form each bound in log space: it neither
+overflows nor flushes to 0 where it is a double, and is +inf (no bound)
+past that.  Where those logarithms are large, each side's logarithm moves
+by 2**-50 of their sizes, against the rounding of their sum.
 
-Every shape is elementary.  Where the terms f(j) are convex, the
-Hermite-Hadamard inequality brackets the tail past J:
-integral of f from J + 1 plus f(J + 1) / 2 <= sum of f(j) over j > J <=
-integral of f from J + 1/2, about f'(J) / 8 wide where the integrals from
-J + 1 and from J leave about f(J).  The stretched-exponential integral is the
-upper incomplete gamma function Gamma(s, x), taken by the recurrence
-Gamma(s, x) = x**(s-1) e**-x + (s-1) Gamma(s-1, x) (DLMF 8.8.2) down to
-s in (0, 1], where x**(s-1) e**-x x / (x + 1 - s) <= Gamma(s, x) <=
-x**(s-1) e**-x (DLMF 8.10.1); see ``StretchedIntegralTail``.  A coupled
-term rho(j)**(j**-tau) on the envelope a e**(-rate j**power) is
-a**(j**-tau) e**(-rate j**(power - tau)), and past J its first factor lies
-between 1 and a**((J+1)**-tau): a coefficient read at J + 1, two-sided
-where the envelope is exact.
+A power C (alpha + beta j)**-T is completely monotone, so the tail past J
+lies between two Euler-Maclaurin sums from J + 1 (DLMF 2.10(i)): the
+integral, half the first term and the Bernoulli terms up to order m, with
+and without the next one, since the remainder has that term's sign and is
+no larger.  m stops where the next term no longer shrinks or is
+negligible, at 8 at most.  A power (alpha + beta j**gamma)**-T with
+gamma != 1 is expanded by the binomial series into powers of j, each with
+those sides and its coefficient's sign, and the parts past K bounded by a
+geometric series; K grows until its part is negligible, at 24 at most,
+and where the series does not hold yet the first power times a factor
+between 1 and (1 + sigma)**-T bounds the terms.
+
+Stretched-exponential terms stay elementary.  Where they are convex, the
+Hermite-Hadamard inequality brackets the tail past J: integral of f from
+J + 1 plus f(J + 1) / 2 <= sum of f(j) over j > J <= integral of f from
+J + 1/2.  The integral is the upper incomplete gamma function Gamma(s, x),
+taken by the recurrence Gamma(s, x) = x**(s-1) e**-x + (s-1) Gamma(s-1, x)
+(DLMF 8.8.2) down to s in (0, 1] and on while its terms shrink, at most 64
+steps, where x**(s-1) e**-x x / (x + 1 - s) <= Gamma(s, x) <= x**(s-1) e**-x
+(DLMF 8.10.1) for any s <= 1; see ``StretchedIntegralTail``.  A coupled term
+rho(j)**(j**-tau) on the envelope a e**(-rate j**power) is
+a**(j**-tau) e**(-rate j**(power - tau)).  Its first factor e**(b j**-tau),
+b = ln a, is expanded to K terms with a Lagrange remainder, K taken from
+y = b (J+1)**-tau as above, and each part is a stretched integral of its
+own s; where the expansion gains nothing the factor lies between 1 and e**y.
 """
 
 from __future__ import annotations
@@ -83,6 +97,17 @@ _LOG_DOUBLE_MAX = math.log(np.finfo(float).max)
 _EXTRACT_MAX = 2.0**1000  # rows with a larger term are summed by math.fsum
 _UNITS = 1 << 1074  # units of the running total per 1.0
 _GAMMA_STEPS = 64  # steps of the Gamma(s, x) recurrence at most
+_EM_ORDER = 8  # Euler-Maclaurin terms past the integral at most
+_PARTS = 24  # parts of a finite expansion at most
+_NEGLIGIBLE = 2.0**-40  # a term this small against the sum it joins ends an expansion
+_FUZZ = 2.0**-50  # a side's logarithm moves this much per unit of the logarithms it is formed from
+# B_2k / (2k)! for k = 1 .. _EM_ORDER + 1 (Bernoulli numbers, DLMF 24.2.1)
+_EM = tuple(
+    n / (d * math.factorial(2 * k))
+    for k, (n, d) in enumerate(
+        [(1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6), (-3617, 510), (43867, 798)], 1
+    )
+)
 
 
 def _exp(x: float) -> float:
@@ -99,7 +124,9 @@ class SumStatus(enum.Enum):
 class SumEvaluation(NamedTuple):
     """Value of one criterion sum plus its truncation evidence.
 
-    ``converged`` is False when the term budget ran out before any stop rule
+    A sum with a tail bound that reaches the term budget is still Certified,
+    with the wider remainder its bracket gives there.  ``converged`` is False
+    when the budget ran out with no tail bound in force and no stop rule
     fired; such values are partial sums with no quality claim.  It is also
     False when the partial sum exceeds the double range: the terms are
     non-negative, so the sum stops there with value inf.
@@ -137,13 +164,68 @@ class SumEvaluation(NamedTuple):
 # ---------------------------------------------------------------------------
 
 
+def _slacked(lo: float, hi: float, exact: bool) -> tuple[float, float]:
+    """A shape's ``sides``: its lower side (0 unless exact; inf where it lies
+    past the double range) and its upper side, each moved by _SLACK."""
+    return (lo / _SLACK if exact else 0.0), hi * _SLACK
+
+
+def _exp_lower(x: float) -> float:
+    """e**x for a lower side: 0 for NaN."""
+    return _exp(x) if x == x else 0.0
+
+
+def _log_add(x: float, y: float) -> float:
+    """ln(e**x + e**y)."""
+    m = max(x, y)
+    return m + math.log1p(math.exp(min(x, y) - m)) if abs(m) < math.inf else m
+
+
+def _power_sides(T: float, log_w: float) -> tuple[float, float]:
+    """ln of the sides of the sum over i >= 0 of (1 + i/w)**-T, for T > 1 and w = e**log_w.
+
+    That is the tail of f(j) from a on over f(a), for f(t) = (t - a + w)**-T,
+    which is completely monotone.  So it is w/(T-1) + 1/2 plus Euler-Maclaurin
+    terms c_k = B_2k/(2k)! (T)_(2k-1) w**(1-2k), k = 1..m, plus a remainder that
+    lies between 0 and c_(m+1) (DLMF 2.10(i)); m stops where the next term no
+    longer shrinks or is negligible, at _EM_ORDER at most.  The trapezoid rule
+    on a convex f keeps the sum at least w/(T-1) + 1/2.  w/(T-1) is added in
+    logarithms, so a w past the double range still gives its sides.
+    """
+    w = _exp(log_w)
+    log_lead = log_w - math.log(T - 1.0)
+    lead = _exp(log_lead)
+    head, width, side = 0.5, math.inf, (0.5, math.inf)
+    r = T / w if w > 0.0 else math.inf  # (T)_(2k-1) w**(1-2k)
+    for k, b in enumerate(_EM, 1):
+        c = b * r
+        if not abs(c) < width:
+            break
+        width, side = abs(c), (head, head + c)
+        if width <= _NEGLIGIBLE * (lead + head):
+            break
+        head += c
+        r *= (T + 2 * k - 1) * (T + 2 * k) / w / w
+    return _log_add(log_lead, math.log(max(min(side), 0.5))), _log_add(log_lead, math.log(max(side)))
+
+
 @dataclass(frozen=True)
 class AffinePowerTail:
-    """Terms bounded by C * (alpha + beta*j)**-T, T > 1, beta > 0; log_C is ln C.
+    """Terms bounded by C * (alpha + beta * j**gamma)**-T, gamma T > 1, beta > 0;
+    log_C is ln C.
 
-    A plain power law C * j**-p is alpha = 0, beta = 1, T = p.  The terms
-    are convex in j, so the tail past J lies between the Hermite-Hadamard
-    bounds (see the module docstring).
+    A plain power law C * j**-p is alpha = 0, beta = 1, T = p.  At gamma = 1
+    the terms are completely monotone in j, and the tail past J has the
+    Euler-Maclaurin sides of ``_power_sides``.  At other gamma, with
+    sigma = alpha / (beta a**gamma) and a = J + 1,
+    (alpha + beta t**gamma)**-T is the sum over k of
+    binom(-T, k) alpha**k beta**(-T-k) t**(-gamma (T+k)) for t >= a where
+    |sigma| < 1.  Each part is a power with those sides, taken with the sign
+    of its coefficient.  The parts from K on are at most part K's upper side
+    times 1 / (1 - rho), rho = |sigma| max(1, (T+K)/(K+1)), a geometric series;
+    K grows until part K is negligible, at _PARTS at most.  Where that
+    bracket would be wider, or |sigma| >= 1, the terms are the first part
+    times a factor between 1 and (1 + sigma)**-T instead.
     """
 
     log_C: float
@@ -152,28 +234,90 @@ class AffinePowerTail:
     T: float
     from_j: int = 1
     exact: bool = False
+    gamma: float = 1.0
 
     def __post_init__(self):
-        if self.T <= 1 or self.beta <= 0:
-            raise ValueError("affine power tail needs T > 1 and beta > 0")
-        if self.alpha + self.beta * self.from_j <= 0:
+        if not (self.T * self.gamma > 1 and self.beta > 0 and self.gamma > 0):
+            raise ValueError("affine power tail needs gamma T > 1, beta > 0 and gamma > 0")
+        if self.alpha + self.beta * _exp(self.gamma * math.log(self.from_j)) <= 0:
             raise ValueError("affine base must be positive from from_j on")
-        object.__setattr__(self, "_log_front", self.log_C - math.log(self.beta) - math.log(self.T - 1.0))
 
-    def _log_base(self, a: float) -> float:
-        return math.log(self.alpha + self.beta * a)
+    def sides(self, J: int) -> tuple[float, float]:
+        T, gamma, log_beta = self.T, self.gamma, math.log(self.beta)
+        log_a = math.log(J + 1)
+        if gamma == 1.0:
+            log_u = math.log(self.alpha + self.beta * (J + 1))
+            log_f = self.log_C - T * log_u  # ln of the term at a
+            if log_f == -math.inf:
+                return 0.0, 0.0
+            lo, hi = _power_sides(T, log_u - log_beta)
+            fuzz = _FUZZ * (abs(self.log_C) + abs(T * log_u) + abs(log_beta) + abs(hi))
+            return _slacked(_exp_lower(log_f + lo - fuzz), _exp(log_f + hi + fuzz), self.exact)
+        log_lead = self.log_C - T * log_beta - gamma * T * log_a  # ln of the first part at a
+        if log_lead == -math.inf:
+            return 0.0, 0.0
+        alpha = self.alpha
+        sigma = math.copysign(_exp(math.log(abs(alpha)) - log_beta - gamma * log_a), alpha) if alpha else 0.0
+        log_factor = -T * math.log1p(sigma) if sigma > -1.0 else math.inf
+        factor = _exp(log_factor)  # (1 + sigma)**-T
+        size, K = 1.0, 0  # |binom(-T, K) sigma**K|
+        while size > _NEGLIGIBLE and K < _PARTS:
+            K += 1
+            size *= abs(sigma) * (T + K - 1) / K
+        rho = abs(sigma) * max(1.0, (T + K) / (K + 1))
+        expand = rho < 1.0 and size / (1.0 - rho) < abs(factor - 1.0)
+        lo = hi = 0.0
+        coeff = 1.0
+        for k in range(K if expand else 1):
+            p_lo, p_hi = (math.exp(v) for v in _power_sides(gamma * (T + k), log_a))
+            lo, hi = (lo + coeff * p_lo, hi + coeff * p_hi) if coeff > 0.0 else (lo + coeff * p_hi, hi + coeff * p_lo)
+            coeff *= -sigma * (T + k) / (k + 1)
+        fuzz = _FUZZ * (abs(self.log_C) + abs(T * log_beta) + abs(gamma * T * log_a))
+        if expand:
+            rest = size / (1.0 - rho) * math.exp(_power_sides(gamma * (T + K), log_a)[1])
+            lo, hi = lo - rest, hi + rest
+        else:
+            lo, hi = lo * min(1.0, factor), hi * max(1.0, factor)
+            fuzz += _FUZZ * abs(log_factor)
+        return _slacked(
+            _exp_lower(log_lead + math.log(lo) - fuzz) if lo > 0.0 else 0.0,
+            _exp(log_lead + math.log(hi) + fuzz),
+            self.exact,
+        )
 
-    def _integral(self, a: float) -> float:
-        """C base**(1-T) / (beta (T-1)) for base = alpha + beta*a, in log space."""
-        return _exp(self._log_front + (1.0 - self.T) * self._log_base(a))
 
-    def upper_tail(self, J: int) -> float:
-        return self._integral(J + 0.5) * _SLACK
+def _gamma_ratio(s: float, x: float) -> tuple[float, float]:
+    """The sides of Gamma(s, x) / (x**(s-1) e**-x) for x > s - 1.
 
-    def lower_tail(self, J: int) -> float:
-        if not self.exact:
-            return 0.0
-        return (self._integral(J + 1) + 0.5 * _exp(self.log_C - self.T * self._log_base(J + 1))) / _SLACK
+    Integrating by parts n times, Gamma(s, x) is x**(s-1) e**-x times the sum
+    of t_k over k < n, plus t_n x**(n+1-s) e**x Gamma(s-n, x) times the same,
+    with t_0 = 1 and t_k = t_(k-1) (s - k) / x (DLMF 8.8.2 run down, the
+    asymptotic series of DLMF 8.11(i)).  Once s - n <= 1, Gamma(s-n, x) lies
+    between x**(s-n-1) e**-x x / (x + 1 - s + n) and x**(s-n-1) e**-x (DLMF
+    8.10.1).  n first reaches that, at most _GAMMA_STEPS, then goes on while
+    the terms shrink and count, to the same cap.  Where the cap leaves
+    s - n > 1 the factor is above 1 instead (see ``StretchedIntegralTail``).
+    """
+    head, t, n = 0.0, 1.0, 0
+    down = min(math.ceil(s - 1.0), _GAMMA_STEPS) if s > 1.0 else 0
+    while n < _GAMMA_STEPS and (n < down or (abs(s - n - 1.0) < x and abs(t) > _NEGLIGIBLE * head)):
+        head += t
+        n += 1
+        t *= (s - n) / x
+    k = x / (x - (s - n - 1.0)) if x > 0.0 else 0.0
+    small, large = min(1.0, k), max(1.0, k)
+    return (head + t * small, head + t * large) if t > 0.0 else (head + t * large, head + t * small)
+
+
+def _lead_terms(y: float) -> tuple[int, float]:
+    """K and e**max(0, y) |y|**K / K!: the terms of the series of e**y kept,
+    and the bound on the rest (Lagrange); (0, 0.0) where that is no narrower
+    than e**y itself."""
+    rest, K = _exp(max(0.0, y)), 0
+    while rest > _NEGLIGIBLE and K < _PARTS:
+        K += 1
+        rest *= abs(y) / K
+    return (K, rest) if rest < abs(math.expm1(min(y, _LOG_DOUBLE_MAX))) else (0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -181,27 +325,31 @@ class StretchedIntegralTail:
     """Terms bounded by C * A**(j**-tau) * exp(-B * j**gamma) for j >= from_j;
     log_C is ln C and log_A is ln A (0 by default: no such factor).
 
-    The integral of C exp(-B t**gamma) from a is C Gamma(s, x) / (gamma B**s)
-    with s = 1/gamma and x = B a**gamma.  For x > s - 1 the recurrence
-    Gamma(s, x) = x**(s-1) e**-x + (s-1) Gamma(s-1, x) runs down to some
-    s' = s - n in (0, 1], at most 64 steps; its terms are positive and fall.
-    The Gamma(s', x) left lies between x**(s'-1) e**-x min(1, k) and
-    x**(s'-1) e**-x max(1, k) with k = x / (x - (s' - 1)): under the
-    integral over t >= x, t**(s'-1) lies between x**(s'-1) and
-    x**(s'-1) e**((s'-1)(t-x)/x), because 0 <= ln(t/x) <= (t-x)/x, and the
-    second one integrates to the k factor.  For s' in (0, 1] that is
-    DLMF 8.10.1, and for an integer s it is exact.  For x <= s - 1 the upper
-    side is the cap Gamma(s, x) <= Gamma(s), and the lower side is
-    x**(s-1) e**-x or Gamma(s) - x**s / s, whichever is larger.  Times
-    C / (gamma B**s), x**(s-1) e**-x is C a**(1-gamma) e**-x / (gamma B);
-    all of it is in log space.
+    The integral from a of C t**(gamma s - 1) exp(-B t**gamma) is
+    C Gamma(s, x) / (gamma B**s) with x = B a**gamma.  For x > s - 1,
+    ``_gamma_ratio`` brackets Gamma(s, x); where it stops at _GAMMA_STEPS with
+    s' = s - n > 1 left, Gamma(s', x) lies between x**(s'-1) e**-x and
+    x**(s'-1) e**-x k with k = x / (x - (s' - 1)): under the integral over
+    t >= x, t**(s'-1) lies between x**(s'-1) and x**(s'-1) e**((s'-1)(t-x)/x),
+    because 0 <= ln(t/x) <= (t-x)/x, and the second one integrates to k.  For
+    x <= s - 1 the upper side is the cap Gamma(s, x) <= Gamma(s), and the
+    lower side is x**(s-1) e**-x or Gamma(s) - x**s / s, whichever is larger.
+    Times C / (gamma B**s), x**(s-1) e**-x is C a**(gamma (s-1)) e**-x / B;
+    all of it is in log space, and each side's logarithm moves by 2**-50 of
+    the sizes of the logarithms it is formed from, against their rounding.
 
-    exp(-B t**gamma) is convex where B gamma t**gamma >= gamma - 1, that is
-    x >= 1 - s: everywhere for gamma <= 1.  From there on the tail has the
-    Hermite-Hadamard bounds of the module docstring, and before it the
-    integrals from J and from J + 1.  A**(j**-tau) lies between 1 and
-    A**((J+1)**-tau) for j > J, and multiplies each side by the larger and
-    the smaller of the two.
+    A**(t**-tau) = e**(b t**-tau), b = ln A, is the sum of (b t**-tau)**k / k!
+    over k < K, plus a rest that lies between 0 and e**max(0, y) y**K / K!
+    for t > J, y = b (J+1)**-tau (Lagrange); K is taken from y by
+    ``_lead_terms``, and at K = 0 the factor lies between 1 and e**y.  Part k
+    is C b**k / k! t**(-k tau) exp(-B t**gamma), the integrand above at
+    s = (1 - k tau) / gamma, and the rest is at most that bound times the
+    upper side of part 0.  exp(-B t**gamma) is convex where
+    B gamma t**gamma >= gamma - 1, that is x >= 1 - 1/gamma: everywhere for
+    gamma <= 1; so is each part, a product of two decreasing convex
+    functions.  From there on the tail of each part has the
+    Hermite-Hadamard sides of the module docstring, and before it the
+    integrals from J and from J + 1.
 
     ``log_B``, when given, is ln B and stands in for ``B``, which may then
     lie below the normal range; x is then taken from log space as well.
@@ -221,79 +369,92 @@ class StretchedIntegralTail:
         if not valid_B or self.gamma <= 0:
             raise ValueError("stretched tail needs B, gamma > 0")
 
-    def _x(self, a: float) -> tuple[float, float]:
-        """ln B and x = B a**gamma, from logarithms first: inf where ln x passes the double range."""
+    def _at(self, a: float) -> tuple[float, float, float, float]:
+        """ln a, ln B, x = B a**gamma (inf where ln x passes the double range)
+        and the size of x's rounding in units of 2**-53 of it."""
+        log_a = math.log(a)
         log_B = math.log(self.B) if self.log_B is None else self.log_B
-        log_x = log_B + self.gamma * math.log(a)
+        log_x = log_B + self.gamma * log_a
         if log_x > _LOG_DOUBLE_MAX:
-            return log_B, math.inf
-        try:
-            return log_B, math.exp(log_x) if self.log_B is not None else self.B * a**self.gamma
-        except OverflowError:  # a**gamma alone leaves the range, x does not
-            return log_B, math.exp(log_x)
+            return log_a, log_B, math.inf, 0.0
+        if self.log_B is None:
+            try:
+                x = self.B * a**self.gamma
+                return log_a, log_B, x, x
+            except OverflowError:  # a**gamma alone leaves the range, x does not
+                pass
+        x = math.exp(log_x)
+        return log_a, log_B, x, x * (1.0 + abs(log_x))
 
-    def _integral(self, a: float, upper: bool, log_lead: float = 0.0) -> float:
-        """The upper or lower side of the bracket on the integral from a, its
-        coefficient C e**log_lead, in log space; +inf where the upper side
-        exceeds the double range."""
-        if self.log_C == -math.inf:
-            return 0.0
-        s = 1.0 / self.gamma
-        log_B, x = self._x(a)
-        if x == math.inf:  # e**-x is 0 on both sides
-            return 0.0
+    def _convex(self, at: tuple) -> bool:
+        """Whether exp(-B t**gamma) is convex from a on, for ``at = _at(a)``,
+        with 2**-40 of margin against rounding."""
+        return self.gamma <= 1.0 or at[2] * (1.0 - 2.0**-40) >= 1.0 - 1.0 / self.gamma
+
+    def _integral(self, at: tuple, s: float, log_lead: float = 0.0) -> tuple[float, float]:
+        """The lower and upper sides of the integral from a of
+        C e**log_lead t**(gamma s - 1) exp(-B t**gamma), for ``at = _at(a)``."""
+        log_a, log_B, x, x_size = at
+        if x == math.inf or self.log_C == -math.inf:  # e**-x is 0 on both sides
+            return 0.0, 0.0
         log_c = self.log_C + log_lead - math.log(self.gamma)
-        log_front = (log_c + (1.0 - self.gamma) * math.log(a) - log_B) - x  # one rounding at the size of x
-        log_gamma, s_log_B = math.lgamma(s), s * log_B
+        log_pow = self.gamma * (s - 1.0) * log_a
+        log_front = (log_c + log_pow - log_B) - x  # one rounding at the size of x
+        fuzz = _FUZZ * (abs(log_c) + abs(log_pow) + abs(log_B) + x_size)
         if x > s - 1.0:
-            # Gamma(s, x) / (x**(s-1) e**-x) = sum of t_k for k < n, plus t_n times Gamma(s - n, x) over its
-            # front, with t_0 = 1 and t_k = t_(k-1) (s - k) / x; x is 0 only for s < 1, from a log_x below
-            # the double range, where k = 0.
-            head, t, n = 0.0, 1.0, min(math.ceil(s - 1.0), _GAMMA_STEPS) if s > 1.0 else 0
-            for i in range(1, n + 1):
-                head += t
-                t *= (s - i) / x
-            k = x / (x - (s - n - 1.0))
-            ratio = head + t * (max(1.0, k) if upper else min(1.0, k))
-            log_val = log_front + (math.log(ratio) if ratio > 0.0 else -math.inf)
+            lo, hi = _gamma_ratio(s, x)
+            log_lo = log_front + (math.log(lo) if lo > 0.0 else -math.inf) - fuzz
+            log_hi = log_front + math.log(hi) + fuzz
         else:
-            log_val = math.inf if upper else log_front
-        if upper:
-            return _exp(min(log_val, log_c + log_gamma - s_log_B))
-        if x <= s - 1.0:
-            # Gamma(s) - x**s / s, from lgamma: ln(x**s / (s Gamma(s))) is
-            # s ln B + ln a - ln s - lgamma(s).  Its parts can be large and
-            # cancel, so both logs move by 2**-50 of their sizes, against
-            # the rounding, towards a smaller bound.
-            fuzz = 2.0**-50 * (abs(log_c) + abs(log_gamma) + abs(s_log_B) + math.log(s * a))
-            log_cut = s_log_B + math.log(a) - math.log(s) - log_gamma + fuzz
-            if log_cut < 0.0:
-                log_val = max(log_val, log_c + log_gamma - s_log_B + math.log1p(-math.exp(log_cut)) - fuzz)
-        return _exp(log_val)
+            log_lo, log_hi = log_front - fuzz, math.inf
+        if s > 0.0:
+            log_gamma, s_log_B = math.lgamma(s), s * log_B
+            log_full = log_c + log_gamma - s_log_B  # C Gamma(s) / (gamma B**s)
+            full_fuzz = _FUZZ * (abs(log_c) + abs(log_gamma) + abs(s_log_B))
+            log_hi = min(log_hi, log_full + full_fuzz)
+            if x <= s - 1.0:
+                # Gamma(s) - x**s / s: ln(x**s / (s Gamma(s))) is s ln B + gamma s ln a - ln s - lgamma(s).
+                log_s_a = self.gamma * s * log_a
+                log_cut = s_log_B + log_s_a - math.log(s) - log_gamma
+                log_cut += _FUZZ * (abs(s_log_B) + abs(log_s_a) + abs(math.log(s)) + abs(log_gamma))
+                if log_cut < 0.0:
+                    log_lo = max(log_lo, log_full - full_fuzz + math.log1p(-math.exp(log_cut)))
+        return _exp_lower(log_lo), _exp(log_hi)
 
-    def _convex(self, a: float) -> bool:
-        """Whether exp(-B t**gamma) is convex from a on, with 2**-40 of margin against rounding."""
-        return self.gamma <= 1.0 or self._x(a)[1] * (1.0 - 2.0**-40) >= 1.0 - 1.0 / self.gamma
-
-    def _log_lead(self, J: int, upper: bool) -> float:
-        """ln of the larger (upper) or smaller factor A**(j**-tau) over j > J, and 1."""
-        log_at = self.log_A * (J + 1.0) ** -self.tau
-        return max(0.0, log_at) if upper else min(0.0, log_at)
-
-    def upper_tail(self, J: int) -> float:
-        a = J + 0.5 if self._convex(J + 0.5) else J
-        return self._integral(a, True, self._log_lead(J, True)) * _SLACK
-
-    def lower_tail(self, J: int) -> float:
-        """inf where the lower side lies past the double range."""
-        if not self.exact:
-            return 0.0
-        log_lead = self._log_lead(J, False)
-        lower = self._integral(J + 1, False, log_lead)
-        x = self._x(J + 1)[1]
-        if x < math.inf and self._convex(J + 1):  # past the double range e**-x is 0, as in _integral
-            lower += 0.5 * _exp(self.log_C + log_lead - x)
-        return lower / _SLACK
+    def sides(self, J: int) -> tuple[float, float]:
+        if self.log_C == -math.inf:
+            return 0.0, 0.0
+        up = self._at(J + 0.5)
+        if not self._convex(up):
+            up = self._at(J)
+        at = self._at(J + 1)
+        log_a, x = at[0], at[2]
+        convex = x < math.inf and self._convex(at)  # past the double range e**-x is 0, as in _integral
+        b, tau = self.log_A, self.tau
+        y = b * (J + 1.0) ** -tau
+        K, rest = _lead_terms(y)
+        lo = hi = first = 0.0
+        for k in range(max(K, 1)):
+            log_lead = k * math.log(abs(b)) - math.lgamma(k + 1) if k else 0.0
+            s = (1.0 - k * tau) / self.gamma
+            part_lo, part_hi = self._integral(at, s, log_lead)[0], self._integral(up, s, log_lead)[1]
+            if convex:  # half the term at J + 1
+                log_term = self.log_C + log_lead - k * tau * log_a
+                fuzz = _FUZZ * (abs(self.log_C) + abs(log_lead) + abs(k * tau * log_a) + at[3])
+                part_lo += 0.5 * _exp_lower(log_term - x - fuzz)
+            if b < 0.0 and k % 2:
+                lo, hi = lo - part_hi, hi - part_lo
+            else:
+                lo, hi = lo + part_lo, hi + part_hi
+            if k == 0:
+                first = part_hi
+        if K == 0:
+            lo, hi = lo * math.exp(min(0.0, y)), hi * _exp(max(0.0, y)) if hi else 0.0
+        elif b > 0.0 or K % 2 == 0:
+            hi += rest * first
+        else:
+            lo -= rest * first
+        return _slacked(lo if lo > 0.0 else 0.0, hi, self.exact)
 
 
 @dataclass(frozen=True)
@@ -309,16 +470,9 @@ class GeomSeriesTail:
         if not self.log_q < 0:
             raise ValueError("geometric tail needs q in [0, 1)")
 
-    def _series(self, J: int) -> float:
-        return _exp(self.log_C + (J + 1) * self.log_q - math.log(-math.expm1(self.log_q)))
-
-    def upper_tail(self, J: int) -> float:
-        return self._series(J) * _SLACK
-
-    def lower_tail(self, J: int) -> float:
-        if not self.exact:
-            return 0.0
-        return self._series(J) / _SLACK
+    def sides(self, J: int) -> tuple[float, float]:
+        series = _exp(self.log_C + (J + 1) * self.log_q - math.log(-math.expm1(self.log_q)))
+        return _slacked(series, series, self.exact)
 
 
 class PolyLogTail(NamedTuple):
@@ -342,11 +496,8 @@ class PolyLogTail(NamedTuple):
         except OverflowError:
             return 0.0
 
-    def upper_tail(self, J: int) -> float:
-        return J * self._g(J) * _SLACK
-
-    def lower_tail(self, J: int) -> float:
-        return 0.0
+    def sides(self, J: int) -> tuple[float, float]:
+        return 0.0, J * self._g(J) * _SLACK
 
 
 class RatioTail(NamedTuple):
@@ -360,17 +511,14 @@ class RatioTail(NamedTuple):
     log_g: Callable[[float], float]
     from_j: int = 1
 
-    def upper_tail(self, J: int) -> float:
+    def sides(self, J: int) -> tuple[float, float]:
         log_g1 = self.log_g(J + 1)
         log_ratio = self.log_g(J + 2) - log_g1
         if _exp(log_g1) == 0.0:
-            return 0.0
+            return 0.0, 0.0
         if log_ratio >= 0.0:
-            return math.inf
-        return _exp(log_g1 - math.log(-math.expm1(log_ratio))) * _SLACK
-
-    def lower_tail(self, J: int) -> float:
-        return 0.0
+            return 0.0, math.inf
+        return 0.0, _exp(log_g1 - math.log(-math.expm1(log_ratio))) * _SLACK
 
 
 TailBound = Union[
@@ -528,8 +676,7 @@ def certified_sum(
     def stop(count: int, J: int, partial: float, block_max: float) -> SumEvaluation | None:
         """The stop rules after the chunk ending at J, or None to go on."""
         if tail is not None and J >= tail.from_j and count >= min_terms:
-            up = tail.upper_tail(J)
-            lo = tail.lower_tail(J)
+            lo, up = tail.sides(J)
             if math.isinf(partial + lo):  # so is the whole sum past the double range
                 return _past_range(count)
             if math.isfinite(up):
@@ -594,10 +741,13 @@ def certified_sum(
                 break
         # Once the tail rules hold they hold at every later chunk: the bounds fall and the partial sum grows.
         # So they are read at the batch's last chunk, and chunk by chunk only where a stop fires there; the
-        # heuristic rule is not monotone and is read at every chunk.
-        if past or heuristic or stop(*marks[-1]) is not None:
-            for mark in marks:
+        # heuristic rule is not monotone and is read at every chunk.  A stop at the last chunk is kept, not read again.
+        last = None if past or heuristic else stop(*marks[-1])
+        if past or heuristic or last is not None:
+            for mark in marks if last is None else marks[:-1]:
                 if (ev := stop(*mark)) is not None:
                     return ev
+            if last is not None:
+                return last
         if past:  # the terms are non-negative: no later chunk brings the sum back
             return _past_range(count)

@@ -231,6 +231,19 @@ class TestQpt:
         assert ev.certified and math.isclose(ev.value, 5.8459e215, rel_tol=1e-4)
         assert abs(ev.value - ref) <= ev.remainder_bound
 
+    def test_alg_outer_power_keeps_a_rounding_remainder(self):
+        """A Tabulated prefix of 1.5/j**2 with its power-law tail: the inner
+        sum's remainder, 1.1e-16, is below half an ulp of it, so both sides
+        of the outer power round to one double.  The remainder stays
+        positive, and a 10x longer sum lies within it."""
+        prefix = tuple(1.5 / (j * j) for j in range(1, 201))
+        model = EigenModel(Tabulated(prefix, TailEnvelope(PowerLawTail(1.5, 2.0), valid_from=201)))
+        params = CriterionParams(tau1=0.0, tau2=1.0, c_tilde=1.0)
+        ev = evaluate_sum(model, "qpt-alg", 2, params, ABS)
+        assert ev.certified and ev.remainder_bound >= math.ulp(ev.value)
+        extended = evaluate_sum(model, "qpt-alg", 2, params, ABS, min_terms=10 * ev.terms_used)
+        assert abs(extended.value - ev.value) <= ev.remainder_bound
+
     def test_exp_zeta3_minus_one(self, exp2):
         ev = sum_qpt_exp(exp2, 1, 3.0, ABS)
         ref = brute(lambda j: (1.0 + j) ** -3.0, 1, 2_000_000)

@@ -12,9 +12,11 @@ or ``log_ratios``.
 """
 
 import ast
+import inspect
 import math
 import pathlib
 import re
+import typing
 from typing import Callable, NamedTuple
 
 import mpmath
@@ -46,6 +48,7 @@ from tract.summation import (
     RatioTail,
     StretchedIntegralTail,
     SumStatus,
+    TailBound,
     certified_sum,
 )
 
@@ -137,7 +140,7 @@ def _log_term(kind: str, x: tuple, log_rho, j):
 def _log_bound(shape, j):
     """ln of the shape's pointwise bound at j."""
     if isinstance(shape, AffinePowerTail):
-        return shape.log_C - shape.T * mpmath.log(shape.alpha + shape.beta * j)
+        return shape.log_C - shape.T * mpmath.log(shape.alpha + shape.beta * j ** mpmath.mpf(shape.gamma))
     if isinstance(shape, StretchedIntegralTail):
         B = mpmath.exp(shape.log_B) if shape.log_B is not None else mpmath.mpf(shape.B)
         return shape.log_C + shape.log_A * j ** -mpmath.mpf(shape.tau) - B * j**shape.gamma
@@ -145,7 +148,9 @@ def _log_bound(shape, j):
         return shape.log_C + j * shape.log_q
     if isinstance(shape, PolyLogTail):
         return -shape.c * (shape.K + shape.beta * mpmath.log(j)) ** shape.s
-    return mpmath.mpf(shape.log_g(int(j)))
+    if isinstance(shape, RatioTail):
+        return mpmath.mpf(shape.log_g(int(j)))
+    raise TypeError(f"no pointwise bound for {type(shape).__name__}")
 
 
 def _grid(lo, hi, n: int = 40) -> list:
@@ -214,6 +219,21 @@ def _audit(case: Case, kind: str, params: CriterionParams, criterion: ErrorCrite
 @example(
     case=_closed(ExpDecay(1.0, 1.11, 0.5)), kind="pt-exp",
     params=CriterionParams(tau1=1.0, tau2=0.25, tau3=1.0, c_tilde=1.0), criterion=ABS, d=1,
+)
+# The three deepest certified sums of the benchmark: qpt-exp's exact plan is the
+# terms (1 - ln a/2 + (kappa/2) j**(1/2))**-3; spt-exp and pt-exp expand the
+# factor e**(b j**-1/4).
+@example(
+    case=_closed(ExpDecay(1.0, 1.1141, 0.5)), kind="qpt-exp", params=CriterionParams(tau=3.0),
+    criterion=NOR, d=1,
+)
+@example(
+    case=_closed(ExpDecay(1.0, 1.1141, 0.5)), kind="spt-exp", params=CriterionParams(tau=0.25),
+    criterion=NOR, d=3,
+)
+@example(
+    case=_closed(ExpDecay(1.0, 1.1141, 0.5)), kind="pt-exp",
+    params=CriterionParams(tau1=1.0, tau2=0.25, tau3=1.0, c_tilde=1.0), criterion=NOR, d=2,
 )
 # A PolyLogTail, and a RatioTail that holds from j1 on (stretched power < 1).
 @example(
@@ -372,6 +392,12 @@ _TAU = st.one_of(st.floats(1e-300, 1e308), st.sampled_from([5e-324, 1e-310, 1e30
     family=PolyDecay(1e-12, 1.0), kind="wt-alg", params=CriterionParams(c=1.0, s=54.0, t=1.0),
     criterion=NOR, d=1,
 )
+# qpt-exp's base 1 - b/2 + (b/2) j**gamma is at least 1 past j0, but at b = 1.8e16
+# and gamma = 6e-37 it rounds to 0 there: no plan.
+@example(
+    family=ExpDecay(1.0, 1.801439850948199e16, 6.2132096077017126e-37), kind="qpt-exp",
+    params=CriterionParams(tau=1e308), criterion=NOR, d=1,
+)
 def test_planning_never_overflows(family, kind, params, criterion, d):
     """No planner catches OverflowError: any overflow left fails here.  A
     plan is None, a Divergence whose note renders, or a shape from an int
@@ -389,7 +415,7 @@ def test_planning_never_overflows(family, kind, params, criterion, d):
     elif plan is not None:
         assert type(plan.from_j) is int
         for J in (plan.from_j, 2**62 - 2):
-            lower, upper = plan.lower_tail(J), plan.upper_tail(J)
+            lower, upper = plan.sides(J)
             assert 0.0 <= lower <= upper, (J, lower, upper)
 
 
@@ -437,6 +463,15 @@ def _stretched_reference(b, log_A):
         return mpmath.fsum(f(mpmath.mpf(j)) for j in range(1, 3000)) + mpmath.sumem(f, [3000, mpmath.inf])
 
 
+def _qpt_reference(b):
+    """The sum over j >= 1 of (1 + (b/2) (j**(1/2) - 1))**-3 at 50 digits: a
+    partial sum and an Euler-Maclaurin tail (mpmath.nsum's default
+    extrapolation reads 5.5078 here)."""
+    with mpmath.workdps(50):
+        f = lambda j: (1 + mpmath.mpf(b) / 2 * (mpmath.sqrt(j) - 1)) ** -3
+        return mpmath.fsum(f(mpmath.mpf(j)) for j in range(1, 2000)) + mpmath.sumem(f, [2000, mpmath.inf])
+
+
 _TABULATED = Tabulated(tuple(1.5 / (j * j) for j in range(1, 201)), TailEnvelope(PowerLawTail(1.5, 2.0), 201))
 
 
@@ -445,17 +480,34 @@ _TABULATED = Tabulated(tuple(1.5 / (j * j) for j in range(1, 201)), TailEnvelope
     [
         # rho**(j**-1/4) = exp(-b j**1/4): the Hermite-Hadamard bracket on the integral
         (ExpDecay(1.0, 1.11, 0.5), "spt-exp", 0.25, ABS, 2, 20_480, lambda: _stretched_reference(1.11, 0.0)),
-        # NOR: rho = e**b exp(-b j**1/2), so the factor e**(b (J+1)**-1/4) sets the width
-        (ExpDecay(1.0, 1.11, 0.5), "spt-exp", 0.25, NOR, 3, 450_000, lambda: _stretched_reference(1.11, 1.11)),
+        # NOR: rho = e**b exp(-b j**1/2), so the factor e**(b j**-1/4) is expanded
+        (ExpDecay(1.0, 1.11, 0.5), "spt-exp", 0.25, NOR, 3, 16_384, lambda: _stretched_reference(1.11, 1.11)),
         (_TABULATED, "spt-alg", 1.0, ABS, 1, 4_096, lambda: 1.5 * mpmath.zeta(2)),
+        # the exact terms (1 + (b/2)(j**(1/2) - 1))**-3 through the power expansion
+        (ExpDecay(1.0, 1.1141, 0.5), "qpt-exp", 3.0, NOR, 1, 4_096, lambda: _qpt_reference(1.1141)),
     ],
-    ids=["stretched-ABS", "stretched-NOR", "tabulated"],
+    ids=["stretched-ABS", "stretched-NOR", "tabulated", "qpt-exp-stretched-NOR"],
 )
 def test_deep_sums_certify_within_their_pins(family, kind, tau, criterion, d, most, reference):
-    """Two-sided brackets stop these sums early: 8192, 395 264 and 2048
-    terms, against 667 648, 734 208 and 78 848 with the one-sided coupled
-    bound and the integral bracket [from J + 1, from J].  Each value holds
-    its mpmath reference within its remainder."""
+    """Two-sided brackets stop these sums early: 8192, 8192, 1024 and 2048
+    terms.  The one-sided coupled bound and the integral bracket [from J + 1,
+    from J] took 667 648, 734 208 and 78 848 for the first three.  With the
+    factor e**(b (J+1)**-1/4) taken whole and Hermite-Hadamard sides on the
+    power they took 8192, 395 264 and 2048, and qpt-exp ran to its 2e6-term
+    budget on the one-sided bound (kappa/4)**-T j**(-gamma T).  Each value
+    holds its mpmath reference within its remainder."""
     ev = evaluate_sum(EigenModel(family), kind, d, CriterionParams(tau=tau), criterion)
     assert ev.certified and ev.terms_used <= most
     assert abs(ev.value - float(reference())) <= ev.remainder_bound + 1e-15 * ev.value
+
+
+def test_every_tail_shape_has_a_pointwise_bound_in_the_audit():
+    """_log_bound names each member of summation.TailBound in an isinstance
+    branch, so a new shape cannot pass the audit unchecked."""
+    tree = ast.parse(inspect.getsource(_log_bound))
+    named = {
+        node.args[1].id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+    }
+    assert named == {shape.__name__ for shape in typing.get_args(TailBound)}

@@ -6,7 +6,7 @@ import sys
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import tract
 from tract import CriterionParams, EigenModel, ErrorCriterion, PolyDecay, evaluate_sum
@@ -26,6 +26,11 @@ from tract.summation import (
 )
 
 
+def _integral_sides(tail, a):
+    """The lower and upper sides of the stretched tail's integral from a."""
+    return tail._integral(tail._at(a), 1.0 / tail.gamma)
+
+
 def _block(fn):
     def terms(j0, j1):
         return np.asarray([fn(j) for j in range(j0, j1)], dtype=float)
@@ -41,19 +46,23 @@ class TestTailBounds:
         tail = AffinePowerTail(0.0, 0.0, 1.0, p, from_j=1, exact=True)
         for J in (10, 100, 1000):
             true = float(mpmath.zeta(p) - mpmath.fsum(mpmath.mpf(j) ** -p for j in range(1, J + 1)))
-            assert tail.lower_tail(J) <= true <= tail.upper_tail(J)
+            lower, upper = tail.sides(J)
+            assert lower <= true <= upper
 
     def test_affine_power_brackets_true_tail(self):
+        """The sum of (1 + 2j)**-3 over j > J is 2**-3 zeta(3, J + 3/2)."""
         tail = AffinePowerTail(0.0, 1.0, 2.0, 3.0, from_j=1, exact=True)
         for J in (10, 200):
-            true = sum((1.0 + 2.0 * j) ** -3.0 for j in range(J + 1, 200_000))
-            assert tail.lower_tail(J) <= true <= tail.upper_tail(J)
+            true = float(mpmath.zeta(3, J + 1.5) / 8)
+            lower, upper = tail.sides(J)
+            assert lower <= true <= upper
 
     def test_stretched_brackets_true_tail(self):
         tail = StretchedIntegralTail(math.log(2.0), 0.5, 0.5, from_j=1, exact=True)
         for J in (10, 100):
             true = sum(2.0 * math.exp(-0.5 * j**0.5) for j in range(J + 1, 100_000))
-            assert tail.lower_tail(J) <= true <= tail.upper_tail(J)
+            lower, upper = tail.sides(J)
+            assert lower <= true <= upper
 
     def test_stretched_log_B_stands_in_for_B(self):
         """ln B gives the bracket B gives, and one still where B is below the
@@ -61,16 +70,15 @@ class TestTailBounds:
         for J in (10, 100):
             tail = StretchedIntegralTail(math.log(2.0), 0.5, 0.5, exact=True)
             logged = StretchedIntegralTail(math.log(2.0), 0.0, 0.5, exact=True, log_B=math.log(0.5))
-            assert logged.upper_tail(J) == pytest.approx(tail.upper_tail(J), rel=1e-13)
-            assert logged.lower_tail(J) == pytest.approx(tail.lower_tail(J), rel=1e-13)
+            assert logged.sides(J) == pytest.approx(tail.sides(J), rel=1e-13)
         tail = StretchedIntegralTail(0.0, 0.0, 400.0, exact=True, log_B=-200 * math.log(100.0))
         true = float(mpmath.quad(lambda t: mpmath.exp(-((t / 10) ** 400)), [9, 10, 10.5, mpmath.inf]))
-        assert tail.lower_tail(8) <= true <= tail.upper_tail(9)
-        assert tail.upper_tail(11) == 0.0  # x = 1.1**400 = 3.7e16
+        assert tail.sides(8)[0] <= true <= tail.sides(9)[1]
+        assert tail.sides(11)[1] == 0.0  # x = 1.1**400 = 3.7e16
         # x = B a**gamma underflows to 0: both sides are Gamma(s) / (gamma B**s),
         # past the double range.
         tail = StretchedIntegralTail(0.0, 0.0, 0.5, exact=True, log_B=-1e6)
-        assert (tail.upper_tail(10), tail.lower_tail(10)) == (math.inf, math.inf)
+        assert tail.sides(10) == (math.inf, math.inf)
         for B, log_B in ((0.0, None), (0.0, -math.inf), (0.0, math.nan)):
             with pytest.raises(ValueError):
                 StretchedIntegralTail(0.0, B, 1.0, log_B=log_B)
@@ -100,8 +108,7 @@ class TestTailBounds:
                     if not mpmath.mpf("1e-300") < exact < mpmath.mpf("1e300"):
                         continue
                     checked += 1
-                    upper = tail._integral(a, upper=True)
-                    lower = tail._integral(a, upper=False)
+                    lower, upper = _integral_sides(tail, a)
                     assert math.isfinite(upper), (a, x)
                     assert upper >= exact * (1 - 1e-13), (a, x)
                     assert lower <= exact * (1 + 1e-13), (a, x)
@@ -113,11 +120,12 @@ class TestTailBounds:
         tail = StretchedIntegralTail(0.0, 1.0, 0.1, exact=True)  # s = 10: x = a**0.1 <= 9 up to a = 9**10
         with mpmath.workdps(40):
             for a in (1, 1000, 10**9):
-                assert tail.upper_tail(a) == pytest.approx(math.gamma(10.0) / 0.1 * _SLACK, rel=1e-13)
+                assert tail.sides(a)[1] == pytest.approx(math.gamma(10.0) / 0.1 * _SLACK, rel=1e-13)
                 exact = self._stretched_integral(1.0, 1.0, 0.1, a)
-                assert tail._integral(a, upper=False) / _SLACK <= exact <= tail._integral(a, upper=True) * _SLACK
+                lower, upper = _integral_sides(tail, a)
+                assert lower / _SLACK <= exact <= upper * _SLACK
         # An integral past the double range (about 1e310) is no bound.
-        assert math.isinf(StretchedIntegralTail(0.0, 1e-310, 1.0).upper_tail(1))
+        assert math.isinf(StretchedIntegralTail(0.0, 1e-310, 1.0).sides(1)[1])
 
     def test_stretched_lower_side_below_s_minus_1(self):
         """Where x <= s - 1 the lower side is also C (Gamma(s) - x**s / s) /
@@ -127,7 +135,7 @@ class TestTailBounds:
         with mpmath.workdps(40):
             for a in (2, 1000, 10**6):
                 exact = self._stretched_integral(1.0, 1.0, 0.1, a)
-                lower = tail._integral(a, upper=False) / _SLACK
+                lower = _integral_sides(tail, a)[0] / _SLACK
                 assert lower <= exact
                 if a <= 1000:  # x**10 / 10 = a / 10
                     assert lower >= exact * (1 - 1e-3)
@@ -146,14 +154,16 @@ class TestTailBounds:
         tail = StretchedIntegralTail(math.log(coeff), B, gamma, exact=True)
         with mpmath.workdps(40):
             exact = self._stretched_integral(coeff, B, gamma, a)
-        lower, upper = tail._integral(a, upper=False) / _SLACK, tail._integral(a, upper=True) * _SLACK
+        lower, upper = _integral_sides(tail, a)
+        lower, upper = lower / _SLACK, upper * _SLACK
         assert lower <= exact <= upper <= exact * (1 + 1e-3)
-        assert StretchedIntegralTail(-math.inf, B, gamma).upper_tail(a) == 0.0
+        assert StretchedIntegralTail(-math.inf, B, gamma).sides(a) == (0.0, 0.0)
 
     def test_geometric_series_closed_form(self):
         tail = GeomSeriesTail(math.log(3.0), math.log(0.25), exact=True)
         true = 3.0 * 0.25**11 / 0.75
-        assert tail.lower_tail(10) <= true <= tail.upper_tail(10)
+        lower, upper = tail.sides(10)
+        assert lower <= true <= upper
 
     def test_polylog_bound_is_sound(self):
         c, K, beta, s = 1.0, 1.0, 2.0, 2.0
@@ -161,14 +171,14 @@ class TestTailBounds:
         g = lambda j: math.exp(-c * (K + beta * math.log(j)) ** s)
         for J in (5, 20):
             true = sum(g(j) for j in range(J + 1, 50_000))
-            assert true <= tail.upper_tail(J)
+            assert true <= tail.sides(J)[1]
 
     def test_ratio_tail_double_exponential(self):
         g = lambda x: math.exp(-math.exp(0.5 * x))
         tail = RatioTail(lambda x: -math.exp(0.5 * x), from_j=1)
         for J in (2, 6):
             true = sum(g(j) for j in range(J + 1, 200))
-            assert true <= tail.upper_tail(J)
+            assert true <= tail.sides(J)[1]
 
 
 def _true_tail(f, J, head=2000):
@@ -188,19 +198,25 @@ class TestNarrowBrackets:
         tail = StretchedIntegralTail(0.0, x, 1.0 / s, exact=True)
         with mpmath.workdps(40):
             exact = mpmath.gammainc(mpmath.mpf(s), x) * s / mpmath.mpf(x) ** s
-        return float(tail._integral(1, upper=False) / exact), float(tail._integral(1, upper=True) / exact)
+        lower, upper = _integral_sides(tail, 1)
+        return float(lower / exact), float(upper / exact)
 
     @pytest.mark.parametrize(
         "s, x, width",
-        [(4.3, 20.0, 1e-6), (4.0, 20.0, 1e-15), (2.5, 3.0, 0.01), (200.5, 200.0, 1e-3)],
+        [(4.3, 20.0, 1e-12), (4.0, 20.0, 4.4e-14), (2.5, 3.0, 0.003), (200.5, 200.0, 1e-3)],
         ids=["s-4.3", "integer-s", "near-s-1", "past-64-steps"],
     )
     def test_recurrence_narrows_the_gamma_bracket(self, s, x, width):
-        """Gamma(s, x) by recurrence down to s' in (0, 1], then DLMF 8.10.1,
-        in units of Gamma(s, x): at s = 4.3, x = 20 the sides are 5e-7
-        apart, where the k factor alone left 0.17; at an integer s they
-        meet; at s = 2.5, x = 3 they are 0.008 apart, against 0.64.  Past
-        64 steps the k factor brackets what is left."""
+        """Gamma(s, x) by recurrence down to s' in (0, 1] and on while its
+        terms shrink, then DLMF 8.10.1, in units of Gamma(s, x): at s = 4.3,
+        x = 20 the sides are 3e-13 apart, where the k factor alone left 0.17
+        and the recurrence down to s' 5e-7; at an integer s they meet up to
+        the rounding allowance: each side's logarithm moves by 2**-50 times
+        |ln(C / gamma)| + |ln B| + x = ln 4 + ln 20 + 20 at s = 4, x = 20,
+        so the sides lie 2 * 2**-50 * 24.4 = 4.33e-14 apart, and the Gamma(s)
+        cap, which does not bind there, adds nothing; at s = 2.5, x = 3 they
+        are 0.002 apart, against 0.64.  Past 64 steps the k factor brackets
+        what is left."""
         lower, upper = self._gamma_sides(s, x)
         assert lower <= 1 + 1e-13 and upper >= 1 - 1e-13
         assert upper - lower <= width
@@ -216,7 +232,7 @@ class TestNarrowBrackets:
         widths = []
         for J in (1, 10, 100, 1000):
             true = _true_tail(f, J)
-            lower, upper = tail.lower_tail(J), tail.upper_tail(J)
+            lower, upper = tail.sides(J)
             assert lower <= true <= upper, J
             widths.append((upper - lower) / float(true))
         assert widths == sorted(widths, reverse=True)
@@ -231,7 +247,7 @@ class TestNarrowBrackets:
         f = lambda j: C * (alpha + beta * j) ** -T
         for J in (1, 10, 1000):
             true = _true_tail(f, J)
-            lower, upper = tail.lower_tail(J), tail.upper_tail(J)
+            lower, upper = tail.sides(J)
             assert lower <= true <= upper, J
             assert upper - lower <= T * beta * float(f(J)) / (8 * (alpha / beta + J)), J
 
@@ -243,10 +259,111 @@ class TestNarrowBrackets:
         B = 0.01
         tail = StretchedIntegralTail(0.0, B, gamma, exact=True)
         f = lambda j: mpmath.exp(-B * j**gamma)
-        assert tail._convex(7.5) and (gamma <= 1.0 or not tail._convex(6.5))
+        assert tail._convex(tail._at(7.5)) and (gamma <= 1.0 or not tail._convex(tail._at(6.5)))
         for J in (1, 3, 6, 7, 10, 30):
             true = _true_tail(f, J)
-            assert tail.lower_tail(J) <= true <= tail.upper_tail(J), J
+            lower, upper = tail.sides(J)
+            assert lower <= true <= upper, J
+
+
+class TestExpandedBrackets:
+    """The Euler-Maclaurin sides, the power expansion and the incomplete gamma
+    sides against mpmath at 50 digits, and the rounding allowance of the
+    stretched integral where its logarithms are large."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        p=st.floats(1.0, 8.0, exclude_min=True),
+        J=st.integers(1, 10**6),
+        alpha=st.floats(0.0, 100.0),
+        beta=st.floats(0.01, 10.0),
+    )
+    @example(p=1.0000000000000002, J=1, alpha=0.0, beta=1.0)  # T - 1 is one ulp: the tail is 4.5e15
+    @example(p=8.0, J=1, alpha=0.0, beta=0.01)  # terms past the first fall fast: the Euler-Maclaurin terms grow
+    def test_power_sides_contain_the_hurwitz_zeta(self, p, J, alpha, beta):
+        """The sum of (alpha + beta j)**-p over j > J is beta**-p zeta(p, J + 1 + alpha/beta)."""
+        tail = AffinePowerTail(0.0, alpha, beta, p, exact=True)
+        with mpmath.workdps(50):
+            true = mpmath.zeta(p, J + 1 + mpmath.mpf(alpha) / beta) * mpmath.mpf(beta) ** -p
+        lower, upper = tail.sides(J)
+        assert lower <= true <= upper
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        T=st.floats(0.5, 6.0),
+        gamma=st.floats(0.25, 3.0),
+        alpha=st.floats(-0.9, 20.0),
+        beta=st.floats(0.2, 5.0),
+        J=st.integers(1, 10**6),
+    )
+    @example(T=3.0, gamma=0.5, alpha=0.44295, beta=0.55705, J=2047)  # qpt-exp on ExpDecay(1, 1.1141, 0.5), NOR
+    @example(T=3.0, gamma=0.5, alpha=20.0, beta=0.2, J=1)  # |sigma| = 100: the factor bracket
+    @example(T=2.5, gamma=0.5, alpha=-0.9, beta=1.0, J=1)  # all parts of one sign
+    @example(T=1.0, gamma=1.06, alpha=0.3, beta=1.0, J=5)  # p near 1
+    def test_expanded_sides_contain_the_true_tail(self, T, gamma, alpha, beta, J):
+        """gamma != 1: the sum of C (alpha + beta j**gamma)**-T over j > J, as
+        its next 200 terms at 50 digits plus an Euler-Maclaurin tail from
+        a = J + 201.  The tail is given its integral in closed form,
+        C beta**-T a**(1-p) / (p-1) 2F1(T, b; b + 1; -alpha / (beta a**gamma))
+        with p = gamma T and b = (p-1) / gamma: mpmath's own quadrature loses
+        digits where p is near 1."""
+        assume(gamma * T > 1.05 and alpha + beta > 0.0 and gamma != 1.0)
+        tail = AffinePowerTail(math.log(1.5), alpha, beta, T, exact=True, gamma=gamma)
+        with mpmath.workdps(50):
+            a, (al, be, T_, g) = J + 201, (mpmath.mpf(v) for v in (alpha, beta, T, gamma))
+            f = lambda j: 1.5 * (al + be * j**g) ** -T_
+            p, z = g * T_, al / be * mpmath.mpf(a) ** -g
+            b = (p - 1) / g
+            integral = 1.5 * be**-T_ * mpmath.mpf(a) ** (1 - p) / (p - 1) * mpmath.hyp2f1(T_, b, b + 1, -z)
+            head = mpmath.fsum(f(mpmath.mpf(j)) for j in range(J + 1, a))
+            true = head + mpmath.sumem(f, [a, mpmath.inf], integral=integral)
+        lower, upper = tail.sides(J)
+        assert lower <= true <= upper
+        if J >= 1000 and alpha / (beta * (J + 1) ** gamma) < 0.1:  # the expansion holds and its parts count
+            assert upper - lower <= 3e-9 * true
+
+    @settings(max_examples=150, deadline=None)
+    @given(s=st.floats(-6.0, 6.0), x=st.floats(1e-3, 600.0))
+    @example(s=-6.0, x=1e-3)
+    @example(s=0.0, x=12.6)
+    @example(s=6.0, x=4.0)  # x <= s - 1: the Gamma(s) cap and Gamma(s) - x**s / s
+    def test_gamma_sides_contain_the_incomplete_gamma(self, s, x):
+        """At gamma = 1, B = x and a = 1 the integral is Gamma(s, x) / x**s."""
+        tail = StretchedIntegralTail(0.0, x, 1.0)
+        lower, upper = tail._integral(tail._at(1), s)
+        with mpmath.workdps(50):
+            true = mpmath.gammainc(s, x) / mpmath.mpf(x) ** s
+        assume(mpmath.mpf("1e-300") < true < mpmath.mpf("1e300"))
+        assert lower <= true <= upper
+
+    @pytest.mark.parametrize("gamma, a", [(1.0, 10), (0.5, 100)])
+    def test_stretched_sides_allow_for_large_logarithms(self, gamma, a):
+        """ln C = 3e8 and x = B a**gamma = 3e8 + 3: e**(ln C - x) loses about
+        3e8 * 2**-53 of its logarithm to rounding, 30 times _SLACK.  Both
+        sides still hold against C Gamma(s, x) / (gamma B**s) at 50 digits."""
+        log_C, B = 3e8, (3e8 + 3) / 10
+        tail = StretchedIntegralTail(log_C, B, gamma, exact=True)
+        lower, upper = tail._integral(tail._at(a), 1.0 / gamma)
+        with mpmath.workdps(50):
+            s = 1 / mpmath.mpf(gamma)
+            x = mpmath.mpf(B) * mpmath.mpf(a) ** mpmath.mpf(gamma)
+            true = mpmath.exp(log_C) * mpmath.gammainc(s, x) / (mpmath.mpf(gamma) * mpmath.mpf(B) ** s)
+        assert 1e-300 < true < 1e300
+        assert lower <= true <= upper
+        assert upper - lower <= 1e-5 * true
+
+    def test_coupled_expansion_narrows_the_bracket(self):
+        """spt-exp on ExpDecay(1, 1.1141, 1/2) under NOR at d = 3: past
+        J = 7167 the factor e**(b (J+1)**-1/4) alone leaves the sides 0.13 of
+        the tail apart; its expansion leaves 2e-8."""
+        b = 1.1141
+        tail = StretchedIntegralTail(0.0, b, 0.25, exact=True, log_A=b, tau=0.25)
+        f = lambda j: mpmath.exp(b * j**-0.25 - b * j**0.25)
+        J = 7167
+        true = float(_true_tail(f, J))
+        lower, upper = tail.sides(J)
+        assert lower <= true <= upper
+        assert upper - lower <= 2e-8 * true
 
 
 class TestEngine:
@@ -499,7 +616,7 @@ def _stop_cases(draw):
         plan = StretchedIntegralTail(0.0, B, gamma, from_j=start, exact=True, log_A=log_A, tau=tau)
         fn = lambda j: np.exp(log_A * j**-tau - B * j**gamma)
     J = start + draw(st.integers(0, 63 * CHUNK))
-    up, lo = plan.upper_tail(J), plan.lower_tail(J)
+    lo, up = plan.sides(J)
     mid = math.fsum(fn(np.arange(start, J + 1, dtype=float)).tolist()) + 0.5 * (up + lo)
     kwargs = {
         "tol": max((up - lo) / mid, 1e-300) * draw(st.floats(0.9, 1.1)),
@@ -519,7 +636,7 @@ def _first_stop(terms, start, plan, tol, min_terms, max_terms) -> int:
         count = min(k * CHUNK, max_terms)
         J, partial = start + count - 1, math.fsum(sums[:k])
         if J >= plan.from_j and count >= min_terms:
-            up, lo = plan.upper_tail(J), plan.lower_tail(J)
+            lo, up = plan.sides(J)
             if up - lo <= tol * max(abs(partial + 0.5 * (up + lo)), 1e-300):
                 return count
     return max_terms
