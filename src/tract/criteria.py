@@ -598,10 +598,10 @@ def evaluate_sum(
 
 def _outer_power(inner: SumEvaluation, pref: float, power: float) -> SumEvaluation:
     """pref * inner**power, with the remainder bracket carried through the
-    power, and no narrower than the rounding of the power where the inner
-    remainder is positive; the other fields (converged among them) carry over
-    from the inner sum.  An infinite inner sum (divergent, or past the double
-    range) comes back as is."""
+    power, and no narrower than the rounding of the power wherever the inner
+    sum has a remainder, 0 included; the other fields (converged among them)
+    carry over from the inner sum.  An infinite inner sum (divergent, or past
+    the double range) comes back as is."""
     if math.isinf(inner.value):
         return inner
     try:
@@ -623,7 +623,7 @@ def _outer_power(inner: SumEvaluation, pref: float, power: float) -> SumEvaluati
     value = 0.5 * (hi + lo)
     # Where the sides round together, their rounding still counts: v +- r, the power, the product and the
     # mean move the value by (power + 4) units of 2**-53 of it at most, each below one ulp of it.
-    floor = (power + 4.0) * math.ulp(value) if inner.remainder_bound > 0.0 else 0.0
+    floor = (power + 4.0) * math.ulp(value)
     return inner._replace(value=value, remainder_bound=max(0.5 * (hi - lo) * (1 + 1e-9), floor))
 
 

@@ -22,8 +22,10 @@ int, or an int array of shape (m, 1) broadcast against j.  ``log_decimal(d,
 j)`` gives one of them at the precision of the current :mod:`decimal`
 context, for the tie rule of :func:`compare_ratios` and the linear views
 :func:`eigenvalues`.  A family also provides its ``envelope`` (an analytic
-bound, or None), its ``rank`` (None when infinite) and ``d_free`` (whether
-it ignores d).  The three closed
+bound, or None) and ``envelope_at(d)``, the envelope at dimension d (an
+Expression's comes from the form its formula reads as, see
+:func:`tract.exprdsl.log_form`), its ``rank`` (None when infinite) and
+``d_free`` (whether it ignores d).  The three closed
 forms are their exact tail form: every one of those answers comes from the
 form.  Callers read these attributes; no code outside this module
 dispatches on the family.  A single eigenvalue is a one-element array call,
@@ -116,6 +118,10 @@ class _Family:
     rank: int | None = None  # finite support, if any
     envelope: "TailEnvelope | None" = None  # analytic bound on the unscaled values
     d_free: bool = True  # lambda(d, j) does not depend on d
+
+    def envelope_at(self, d: int) -> "TailEnvelope | None":
+        """The envelope on the unscaled values at dimension d: ``envelope`` at every d."""
+        return self.envelope
 
 
 @dataclass(frozen=True)
@@ -255,6 +261,23 @@ class Expression(_Family):
     def log_values(self, d: int | np.ndarray, j: np.ndarray) -> np.ndarray:
         return exprdsl.log_array(self.tree, d, j, "formula produced negative eigenvalue")
 
+    def envelope_at(self, d: int) -> "TailEnvelope | None":
+        """The exact envelope of the formula's form at d (:func:`tract.exprdsl.log_form`), with ln
+        factor A: e**A j**B (B < 0) is a power law and e**A e**(C j**g) (C < 0 < g) a stretched
+        exponential, also at g = 1, where a geometric ratio e**C would lose the digits of a small C;
+        None for any other formula."""
+        form = exprdsl.log_form(self.tree, d)
+        if form is None:
+            return None
+        log_factor, b, c, g = form
+        if not c and b < 0:
+            tail = PowerLawTail(1.0, -b)
+        elif not b and c < 0 < g:
+            tail = StretchedExpTail(1.0, -c, g)
+        else:
+            return None
+        return TailEnvelope(tail, 1, exact=True, log_factor=log_factor)
+
     def log_decimal(self, d: int, j: int):
         return exprdsl.log_decimal(self.tree, d, j)
 
@@ -374,7 +397,7 @@ class TailEnvelope(NamedTuple):
 class EigenModel:
     family: Family
     d_scale: exprdsl.Expr | None = None  # closed-form c_d > 0; must not use j
-    declared_tail: "TailEnvelope | None" = None  # user-declared envelope (Expression models)
+    declared_tail: "TailEnvelope | None" = None  # user-declared envelope (Expression models; a recognised form wins)
 
     def __post_init__(self):
         if self.d_scale is not None and "j" in exprdsl.variables_used(self.d_scale):
@@ -533,13 +556,19 @@ def ratio_envelope(
     or None when the model has none (downstream certification is then
     heuristic).
 
-    It is the family's own envelope (closed forms are exact; a Tabulated
-    model is exact past its prefix), else the declared tail.  Its
-    ``log_factor`` gains what :func:`log_ratios` adds to the family's logs:
-    -ln lambda(d, 1) under NOR, where the d-scale cancels against CRI_d and
-    is left out of both, and ln c_d under ABS.
+    It is the family's own envelope at d (closed forms are exact; a Tabulated
+    model is exact past its prefix; an Expression whose tree reads as a
+    power law, a geometric or a stretched exponential in j has that form,
+    exact, at each d), else the declared tail.  A recognised form wins over
+    a declared tail, which :func:`validate` still checks.  An exact envelope
+    matches the terms, which come from ``log_ratios``, to rounding: an
+    Expression's form and its log_array round apart by a few ulps of the
+    logarithm, which the tail shapes' slack covers.  Its ``log_factor``
+    gains what :func:`log_ratios` adds to the family's logs: -ln lambda(d,
+    1) under NOR, where the d-scale cancels against CRI_d and is left out
+    of both, and ln c_d under ABS.
     """
-    env = model.family.envelope or model.declared_tail
+    env = model.family.envelope_at(d) or model.declared_tail
     if env is None:
         return None
     if criterion is ErrorCriterion.NOR:

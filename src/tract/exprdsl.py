@@ -29,7 +29,22 @@ exponent of a power are plain doubles of the linear reading.  A division by
 zero (0 to a negative power too), a NaN (0*inf, inf-inf, ln or sqrt of a
 negative, a negative base to a non-integer power), a value past the double
 range or, in :func:`log_array`, a negative value raises
-:class:`EvalDomainError` naming the first failing d and j.  A formula nested
+:class:`EvalDomainError` naming the first failing d and j.
+
+:func:`log_form` reads a tree, at one d, as the form exp(A + B ln j + C j**g)
+it has for every j >= 1, or None.  A node free of j reads as a double; one
+in j as a form of its value and a form of its logarithm, each A + B ln j + C
+j**g or None: j has both, + and - add value forms whose powers of j agree or
+where one has none, * and / add and subtract the log forms and scale a value
+form by a double, a power with a double exponent and sqrt scale the log
+form, a double base b > 0 to a form gives ln b times its value form, exp
+turns a value form into a log form and ln the reverse, and e**A j**B is the
+value form C j**g with C = e**A, g = B.  max and min of a node in j, ln of a
+double <= 0, a domain error, a non-finite double, a double or a part below
+the normal range (it may have underflowed), a part past 2**20 and a sum that
+cancels a part to below 2**-10 of its size, 0 included, read None.  Each rule
+is an identity of real numbers, so a form is a proof over every j, not a
+probe.  A formula nested
 past the interpreter's stack is refused: :func:`parse` raises
 :class:`ExprSyntaxError` at the token it reached, and a walk over a tree too
 deep for it (a sum of some thousand terms folds into one) raises
@@ -59,6 +74,7 @@ __all__ = [
     "compile_array",
     "log_array",
     "log_decimal",
+    "log_form",
     "variables_used",
 ]
 
@@ -364,3 +380,134 @@ _NAMES = {**dict.fromkeys(_OPS, lambda *names: set().union(*names)), "num": lamb
 
 def variables_used(node: Expr) -> set[str]:
     return _read(node, "d", "j", _NAMES)
+
+
+# The form reading (see the module docstring): a node free of j reads as a float, one in j as _Forms, and one
+# of neither as None, as does every node above it.  The forms' numbers round as the signed reading's do, so
+# the two agree to rounding unless the signed reading loses digits: in a sum that cancels a part past
+# _CANCEL, or in a part past _FORM_MAX, whose rounding would show in an exponent (exp((1e20-j)-1e20) reads 1).
+# A number below the normal range may have underflowed, and a value form that read a lost part as 0 would
+# drop it from a sum (exp(0-745.5)*j^30 + exp(0-700)*j is not e**-700 j), so none is read: a double result
+# below it (0 too, unless an argument is 0), a part below it, a scaled part that rounds to 0, and a value
+# e**A j**B derived from a log form outside e**+-_LOG_FORM_MAX read None.
+_FORM_MAX = 2.0**20
+_LOG_FORM_MAX = math.log(_FORM_MAX)
+_CANCEL = 2.0**-10
+_TINY = np.finfo(float).tiny
+
+
+class _Forms(NamedTuple):
+    add: tuple | None  # the value
+    log: tuple | None  # its logarithm
+
+
+def _form(a: float, b: float, c: float, g: float) -> tuple | None:
+    """(a, b, c, g) with c j**0 folded into a and g = 1 where c = 0; None where a part is past _FORM_MAX
+    or below the normal range."""
+    if g == 0.0:
+        a, c = a + c, 0.0
+    sizes = [abs(a), abs(b), abs(c)]
+    if not (max(sizes) <= _FORM_MAX and math.isfinite(g)) or any(0.0 < x < _TINY for x in sizes):
+        return None
+    return a + 0.0, b + 0.0, c + 0.0, g if c else 1.0  # + 0.0: no -0.0
+
+
+def _scale(f: tuple | None, k: float) -> tuple | None:
+    if f is None or k and any(x and not k * x for x in f[:3]):  # a part rounds to 0
+        return None
+    return _form(k * f[0], k * f[1], k * f[2], f[3])
+
+
+def _plus(f: tuple | None, h: tuple | None, sign: float = 1.0) -> tuple | None:
+    """f + sign h where their powers of j agree or one has none, and no part cancels past _CANCEL, to 0
+    included: parts that round to a sum of 0 need not be 0 in the signed reading ((j*0.1)*10 - j is not)."""
+    if f is None or h is None or f[2] and h[2] and f[3] != h[3]:
+        return None
+    parts = [x + sign * y for x, y in zip(f[:3], h[:3])]
+    for s, x, y in zip(parts, f, h):
+        if abs(s) < _CANCEL * max(abs(x), abs(y)):
+            return None
+    return _form(*parts, f[3] if f[2] else h[3])
+
+
+def _forms(add: tuple | None, log: tuple | None) -> _Forms | None:
+    """The reading from either form, the other derived where it is one: e**(A + B ln j) = e**A j**B, and
+    ln of A, or of C j**g, for A, C > 0."""
+    if log is None and add is not None and not add[1] and (not add[0]) != (not add[2]):
+        a, _, c, g = add
+        log = _form(math.log(a), 0.0, 0.0, 1.0) if a > 0 else _form(math.log(c), g, 0.0, 1.0) if c > 0 else None
+    if add is None and log is not None and not log[2] and abs(log[0]) <= _LOG_FORM_MAX:
+        add = _form(0.0, 0.0, math.exp(log[0]), log[1])
+    return None if add is None and log is None else _Forms(add, log)
+
+
+def _value(x: float | _Forms) -> tuple | None:
+    """The value form of a reading, a float's constant."""
+    return x.add if isinstance(x, _Forms) else _form(x, 0.0, 0.0, 1.0)
+
+
+def _log(x: float | _Forms) -> tuple | None:
+    """The log form of a reading, a float's constant where it is > 0."""
+    if isinstance(x, _Forms):
+        return x.log
+    return _form(math.log(x), 0.0, 0.0, 1.0) if x > 0 else None
+
+
+def _times(x, y, sign: float) -> _Forms | None:
+    """x * y (sign 1) or x / y (sign -1): the logs add, and a float factor or divisor scales the value."""
+    if isinstance(y, float):
+        add = _scale(x.add, y if sign > 0 else 1.0 / y)
+    else:
+        add = _scale(y.add, x) if isinstance(x, float) and sign > 0 else None
+    return _forms(add, _plus(_log(x), _log(y), sign))
+
+
+def _power(x, y) -> _Forms | None:
+    """x**y for a float exponent, or a float base > 0."""
+    if isinstance(y, float):
+        return _forms(None, _scale(x.log, y))
+    return _forms(None, _scale(y.add, math.log(x))) if isinstance(x, float) and x > 0 else None
+
+
+def _on_forms(on_floats: Callable, on_forms: Callable) -> Callable:
+    """One node's rule: on_floats where every argument is a float, and a finite result; else on_forms; None
+    where an argument is None or the rule fails."""
+
+    def rule(*args):
+        if None in args:
+            return None
+        try:
+            if _Forms in map(type, args):
+                return on_forms(*args)
+            value = on_floats(*args)
+            # Below the normal range a result may have underflowed; a 0 from a 0 argument has not.
+            if not math.isfinite(value) or abs(value) < _TINY and (value or all(args)):
+                return None
+            return value
+        except (ArithmeticError, ValueError):
+            return None
+
+    return rule
+
+
+_J = _Forms((0.0, 0.0, 1.0, 1.0), (0.0, 1.0, 0.0, 1.0))
+_FORMS = {
+    "+": _on_forms(operator.add, lambda x, y: _forms(_plus(_value(x), _value(y)), None)),
+    "-": _on_forms(operator.sub, lambda x, y: _forms(_plus(_value(x), _value(y), -1.0), None)),
+    "*": _on_forms(operator.mul, lambda x, y: _times(x, y, 1.0)),
+    "/": _on_forms(operator.truediv, lambda x, y: _times(x, y, -1.0)),
+    "^": _on_forms(math.pow, _power), "pow": _on_forms(math.pow, _power),
+    "exp": _on_forms(math.exp, lambda x: _forms(None, x.add)),
+    "ln": _on_forms(math.log, lambda x: _forms(x.log, None)),
+    "sqrt": _on_forms(math.sqrt, lambda x: _forms(None, _scale(x.log, 0.5))),
+    "max": _on_forms(max, lambda x, y: None), "min": _on_forms(min, lambda x, y: None),
+    "neg": _on_forms(operator.neg, lambda x: _forms(_scale(x.add, -1.0), None)),
+    "num": lambda x: x if math.isfinite(x) else None, "var": lambda x: x,
+}
+
+
+def log_form(node: Expr, d: int) -> tuple[float, float, float, float] | None:
+    """(A, B, C, g) such that the tree's value at this d is exp(A + B ln j + C j**g) for every j >= 1,
+    read from the tree by the form reading; None where it is not of that form or does not depend on j."""
+    reading = _read(node, float(d), _J, _FORMS)
+    return reading.log if isinstance(reading, _Forms) else None

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -7,6 +9,7 @@ from tract import (
     ExpDecay,
     Expression,
     FiniteRank,
+    Geometric,
     Limits,
     Notion,
     PolyDecay,
@@ -62,7 +65,8 @@ class TestDecideSummable:
             assert verdict.evidence["certificate"].startswith("sup over d attained at d=1")
 
     def test_expression_gets_finite_evidence_only(self):
-        model = EigenModel(Expression("1/(j*j)"))
+        # j*j + j reads as no closed form, so the model has no envelope.
+        model = EigenModel(Expression("1/(j*j+j)"))
         verdict = decide(model, Notion("SPT", "ALG", ABS), LIM)
         assert verdict.status == "SupportedUpTo"
 
@@ -104,11 +108,12 @@ class TestDecideWt:
         }
 
     def test_undecided_inner_sum_is_inconclusive(self):
-        """An Expression has no exact envelope, so the evidence path runs; at
-        c = 0.5 the power-law inner sum is neither certified nor divergent."""
-        verdict = decide(
-            EigenModel(Expression("j^(0-2)")), Notion("WT", "EXP", ABS, s=1.0, t=1.0), Limits(d_max=4, n_max=10**4)
-        )
+        """An Expression that reads as no closed form has no exact envelope
+        (max(j, 1) is j on every index, but a max is never read as a form), so
+        the evidence path runs; at c = 0.5 the power-law inner sum is neither
+        certified nor divergent."""
+        model = EigenModel(Expression("max(j, 1)^(0-2)"))
+        verdict = decide(model, Notion("WT", "EXP", ABS, s=1.0, t=1.0), Limits(d_max=4, n_max=10**4))
         assert verdict.status == "Inconclusive"
         assert verdict.evidence == {"note": "inner sum undecided within budget at c=0.5"}
 
@@ -337,6 +342,25 @@ class TestClassifyAll:
                 a = decide(model, n_abs, LIM)
                 b = decide(model, n_nor, LIM)
                 assert a.status == b.status, n_abs.name
+
+    @pytest.mark.parametrize(
+        "formula, twin",
+        [
+            ("j^(0-2.1)", PolyDecay(1.0, 2.1)),
+            ("1.3*exp(0-0.32*j)", Geometric(1.3, math.exp(-0.32))),
+            ("exp(0-1.1*sqrt(j))", ExpDecay(1.0, 1.1, 0.5)),
+        ],
+    )
+    @pytest.mark.parametrize("criterion", [ABS, NOR], ids=["ABS", "NOR"])
+    def test_a_closed_form_formula_classifies_as_its_twin(self, formula, twin, criterion):
+        """The formula reads as its twin's form, so its exact envelope gives
+        the same verdicts and witnesses."""
+        limits = Limits(d_max=8, n_max=10**4)
+        verdicts = [
+            [(v["notion"], v["status"], v["witness"]) for v in classify_all(model, criterion, limits)["verdicts"]]
+            for model in (EigenModel(Expression(formula)), EigenModel(twin))
+        ]
+        assert verdicts[0] == verdicts[1]
 
     def test_randomised_models_stay_consistent(self):
         import numpy as np

@@ -208,8 +208,9 @@ class TestQpt:
 
     def test_alg_budget_stop_is_not_converged(self):
         # At d = 1 with tau2 = 1 the outer power is the identity, so qpt-alg
-        # must report exactly what pt-alg reports, budget stop included.
-        model = EigenModel(Expression("j^(0-1.2)"))
+        # must report exactly what pt-alg reports, budget stop included.  The
+        # max keeps j**-1.2 from reading as a closed form, which would certify.
+        model = EigenModel(Expression("max(j, 1)^(0-1.2)"))
         params = CriterionParams(tau2=1.0)
         pt = evaluate_sum(model, "pt-alg", 1, params, ABS, max_terms=4096)
         qpt = evaluate_sum(model, "qpt-alg", 1, params, ABS, max_terms=4096)
@@ -243,6 +244,14 @@ class TestQpt:
         assert ev.certified and ev.remainder_bound >= math.ulp(ev.value)
         extended = evaluate_sum(model, "qpt-alg", 2, params, ABS, min_terms=10 * ev.terms_used)
         assert abs(extended.value - ev.value) <= ev.remainder_bound
+
+    def test_alg_outer_power_rounds_where_the_inner_remainder_is_zero(self):
+        """exp(-0.75 j**2): the inner tail past 1024 terms underflows, so the
+        inner remainder is 0, yet d**-2 times the power still rounds.  The
+        remainder is the (1/tau2 + 4)-ulp floor, not 0."""
+        params = CriterionParams(tau1=0.0, tau2=1.0, c_tilde=1.0)
+        ev = evaluate_sum(EigenModel(ExpDecay(1.0, 0.75, 2.0)), "qpt-alg", 2, params, ABS)
+        assert ev.certified and ev.remainder_bound == 5.0 * math.ulp(ev.value)
 
     def test_exp_zeta3_minus_one(self, exp2):
         ev = sum_qpt_exp(exp2, 1, 3.0, ABS)
@@ -696,6 +705,29 @@ class TestCertificationSoundness:
                     min_terms=10 * ev.terms_used,
                 )
                 assert abs(extended.value - ev.value) <= ev.remainder_bound + 1e-12 * abs(ev.value)
+
+    def test_a_closed_form_formula_sums_as_its_twin(self):
+        """a*exp(-c j) reads as the form of Geometric(a, e**-c): every sum
+        kind stops where the twin's does, with the same status, and the
+        values agree within the remainders."""
+        a, c = 1.3, 0.32
+        formula, twin = EigenModel(Expression(f"{a}*exp(0-{c}*j)")), EigenModel(Geometric(a, math.exp(-c)))
+        params = CriterionParams(tau=0.5, tau1=1.0, tau2=1.5, tau3=1.0, c_tilde=1.0, c=1.0, s=1.0, t=1.0)
+        for kind in SUM_KINDS:
+            for criterion in (ABS, NOR):
+                ev, ref = (evaluate_sum(m, kind, 2, params, criterion) for m in (formula, twin))
+                assert (ev.status, ev.terms_used) == (ref.status, ref.terms_used), (kind, criterion)
+                if ev.certified:
+                    assert abs(ev.value - ref.value) <= ev.remainder_bound + ref.remainder_bound, (kind, criterion)
+
+    def test_a_d_dependent_formula_certifies_as_its_twin(self):
+        """exp(-0.9161 j/d) at d = 1 is ExpDecay(1, 0.9161, 1): qpt-exp at
+        tau = 3 under NOR is Certified at the twin's value, where it stopped
+        on the heuristic rule without an envelope."""
+        params = CriterionParams(tau=3.0)
+        ev = evaluate_sum(EigenModel(Expression("exp(0-0.9161*j/d)")), "qpt-exp", 1, params, NOR)
+        twin = evaluate_sum(EigenModel(ExpDecay(1.0, 0.9161, 1.0)), "qpt-exp", 1, params, NOR)
+        assert ev.certified and ev.value == twin.value == 1.6993480632578655
 
     def test_abs_d_scale_past_the_double_range(self):
         """c_d * lambda(d, j) leaves the double range below and above; the

@@ -149,7 +149,8 @@ class TestTailBound:
         assert env.exact
 
     def test_expression_without_tail_has_none(self):
-        model = EigenModel(Expression("1/j"))
+        # j + 1 reads as no closed form: a sum of a constant and a power of j.
+        model = EigenModel(Expression("1/(j+1)"))
         assert ratio_envelope(model, 1, ABS, 100) is None
 
     def test_expression_with_declared_tail_under_nor(self):
@@ -159,6 +160,15 @@ class TestTailBound:
         assert env is not None
         # normalised by lambda(d, 1) = 2
         assert math.exp(env.log_scale) == pytest.approx(1.0)
+
+    def test_a_recognised_form_wins_over_the_declared_tail(self):
+        """j**-2 reads as its own exact power law, which the sums read; the
+        declared tail, below the values, is still what validate checks."""
+        tail = TailEnvelope(PowerLawTail(1e-9, 3.0), valid_from=2)
+        model = EigenModel(Expression("j^(0-2)"), declared_tail=tail)
+        env = ratio_envelope(model, 1, ABS, 1)
+        assert env.exact and env.form == PowerLawTail(1.0, 2.0) and env.log_factor == 0.0
+        assert {v.kind for v in validate(model, d_max=1, j_probe=100).violations} == {"envelope"}
 
     @pytest.mark.parametrize(
         "family",

@@ -493,6 +493,88 @@ def test_log_walk_against_mpmath(source, d, j):
     L = float(reference)
     got = float(family.log_values(d, index)[0])
     assert abs(got - L) <= 1e-12 * max(1.0, abs(L)) + 4 * math.ulp(float(scale)), (got, L, float(scale))
+    form = exprdsl.log_form(family.tree, d)
+    if form is not None:  # the form reading, where it reads one, is the formula too
+        a, b, c, g = form
+        read = a + b * math.log(j) + c * float(j) ** g
+        assert abs(read - L) <= 1e-12 * max(1.0, abs(L)) + 4 * math.ulp(float(scale)), (form, L, float(scale))
     if all(_LOG_TINY <= x <= _LOG_DOUBLE_MAX for x in logs):
         linear = math.log(evaluate(family.tree, d, j))
         assert abs(got - linear) <= 4 * math.ulp(float(scale)), (got, linear, float(scale))
+
+
+# ---------------------------------------------------------------------------
+# The form reading
+# ---------------------------------------------------------------------------
+
+
+def _literal(x: float) -> str:
+    return repr(x) if x >= 0 else f"(0-{-x!r})"
+
+
+@st.composite
+def _closed_forms(draw) -> str:
+    """A formula of the recognised grammar: constants, d-only factors, and powers of j or stretched
+    exponentials of one power g, under products, quotients, powers and sqrt."""
+    g = draw(st.floats(0.1, 2.0))
+    powers = st.floats(-3.0, 3.0).map(lambda b: f"j^{_literal(b)}")
+    stretched = st.floats(-2.0, 2.0).map(lambda c: f"exp({_literal(c)}*j^{g!r})")
+    leaves = st.one_of(
+        st.floats(0.1, 10.0).map(repr),
+        st.floats(0.0, 2.0).map("d^(0-{!r})".format),
+        draw(st.sampled_from([powers, stretched])),
+    )
+    return draw(st.recursive(leaves, lambda inner: st.one_of(
+        st.builds("({})*({})".format, inner, inner),
+        st.builds("({})/({})".format, inner, inner),
+        st.builds("({})^{}".format, inner, st.floats(-2.0, 2.0).map(_literal)),
+        st.builds("sqrt({})".format, inner),
+    ), max_leaves=6).filter(lambda source: "j" in source))
+
+
+@settings(max_examples=80, deadline=None)
+@given(source=_closed_forms(), d=st.integers(1, 8), j=st.one_of(st.integers(1, 100), st.integers(1, 10**12)))
+@example(source="exp((0-0.9161)*j^1.0/d)", d=1, j=10**6)
+def test_the_form_reading_is_the_formula(source, d, j):
+    """A formula of closed forms reads as one, exp(A + B ln j + C j**g), within
+    rounding of its 50-digit logarithm (the error scale of _mp_walk), and so
+    does its envelope, where it has one, against log_values."""
+    family = Expression(source)
+    form = exprdsl.log_form(family.tree, d)
+    if form is None:  # parts that cancel to below 2**-10 of their size
+        return
+    try:
+        with mpmath.workdps(50):
+            value, scale = _mp_walk(family.tree, d, j, [])
+            L = float(mpmath.log(mpmath.mpf(value.mid)))
+    except _Unsettled:
+        return
+    if L > _LOG_DOUBLE_MAX:  # a rising formula past the double range
+        return
+    rounding = 1e-12 * max(1.0, abs(L)) + 8 * math.ulp(float(scale))
+    a, b, c, g = form
+    assert abs(a + b * math.log(j) + c * float(j) ** g - L) <= rounding, (form, L)
+    env = family.envelope_at(d)
+    if env is not None:
+        assert env.exact and env.valid_from == 1
+        logs = family.log_values(d, np.array([j]))
+        assert abs(env.form.log_value(j) + env.log_factor - logs[0]) <= 2 * rounding, (env, logs)
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "j^(0-2) + max(0, j-20000)",  # a power law up to j = 20000 only
+        "1/(j*j+j)",  # a sum of two powers of j
+        "j^(0-2)*exp(0-j)",  # a power of j times an exponential
+        "(0-2)*j^(0-2)",  # negative
+        "exp(0-j^(0-1))",  # rises to 1
+        "j^2",  # rises
+        "3",  # free of j
+        "exp((1e20-j)-1e20)",  # the linear reading rounds -j away
+        "exp((j*0.1)*10-j)*j^(0-2)",  # the j parts cancel to 0, but not in the linear reading
+        "exp(0-745.5)*j^30 + exp(0-700)*j",  # e**-745.5 underflows, and the j**30 term would be lost
+    ],
+)
+def test_formulas_of_no_closed_form_have_no_envelope(source):
+    assert Expression(source).envelope_at(3) is None

@@ -86,10 +86,11 @@ def _formula(formula: str) -> dict:
         pytest.param("NOR", _GEOMETRIC, [*_COMPLEXITY, "0.5"], True, id="NOR-0.5-True"),
         # The WT multiplicities count ratios >= 1: under NOR the lead ratio is
         # 1 exactly and needs no digits, while under ABS lambda(d, 1) = 1**-2.1
-        # is a real near tie.
+        # is a real near tie.  The counts run where no envelope certifies WT:
+        # max(j, 1) is j, but a max keeps the formula from reading as a form.
         pytest.param("NOR", _formula("exp(0-1.05*j/d)"), ["classify"], False, id="NOR-classify-exp"),
         pytest.param("NOR", _formula("j^(0-2.1)"), ["classify"], False, id="NOR-classify-power"),
-        pytest.param("ABS", _formula("j^(0-2.1)"), ["classify"], True, id="ABS-classify-power"),
+        pytest.param("ABS", _formula("max(j, 1)^(0-2.1)"), ["classify"], True, id="ABS-classify-power"),
     ],
 )
 def test_decimal_loads_only_at_a_near_tie(tmp_path, criterion, model, argv, loaded):

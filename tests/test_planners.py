@@ -57,10 +57,10 @@ NOR = ErrorCriterion.NOR
 
 
 class Case(NamedTuple):
-    """A model and ln lambda(j) from its family's formula, as an mpf."""
+    """A model and ln lambda(j) at d from its family's formula, as an mpf."""
 
     model: EigenModel
-    log_lambda: Callable[[mpmath.mpf], mpmath.mpf]
+    log_lambda: Callable[[mpmath.mpf, int], mpmath.mpf]
 
 
 def _log_form(form, j):
@@ -72,14 +72,28 @@ def _log_form(form, j):
 
 
 def _closed(family) -> Case:
-    return Case(EigenModel(family), lambda j: _log_form(family.envelope.form, j))
+    return Case(EigenModel(family), lambda j, d: _log_form(family.envelope.form, j))
+
+
+def _expression(formula: str, log_lambda: Callable[[mpmath.mpf, int], mpmath.mpf]) -> Case:
+    """An Expression that reads as a closed form, with its logarithm written out again."""
+    return Case(EigenModel(Expression(formula)), log_lambda)
+
+
+def _expressions(a: float, b: float, g: float) -> st.SearchStrategy:
+    return st.sampled_from([
+        _expression(f"{a!r}*j^(0-{b!r})", lambda j, d: mpmath.log(a) - b * mpmath.log(j)),
+        _expression(f"{a!r}*exp(0-{b!r}*j)", lambda j, d: mpmath.log(a) - b * j),
+        _expression(f"exp(0-{b!r}*j^{g!r})/{a!r}", lambda j, d: -b * j ** mpmath.mpf(g) - mpmath.log(a)),
+        _expression(f"sqrt({a!r}*exp(0-{b!r}*j/d))", lambda j, d: (mpmath.log(a) - b * j / d) / 2),
+    ])
 
 
 def _tabulated(prefix, form) -> Case:
     family = Tabulated(tuple(prefix), TailEnvelope(form, valid_from=len(prefix) + 1))
     table = sorted(prefix, reverse=True)
 
-    def log_lambda(j):
+    def log_lambda(j, d):
         return mpmath.log(table[int(j) - 1]) if j <= len(table) else _log_form(form, j)
 
     return Case(EigenModel(family), log_lambda)
@@ -107,6 +121,7 @@ _CASES = st.one_of(
     st.builds(ExpDecay, a=st.floats(0.25, 4.0), b=st.floats(0.1, 2.0), gamma=st.floats(0.2, 2.0)).map(_closed),
     st.builds(Geometric, a=st.floats(0.25, 4.0), r=st.floats(0.05, 0.95)).map(_closed),
     _tabulated_cases(),
+    st.builds(_expressions, st.floats(0.25, 4.0), st.floats(0.1, 2.0), st.floats(0.2, 2.0)).flatmap(lambda s: s),
 )
 
 # Every field set: each kind reads the ones it needs.
@@ -170,10 +185,10 @@ def _audit(case: Case, kind: str, params: CriterionParams, criterion: ErrorCrite
     plan = convergence_plan(case.model, kind, d, params, criterion)
     x = spec.param(spec.resolve(params), d)
     with mpmath.workdps(50):
-        lead = case.log_lambda(mpmath.mpf(1)) if criterion is NOR else 0
+        lead = case.log_lambda(mpmath.mpf(1), d) if criterion is NOR else 0
 
         def log_term(j):
-            return _log_term(kind, x, case.log_lambda(j) - lead, j)
+            return _log_term(kind, x, case.log_lambda(j, d) - lead, j)
 
         if isinstance(plan, Divergence):
             onset = plan.j0 if plan.log2_j0 is None else mpmath.mpf(2) ** plan.log2_j0
@@ -333,12 +348,13 @@ def test_only_the_model_and_config_name_the_tail_form_classes():
 
 def test_expression_keeps_its_declared_tail_below_the_double_range():
     """The terms of a*exp(-c j) come from its logarithm, ln a - c j, past
-    j = 2100 where the value is below 1e-300, so its declared tail holds."""
+    j = 2100 where the value is below 1e-300, so the envelope holds: the
+    exact one of the formula's form, which is read before the declared tail."""
     a, c = 1.3, 0.32
     tail = TailEnvelope(GeometricTail(a, math.exp(-c)), valid_from=1)
     model = EigenModel(Expression(f"{a}*exp(0-{c}*j)"), declared_tail=tail)
 
-    def log_lambda(j):
+    def log_lambda(j, d):
         return mpmath.log(a) - mpmath.mpf(c) * j
 
     params = CriterionParams(tau=2.0)
