@@ -30,7 +30,7 @@ _EXPORTS = {
         "criteria": "SupEvaluation evaluate_sum sum_pt_alg sum_pt_exp sum_qpt_alg sum_qpt_exp "
         "sum_spt_alg sum_spt_exp sum_wt_alg sum_wt_exp sup_over_d uwt_statistic",
         "eigenmodel": "EigenModel ErrorCriterion ExpDecay Expression FiniteRank Geometric GeometricTail "
-        "PolyDecay PowerLawTail StretchedExpTail Tabulated TailEnvelope cri eigenvalue eigenvalues validate",
+        "PolyDecay PowerLawTail StretchedExpTail Tabulated TailEnvelope eigenvalue eigenvalues validate",
         "summation": "SumEvaluation SumStatus",
     }.items()
     for name in names.split()

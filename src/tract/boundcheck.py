@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .complexity import ComplexityQuery, count_above, first_index, info_complexity
+from .complexity import J_MAX_DEFAULT, ComplexityQuery, count_above, first_index, info_complexity
 from .config import CriterionParams
 from .criteria import SUM_SPECS, _plan, ceil_stable
 from .eigenmodel import EigenModel, ErrorCriterion, log_ratios
@@ -136,7 +136,7 @@ def verify_domination(
     spec: BoundSpec,
     eps_grid,
     d_grid,
-    j_max: int = 1 << 26,
+    j_max: int = J_MAX_DEFAULT,
 ) -> DominationReport:
     """Check oracle n(eps, d) <= bound(eps, d) on the whole grid.
 

@@ -19,6 +19,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .config import Limits
 from .eigenmodel import EigenModel, ErrorCriterion, compare_ratios, eigenvalue
 from .errors import UnboundedError
 
@@ -33,7 +34,7 @@ __all__ = [
     "first_index",
 ]
 
-J_MAX_DEFAULT = 1 << 26
+J_MAX_DEFAULT = Limits.j_max  # the search cap a config gets by default
 
 
 @dataclass(frozen=True)

@@ -53,6 +53,7 @@ from .errors import BeyondRankError
 from .summation import (
     AffinePowerTail,
     Divergence,
+    FiniteEnd,
     GeomSeriesTail,
     Plan,
     PolyLogTail,
@@ -60,6 +61,7 @@ from .summation import (
     StretchedIntegralTail,
     SumEvaluation,
     SumStatus,
+    _SLACK,
     certified_sum,
 )
 
@@ -545,10 +547,10 @@ def _spec(kind: str) -> SumSpec:
 def _plan(
     kind: str, p: CriterionParams, model: EigenModel, d: int, criterion: ErrorCriterion
 ) -> tuple[int, tuple[float, ...], Plan]:
-    """Start index, term parameters and tail plan of a resolved sum; no
-    envelope gives no certificate (plan None).  The planners work in
-    logarithms, so no plan overflows.  ValueError when d < 1 or the start is
-    past 2**62."""
+    """Start index, term parameters and tail plan of a resolved sum; a finite
+    spectrum plans its end, and no envelope gives no certificate (plan None).
+    The planners work in logarithms, so no plan overflows.  ValueError when
+    d < 1 or the start is past 2**62."""
     if d < 1:
         raise ValueError("d must be >= 1")
     spec = SUM_SPECS[kind]
@@ -556,6 +558,8 @@ def _plan(
     if start > 1 << 62:  # int64 indices, as Limits.j_max
         raise ValueError(f"{kind} start index exceeds 2**62 at d={d}")
     x = spec.param(p, d)
+    if model.family.rank is not None:
+        return start, x, FiniteEnd(model.family.rank)
     env = ratio_envelope(model, d, criterion, start)
     return start, x, None if env is None else spec.planner(env, *x)
 
@@ -590,7 +594,6 @@ def evaluate_sum(
         tol=tol,
         max_terms=max_terms,
         min_terms=min_terms,
-        hard_end=model.family.rank,
         prefactor=1.0 if spec.outer_power else pref,
     )
     return _outer_power(ev, pref, 1.0 / p.tau2) if spec.outer_power else ev
@@ -624,7 +627,7 @@ def _outer_power(inner: SumEvaluation, pref: float, power: float) -> SumEvaluati
     # Where the sides round together, their rounding still counts: v +- r, the power, the product and the
     # mean move the value by (power + 4) units of 2**-53 of it at most, each below one ulp of it.
     floor = (power + 4.0) * math.ulp(value)
-    return inner._replace(value=value, remainder_bound=max(0.5 * (hi - lo) * (1 + 1e-9), floor))
+    return inner._replace(value=value, remainder_bound=max(0.5 * (hi - lo) * _SLACK, floor))
 
 
 # One-call forms of evaluate_sum; the keyword arguments (tol, max_terms,
@@ -825,15 +828,8 @@ def convergence_plan(
     """The tail plan a sum evaluation would use, without summing anything.
 
     Classifier probes use this as a cheap convergence decision: a tail bound
-    means certified convergence, a Divergence certificate certified
-    divergence, None means no certificate either way.  Finite-rank spectra
-    always yield a trivially convergent plan.  Raises ValueError on the
-    parameters evaluate_sum rejects.
+    or a finite spectrum's end means certified convergence, a Divergence
+    certificate certified divergence, None means no certificate either way.
+    Raises ValueError on the parameters evaluate_sum rejects.
     """
-    p = _spec(kind).resolve(params)
-    rank = model.family.rank
-    if rank is not None:
-        # Finite spectra converge trivially; any tail bound object works as
-        # the convergence marker since nothing is summed through it.
-        return GeomSeriesTail(0.0, -_LN2, from_j=rank + 1, exact=False)
-    return _plan(kind, p, model, d, criterion)[2]
+    return _plan(kind, _spec(kind).resolve(params), model, d, criterion)[2]

@@ -20,7 +20,7 @@ Every family answers logarithms of arrays of indices only:
 unscaled values, also where the values lie past the double range; d is an
 int, or an int array of shape (m, 1) broadcast against j.  ``log_decimal(d,
 j)`` gives one of them at the precision of the current :mod:`decimal`
-context, for the tie rule of :func:`compare_ratios` and the linear views
+context, for the tie rule of :func:`compare_ratios` and the linear view
 :func:`eigenvalues`.  A family also provides its ``envelope`` (an analytic
 bound, or None) and ``envelope_at(d)``, the envelope at dimension d (an
 Expression's comes from the form its formula reads as, see
@@ -40,7 +40,7 @@ The spectrum is read in logarithms only.  The criterion sums take their
 terms from ``log_ratios`` and their tail bound from the ``log_scale`` of
 ``ratio_envelope``, both less the same ln CRI_d; the counts compare
 ``log_ratios`` with ln t through :func:`compare_ratios`; ``eigenvalues`` and
-``ratios`` are the exp of ``log_ratios``, so 0 below the double range.  An
+``ratio`` are the exp of ``log_ratios``, so 0 below the double range.  An
 Expression's logarithms, and ln c_d, come from :func:`tract.exprdsl.log_array`.
 """
 
@@ -72,11 +72,9 @@ __all__ = [
     "eigenvalue",
     "eigenvalues",
     "ratio",
-    "ratios",
     "log_ratio",
     "log_ratios",
     "compare_ratios",
-    "cri",
     "ratio_envelope",
     "validate",
     "ensure_valid",
@@ -442,18 +440,6 @@ def eigenvalue(model: EigenModel, d: int, j: int) -> float:
     return float(eigenvalues(model, d, np.array([j], dtype=np.int64))[0])
 
 
-def cri(model: EigenModel, d: int, criterion: ErrorCriterion) -> float:
-    """CRI_d: 1 under ABS, lambda(d, 1) under NOR."""
-    if criterion is ErrorCriterion.ABS:
-        return 1.0
-    return eigenvalue(model, d, 1)
-
-
-def ratios(model: EigenModel, d: int | np.ndarray, j: np.ndarray, criterion: ErrorCriterion) -> np.ndarray:
-    """lambda(d, j) / CRI_d over an index array: the exp of :func:`log_ratios`."""
-    return np.exp(log_ratios(model, d, j, criterion))
-
-
 def _ratios_d_free(model: EigenModel, criterion: ErrorCriterion) -> bool:
     """True when lambda(d, j)/CRI_d does not depend on d: the family ignores
     d, and a d-scale is absent or, under NOR, cancels against CRI_d."""
@@ -461,8 +447,8 @@ def _ratios_d_free(model: EigenModel, criterion: ErrorCriterion) -> bool:
 
 
 def ratio(model: EigenModel, d: int, j: int, criterion: ErrorCriterion) -> float:
-    """One-element view of :func:`ratios`."""
-    return float(ratios(model, d, np.array([j], dtype=np.int64), criterion)[0])
+    """lambda(d, j) / CRI_d: the exp of one element of :func:`log_ratios`."""
+    return float(np.exp(log_ratios(model, d, np.array([j], dtype=np.int64), criterion))[0])
 
 
 def log_ratios(model: EigenModel, d: int | np.ndarray, j: np.ndarray, criterion: ErrorCriterion) -> np.ndarray:

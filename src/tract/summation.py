@@ -84,6 +84,7 @@ __all__ = [
     "PolyLogTail",
     "RatioTail",
     "Divergence",
+    "FiniteEnd",
     "TailBound",
     "Plan",
     "certified_sum",
@@ -454,7 +455,8 @@ class StretchedIntegralTail:
             hi += rest * first
         else:
             lo -= rest * first
-        return _slacked(lo if lo > 0.0 else 0.0, hi, self.exact)
+        # Parts past the double range of alternating sign leave inf - inf: no bound on that side.
+        return _slacked(lo if lo > 0.0 else 0.0, math.inf if math.isnan(hi) else hi, self.exact)
 
 
 @dataclass(frozen=True)
@@ -545,7 +547,13 @@ class Divergence(NamedTuple):
     log2_j0: int | None = None
 
 
-Plan = Union[TailBound, Divergence, None]
+class FiniteEnd(NamedTuple):
+    """A finite spectrum: the series ends at index ``end``, so its sum to there is exact."""
+
+    end: int
+
+
+Plan = Union[TailBound, Divergence, FiniteEnd, None]
 
 
 # ---------------------------------------------------------------------------
@@ -627,15 +635,15 @@ def certified_sum(
     tol: float = 1e-10,
     max_terms: int = 2_000_000,
     min_terms: int = 0,
-    hard_end: int | None = None,
     prefactor: float = 1.0,
 ) -> SumEvaluation:
     """Sum ``terms(j0, j1)`` (an array for j in [j0, j1)) from ``start``.
 
-    ``hard_end`` marks a finite spectrum: the series truly ends there and the
-    result is exact.  ``prefactor`` scales the final value and remainder.
-    ``min_terms`` forces at least that many terms before a certified stop,
-    which the certification-soundness tests use to extend evaluations.
+    A ``FiniteEnd`` plan marks a finite spectrum: the series truly ends there
+    and the result is exact.  ``prefactor`` scales the final value and
+    remainder.  ``min_terms`` forces at least that many terms before a
+    certified stop, which the certification-soundness tests use to extend
+    evaluations.
 
     The chunk sums are added to an int in units of 2**-1074, which holds
     their exact total; the stop rules read, after each CHUNK terms, that
@@ -645,11 +653,10 @@ def certified_sum(
     fetch's last chunk first, and at its other chunks only where one fires
     there; the stop is the first chunk at which one holds.  Once four chunks
     are summed, one ``terms`` call fetches a quarter as many chunks again
-    (at most _MAX_BATCH), never past
-    ``hard_end`` or the budget; every fetched chunk is summed, and only those
-    up to the stop are added.  A batch whose ``terms`` call raises
-    TractError is fetched again one chunk at a time, so an error is raised
-    only from a chunk that is summed.
+    (at most _MAX_BATCH), never past a finite spectrum's end or the budget;
+    every fetched chunk is summed, and only those up to the stop are added.
+    A batch whose ``terms`` call raises TractError is fetched again one chunk
+    at a time, so an error is raised only from a chunk that is summed.
     """
     if isinstance(plan, Divergence):
         # An exponent too long for a decimal prints as the later onset 2**2**m.
@@ -666,12 +673,13 @@ def certified_sum(
     count = chunks = 0
     j = start
     single_until = start  # a batch that raised is fetched again chunk by chunk up to here
-    tail: TailBound | None = plan
+    end = plan.end if isinstance(plan, FiniteEnd) else None
+    tail: TailBound | None = None if end is not None else plan
     note = ""
-    if tail is not None and hard_end is None and tail.from_j - start + 1 > max_terms:
+    if tail is not None and tail.from_j - start + 1 > max_terms:
         tail = None  # bound validity starts beyond the budget
         note = "tail bound valid only beyond term budget"
-    heuristic = tail is None and hard_end is None
+    heuristic = tail is None and end is None
 
     def stop(count: int, J: int, partial: float, block_max: float) -> SumEvaluation | None:
         """The stop rules after the chunk ending at J, or None to go on."""
@@ -704,13 +712,13 @@ def certified_sum(
         return None
 
     while True:
-        if hard_end is not None and j > hard_end:
+        if end is not None and j > end:
             value = prefactor * (total / _UNITS)
             return SumEvaluation(value, count, 0.0, SumStatus.CERTIFIED, "finite spectrum")
         batch = 1 if j < single_until else min(max(chunks // 4, 1), _MAX_BATCH)
         j_end = j + batch * CHUNK
-        if hard_end is not None:
-            j_end = min(j_end, hard_end + 1)
+        if end is not None:
+            j_end = min(j_end, end + 1)
         j_end = min(j_end, j + (max_terms - count))
         # With no budget left the span is empty and only the stop rules run.
         spans = [(a, min(a + CHUNK, j_end)) for a in range(j, j_end, CHUNK)] or [(j, j)]

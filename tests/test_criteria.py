@@ -45,7 +45,7 @@ from tract.criteria import (
 )
 from tract.eigenmodel import log_ratio
 from tract.errors import BeyondRankError
-from tract.summation import CHUNK, Divergence, SumStatus
+from tract.summation import CHUNK, Divergence, FiniteEnd, SumStatus
 
 ABS = ErrorCriterion.ABS
 NOR = ErrorCriterion.NOR
@@ -490,7 +490,7 @@ class TestConvergencePlan:
         with pytest.raises(ValueError):
             convergence_plan(geo, kind, 1, CriterionParams(**params), ABS)
 
-    def test_plan_agrees_with_evaluation_status(self, geo, tabulated_geo, expr_poly2):
+    def test_plan_agrees_with_evaluation_status(self, geo, tabulated_geo, expr_poly2, rank2):
         models = {
             "poly-half": EigenModel(PolyDecay(1.0, 0.5)),
             "poly-two": EigenModel(PolyDecay(1.0, 2.0)),
@@ -498,6 +498,7 @@ class TestConvergencePlan:
             "geometric": geo,
             "tabulated": tabulated_geo,
             "expression": expr_poly2,  # no envelope: every plan is None
+            "finite-rank": rank2,  # every plan is its end
         }
         wt = CriterionParams(c=1.0, s=1.0, t=1.0)
         params = {
@@ -516,6 +517,8 @@ class TestConvergencePlan:
                 for criterion in (ABS, NOR):
                     for d in (1, 3):
                         plan = convergence_plan(model, kind, d, params[kind], criterion)
+                        if model is rank2:
+                            assert isinstance(plan, FiniteEnd) and plan.end == 2, (kind, criterion, d)
                         ev = evaluate_sum(
                             model, kind, d, params[kind], criterion, tol=1e-6, max_terms=1 << 14
                         )
@@ -572,12 +575,13 @@ class TestStartIndexRange:
             ("pt-alg", dict(tau2=1.0, c_tilde=math.nextafter(2.0**62, math.inf)), 1),
         ],
     )
-    def test_start_past_int64_is_a_value_error(self, geo, kind, params, d):
+    def test_start_past_int64_is_a_value_error(self, geo, rank2, kind, params, d):
         message = rf"^{kind} start index exceeds 2\*\*62 at d={d}$"
         with pytest.raises(ValueError, match=message):
             evaluate_sum(geo, kind, d, CriterionParams(**params), ABS)
-        with pytest.raises(ValueError, match=message):
-            convergence_plan(geo, kind, d, CriterionParams(**params), ABS)
+        for model in (geo, rank2):  # a finite spectrum plans from the same start
+            with pytest.raises(ValueError, match=message):
+                convergence_plan(model, kind, d, CriterionParams(**params), ABS)
 
     def test_largest_start_is_kept(self, geo):
         plan = convergence_plan(geo, "pt-alg", 1, CriterionParams(tau2=1.0, c_tilde=2.0**62), ABS)

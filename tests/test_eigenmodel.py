@@ -18,13 +18,12 @@ from tract import (
     PowerLawTail,
     Tabulated,
     TailEnvelope,
-    cri,
     eigenvalue,
     eigenvalues,
     validate,
 )
 from tract.criteria import CriterionParams, evaluate_sum
-from tract.eigenmodel import ensure_valid, log_ratio, log_ratios, ratio, ratio_envelope, ratios
+from tract.eigenmodel import ensure_valid, log_ratio, log_ratios, ratio, ratio_envelope
 from tract.errors import BeyondRankError, EvalDomainError, ValidationFailedError
 from tract import eigenmodel, exprdsl
 
@@ -115,19 +114,21 @@ class TestEigenvalue:
                     name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
                     if name in ("eigenvalue", "eigenvalues"):
                         callers.add(owner.get(node, "<module>"))
-        assert callers == {"eigenvalue", "cri", "nth_minimal_error"}
+        assert callers == {"eigenvalue", "nth_minimal_error"}
 
 
 class TestCri:
     def test_abs_is_one(self, geo):
-        assert cri(geo, 7, ABS) == 1.0
+        # CRI_d = 1: under ABS the ratios are the family's own logarithms.
+        lead = geo.family.log_values(7, np.ones(1, dtype=np.int64))[0]
+        assert log_ratio(geo, 7, 1, ABS) == lead
 
     def test_nor_geometric(self, geo):
-        assert cri(geo, 2, NOR) == 0.5
+        assert eigenvalue(geo, 2, 1) == 0.5
 
     def test_nor_scaled_poly(self):
         model = EigenModel(PolyDecay(3.0, 1.0))
-        assert cri(model, 1, NOR) == pytest.approx(3.0, rel=1e-15, abs=0)  # exp(ln 3)
+        assert eigenvalue(model, 1, 1) == pytest.approx(3.0, rel=1e-15, abs=0)  # exp(ln 3)
 
 
 class TestTailBound:
@@ -292,7 +293,7 @@ class TestValidate:
 class TestRatios:
     def test_nor_normalisation(self, geo):
         js = np.arange(1, 300)
-        vals = ratios(geo, 3, js, NOR)
+        vals = np.exp(log_ratios(geo, 3, js, NOR))
         assert vals[0] == 1.0
         assert np.all(vals <= 1.0)
 
@@ -301,8 +302,8 @@ class TestRatios:
         scaled = EigenModel(Geometric(1.0, 0.5), d_scale=exprdsl.parse("exp(d)"))
         js = np.arange(1, 200)
         for d in (1, 3, 9):
-            a = ratios(base, d, js, NOR)
-            b = ratios(scaled, d, js, NOR)
+            a = np.exp(log_ratios(base, d, js, NOR))
+            b = np.exp(log_ratios(scaled, d, js, NOR))
             assert np.array_equal(a, b)
             assert np.array_equal(
                 log_ratios(base, d, js, NOR), log_ratios(scaled, d, js, NOR)
@@ -310,7 +311,7 @@ class TestRatios:
 
     def test_log_ratios_consistent_with_linear(self, exp2):
         js = np.arange(1, 100)
-        lin = np.log(ratios(exp2, 1, js, ABS))
+        lin = np.log(np.exp(log_ratios(exp2, 1, js, ABS)))
         logs = log_ratios(exp2, 1, js, ABS)
         assert logs == pytest.approx(lin, rel=1e-12, abs=1e-12)
 
@@ -349,7 +350,7 @@ class TestTabulatedOrder:
         tail = TailEnvelope(GeometricTail(0.5, 0.5), valid_from=4)
         assert Tabulated((1.0, 2.0, 0.5), tail) == Tabulated((2.0, 1.0, 0.5), tail)
         assert Tabulated((1.0, 2.0, 0.5), tail).prefix == (2.0, 1.0, 0.5)
-        assert cri(EigenModel(Tabulated((0.5, 1.0, 2.0), tail)), 1, NOR) == 2.0
+        assert eigenvalue(EigenModel(Tabulated((0.5, 1.0, 2.0), tail)), 1, 1) == 2.0
 
     def test_continuation_above_the_last_entry_is_rejected(self):
         # 2 * 0.5**3 = 0.25 at j = 3, above the smallest entry 0.2.

@@ -37,7 +37,7 @@ from tract import (
     TailEnvelope,
     exprdsl,
 )
-from tract.eigenmodel import _ratios_d_free, eigenvalues, log_ratios, ratio_envelope, ratios
+from tract.eigenmodel import _ratios_d_free, eigenvalues, ratio_envelope
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "family_envelopes.json"
 
@@ -94,6 +94,16 @@ def _encode(env: TailEnvelope | None):
     return [type(env.form).__name__, math.exp(env.log_scale), *shape, env.valid_from, env.exact]
 
 
+def _same(env, recorded) -> bool:
+    """Whether an encoded envelope matches its recorded row.  The scale is
+    e**log_scale, so it matches the recorded one to within the rounding of a
+    logarithm and an exponential; the rest exactly."""
+    if env is None or recorded is None:
+        return env == recorded
+    (kind, scale, *rest), (kind0, scale0, *rest0) = env, recorded
+    return [kind, *rest] == [kind0, *rest0] and abs(scale - scale0) <= 2 * math.ulp(scale0)
+
+
 def _envelopes(name: str, scaled: bool) -> dict:
     """The ratio_envelope results the contract pins for one case."""
     case_id = IDS[CASES.index((name, scaled))]
@@ -110,8 +120,7 @@ def _envelopes(name: str, scaled: bool) -> dict:
 @pytest.mark.parametrize("name,scaled", CASES, ids=IDS)
 class TestFamilyContract:
     def test_log_values_match_values(self, name, scaled):
-        """The logarithms match the family's 40-digit values, and the ratios
-        are their exp."""
+        """The logarithms match the family's 40-digit values."""
         model = _model(name, scaled)
         j = _indices(model)
         for d in (1, 4):
@@ -119,20 +128,11 @@ class TestFamilyContract:
             with decimal.localcontext(decimal.Context(prec=40)):
                 exact = [float(model.family.log_decimal(d, int(i))) for i in j[::31]]
             np.testing.assert_allclose(logs, exact, rtol=1e-14, atol=1e-15)
-            for c in ErrorCriterion:
-                assert np.array_equal(ratios(model, d, j, c), np.exp(log_ratios(model, d, j, c)))
 
     def test_envelopes_match_recorded(self, name, scaled):
-        # The scale is e**log_scale, so it matches the recorded one to within
-        # the rounding of a logarithm and an exponential; the rest exactly.
         recorded = json.loads(GOLDEN.read_text())
         for key, env in _envelopes(name, scaled).items():
-            if env is None or recorded[key] is None:
-                assert env == recorded[key], key
-                continue
-            (kind, scale, *rest), (kind0, scale0, *rest0) = env, recorded[key]
-            assert [kind, *rest] == [kind0, *rest0], key
-            assert abs(scale - scale0) <= 2 * math.ulp(scale0), (key, scale, scale0)
+            assert _same(env, recorded[key]), (key, env, recorded[key])
 
     def test_rank_and_d_independence(self, name, scaled):
         model = _model(name, scaled)
@@ -260,7 +260,13 @@ def test_every_export_resolves():
 
 if __name__ == "__main__":
     GOLDEN.parent.mkdir(exist_ok=True)
-    table = {k: v for case in CASES for k, v in _envelopes(*case).items()}
+    recorded = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+    # A row the test still accepts keeps its recorded value: only rows that moved are rewritten.
+    table = {
+        k: recorded[k] if k in recorded and _same(v, recorded[k]) else v
+        for case in CASES
+        for k, v in _envelopes(*case).items()
+    }
     rows = [f"{json.dumps(k)}: {json.dumps(v)}" for k, v in sorted(table.items())]
     GOLDEN.write_text("{\n" + ",\n".join(rows) + "\n}\n")
     print(f"wrote {GOLDEN}")

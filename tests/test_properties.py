@@ -21,6 +21,7 @@ from tract import (
     Tabulated,
     TailEnvelope,
     count_oracle,
+    eigenvalue,
     evaluate_sum,
     info_complexity,
     nth_minimal_error,
@@ -154,8 +155,6 @@ def test_error_inversion(family, d, eps, criterion):
     # eps^2, under NOR the ratio lambda_j/lambda_1 against eps^2, as the counts
     # compare them, here in 50-digit arithmetic.  The square-root form can
     # flip an exact tie by an ulp, so it gets a correspondingly tiny slack.
-    from tract import cri
-
     model = EigenModel(family)
     n = info_complexity(model, ComplexityQuery(d, eps, criterion)).n
 
@@ -171,7 +170,7 @@ def test_error_inversion(family, d, eps, criterion):
         assert not above(n + 1)
     if n >= 1:
         assert above(n)
-    root_cri = math.sqrt(cri(model, d, criterion))
+    root_cri = math.sqrt(eigenvalue(model, d, 1) if criterion is NOR else 1.0)
     assert nth_minimal_error(model, d, n) <= eps * root_cri * (1 + 4e-16)
     if n >= 1:
         assert nth_minimal_error(model, d, n - 1) > eps * root_cri * (1 - 4e-16)

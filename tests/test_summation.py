@@ -16,6 +16,7 @@ from tract.summation import (
     CHUNK,
     AffinePowerTail,
     Divergence,
+    FiniteEnd,
     GeomSeriesTail,
     PolyLogTail,
     RatioTail,
@@ -386,7 +387,7 @@ class TestEngine:
         assert math.isinf(ev.value)
 
     def test_finite_spectrum_is_exact(self):
-        ev = certified_sum(_block(lambda j: 0.5**j), 1, None, hard_end=3)
+        ev = certified_sum(_block(lambda j: 0.5**j), 1, FiniteEnd(3))
         assert ev.status is SumStatus.CERTIFIED
         assert ev.remainder_bound == 0.0
         assert ev.value == 0.5 + 0.25 + 0.125
@@ -432,7 +433,7 @@ def _accumulated(xs):
     OverflowError where it stops at the double range."""
     values = np.zeros(len(xs) * CHUNK)
     values[::CHUNK] = xs
-    ev = certified_sum(lambda j0, j1: values[j0 - 1 : j1 - 1], 1, None, hard_end=len(values))
+    ev = certified_sum(lambda j0, j1: values[j0 - 1 : j1 - 1], 1, FiniteEnd(len(values)))
     if ev.note == "partial sum exceeds the double range":
         raise OverflowError
     return ev.value
@@ -657,8 +658,8 @@ class TestBatchedFetch:
         "kwargs",
         [
             {"max_terms": 50_000 + 17},
-            {"hard_end": 30_000 + 5},
-            {"hard_end": 300_000, "max_terms": 70_001},
+            {"end": 30_000 + 5},
+            {"end": 300_000, "max_terms": 70_001},
             {"start": 7, "max_terms": 1_000_000},
         ],
         ids=["budget", "hard-end", "both", "heuristic"],
@@ -667,10 +668,11 @@ class TestBatchedFetch:
         calls = []
         kwargs = dict(kwargs)
         start = kwargs.pop("start", 1)
+        end = kwargs.pop("end", None)
         terms = _recording(lambda j: math.exp(-j / 5000.0), calls)
-        ev = certified_sum(terms, start, None, **kwargs)
+        ev = certified_sum(terms, start, None if end is None else FiniteEnd(end), **kwargs)
         last = start + kwargs["max_terms"] - 1 if "max_terms" in kwargs else math.inf
-        assert all(j1 - 1 <= kwargs.get("hard_end", math.inf) and j1 - 1 <= last for _, j1 in calls)
+        assert all(j1 - 1 <= (math.inf if end is None else end) and j1 - 1 <= last for _, j1 in calls)
         assert [j0 for j0, _ in calls] == [start] + [j1 for _, j1 in calls[:-1]]  # contiguous
         assert CHUNK < max(j1 - j0 for j0, j1 in calls) <= 16 * CHUNK
         assert calls[-1][1] - 1 - (start + ev.terms_used - 1) <= ev.terms_used // 4
@@ -682,7 +684,7 @@ class TestBatchedFetch:
             (*_POWER, {"tol": 1e-7}),
             (*_POWER, {"tol": 1e-7, "min_terms": 123_457}),
             (_SLOW_EXP, None, {"max_terms": 40_000}),
-            (_SLOW_EXP, None, {"hard_end": 60_000}),
+            (_SLOW_EXP, FiniteEnd(60_000), {}),
         ],
         ids=["heuristic", "certified", "min-terms", "budget", "finite"],
     )
